@@ -162,7 +162,7 @@ func run(ctx context.Context, w io.Writer, workers int, deep bool, reduce bool) 
 			return 0, 0, 0, err
 		}
 		built = res.Complex
-		return res.Complex.Size(), len(res.Complex.Facets()), 0, nil
+		return res.Complex.Size(), res.Complex.FacetCount(), 0, nil
 	}
 	// reduceCase times the GF(2) Betti computation over the just-built
 	// complex twice — coreduction off, then on (the engine default) — as
@@ -241,7 +241,7 @@ func run(ctx context.Context, w io.Writer, workers int, deep bool, reduce bool) 
 		{"IIS^1 n=3", func() (int, int, int, error) {
 			res := iis.OneRound(labeled(3))
 			built = res.Complex
-			return res.Complex.Size(), len(res.Complex.Facets()), 0, nil
+			return res.Complex.Size(), res.Complex.FacetCount(), 0, nil
 		}},
 	}
 	if deep {
@@ -251,7 +251,7 @@ func run(ctx context.Context, w io.Writer, workers int, deep bool, reduce bool) 
 		}{"IIS^1 n=4", func() (int, int, int, error) {
 			res := iis.OneRound(labeled(4))
 			built = res.Complex
-			return res.Complex.Size(), len(res.Complex.Facets()), 0, nil
+			return res.Complex.Size(), res.Complex.FacetCount(), 0, nil
 		}})
 	}
 	cases = append(cases,

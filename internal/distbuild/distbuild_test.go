@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -28,7 +29,7 @@ func testInput(m int) topology.Simplex {
 }
 
 // testModel compiles a preset query into (instance, input, plan).
-func testModel(t *testing.T, query string) (*modelspec.Instance, topology.Simplex, *roundop.ShardPlan) {
+func testModel(t testing.TB, query string) (*modelspec.Instance, topology.Simplex, *roundop.ShardPlan) {
 	t.Helper()
 	v, err := url.ParseQuery(query)
 	if err != nil {
@@ -598,5 +599,43 @@ func TestEncodeDecodeShardDelta(t *testing.T) {
 	corrupt[len(corrupt)/2] ^= 0x40
 	if _, err := DecodeShardFrame(corrupt); err == nil {
 		t.Fatal("corrupted frame decoded successfully")
+	}
+}
+
+// goldenIISHash is the CanonicalHash of IIS n=2 r=2 over inputs a, b, c:
+// the complex testdata/iis-n2-r2-sorted.frame carries.
+const goldenIISHash = "20c6cc88cbf55b69d1cc8651267f440b17972aeb67d12e085ff9fda4262daa8c"
+
+// TestDecodeSortedEncoderFrame: a completion frame written by the encoder
+// pc's delta codec replaced — vertex table in (process, label) order, rows
+// in (dimension, key) order — still decodes, to the pinned complex.
+// Frames from a replica running that encoder stay mergeable during a
+// rolling upgrade.
+func TestDecodeSortedEncoderFrame(t *testing.T) {
+	raw, err := os.ReadFile("testdata/iis-n2-r2-sorted.frame")
+	if err != nil {
+		t.Fatal(err)
+	}
+	delta, err := DecodeShardFrame(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if delta.Build != "golden" || delta.Lease != 7 || len(delta.Shards) != 13 {
+		t.Fatalf("decoded metadata = %+v", delta)
+	}
+	if got := delta.Result.Complex.CanonicalHash(); got != goldenIISHash {
+		t.Fatalf("golden frame decodes to %s, want %s", got, goldenIISHash)
+	}
+	inst, input, _ := testModel(t, "model=iis&n=2&r=2")
+	if got := localHash(t, inst, input); got != goldenIISHash {
+		t.Fatalf("IIS n=2 r=2 builds to %s, golden pin %s", got, goldenIISHash)
+	}
+	// The current encoder's frame of the decoded delta round-trips too.
+	again, err := DecodeShardFrame(EncodeShardDelta("b", 1, delta.Shards, delta.Result))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := again.Result.Complex.CanonicalHash(); got != goldenIISHash {
+		t.Fatalf("re-encoded frame decodes to %s, want %s", got, goldenIISHash)
 	}
 }

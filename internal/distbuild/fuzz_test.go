@@ -1,6 +1,7 @@
 package distbuild
 
 import (
+	"os"
 	"testing"
 
 	"pseudosphere/internal/pc"
@@ -37,6 +38,20 @@ func FuzzDecodeShardFrame(f *testing.F) {
 	res.Complex.AddClosed(s2)
 	f.Add(EncodeShardDelta("seed-build", 42, []int{0, 1}, res))
 	f.Add(EncodeShardDelta("", 0, nil, pc.NewResult()))
+
+	// A real two-round shard in insertion order, and the same build as
+	// the sorted encoder wrote it.
+	_, _, plan := testModel(f, "model=iis&n=2&r=2")
+	shard := pc.NewResult()
+	if err := plan.RunShard(shard, 0); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(EncodeShardDelta("seed-build", 1, []int{0}, shard))
+	golden, err := os.ReadFile("testdata/iis-n2-r2-sorted.frame")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		delta, err := DecodeShardFrame(raw)

@@ -38,7 +38,6 @@ import (
 	"pseudosphere/internal/pc"
 	"pseudosphere/internal/store"
 	"pseudosphere/internal/topology"
-	"pseudosphere/internal/views"
 )
 
 // Endpoint paths, mounted by the serving tier on every dist-enabled
@@ -101,16 +100,15 @@ type claimResponse struct {
 
 // shardDelta is the JSON payload inside a completion frame: the lease
 // being fulfilled, the shard indices it covered, and the enumerated
-// sub-complex as an interned vertex table plus every simplex's
-// vertex-index list — the full face-closed set, exactly the shape the
-// checkpoint log persists, so the coordinator can both flush it to the
-// job's CheckpointLog and merge it with the closure-free bulk path.
+// sub-complex in pc's delta encoding — the same encoding the checkpoint
+// log persists, so the coordinator can both flush it to the job's
+// CheckpointLog and merge it with the closure-free bulk path.
 type shardDelta struct {
-	Build  string     `json:"build"`
-	Lease  uint64     `json:"lease"`
-	Shards []int      `json:"shards"`
-	Verts  []WireVert `json:"verts,omitempty"`
-	Simps  [][]int32  `json:"simps,omitempty"`
+	Build  string         `json:"build"`
+	Lease  uint64         `json:"lease"`
+	Shards []int          `json:"shards"`
+	Verts  []pc.DeltaVert `json:"verts,omitempty"`
+	Simps  [][]int32      `json:"simps,omitempty"`
 }
 
 // Delta is a decoded, validated completion.
@@ -125,23 +123,8 @@ type Delta struct {
 // delta result must be face-closed (anything a ShardPlan.RunShard built
 // is).
 func EncodeShardDelta(build string, lease uint64, shards []int, delta *pc.Result) []byte {
-	verts := delta.Complex.Vertices()
-	idx := make(map[topology.Vertex]int32, len(verts))
-	vtab := make([]WireVert, len(verts))
-	for i, v := range verts {
-		idx[v] = int32(i)
-		vtab[i] = WireVert{P: v.P, L: v.Label}
-	}
-	all := delta.Complex.AllSimplices()
-	simps := make([][]int32, len(all))
-	for i, s := range all {
-		row := make([]int32, len(s))
-		for j, v := range s {
-			row[j] = idx[v]
-		}
-		simps[i] = row
-	}
-	payload, err := json.Marshal(shardDelta{Build: build, Lease: lease, Shards: shards, Verts: vtab, Simps: simps})
+	verts, simps := pc.EncodeDelta(delta)
+	payload, err := json.Marshal(shardDelta{Build: build, Lease: lease, Shards: shards, Verts: verts, Simps: simps})
 	if err != nil {
 		// The struct contains only marshalable fields; treat as impossible
 		// but fail safe with an empty (undecodable) frame.
@@ -152,10 +135,10 @@ func EncodeShardDelta(build string, lease uint64, shards []int, delta *pc.Result
 
 // DecodeShardFrame decodes and fully validates one completion frame.
 // Everything is checked before anything is built — frame checksum, JSON
-// shape, view labels (each must decode and match its process id),
-// simplex index ranges, simplex validity — so a corrupt or adversarial
-// frame yields an error and never a half-valid result. This is the
-// attacker-controlled surface of the protocol and the fuzz target.
+// shape, and then the delta through pc.DecodeDelta (view labels, index
+// ranges, simplex validity) — so a corrupt or adversarial frame yields an
+// error and never a half-valid result. This is the attacker-controlled
+// surface of the protocol and the fuzz target.
 func DecodeShardFrame(raw []byte) (*Delta, error) {
 	if len(raw) > MaxCompleteBody {
 		return nil, fmt.Errorf("distbuild: completion frame of %d bytes exceeds the %d limit", len(raw), MaxCompleteBody)
@@ -176,31 +159,9 @@ func DecodeShardFrame(raw []byte) (*Delta, error) {
 			return nil, fmt.Errorf("distbuild: negative shard index %d", i)
 		}
 	}
-	vw := make([]*views.View, len(sd.Verts))
-	for i, v := range sd.Verts {
-		view, err := views.Decode(v.L)
-		if err != nil || view.P != v.P {
-			return nil, fmt.Errorf("distbuild: completion vertex %d is not a valid view for process %d", i, v.P)
-		}
-		vw[i] = view
-	}
-	res := pc.NewResult()
-	for i, v := range sd.Verts {
-		res.Views[topology.Vertex{P: v.P, Label: v.L}] = vw[i]
-	}
-	for _, ids := range sd.Simps {
-		vs := make([]topology.Vertex, len(ids))
-		for j, id := range ids {
-			if id < 0 || int(id) >= len(sd.Verts) {
-				return nil, fmt.Errorf("distbuild: simplex references vertex %d of %d", id, len(sd.Verts))
-			}
-			vs[j] = topology.Vertex{P: sd.Verts[id].P, Label: sd.Verts[id].L}
-		}
-		s, err := topology.NewSimplex(vs...)
-		if err != nil {
-			return nil, fmt.Errorf("distbuild: completion simplex: %w", err)
-		}
-		res.Complex.AddClosed(s)
+	res, err := pc.DecodeDelta(sd.Verts, sd.Simps)
+	if err != nil {
+		return nil, fmt.Errorf("distbuild: completion delta: %w", err)
 	}
 	return &Delta{Build: sd.Build, Lease: sd.Lease, Shards: sd.Shards, Result: res}, nil
 }

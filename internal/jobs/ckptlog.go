@@ -8,8 +8,6 @@ import (
 
 	"pseudosphere/internal/pc"
 	"pseudosphere/internal/store"
-	"pseudosphere/internal/topology"
-	"pseudosphere/internal/views"
 )
 
 // CheckpointLog is a job's append-only progress log: a sequence of
@@ -35,27 +33,21 @@ type CheckpointLog struct {
 
 // ckptRecord is one log entry. T selects the variant: "shards" persists
 // a batch of completed construction shards together with their merged
-// face-closed simplex delta (vertex labels interned into a frame-local
-// table), "rank" persists one fully reduced boundary rank keyed by the
-// complex's canonical hash.
+// delta in pc's delta encoding, "rank" persists one fully reduced
+// boundary rank keyed by the complex's canonical hash.
 type ckptRecord struct {
 	T string `json:"t"`
 
 	// T == "shards"
-	Total int        `json:"total,omitempty"`
-	Done  []int      `json:"done,omitempty"`
-	Verts []ckptVert `json:"verts,omitempty"`
-	Simps [][]int32  `json:"simps,omitempty"`
+	Total int            `json:"total,omitempty"`
+	Done  []int          `json:"done,omitempty"`
+	Verts []pc.DeltaVert `json:"verts,omitempty"`
+	Simps [][]int32      `json:"simps,omitempty"`
 
 	// T == "rank"
 	Hash string `json:"hash,omitempty"`
 	Dim  int    `json:"dim,omitempty"`
 	Rank int    `json:"rank,omitempty"`
-}
-
-type ckptVert struct {
-	P int    `json:"p"`
-	L string `json:"l"`
 }
 
 // OpenCheckpointLog opens (creating if absent) the log at path, loading
@@ -146,40 +138,27 @@ func (c *CheckpointLog) append(rec ckptRecord) error {
 // written for this shard count into a done-set and a merged partial
 // result. Records for a different shard count (a changed spec or code
 // rev) and records that fail validation are skipped — a skipped shard is
-// merely recomputed. Replay inserts the face-closed simplex deltas with
-// the closure-free bulk path, which is what makes resuming measurably
-// cheaper than recomputing.
+// merely recomputed. pc.DecodeDelta validates a record in full before
+// building anything, so a corrupt record never leaves a half-replayed,
+// non-face-closed delta behind, and it inserts with the closure-free bulk
+// path, which is what makes resuming measurably cheaper than recomputing.
 func (c *CheckpointLog) Restore(totalShards int) ([]bool, *pc.Result, error) {
 	c.shardTotal = totalShards
 	var done []bool
 	var partial *pc.Result
 	for _, rec := range c.shardRecs {
-		if rec.Total != totalShards || len(rec.Done) == 0 {
+		if rec.Total != totalShards || len(rec.Done) == 0 || !shardsInRange(rec.Done, totalShards) {
 			continue
 		}
-		verts, simps, ok := decodeShardDelta(rec)
-		if !ok {
+		delta, err := pc.DecodeDelta(rec.Verts, rec.Simps)
+		if err != nil {
 			continue
 		}
-		idxOK := true
-		for _, i := range rec.Done {
-			if i < 0 || i >= totalShards {
-				idxOK = false
-				break
-			}
-		}
-		if !idxOK {
-			continue
-		}
-		if done == nil {
+		if partial == nil {
 			done = make([]bool, totalShards)
-			partial = pc.NewResult()
-		}
-		for i, v := range rec.Verts {
-			partial.Views[topology.Vertex{P: v.P, Label: v.L}] = verts[i]
-		}
-		for _, s := range simps {
-			partial.Complex.AddClosed(s)
+			partial = delta
+		} else {
+			partial.Merge(delta)
 		}
 		for _, i := range rec.Done {
 			done[i] = true
@@ -188,60 +167,21 @@ func (c *CheckpointLog) Restore(totalShards int) ([]bool, *pc.Result, error) {
 	return done, partial, nil
 }
 
-// decodeShardDelta validates a shard record's vertex table and simplex
-// list in full before anything is inserted anywhere, so a corrupt record
-// is skipped atomically and can never leave a half-replayed,
-// non-face-closed delta behind.
-func decodeShardDelta(rec ckptRecord) (vw []*views.View, simps []topology.Simplex, ok bool) {
-	vw = make([]*views.View, len(rec.Verts))
-	for i, v := range rec.Verts {
-		view, err := views.Decode(v.L)
-		if err != nil || view.P != v.P {
-			return nil, nil, false
+// shardsInRange reports whether every shard index lies in [0, total).
+func shardsInRange(idx []int, total int) bool {
+	for _, i := range idx {
+		if i < 0 || i >= total {
+			return false
 		}
-		vw[i] = view
 	}
-	simps = make([]topology.Simplex, 0, len(rec.Simps))
-	for _, ids := range rec.Simps {
-		vs := make([]topology.Vertex, len(ids))
-		for j, id := range ids {
-			if id < 0 || int(id) >= len(rec.Verts) {
-				return nil, nil, false
-			}
-			vs[j] = topology.Vertex{P: rec.Verts[id].P, Label: rec.Verts[id].L}
-		}
-		s, err := topology.NewSimplex(vs...)
-		if err != nil {
-			return nil, nil, false
-		}
-		simps = append(simps, s)
-	}
-	return vw, simps, true
+	return true
 }
 
 // Flush implements roundop.Checkpointer: it persists one batch of
-// completed shards with their merged delta. The delta complex is dumped
-// as a frame-local vertex table plus every simplex's vertex-index list —
-// the full face-closed set, not just facets, so Restore can re-insert it
-// without the closure walk.
+// completed shards with their merged delta in pc's delta encoding.
 func (c *CheckpointLog) Flush(done []int, delta *pc.Result) error {
-	verts := delta.Complex.Vertices()
-	idx := make(map[topology.Vertex]int32, len(verts))
-	vtab := make([]ckptVert, len(verts))
-	for i, v := range verts {
-		idx[v] = int32(i)
-		vtab[i] = ckptVert{P: v.P, L: v.Label}
-	}
-	all := delta.Complex.AllSimplices()
-	simps := make([][]int32, len(all))
-	for i, s := range all {
-		row := make([]int32, len(s))
-		for j, v := range s {
-			row[j] = idx[v]
-		}
-		simps[i] = row
-	}
-	return c.append(ckptRecord{T: "shards", Total: c.shardTotal, Done: done, Verts: vtab, Simps: simps})
+	verts, simps := pc.EncodeDelta(delta)
+	return c.append(ckptRecord{T: "shards", Total: c.shardTotal, Done: done, Verts: verts, Simps: simps})
 }
 
 // KnownRanks returns the boundary ranks recorded for the complex with

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"pseudosphere/internal/jobs"
+	"pseudosphere/internal/pc"
 	"pseudosphere/internal/store"
 )
 
@@ -66,6 +67,14 @@ func FuzzCheckpointLogOpen(f *testing.F) {
 	f.Add([]byte("garbage that is not a frame at all"))
 	f.Add(store.EncodeFrame([]byte(`{"t":"mystery"}`)))
 	f.Add(store.EncodeFrame([]byte(`not json`)))
+	// Real shard records: the sorted encoder's golden log, and an
+	// insertion-order log from the current encoder.
+	golden, err := os.ReadFile("testdata/iis-n2-r2-sorted.ckpt")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
+	f.Add(flushedLog(f, 4, []int{1, 3}, buildResult(f, "model=iis&n=2&r=1")))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "fuzz.ckpt")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
@@ -127,6 +136,15 @@ func TestCheckpointLogMutilation(t *testing.T) {
 		}
 		offsets = append(offsets, fi.Size())
 	}
+	// A fourth record, a shard batch, goes through the delta decoder on
+	// every restore below.
+	delta := buildResult(t, "model=iis&n=2&r=1")
+	if _, _, err := log.Restore(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Flush([]int{0}, delta); err != nil {
+		t.Fatal(err)
+	}
 	if err := log.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -139,16 +157,18 @@ func TestCheckpointLogMutilation(t *testing.T) {
 	cases := []struct {
 		name      string
 		mutate    func([]byte) []byte
-		wantRanks int // surviving rank records
+		wantRanks int  // surviving rank records
+		wantShard bool // the shard record survives
 	}{
-		{"torn header", func(b []byte) []byte { return b[:rec2+20] }, 1},
-		{"torn payload", func(b []byte) []byte { return b[:offsets[1]-3] }, 1},
-		{"flipped magic", func(b []byte) []byte { b[rec2] ^= 0xff; return b }, 1},
-		{"flipped checksum", func(b []byte) []byte { b[rec2+20] ^= 0x01; return b }, 1},
-		{"flipped payload byte", func(b []byte) []byte { b[rec2+50] ^= 0x01; return b }, 1},
-		{"huge length", func(b []byte) []byte { b[rec2+14] = 0xff; return b }, 1},
-		{"garbage tail", func(b []byte) []byte { return append(b, "EXTRA"...) }, 3},
-		{"empty file", func(b []byte) []byte { return nil }, 0},
+		{"torn header", func(b []byte) []byte { return b[:rec2+20] }, 1, false},
+		{"torn payload", func(b []byte) []byte { return b[:offsets[1]-3] }, 1, false},
+		{"flipped magic", func(b []byte) []byte { b[rec2] ^= 0xff; return b }, 1, false},
+		{"flipped checksum", func(b []byte) []byte { b[rec2+20] ^= 0x01; return b }, 1, false},
+		{"flipped payload byte", func(b []byte) []byte { b[rec2+50] ^= 0x01; return b }, 1, false},
+		{"huge length", func(b []byte) []byte { b[rec2+14] = 0xff; return b }, 1, false},
+		{"torn shard record", func(b []byte) []byte { return b[:len(b)-3] }, 3, false},
+		{"garbage tail", func(b []byte) []byte { return append(b, "EXTRA"...) }, 3, true},
+		{"empty file", func(b []byte) []byte { return nil }, 0, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -170,6 +190,16 @@ func TestCheckpointLogMutilation(t *testing.T) {
 					t.Fatalf("rank[%d] = %d, want %d", d, r, 10+d)
 				}
 			}
+			done, partial, err := log.Restore(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := done != nil; got != tc.wantShard {
+				t.Fatalf("shard record survived = %v, want %v", got, tc.wantShard)
+			}
+			if tc.wantShard && partial.Complex.CanonicalHash() != delta.Complex.CanonicalHash() {
+				t.Fatal("surviving shard record restores a different complex")
+			}
 			// The damage is amputated: the file is now exactly the valid
 			// prefix plus nothing, so appends extend a clean log.
 			if err := log.PutRank("h", 9, 99); err != nil {
@@ -186,4 +216,29 @@ func TestCheckpointLogMutilation(t *testing.T) {
 			}
 		})
 	}
+}
+
+// flushedLog returns the bytes of a fresh checkpoint log holding one
+// shard record: delta flushed as the given shards of a total-shard build.
+func flushedLog(tb testing.TB, total int, shards []int, delta *pc.Result) []byte {
+	tb.Helper()
+	path := filepath.Join(tb.TempDir(), "seed.ckpt")
+	log, err := jobs.OpenCheckpointLog(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, _, err := log.Restore(total); err != nil {
+		tb.Fatal(err)
+	}
+	if err := log.Flush(shards, delta); err != nil {
+		tb.Fatal(err)
+	}
+	if err := log.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return raw
 }

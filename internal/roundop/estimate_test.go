@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"pseudosphere/internal/asyncmodel"
+	"pseudosphere/internal/custommodel"
 	"pseudosphere/internal/iis"
 	"pseudosphere/internal/pc"
 	"pseudosphere/internal/roundop"
@@ -48,7 +49,8 @@ func countInsertions(t *testing.T, op roundop.Operator, cur []*views.View, r int
 // against the unsampled reference count on every model's operator, one
 // and two rounds deep: the one-representative-per-branch sampling must
 // lose nothing, because a branch's continuation cost depends only on the
-// surviving participant set and remaining budget.
+// surviving participant set and remaining budget. It also checks that
+// FacetCount agrees with len(Facets()) on every model's round complex.
 func TestEstimateFacetsExactForInTreeOperators(t *testing.T) {
 	in := input(2)
 	for _, tc := range []struct {
@@ -62,6 +64,7 @@ func TestEstimateFacetsExactForInTreeOperators(t *testing.T) {
 		{"sync-r2", syncmodel.Params{PerRound: 1, Total: 2}.Operator(), 2},
 		{"semisync-r1", semisync.Params{C1: 1, C2: 2, D: 2, PerRound: 1, Total: 1}.Operator(), 1},
 		{"iis-r2", iis.Operator(), 2},
+		{"custom-r2", custommodel.Params{PerRound: 1}.Operator(), 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			want := countInsertions(t, tc.op, pc.InputViews(in), tc.r)
@@ -77,8 +80,12 @@ func TestEstimateFacetsExactForInTreeOperators(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if facets := int64(len(res.Complex.Facets())); got < facets {
+			facets := int64(len(res.Complex.Facets()))
+			if got < facets {
 				t.Fatalf("estimate %d below actual facet count %d", got, facets)
+			}
+			if n := int64(res.Complex.FacetCount()); n != facets {
+				t.Fatalf("FacetCount = %d, len(Facets()) = %d", n, facets)
 			}
 		})
 	}

@@ -27,12 +27,22 @@ func TestComplexClosure(t *testing.T) {
 }
 
 func TestComplexFacets(t *testing.T) {
-	s := triangle()
-	extra := mustSimplex(v(2, "c"), v(3, "d"))
-	c := ComplexOf(s, extra)
-	facets := c.Facets()
-	if len(facets) != 2 {
-		t.Fatalf("facets = %v", facets)
+	for _, tc := range []struct {
+		name string
+		c    *Complex
+		want int
+	}{
+		{"triangle plus dangling edge", ComplexOf(triangle(), mustSimplex(v(2, "c"), v(3, "d"))), 2},
+		{"triangle", ComplexOf(triangle()), 1},
+		{"empty", NewComplex(), 0},
+	} {
+		facets := tc.c.Facets()
+		if len(facets) != tc.want {
+			t.Fatalf("%s: facets = %v, want %d", tc.name, facets, tc.want)
+		}
+		if got := tc.c.FacetCount(); got != tc.want {
+			t.Fatalf("%s: FacetCount = %d, want %d", tc.name, got, tc.want)
+		}
 	}
 }
 

@@ -1,10 +1,11 @@
 package topology
 
 // Incidence access to the interned entry table. The homology engine's
-// coreduction pass walks face/coface incidences of every stored simplex;
-// these accessors expose the entry table directly (dense int32 entry
-// indices, no Simplex materialization, no string keys) so that walk runs
-// at intern-table speed. Entry indices are stable: entries are
+// coreduction pass walks face/coface incidences of every stored simplex,
+// and pc's delta codec dumps every entry as vertex-id rows; these
+// accessors expose the entry table directly (dense int32 entry indices,
+// no Simplex materialization, no string keys) so both run at intern-table
+// speed. Entry indices are stable: entries are
 // append-only, so an index obtained here stays valid for the lifetime of
 // the complex as long as no further simplexes are added.
 
@@ -18,6 +19,22 @@ func (c *Complex) EntryDim(ei int32) int { return len(c.entries[ei].ids) - 1 }
 // EntrySimplex materializes entry ei as a Simplex (vertices in ascending
 // process-id order, the complex's canonical order).
 func (c *Complex) EntrySimplex(ei int32) Simplex { return c.simplexAt(ei) }
+
+// VertexCount returns the number of interned vertices. Vertex ids run
+// 0..VertexCount()-1 in first-seen order, and every interned vertex is a
+// 0-simplex of the complex.
+func (c *Complex) VertexCount() int { return len(c.byID) }
+
+// VertexAt returns the vertex with intern id id.
+func (c *Complex) VertexAt(id int32) Vertex { return c.byID[id] }
+
+// AppendEntryIDs appends the intern ids of entry ei's vertices, in
+// ascending process-id order, to buf and returns the extended slice.
+// Together with VertexAt this dumps the complex as a vertex table plus
+// id rows without materializing a Simplex.
+func (c *Complex) AppendEntryIDs(buf []int32, ei int32) []int32 {
+	return append(buf, c.entries[ei].ids...)
+}
 
 // EntryFaces appends the entry indices of the codimension-1 faces of
 // entry ei to buf and returns the extended slice. Faces are produced in

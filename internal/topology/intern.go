@@ -90,8 +90,12 @@ func (c *Complex) allocIDs(ids []int32) []int32 {
 }
 
 // insert stores ids (hashed to h) as a new entry, updating the f-vector
-// and dimension. The caller must have checked absence.
+// and dimension and dropping the memoized canonical hash. The caller must
+// have checked absence.
 func (c *Complex) insert(ids []int32, h uint64) {
+	if c.hash.Load() != nil {
+		c.hash.Store(nil)
+	}
 	ei := int32(len(c.entries))
 	c.entries = append(c.entries, simplexEntry{ids: c.allocIDs(ids)})
 	c.table[h] = append(c.table[h], ei)

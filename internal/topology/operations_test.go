@@ -64,8 +64,6 @@ func TestConnectedComponents(t *testing.T) {
 	if len(circle3().ConnectedComponents()) != 1 {
 		t.Fatal("circle should be one component")
 	}
-	var empty Complex
-	_ = empty
 	if got := NewComplex().ConnectedComponents(); got != nil {
 		t.Fatalf("empty complex components = %v", got)
 	}
