@@ -14,11 +14,13 @@ import (
 	"pseudosphere/internal/experiments"
 	"pseudosphere/internal/homology"
 	"pseudosphere/internal/protocols"
+	"pseudosphere/internal/roundop"
 	"pseudosphere/internal/semisync"
 	"pseudosphere/internal/sim"
 	"pseudosphere/internal/sperner"
 	"pseudosphere/internal/syncmodel"
 	"pseudosphere/internal/task"
+	"pseudosphere/internal/testutil/coreutil"
 	"pseudosphere/internal/topology"
 )
 
@@ -55,7 +57,7 @@ func BenchmarkE3AsyncOneRound(b *testing.B) {
 	p := asyncmodel.Params{N: 3, F: 2}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := asyncmodel.OneRound(input, p)
+		res, err := roundop.Build(context.Background(), p.Operator(), input, 1, roundop.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -78,7 +80,7 @@ func BenchmarkE4AsyncConnectivity(b *testing.B) {
 	p := asyncmodel.Params{N: 2, F: 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := asyncmodel.Rounds(input, p, 2)
+		res, err := roundop.Build(context.Background(), p.Operator(), input, 2, roundop.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -97,7 +99,7 @@ func benchE4Engine(b *testing.B, e *homology.Engine) {
 	p := asyncmodel.Params{N: 2, F: 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := asyncmodel.Rounds(input, p, 2)
+		res, err := roundop.Build(context.Background(), p.Operator(), input, 2, roundop.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -120,7 +122,7 @@ func BenchmarkE5SyncOneRound(b *testing.B) {
 	p := syncmodel.Params{PerRound: 1, Total: 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := syncmodel.OneRound(input, p)
+		res, err := roundop.Build(context.Background(), p.Operator(), input, 1, roundop.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -161,7 +163,7 @@ func BenchmarkE7SyncConnectivity(b *testing.B) {
 	p := syncmodel.Params{PerRound: 1, Total: 2}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := syncmodel.Rounds(input, p, 2)
+		res, err := roundop.Build(context.Background(), p.Operator(), input, 2, roundop.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -177,7 +179,7 @@ func benchE7Engine(b *testing.B, e *homology.Engine) {
 	p := syncmodel.Params{PerRound: 1, Total: 2}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := syncmodel.Rounds(input, p, 2)
+		res, err := roundop.Build(context.Background(), p.Operator(), input, 2, roundop.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -217,7 +219,7 @@ func BenchmarkE9SemiSyncOneRound(b *testing.B) {
 	p := semisync.Params{C1: 1, C2: 2, D: 2, PerRound: 1, Total: 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := semisync.OneRound(input, p)
+		res, err := roundop.Build(context.Background(), p.Operator(), input, 1, roundop.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -282,7 +284,7 @@ func BenchmarkE19BuildReduceA1n3f3(b *testing.B) {
 	p := asyncmodel.Params{N: 3, F: 3}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := asyncmodel.OneRound(input, p)
+		res, err := roundop.Build(context.Background(), p.Operator(), input, 1, roundop.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -298,7 +300,7 @@ func BenchmarkE19BuildReduceA1n3f3(b *testing.B) {
 // BenchmarkAblationHomologySparseZ2 measures the production engine (sparse
 // GF(2) column reduction) on a mid-sized protocol complex.
 func BenchmarkAblationHomologySparseZ2(b *testing.B) {
-	res, err := asyncmodel.OneRound(inputSimplex(3), asyncmodel.Params{N: 3, F: 3})
+	res, err := roundop.Build(context.Background(), asyncmodel.Params{N: 3, F: 3}.Operator(), inputSimplex(3), 1, roundop.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -313,7 +315,7 @@ func BenchmarkAblationHomologySparseZ2(b *testing.B) {
 // BenchmarkAblationHomologyDenseGFp measures the dense GF(3) fallback on
 // the same complex; the gap justifies the sparse default.
 func BenchmarkAblationHomologyDenseGFp(b *testing.B) {
-	res, err := asyncmodel.OneRound(inputSimplex(2), asyncmodel.Params{N: 2, F: 2})
+	res, err := roundop.Build(context.Background(), asyncmodel.Params{N: 2, F: 2}.Operator(), inputSimplex(2), 1, roundop.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -329,10 +331,7 @@ func BenchmarkAblationHomologyDenseGFp(b *testing.B) {
 // BenchmarkAblationConsensusFastPath measures the exact k=1 component
 // procedure against the generic backtracking search on the same instance.
 func BenchmarkAblationConsensusFastPath(b *testing.B) {
-	res, err := asyncmodel.RoundsOverInputs([]string{"0", "1"}, asyncmodel.Params{N: 2, F: 1}, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
+	res := coreutil.MustBuildOverInputs(asyncmodel.Params{N: 2, F: 1}.Operator(), 2, []string{"0", "1"}, 1)
 	ann := task.AnnotateViews(res.Complex, res.Views)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -345,10 +344,7 @@ func BenchmarkAblationConsensusFastPath(b *testing.B) {
 // BenchmarkAblationSearchBacktracking exercises the generic search (k=2,
 // solvable instance) for comparison with the fast path above.
 func BenchmarkAblationSearchBacktracking(b *testing.B) {
-	res, err := asyncmodel.RoundsOverInputs([]string{"0", "1", "2"}, asyncmodel.Params{N: 2, F: 1}, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
+	res := coreutil.MustBuildOverInputs(asyncmodel.Params{N: 2, F: 1}.Operator(), 2, []string{"0", "1", "2"}, 1)
 	ann := task.AnnotateViews(res.Complex, res.Views)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -46,7 +46,7 @@ import (
 	"pseudosphere/internal/homology"
 	"pseudosphere/internal/iis"
 	"pseudosphere/internal/obs"
-	"pseudosphere/internal/pc"
+	"pseudosphere/internal/roundop"
 	"pseudosphere/internal/semisync"
 	"pseudosphere/internal/sim"
 	"pseudosphere/internal/syncmodel"
@@ -157,13 +157,6 @@ func run(ctx context.Context, w io.Writer, workers int, deep bool, reduce bool) 
 	// built carries the most recently constructed complex from a case's
 	// closure to the reduction stages that follow it.
 	var built *topology.Complex
-	sized := func(res *pc.Result, err error) (int, int, int, error) {
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		built = res.Complex
-		return res.Complex.Size(), res.Complex.FacetCount(), 0, nil
-	}
 	// reduceCase times the GF(2) Betti computation over the just-built
 	// complex twice — coreduction off, then on (the engine default) — as
 	// two stages riding the same case name; fresh uncached engines so
@@ -197,6 +190,12 @@ func run(ctx context.Context, w io.Writer, workers int, deep bool, reduce bool) 
 		return nil
 	}
 
+	type buildCase struct {
+		name string
+		op   roundop.Operator
+		n, r int
+	}
+	var builds []buildCase
 	asyncCases := []struct{ n, f, r int }{
 		{3, 3, 1}, {3, 2, 1}, {2, 1, 2}, {2, 2, 2},
 	}
@@ -207,74 +206,42 @@ func run(ctx context.Context, w io.Writer, workers int, deep bool, reduce bool) 
 			struct{ n, f, r int }{4, 4, 1})
 	}
 	for _, c := range asyncCases {
-		c := c
-		name := fmt.Sprintf("A^%d n=%d f=%d", c.r, c.n, c.f)
-		err := record(name, func() (int, int, int, error) {
-			return sized(asyncmodel.RoundsParallelCtx(ctx, labeled(c.n), asyncmodel.Params{N: c.n, F: c.f}, c.r, workers))
+		builds = append(builds, buildCase{fmt.Sprintf("A^%d n=%d f=%d", c.r, c.n, c.f), asyncmodel.Params{N: c.n, F: c.f}.Operator(), c.n, c.r})
+	}
+	builds = append(builds,
+		buildCase{"S^1 n=3 k=3", syncmodel.Params{PerRound: 3, Total: 3}.Operator(), 3, 1},
+		buildCase{"S^2 n=3 k=1 f=2", syncmodel.Params{PerRound: 1, Total: 2}.Operator(), 3, 2},
+		buildCase{"S^3 n=3 k=1 f=3", syncmodel.Params{PerRound: 1, Total: 3}.Operator(), 3, 3},
+		buildCase{"M^1 n=2 k=2 c1=1 c2=2 d=2", semisync.Params{C1: 1, C2: 2, D: 2, PerRound: 2, Total: 2}.Operator(), 2, 1},
+		buildCase{"M^2 n=2 k=1 f=2", semisync.Params{C1: 1, C2: 2, D: 2, PerRound: 1, Total: 2}.Operator(), 2, 2},
+		buildCase{"IIS^1 n=3", iis.Operator(), 3, 1},
+	)
+	if deep {
+		builds = append(builds, buildCase{"IIS^1 n=4", iis.Operator(), 4, 1})
+	}
+	for _, c := range builds {
+		err := record(c.name, func() (int, int, int, error) {
+			res, err := roundop.Build(ctx, c.op, labeled(c.n), c.r, roundop.Options{Workers: workers})
+			if err != nil {
+				return 0, 0, 0, err
+			}
+			built = res.Complex
+			return res.Complex.Size(), res.Complex.FacetCount(), 0, nil
 		})
 		if err != nil {
 			return err
 		}
-		if err := reduceCase(name); err != nil {
-			return err
-		}
-	}
-	cases := []struct {
-		name string
-		f    func() (int, int, int, error)
-	}{
-		{"S^1 n=3 k=3", func() (int, int, int, error) {
-			return sized(syncmodel.OneRoundParallelCtx(ctx, labeled(3), syncmodel.Params{PerRound: 3, Total: 3}, workers))
-		}},
-		{"S^2 n=3 k=1 f=2", func() (int, int, int, error) {
-			return sized(syncmodel.RoundsParallelCtx(ctx, labeled(3), syncmodel.Params{PerRound: 1, Total: 2}, 2, workers))
-		}},
-		{"S^3 n=3 k=1 f=3", func() (int, int, int, error) {
-			return sized(syncmodel.RoundsParallelCtx(ctx, labeled(3), syncmodel.Params{PerRound: 1, Total: 3}, 3, workers))
-		}},
-		{"M^1 n=2 k=2 c1=1 c2=2 d=2", func() (int, int, int, error) {
-			return sized(semisync.OneRoundParallelCtx(ctx, labeled(2), semisync.Params{C1: 1, C2: 2, D: 2, PerRound: 2, Total: 2}, workers))
-		}},
-		{"M^2 n=2 k=1 f=2", func() (int, int, int, error) {
-			return sized(semisync.RoundsParallelCtx(ctx, labeled(2), semisync.Params{C1: 1, C2: 2, D: 2, PerRound: 1, Total: 2}, 2, workers))
-		}},
-		{"IIS^1 n=3", func() (int, int, int, error) {
-			res := iis.OneRound(labeled(3))
-			built = res.Complex
-			return res.Complex.Size(), res.Complex.FacetCount(), 0, nil
-		}},
-	}
-	if deep {
-		cases = append(cases, struct {
-			name string
-			f    func() (int, int, int, error)
-		}{"IIS^1 n=4", func() (int, int, int, error) {
-			res := iis.OneRound(labeled(4))
-			built = res.Complex
-			return res.Complex.Size(), res.Complex.FacetCount(), 0, nil
-		}})
-	}
-	cases = append(cases,
-		struct {
-			name string
-			f    func() (int, int, int, error)
-		}{"EnumerateCrashSchedules(4,2,3)", func() (int, int, int, error) {
-			out, err := sim.EnumerateCrashSchedulesParallelCtx(ctx, 4, 2, 3, workers)
-			return 0, 0, len(out), err
-		}},
-		struct {
-			name string
-			f    func() (int, int, int, error)
-		}{"EnumerateCrashSchedules(3,2,2)", func() (int, int, int, error) {
-			out, err := sim.EnumerateCrashSchedulesParallelCtx(ctx, 3, 2, 2, workers)
-			return 0, 0, len(out), err
-		}},
-	)
-	for _, c := range cases {
-		if err := record(c.name, c.f); err != nil {
-			return err
-		}
 		if err := reduceCase(c.name); err != nil {
+			return err
+		}
+	}
+	for _, c := range []struct{ n1, f, maxRound int }{{4, 2, 3}, {3, 2, 2}} {
+		name := fmt.Sprintf("EnumerateCrashSchedules(%d,%d,%d)", c.n1, c.f, c.maxRound)
+		err := record(name, func() (int, int, int, error) {
+			out, err := sim.EnumerateCrashSchedulesParallelCtx(ctx, c.n1, c.f, c.maxRound, workers)
+			return 0, 0, len(out), err
+		})
+		if err != nil {
 			return err
 		}
 	}

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -19,6 +20,7 @@ import (
 
 	"pseudosphere/internal/asyncmodel"
 	"pseudosphere/internal/core"
+	"pseudosphere/internal/roundop"
 	"pseudosphere/internal/semisync"
 	"pseudosphere/internal/syncmodel"
 	"pseudosphere/internal/topology"
@@ -44,9 +46,9 @@ func main() {
 func run(w io.Writer, what string, n int, values string, f, k, c1, c2, d int, format string) error {
 	var (
 		c    *topology.Complex
+		op   roundop.Operator
 		name string
 	)
-	input := inputSimplex(n)
 	switch what {
 	case "pseudosphere":
 		vals := strings.Split(values, ",")
@@ -56,25 +58,20 @@ func run(w io.Writer, what string, n int, values string, f, k, c1, c2, d int, fo
 		}
 		c, name = ps, fmt.Sprintf("psi_S%d", n)
 	case "async":
-		res, err := asyncmodel.OneRound(input, asyncmodel.Params{N: n, F: f})
-		if err != nil {
-			return err
-		}
-		c, name = res.Complex, fmt.Sprintf("A1_n%d_f%d", n, f)
+		op, name = asyncmodel.Params{N: n, F: f}.Operator(), fmt.Sprintf("A1_n%d_f%d", n, f)
 	case "sync":
-		res, err := syncmodel.OneRound(input, syncmodel.Params{PerRound: k, Total: k})
-		if err != nil {
-			return err
-		}
-		c, name = res.Complex, fmt.Sprintf("S1_n%d_k%d", n, k)
+		op, name = syncmodel.Params{PerRound: k, Total: k}.Operator(), fmt.Sprintf("S1_n%d_k%d", n, k)
 	case "semisync":
-		res, err := semisync.OneRound(input, semisync.Params{C1: c1, C2: c2, D: d, PerRound: k, Total: k})
-		if err != nil {
-			return err
-		}
-		c, name = res.Complex, fmt.Sprintf("M1_n%d_k%d", n, k)
+		op, name = semisync.Params{C1: c1, C2: c2, D: d, PerRound: k, Total: k}.Operator(), fmt.Sprintf("M1_n%d_k%d", n, k)
 	default:
 		return fmt.Errorf("unknown complex kind %q", what)
+	}
+	if op != nil {
+		res, err := roundop.Build(context.Background(), op, inputSimplex(n), 1, roundop.Options{})
+		if err != nil {
+			return err
+		}
+		c = res.Complex
 	}
 
 	switch format {

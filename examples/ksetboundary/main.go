@@ -6,12 +6,16 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"pseudosphere/internal/asyncmodel"
 	"pseudosphere/internal/bounds"
+	"pseudosphere/internal/core"
+	"pseudosphere/internal/pc"
 	"pseudosphere/internal/protocols"
+	"pseudosphere/internal/roundop"
 	"pseudosphere/internal/sim"
 	"pseudosphere/internal/task"
 )
@@ -30,9 +34,14 @@ func main() {
 		for i := range values {
 			values[i] = fmt.Sprintf("%d", i)
 		}
-		res, err := asyncmodel.RoundsOverInputs(values, asyncmodel.Params{N: n, F: f}, 1)
-		if err != nil {
-			log.Fatal(err)
+		op := asyncmodel.Params{N: n, F: f}.Operator()
+		res := pc.NewResult()
+		for _, s := range core.InputFacets(n, values) {
+			sub, err := roundop.Build(context.Background(), op, s, 1, roundop.Options{})
+			if err != nil {
+				log.Fatal(err)
+			}
+			res.Merge(sub)
 		}
 		ann := task.AnnotateViews(res.Complex, res.Views)
 		_, found, err := task.FindDecision(ann, k, 50_000_000)

@@ -5,12 +5,15 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"pseudosphere/internal/asyncmodel"
 	"pseudosphere/internal/core"
 	"pseudosphere/internal/homology"
+	"pseudosphere/internal/pc"
+	"pseudosphere/internal/roundop"
 	"pseudosphere/internal/task"
 )
 
@@ -27,11 +30,17 @@ func main() {
 	fmt.Printf("  connectivity: %d-connected\n", homology.Connectivity(ps))
 
 	// 2. The one-round asynchronous protocol complex is itself a
-	// pseudosphere (Lemma 11).
+	// pseudosphere (Lemma 11). roundop.Build runs a model's round
+	// operator over one input simplex; the union over every binary input
+	// is the protocol complex of the whole input complex.
 	p := asyncmodel.Params{N: 2, F: 1}
-	res, err := asyncmodel.RoundsOverInputs([]string{"0", "1"}, p, 1)
-	if err != nil {
-		log.Fatal(err)
+	res := pc.NewResult()
+	for _, s := range core.InputFacets(p.N, []string{"0", "1"}) {
+		sub, err := roundop.Build(context.Background(), p.Operator(), s, 1, roundop.Options{})
+		if err != nil {
+			log.Fatal(err)
+		}
+		res.Merge(sub)
 	}
 	fmt.Println("\nA^1 over all binary inputs, n=2, f=1")
 	fmt.Printf("  f-vector: %v, facets: %d\n", res.Complex.FVector(), len(res.Complex.Facets()))

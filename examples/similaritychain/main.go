@@ -8,19 +8,27 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"pseudosphere/internal/asyncmodel"
+	"pseudosphere/internal/core"
+	"pseudosphere/internal/pc"
+	"pseudosphere/internal/roundop"
 	"pseudosphere/internal/similarity"
 	"pseudosphere/internal/topology"
 )
 
 func main() {
 	p := asyncmodel.Params{N: 2, F: 1}
-	res, err := asyncmodel.RoundsOverInputs([]string{"0", "1"}, p, 1)
-	if err != nil {
-		log.Fatal(err)
+	res := pc.NewResult()
+	for _, s := range core.InputFacets(p.N, []string{"0", "1"}) {
+		sub, err := roundop.Build(context.Background(), p.Operator(), s, 1, roundop.Options{})
+		if err != nil {
+			log.Fatal(err)
+		}
+		res.Merge(sub)
 	}
 	fmt.Printf("one-round async complex over binary inputs: %s\n", res.Complex.DescribeSummary())
 

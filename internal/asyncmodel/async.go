@@ -14,7 +14,6 @@ import (
 
 	"pseudosphere/internal/core"
 	"pseudosphere/internal/pc"
-	"pseudosphere/internal/roundop"
 	"pseudosphere/internal/topology"
 	"pseudosphere/internal/views"
 )
@@ -43,21 +42,9 @@ func (p Params) Validate() error {
 // complex over an m-dimensional input face is empty: with fewer than
 // n-f+1 participants, no process can collect the n-f+1 messages
 // (including its own) it must wait for, so P(S^m) is empty for m < n-f.
-// The construction entry points below apply it, and the model registry
-// (internal/modelspec) exposes it so no serving layer needs a
-// per-model check.
+// The operator applies it, and the model registry (internal/modelspec)
+// exposes it so no serving layer needs a per-model check.
 func (p Params) DegenerateInput(m int) bool { return m < p.N-p.F }
-
-// OneRound returns A^1(S): the complex of one-round executions starting
-// from input simplex S in which every participant hears from itself and at
-// least n-f other participants. If S has fewer than n-f+1 vertices the
-// complex is empty (the paper's convention for P(S^m) with m < n-f).
-func OneRound(input topology.Simplex, p Params) (*pc.Result, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	return roundop.OneRound(p.Operator(), input)
-}
 
 // oneRoundOptions precomputes, for every participant, the next-round view
 // produced by each admissible heard set (itself plus at least n-f others).
@@ -89,24 +76,6 @@ func oneRoundOptions(cur []*views.View, p Params) [][]pc.Option {
 		}
 	}
 	return opts
-}
-
-// Rounds returns A^r(S): the union of A^{r-1}(T) over the facets T of
-// A^1(S), per the inductive definition of Section 6. (Unioning over facets
-// suffices: for T' a face of T, A^{r-1}(T') is a subcomplex of A^{r-1}(T),
-// and closure under faces supplies the lower-dimensional simplexes; the
-// test suite checks this against the union over all simplexes.)
-func Rounds(input topology.Simplex, p Params, r int) (*pc.Result, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if r < 0 {
-		return nil, fmt.Errorf("asyncmodel: negative round count %d", r)
-	}
-	if p.DegenerateInput(len(input) - 1) {
-		return pc.NewResult(), nil
-	}
-	return roundop.Rounds(p.Operator(), input, r)
 }
 
 // subsetsOfViews enumerates all subsets of vs of size at least minSize.

@@ -1,11 +1,15 @@
 package asyncmodel
 
 import (
+	"context"
+	"sync"
 	"testing"
 
 	"pseudosphere/internal/homology"
 	"pseudosphere/internal/pc"
+	"pseudosphere/internal/roundop"
 	"pseudosphere/internal/task"
+	"pseudosphere/internal/testutil/coreutil"
 	"pseudosphere/internal/topology"
 	"pseudosphere/internal/views"
 )
@@ -30,9 +34,9 @@ func TestLemma11Isomorphism(t *testing.T) {
 	}
 	for _, p := range cases {
 		input := inputSimplex("a", "b", "c", "d")[:p.N+1]
-		oneRound, err := OneRound(input, p)
+		oneRound, err := build(input, p, 1)
 		if err != nil {
-			t.Fatalf("n=%d f=%d: OneRound: %v", p.N, p.F, err)
+			t.Fatalf("n=%d f=%d: build: %v", p.N, p.F, err)
 		}
 		ps, err := Lemma11Pseudosphere(input, p)
 		if err != nil {
@@ -48,12 +52,68 @@ func TestLemma11Isomorphism(t *testing.T) {
 	}
 }
 
+// TestOneRoundParallelMatchesOneRound: the one-round complex built on
+// four workers is still the Lemma 11 pseudosphere.
+func TestOneRoundParallelMatchesOneRound(t *testing.T) {
+	p := Params{N: 3, F: 2}
+	input := inputSimplex("a", "b", "c", "d")
+	got, err := roundop.Build(context.Background(), p.Operator(), input, 1, roundop.Options{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps, err := Lemma11Pseudosphere(input, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := Lemma11Map(got, input)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := topology.VerifyIsomorphism(got.Complex, ps, m); err != nil {
+		t.Fatalf("four-worker build is not the Lemma 11 pseudosphere: %v", err)
+	}
+}
+
+// TestRoundsParallelMatchesSerial shares one operator value between
+// concurrent multi-worker builds: its option tables are read from every
+// worker of every build at once (the -race run checks the operator keeps
+// no mutable state), and each build must match the serial reference.
+func TestRoundsParallelMatchesSerial(t *testing.T) {
+	p := Params{N: 2, F: 2}
+	input := inputSimplex("a", "b", "c")
+	want, err := LegacySerialRounds(input, p, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	op := p.Operator()
+	hashes := make([]string, 4)
+	var wg sync.WaitGroup
+	for g := range hashes {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			res, err := roundop.Build(context.Background(), op, input, 2, roundop.Options{Workers: g + 1})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			hashes[g] = res.Complex.CanonicalHash()
+		}(g)
+	}
+	wg.Wait()
+	for g, h := range hashes {
+		if h != want.Complex.CanonicalHash() {
+			t.Errorf("concurrent build on %d workers diverged from the serial reference", g+1)
+		}
+	}
+}
+
 // TestOneRoundFacetCount checks the combinatorics: each process
 // independently picks a heard-set of size >= n-f among the n others, so
 // the facet count is (sum_{s>=n-f} C(n,s))^(n+1).
 func TestOneRoundFacetCount(t *testing.T) {
 	p := Params{N: 2, F: 1}
-	oneRound, err := OneRound(inputSimplex("a", "b", "c"), p)
+	oneRound, err := build(inputSimplex("a", "b", "c"), p, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +123,7 @@ func TestOneRoundFacetCount(t *testing.T) {
 	}
 
 	p = Params{N: 3, F: 3}
-	oneRound, err = OneRound(inputSimplex("a", "b", "c", "d"), p)
+	oneRound, err = build(inputSimplex("a", "b", "c", "d"), p, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +138,7 @@ func TestOneRoundFacetCount(t *testing.T) {
 func TestEmptyBelowThreshold(t *testing.T) {
 	p := Params{N: 3, F: 1}
 	small := inputSimplex("a", "b") // m = 1 < n-f = 2
-	oneRound, err := OneRound(small, p)
+	oneRound, err := build(small, p, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +169,7 @@ func TestLemma12Connectivity(t *testing.T) {
 	labels := []string{"a", "b", "c", "d"}
 	for _, c := range cases {
 		input := inputSimplex(labels...)[:c.m+1]
-		res, err := Rounds(input, c.p, c.rounds)
+		res, err := build(input, c.p, c.rounds)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,13 +186,13 @@ func TestLemma12Connectivity(t *testing.T) {
 func TestRoundsFacetsSuffice(t *testing.T) {
 	p := Params{N: 2, F: 1}
 	input := inputSimplex("a", "b", "c")
-	viaFacets, err := Rounds(input, p, 2)
+	viaFacets, err := build(input, p, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Union over all simplexes T of A^1(S) of A^1(T), reconstructing the
 	// views behind each vertex of T.
-	oneRound, err := OneRound(input, p)
+	oneRound, err := build(input, p, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,10 +219,7 @@ func TestCorollary13Obstruction(t *testing.T) {
 	k := 1
 	values := []string{"0", "1"}
 	build := func(u []string) *topology.Complex {
-		res, err := RoundsOverInputs(u, p, 1)
-		if err != nil {
-			t.Fatalf("build: %v", err)
-		}
+		res := coreutil.MustBuildOverInputs(p.Operator(), p.N, u, 1)
 		return res.Complex
 	}
 	obstructed, err := task.Theorem9Obstructed(build, values, k)
@@ -175,10 +232,7 @@ func TestCorollary13Obstruction(t *testing.T) {
 
 	// Exact search agrees: no consensus decision map on the one-round
 	// complex.
-	res, err := RoundsOverInputs(values, p, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := coreutil.MustBuildOverInputs(p.Operator(), p.N, values, 1)
 	ann := task.AnnotateViews(res.Complex, res.Views)
 	if _, found, err := task.FindDecision(ann, 1, 0); err != nil || found {
 		t.Fatalf("consensus map found=%v err=%v; Corollary 13 says impossible", found, err)
@@ -192,7 +246,7 @@ func TestCorollary10AppliesAsync(t *testing.T) {
 	p := Params{N: 2, F: 2}
 	labels := []string{"a", "b", "c"}
 	conn := func(m int) *topology.Complex {
-		res, err := OneRound(inputSimplex(labels...)[:m+1], p)
+		res, err := build(inputSimplex(labels...)[:m+1], p, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,10 +266,7 @@ func TestKSetSolvableAboveF(t *testing.T) {
 	p := Params{N: 2, F: 1}
 	k := 2
 	values := []string{"0", "1", "2"}
-	res, err := RoundsOverInputs(values, p, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := coreutil.MustBuildOverInputs(p.Operator(), p.N, values, 1)
 	ann := task.AnnotateViews(res.Complex, res.Views)
 
 	// The explicit min-of-heard map solves it; check it, then confirm the

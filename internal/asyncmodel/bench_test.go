@@ -1,13 +1,17 @@
 package asyncmodel
 
-import "testing"
+import (
+	"testing"
+
+	"pseudosphere/internal/testutil/coreutil"
+)
 
 func BenchmarkOneRoundN2F1(b *testing.B) {
 	input := inputSimplex("a", "b", "c")
 	p := Params{N: 2, F: 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := OneRound(input, p); err != nil {
+		if _, err := build(input, p, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -18,7 +22,7 @@ func BenchmarkOneRoundN3F3(b *testing.B) {
 	p := Params{N: 3, F: 3}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := OneRound(input, p); err != nil {
+		if _, err := build(input, p, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -29,18 +33,16 @@ func BenchmarkTwoRoundsN2F1(b *testing.B) {
 	p := Params{N: 2, F: 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Rounds(input, p, 2); err != nil {
+		if _, err := build(input, p, 2); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkRoundsOverInputs(b *testing.B) {
+func BenchmarkBuildOverInputs(b *testing.B) {
 	p := Params{N: 2, F: 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RoundsOverInputs([]string{"0", "1"}, p, 1); err != nil {
-			b.Fatal(err)
-		}
+		coreutil.MustBuildOverInputs(p.Operator(), p.N, []string{"0", "1"}, 1)
 	}
 }

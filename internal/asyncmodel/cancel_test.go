@@ -8,12 +8,14 @@ import (
 	"time"
 
 	"pseudosphere/internal/obs"
+	"pseudosphere/internal/roundop"
+	"pseudosphere/internal/testutil"
 )
 
 func TestRoundsParallelCtxPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := RoundsParallelCtx(ctx, parallelInput(3), Params{N: 3, F: 2}, 1, 4)
+	_, err := roundop.Build(ctx, Params{N: 3, F: 2}.Operator(), testutil.Labeled(3, "v"), 1, roundop.Options{Workers: 4})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
@@ -34,7 +36,7 @@ func TestRoundsParallelCtxCancelMidRun(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	res, err := RoundsParallelCtx(ctx, parallelInput(4), Params{N: 4, F: 4}, 1, 4)
+	res, err := roundop.Build(ctx, Params{N: 4, F: 4}.Operator(), testutil.Labeled(4, "v"), 1, roundop.Options{Workers: 4})
 	elapsed := time.Since(start)
 	if err == nil {
 		// The build outran the canceller; the instance is large enough that
@@ -60,25 +62,25 @@ func TestRoundsParallelCtxCancelMidRun(t *testing.T) {
 // within a few percent of the plain serial path at one worker; E16 in
 // EXPERIMENTS.md pins the budget at 2%.
 func BenchmarkOneWorkerPlain(b *testing.B) {
-	in := parallelInput(3)
-	p := Params{N: 3, F: 3}
+	in := testutil.Labeled(3, "v")
+	op := Params{N: 3, F: 3}.Operator()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RoundsParallelCtx(context.Background(), in, p, 1, 1); err != nil {
+		if _, err := roundop.Build(context.Background(), op, in, 1, roundop.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkOneWorkerInstrumented(b *testing.B) {
-	in := parallelInput(3)
-	p := Params{N: 3, F: 3}
+	in := testutil.Labeled(3, "v")
+	op := Params{N: 3, F: 3}.Operator()
 	tracker := obs.NewTracker()
 	ctx, cancel := context.WithCancel(obs.WithTracker(context.Background(), tracker))
 	defer cancel()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RoundsParallelCtx(ctx, in, p, 1, 1); err != nil {
+		if _, err := roundop.Build(ctx, op, in, 1, roundop.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

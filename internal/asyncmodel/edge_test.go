@@ -1,10 +1,13 @@
 package asyncmodel
 
 import (
+	"context"
 	"testing"
 
 	"pseudosphere/internal/homology"
+	"pseudosphere/internal/roundop"
 	"pseudosphere/internal/task"
+	"pseudosphere/internal/testutil/coreutil"
 	"pseudosphere/internal/topology"
 )
 
@@ -25,17 +28,33 @@ func TestParamsValidate(t *testing.T) {
 }
 
 func TestRoundsRejectsNegative(t *testing.T) {
-	if _, err := Rounds(inputSimplex("a", "b", "c"), Params{N: 2, F: 1}, -1); err == nil {
+	if _, err := build(inputSimplex("a", "b", "c"), Params{N: 2, F: 1}, -1); err == nil {
 		t.Fatal("negative round count accepted")
 	}
-	if _, err := OneRound(inputSimplex("a"), Params{N: 2, F: -1}); err == nil {
+	if _, err := build(inputSimplex("a"), Params{N: 2, F: -1}, 1); err == nil {
 		t.Fatal("invalid params accepted")
+	}
+}
+
+// TestRoundsParallelDegenerate: with too few participants (Section 6's
+// m < n-f convention) the complex is empty at any worker count.
+func TestRoundsParallelDegenerate(t *testing.T) {
+	p := Params{N: 4, F: 1}
+	got, err := roundop.Build(context.Background(), p.Operator(), inputSimplex("a", "b", "c"), 1, roundop.Options{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Complex.Size() != 0 {
+		t.Errorf("expected empty complex, got size %d", got.Complex.Size())
+	}
+	if _, err := roundop.Build(context.Background(), p.Operator(), inputSimplex("a", "b", "c"), -1, roundop.Options{Workers: 4}); err == nil {
+		t.Error("expected error for negative round count")
 	}
 }
 
 func TestRoundsZeroIsInputClosure(t *testing.T) {
 	input := inputSimplex("a", "b", "c")
-	res, err := Rounds(input, Params{N: 2, F: 1}, 0)
+	res, err := build(input, Params{N: 2, F: 1}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +79,7 @@ func TestRoundsZeroIsInputClosure(t *testing.T) {
 func TestParticipantsOnly(t *testing.T) {
 	input := inputSimplex("a", "b", "c")
 	face := input[:2] // participants 0, 1
-	res, err := OneRound(face, Params{N: 2, F: 1})
+	res, err := build(face, Params{N: 2, F: 1}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,10 +97,7 @@ func TestParticipantsOnly(t *testing.T) {
 // input simplexes share vertices exactly when a process's view coincides.
 func TestVertexSharingAcrossInputs(t *testing.T) {
 	p := Params{N: 2, F: 1}
-	res, err := RoundsOverInputs([]string{"0", "1"}, p, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := coreutil.MustBuildOverInputs(p.Operator(), p.N, []string{"0", "1"}, 1)
 	// Process 0 hearing only {0,1} with inputs 0,0 arises from both
 	// inputs (0,0,0) and (0,0,1): count how many input-facet runs produce
 	// each vertex by reconstruction — sharing means total vertex count is
@@ -97,7 +113,7 @@ func TestVertexSharingAcrossInputs(t *testing.T) {
 
 func TestLemma11MapRejectsForeignVertex(t *testing.T) {
 	input := inputSimplex("a", "b", "c")
-	res, err := OneRound(input, Params{N: 2, F: 1})
+	res, err := build(input, Params{N: 2, F: 1}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +134,7 @@ func TestThreeRoundConnectivityAtScale(t *testing.T) {
 		t.Skip("multi-second complex construction")
 	}
 	input := inputSimplex("a", "b", "c")
-	res, err := Rounds(input, Params{N: 2, F: 1}, 3)
+	res, err := build(input, Params{N: 2, F: 1}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,10 +155,7 @@ func TestThreeRoundConnectivityAtScale(t *testing.T) {
 // holds at every round count; the paper's Lemma 12 keeps A^r connected for
 // all r).
 func TestNoConsensusAtTwoRounds(t *testing.T) {
-	res, err := RoundsOverInputs([]string{"0", "1"}, Params{N: 2, F: 1}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := coreutil.MustBuildOverInputs(Params{N: 2, F: 1}.Operator(), 2, []string{"0", "1"}, 2)
 	ann := task.AnnotateViews(res.Complex, res.Views)
 	if _, found, err := task.FindDecision(ann, 1, 0); err != nil || found {
 		t.Fatalf("found=%v err=%v; two-round consensus must remain impossible", found, err)

@@ -15,7 +15,7 @@ import (
 func TestRandomHeardSetsYieldMembers(t *testing.T) {
 	input := inputSimplex("a", "b", "c")
 	p := Params{N: 2, F: 1}
-	oneRound, err := OneRound(input, p)
+	oneRound, err := build(input, p, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestRandomHeardSetsYieldMembers(t *testing.T) {
 func TestFacetViewsRespectThreshold(t *testing.T) {
 	input := inputSimplex("a", "b", "c", "d")
 	p := Params{N: 3, F: 2}
-	oneRound, err := OneRound(input, p)
+	oneRound, err := build(input, p, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

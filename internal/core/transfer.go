@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+
 	"pseudosphere/internal/homology"
 	"pseudosphere/internal/roundop"
 	"pseudosphere/internal/topology"
@@ -120,7 +122,7 @@ func OperatorProtocol(opFor func(topology.Simplex) roundop.Operator, r int, errO
 		if op == nil {
 			return topology.NewComplex()
 		}
-		res, err := roundop.Rounds(op, s, r)
+		res, err := roundop.Build(context.Background(), op, s, r, roundop.Options{})
 		if err != nil {
 			if errOut != nil && *errOut == nil {
 				*errOut = err

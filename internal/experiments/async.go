@@ -34,7 +34,7 @@ func E3AsyncOneRound(ctx context.Context) (*Table, error) {
 		{N: 2, F: 1}, {N: 2, F: 2}, {N: 3, F: 1}, {N: 3, F: 2}, {N: 3, F: 3},
 	} {
 		input := labeledInput(p.N)
-		oneRound, err := asyncmodel.OneRound(input, p)
+		oneRound, err := build(ctx, p.Operator(), input, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -76,7 +76,7 @@ func E4AsyncConnectivity(ctx context.Context) (*Table, error) {
 		{asyncmodel.Params{N: 3, F: 2}, 3, 1},
 		{asyncmodel.Params{N: 3, F: 3}, 3, 1},
 	} {
-		res, err := asyncmodel.Rounds(labeledInput(c.p.N)[:c.m+1], c.p, c.r)
+		res, err := build(ctx, c.p.Operator(), labeledInput(c.p.N)[:c.m+1], c.r)
 		if err != nil {
 			return nil, err
 		}
@@ -93,12 +93,12 @@ func E4AsyncConnectivity(ctx context.Context) (*Table, error) {
 
 	// Impossibility side: consensus with one failure among three processes.
 	p := asyncmodel.Params{N: 2, F: 1}
-	res, err := asyncmodel.RoundsOverInputs(binary, p, 1)
+	res, err := buildOverInputs(ctx, p.Operator(), p.N, binary, 1)
 	if err != nil {
 		return nil, err
 	}
 	ann := task.AnnotateViews(res.Complex, res.Views)
-	_, found, err := task.FindDecisionCtx(ctx, ann, 1, 0)
+	_, found, err := task.FindDecisionParallelCtx(ctx, ann, 1, 0, 1)
 	if err != nil {
 		return nil, err
 	}

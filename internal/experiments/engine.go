@@ -1,9 +1,14 @@
 package experiments
 
 import (
+	"context"
 	"runtime"
 
+	"pseudosphere/internal/core"
 	"pseudosphere/internal/homology"
+	"pseudosphere/internal/pc"
+	"pseudosphere/internal/roundop"
+	"pseudosphere/internal/topology"
 )
 
 // conn is the homology engine every experiment's connectivity and Betti
@@ -39,6 +44,27 @@ func BuildWorkers() int {
 		return buildWorkers
 	}
 	return runtime.NumCPU()
+}
+
+// build constructs op's r-round complex over input on the configured
+// construction workers.
+func build(ctx context.Context, op roundop.Operator, input topology.Simplex, r int) (*pc.Result, error) {
+	return roundop.Build(ctx, op, input, r, roundop.Options{Workers: BuildWorkers()})
+}
+
+// buildOverInputs is build over the whole input complex psi(P^n; values):
+// the union of the r-round complexes of its facets, whose shared local
+// states share vertices because view encodings are canonical.
+func buildOverInputs(ctx context.Context, op roundop.Operator, n int, values []string, r int) (*pc.Result, error) {
+	res := pc.NewResult()
+	for _, s := range core.InputFacets(n, values) {
+		sub, err := build(ctx, op, s, r)
+		if err != nil {
+			return nil, err
+		}
+		res.Merge(sub)
+	}
+	return res, nil
 }
 
 // deepScaling gates the large-envelope E15 rows (millions of simplexes,

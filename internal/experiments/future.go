@@ -44,7 +44,7 @@ func E13FResilientSemiSync(ctx context.Context) (*Table, error) {
 			lo = 0
 		}
 		for m := lo; m <= c.n; m++ {
-			res, err := semisync.Rounds(labeledInput(c.n)[:m+1], p, r)
+			res, err := build(ctx, p.Operator(), labeledInput(c.n)[:m+1], r)
 			if err != nil {
 				return nil, err
 			}
@@ -66,12 +66,12 @@ func E13FResilientSemiSync(ctx context.Context) (*Table, error) {
 	// complex at n=2, f=1, k=1 (so > floor(f/k) rounds, hence > d time,
 	// are unavoidable even f-resiliently).
 	p := semisync.Params{C1: 1, C2: 2, D: 2, PerRound: 1, Total: 1}
-	res, err := semisync.RoundsOverInputs(2, binary, p, 1)
+	res, err := buildOverInputs(ctx, p.Operator(), 2, binary, 1)
 	if err != nil {
 		return nil, err
 	}
 	ann := task.AnnotateViews(res.Complex, res.Views)
-	_, found, err := task.FindDecisionCtx(ctx, ann, 1, 0)
+	_, found, err := task.FindDecisionParallelCtx(ctx, ann, 1, 0, 1)
 	if err != nil {
 		return nil, err
 	}

@@ -5,9 +5,7 @@ import (
 	"fmt"
 
 	"pseudosphere/internal/asyncmodel"
-	"pseudosphere/internal/core"
 	"pseudosphere/internal/iis"
-	"pseudosphere/internal/pc"
 	"pseudosphere/internal/similarity"
 	"pseudosphere/internal/task"
 	"pseudosphere/internal/topology"
@@ -29,14 +27,17 @@ func E14IISComparison(ctx context.Context) (*Table, error) {
 	input := labeledInput(2)
 
 	// Facet counts: pseudosphere product vs Fubini number.
-	mp, err := asyncmodel.OneRound(input, asyncmodel.Params{N: 2, F: 2})
+	mp, err := build(ctx, asyncmodel.Params{N: 2, F: 2}.Operator(), input, 1)
 	if err != nil {
 		return nil, err
 	}
 	mpFacets := mp.Complex.FacetCount()
 	t.addRow(mpFacets == 64, "message-passing facets (4^3 heard-set products)", "64", itoa(mpFacets))
 
-	is := iis.OneRound(input)
+	is, err := build(ctx, iis.Operator(), input, 1)
+	if err != nil {
+		return nil, err
+	}
 	isFacets := is.Complex.FacetCount()
 	t.addRow(isFacets == iis.FubiniNumber(3), "IIS facets (ordered partitions, Fubini)", "13", itoa(isFacets))
 
@@ -62,19 +63,19 @@ func E14IISComparison(ctx context.Context) (*Table, error) {
 
 	// Impossibility agreement: neither model's one-round wait-free
 	// complex admits a consensus map over binary inputs (two processes).
-	mpIn, err := asyncmodel.RoundsOverInputs(binary, asyncmodel.Params{N: 1, F: 1}, 1)
+	mpIn, err := buildOverInputs(ctx, asyncmodel.Params{N: 1, F: 1}.Operator(), 1, binary, 1)
 	if err != nil {
 		return nil, err
 	}
-	_, mpFound, err := task.FindDecisionCtx(ctx, task.AnnotateViews(mpIn.Complex, mpIn.Views), 1, 0)
+	_, mpFound, err := task.FindDecisionParallelCtx(ctx, task.AnnotateViews(mpIn.Complex, mpIn.Views), 1, 0, 1)
 	if err != nil {
 		return nil, err
 	}
-	isIn := pc.NewResult()
-	for _, s := range core.InputFacets(1, binary) {
-		isIn.Merge(iis.OneRound(s))
+	isIn, err := buildOverInputs(ctx, iis.Operator(), 1, binary, 1)
+	if err != nil {
+		return nil, err
 	}
-	_, isFound, err := task.FindDecisionCtx(ctx, task.AnnotateViews(isIn.Complex, isIn.Views), 1, 0)
+	_, isFound, err := task.FindDecisionParallelCtx(ctx, task.AnnotateViews(isIn.Complex, isIn.Views), 1, 0, 1)
 	if err != nil {
 		return nil, err
 	}

@@ -42,7 +42,7 @@ func E15Scaling(ctx context.Context) (*Table, error) {
 		params = append(params, asyncmodel.Params{N: 4, F: 3}, asyncmodel.Params{N: 4, F: 4})
 	}
 	for _, p := range params {
-		res, err := asyncmodel.OneRoundParallelCtx(ctx, labeledInput(p.N), p, BuildWorkers())
+		res, err := build(ctx, p.Operator(), labeledInput(p.N), 1)
 		if err != nil {
 			return nil, err
 		}
@@ -97,7 +97,10 @@ func E15Scaling(ctx context.Context) (*Table, error) {
 
 	// IIS Fubini counts.
 	for n := 1; n <= 4; n++ {
-		res := iis.OneRound(labeledInput(n))
+		res, err := build(ctx, iis.Operator(), labeledInput(n), 1)
+		if err != nil {
+			return nil, err
+		}
 		want := iis.FubiniNumber(n + 1)
 		got := res.Complex.FacetCount()
 		t.addRow(got == want, "IIS^1 (ordered partitions)",

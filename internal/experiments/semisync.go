@@ -90,7 +90,7 @@ func E10SemiSyncBound(ctx context.Context) (*Table, error) {
 	} {
 		input := labeledInput(c.n)[:c.m+1]
 		p := semisync.Params{C1: 1, C2: 2, D: 2, PerRound: c.k, Total: c.r * c.k}
-		res, err := semisync.Rounds(input, p, c.r)
+		res, err := build(ctx, p.Operator(), input, c.r)
 		if err != nil {
 			return nil, err
 		}

@@ -39,7 +39,7 @@ func E12Sperner(ctx context.Context) (*Table, error) {
 	// f=0 model (no failures) the hypothesis fails and a map exists.
 	p := asyncmodel.Params{N: 2, F: 1}
 	build := func(u []string) *topology.Complex {
-		res, err := asyncmodel.RoundsOverInputs(u, p, 1)
+		res, err := buildOverInputs(ctx, p.Operator(), p.N, u, 1)
 		if err != nil {
 			return topology.NewComplex()
 		}
@@ -49,11 +49,11 @@ func E12Sperner(ctx context.Context) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := asyncmodel.RoundsOverInputs(binary, p, 1)
+	res, err := buildOverInputs(ctx, p.Operator(), p.N, binary, 1)
 	if err != nil {
 		return nil, err
 	}
-	_, found, err := task.FindDecisionCtx(ctx, task.AnnotateViews(res.Complex, res.Views), 1, 0)
+	_, found, err := task.FindDecisionParallelCtx(ctx, task.AnnotateViews(res.Complex, res.Views), 1, 0, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -62,7 +62,7 @@ func E12Sperner(ctx context.Context) (*Table, error) {
 
 	p0 := asyncmodel.Params{N: 2, F: 0}
 	build0 := func(u []string) *topology.Complex {
-		res, err := asyncmodel.RoundsOverInputs(u, p0, 1)
+		res, err := buildOverInputs(ctx, p0.Operator(), p0.N, u, 1)
 		if err != nil {
 			return topology.NewComplex()
 		}
@@ -72,11 +72,11 @@ func E12Sperner(ctx context.Context) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	res0, err := asyncmodel.RoundsOverInputs(binary, p0, 1)
+	res0, err := buildOverInputs(ctx, p0.Operator(), p0.N, binary, 1)
 	if err != nil {
 		return nil, err
 	}
-	_, found0, err := task.FindDecisionCtx(ctx, task.AnnotateViews(res0.Complex, res0.Views), 1, 0)
+	_, found0, err := task.FindDecisionParallelCtx(ctx, task.AnnotateViews(res0.Complex, res0.Views), 1, 0, 1)
 	if err != nil {
 		return nil, err
 	}

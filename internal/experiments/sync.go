@@ -18,7 +18,7 @@ func E5SyncOneRound(ctx context.Context) (*Table, error) {
 	t := newTable("E5", "sync one-round union of pseudospheres", "Figure 3, Lemma 14",
 		"quantity", "paper", "measured")
 	input := labeledInput(2)
-	res, err := syncmodel.OneRound(input, syncmodel.Params{PerRound: 1, Total: 1})
+	res, err := build(ctx, syncmodel.Params{PerRound: 1, Total: 1}.Operator(), input, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -106,7 +106,7 @@ func E7SyncConnectivity(ctx context.Context) (*Table, error) {
 		{4, 1, 3, 4},
 	} {
 		input := labeledInput(c.n)[:c.m+1]
-		res, err := syncmodel.Rounds(input, syncmodel.Params{PerRound: c.k, Total: c.r * c.k}, c.r)
+		res, err := build(ctx, syncmodel.Params{PerRound: c.k, Total: c.r * c.k}.Operator(), input, c.r)
 		if err != nil {
 			return nil, err
 		}
@@ -148,21 +148,21 @@ func E8SyncBoundTable(ctx context.Context) (*Table, error) {
 
 	// Operational boundary at n=2, f=1, k=1: no 1-round map, a 2-round map.
 	p := syncmodel.Params{PerRound: 1, Total: 1}
-	one, err := syncmodel.RoundsOverInputs(2, binary, p, 1)
+	one, err := buildOverInputs(ctx, p.Operator(), 2, binary, 1)
 	if err != nil {
 		return nil, err
 	}
-	_, found1, err := task.FindDecisionCtx(ctx, task.AnnotateViews(one.Complex, one.Views), 1, 0)
+	_, found1, err := task.FindDecisionParallelCtx(ctx, task.AnnotateViews(one.Complex, one.Views), 1, 0, 1)
 	if err != nil {
 		return nil, err
 	}
 	t.addRow(!found1, "2", "1", "1", "2", "1-round decision map exists: "+boolStr(found1))
 
-	two, err := syncmodel.RoundsOverInputs(2, binary, p, 2)
+	two, err := buildOverInputs(ctx, p.Operator(), 2, binary, 2)
 	if err != nil {
 		return nil, err
 	}
-	_, found2, err := task.FindDecisionCtx(ctx, task.AnnotateViews(two.Complex, two.Views), 1, 0)
+	_, found2, err := task.FindDecisionParallelCtx(ctx, task.AnnotateViews(two.Complex, two.Views), 1, 0, 1)
 	if err != nil {
 		return nil, err
 	}

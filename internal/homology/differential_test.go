@@ -10,15 +10,16 @@
 package homology_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
 
 	"pseudosphere/internal/asyncmodel"
 	"pseudosphere/internal/core"
-	"pseudosphere/internal/custommodel"
 	"pseudosphere/internal/homology"
 	"pseudosphere/internal/iis"
+	"pseudosphere/internal/roundop"
 	"pseudosphere/internal/semisync"
 	"pseudosphere/internal/syncmodel"
 	"pseudosphere/internal/topology"
@@ -62,7 +63,7 @@ func diffInstances(t *testing.T) map[string]*topology.Complex {
 	for _, c := range []struct {
 		n, f, r int
 	}{{2, 1, 1}, {2, 1, 2}, {2, 2, 1}, {3, 1, 1}} {
-		res, err := asyncmodel.Rounds(diffInput(c.n), asyncmodel.Params{N: c.n, F: c.f}, c.r)
+		res, err := roundop.Build(context.Background(), asyncmodel.Params{N: c.n, F: c.f}.Operator(), diffInput(c.n), c.r, roundop.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,8 +71,8 @@ func diffInstances(t *testing.T) map[string]*topology.Complex {
 	}
 	for _, c := range []struct {
 		n, k, r int
-	}{{2, 1, 1}, {3, 1, 1}, {3, 1, 2}} {
-		res, err := syncmodel.Rounds(diffInput(c.n), syncmodel.Params{PerRound: c.k, Total: c.r * c.k}, c.r)
+	}{{2, 1, 1}, {2, 1, 2}, {3, 1, 1}, {3, 1, 2}} {
+		res, err := roundop.Build(context.Background(), syncmodel.Params{PerRound: c.k, Total: c.r * c.k}.Operator(), diffInput(c.n), c.r, roundop.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,25 +80,18 @@ func diffInstances(t *testing.T) map[string]*topology.Complex {
 	}
 	{
 		p := semisync.Params{C1: 1, C2: 2, D: 2, PerRound: 1, Total: 1}
-		res, err := semisync.Rounds(diffInput(2), p, 1)
+		res, err := roundop.Build(context.Background(), p.Operator(), diffInput(2), 1, roundop.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		out["semisync M^1 n=2 k=1"] = res.Complex
 	}
 	{
-		res, err := iis.Rounds(diffInput(2), 1)
+		res, err := roundop.Build(context.Background(), iis.Operator(), diffInput(2), 1, roundop.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		out["iis IIS^1 n=2"] = res.Complex
-	}
-	{
-		res, err := custommodel.Rounds(diffInput(2), custommodel.Params{PerRound: 1}, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out["custom n=2 k=1 r=2"] = res.Complex
 	}
 
 	// Derived subcomplexes of the kind the Mayer–Vietoris experiments

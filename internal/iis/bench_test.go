@@ -6,7 +6,7 @@ func BenchmarkOneRound3Procs(b *testing.B) {
 	input := inputSimplex("a", "b", "c")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		OneRound(input)
+		oneRound(b, input)
 	}
 }
 
@@ -14,7 +14,7 @@ func BenchmarkOneRound4Procs(b *testing.B) {
 	input := inputSimplex("a", "b", "c", "d")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		OneRound(input)
+		oneRound(b, input)
 	}
 }
 
@@ -22,7 +22,7 @@ func BenchmarkTwoRounds2Procs(b *testing.B) {
 	input := inputSimplex("a", "b")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Rounds(input, 2); err != nil {
+		if _, err := build(input, 2); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -23,62 +23,22 @@
 package iis
 
 import (
-	"context"
-	"fmt"
 	"sort"
 
 	"pseudosphere/internal/pc"
 	"pseudosphere/internal/roundop"
-	"pseudosphere/internal/topology"
 	"pseudosphere/internal/views"
 )
 
-// OneRound returns the one-round immediate-snapshot complex over the input
-// simplex: the union, over ordered partitions of the participants, of the
-// global states in which each process sees the blocks up to and including
-// its own.
-func OneRound(input topology.Simplex) *pc.Result {
-	// The IIS operator never errors and r = 1 is nonnegative, so the engine
-	// cannot fail; the historical signature stays error-free.
-	res, _ := roundop.OneRound(Operator(), input)
-	return res
-}
-
-// Rounds returns the r-round iterated immediate snapshot complex IIS_r
-// over the input simplex (each round's construction applied to each facet
-// of the previous round).
-func Rounds(input topology.Simplex, r int) (*pc.Result, error) {
-	if r < 0 {
-		return nil, fmt.Errorf("iis: negative round count %d", r)
-	}
-	return roundop.Rounds(Operator(), input, r)
-}
-
-// RoundsParallel is Rounds built by the shared roundop engine's worker
-// pool — a capability the per-model IIS constructor never had; the result
-// is independent of worker count and CanonicalHash-identical to the serial
-// construction.
-func RoundsParallel(input topology.Simplex, r int, workers int) (*pc.Result, error) {
-	return RoundsParallelCtx(context.Background(), input, r, workers)
-}
-
-// RoundsParallelCtx is RoundsParallel threaded with a context: workers
-// observe cancellation at the next shard boundary and the call returns
-// ctx.Err().
-func RoundsParallelCtx(ctx context.Context, input topology.Simplex, r int, workers int) (*pc.Result, error) {
-	if r < 0 {
-		return nil, fmt.Errorf("iis: negative round count %d", r)
-	}
-	return roundop.RoundsParallelCtx(ctx, Operator(), input, r, workers)
-}
-
 // Operator returns the IIS model as a round operator for the shared
-// engine. One immediate-snapshot round has a branch per ordered partition
-// of the participants; unlike the message-passing models, the partition
-// determines every process's view outright, so each branch's option table
-// has exactly one option per position and the branch contributes a single
-// facet. The model is failure-bound-free: continuations reuse the same
-// operator.
+// engine; roundop.Build over it yields IIS_r, each round's construction
+// applied to each facet of the previous round. One immediate-snapshot
+// round has a branch per ordered partition of the participants, in which
+// each process sees the blocks up to and including its own; unlike the
+// message-passing models, the partition determines every process's view
+// outright, so each branch's option table has exactly one option per
+// position and the branch contributes a single facet. The model is
+// failure-bound-free: continuations reuse the same operator.
 func Operator() roundop.Operator {
 	return iisOperator{}
 }

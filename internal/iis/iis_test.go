@@ -3,10 +3,9 @@ package iis
 import (
 	"testing"
 
-	"pseudosphere/internal/core"
 	"pseudosphere/internal/homology"
-	"pseudosphere/internal/pc"
 	"pseudosphere/internal/task"
+	"pseudosphere/internal/testutil/coreutil"
 	"pseudosphere/internal/topology"
 )
 
@@ -45,7 +44,7 @@ func TestOrderedPartitionsCount(t *testing.T) {
 func TestOneRoundIsChromaticSubdivision(t *testing.T) {
 	for _, labels := range [][]string{{"a"}, {"a", "b"}, {"a", "b", "c"}, {"a", "b", "c", "d"}} {
 		input := inputSimplex(labels...)
-		res := OneRound(input)
+		res := oneRound(t, input)
 		n1 := len(labels)
 		facets := res.Complex.Facets()
 		if len(facets) != FubiniNumber(n1) {
@@ -64,7 +63,7 @@ func TestOneRoundIsChromaticSubdivision(t *testing.T) {
 // homology and trivial fundamental group, like the simplex it subdivides.
 func TestOneRoundContractible(t *testing.T) {
 	for _, labels := range [][]string{{"a", "b"}, {"a", "b", "c"}, {"a", "b", "c", "d"}} {
-		res := OneRound(inputSimplex(labels...))
+		res := oneRound(t, inputSimplex(labels...))
 		betti := homology.ReducedBettiZ2(res.Complex)
 		for d, b := range betti {
 			if b != 0 {
@@ -80,7 +79,7 @@ func TestOneRoundContractible(t *testing.T) {
 // TestTwoRoundsStillContractible iterates the construction: IIS_2 over a
 // single input simplex remains contractible (it is a finer subdivision).
 func TestTwoRoundsStillContractible(t *testing.T) {
-	res, err := Rounds(inputSimplex("a", "b"), 2)
+	res, err := build(inputSimplex("a", "b"), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +100,7 @@ func TestTwoRoundsStillContractible(t *testing.T) {
 // the asynchronous message-passing result.
 func TestWaitFreeConsensusImpossibleOnIIS(t *testing.T) {
 	n := 1 // two processes, wait-free
-	res := pcOverInputs(n, []string{"0", "1"})
+	res := coreutil.MustBuildOverInputs(Operator(), n, []string{"0", "1"}, 1)
 	ann := task.AnnotateViews(res.Complex, res.Views)
 	if _, found, err := task.FindDecision(ann, 1, 0); err != nil || found {
 		t.Fatalf("found=%v err=%v; wait-free IIS consensus must be impossible", found, err)
@@ -113,7 +112,7 @@ func TestWaitFreeConsensusImpossibleOnIIS(t *testing.T) {
 // defining structure of immediate snapshots.
 func TestViewsSeeOwnBlockAndEarlier(t *testing.T) {
 	input := inputSimplex("a", "b", "c")
-	res := OneRound(input)
+	res := oneRound(t, input)
 	for _, facet := range res.Complex.Facets() {
 		// Collect heard sets and check they form a chain under inclusion
 		// when grouped by size.
@@ -146,12 +145,4 @@ func subsetOf(a, b map[int]bool) bool {
 		}
 	}
 	return true
-}
-
-func pcOverInputs(n int, values []string) *pc.Result {
-	res := pc.NewResult()
-	for _, s := range core.InputFacets(n, values) {
-		res.Merge(OneRound(s))
-	}
-	return res
 }

@@ -8,10 +8,12 @@
 package integration
 
 import (
+	"context"
 	"testing"
 
 	"pseudosphere/internal/asyncmodel"
 	"pseudosphere/internal/protocols"
+	"pseudosphere/internal/roundop"
 	"pseudosphere/internal/sim"
 	"pseudosphere/internal/syncmodel"
 	"pseudosphere/internal/topology"
@@ -46,7 +48,7 @@ func facetFromRun(t *testing.T, decisions map[int]string) topology.Simplex {
 func TestSyncRuntimeMatchesComplex(t *testing.T) {
 	inputs := []string{"a", "b", "c"}
 	input := inputSimplex(inputs...)
-	combinatorial, err := syncmodel.OneRound(input, syncmodel.Params{PerRound: 1, Total: 1})
+	combinatorial, err := roundop.Build(context.Background(), syncmodel.Params{PerRound: 1, Total: 1}.Operator(), input, 1, roundop.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +78,7 @@ func TestSyncRuntimeMatchesComplex(t *testing.T) {
 func TestSyncTwoRoundRuntimeInComplex(t *testing.T) {
 	inputs := []string{"a", "b", "c"}
 	input := inputSimplex(inputs...)
-	combinatorial, err := syncmodel.Rounds(input, syncmodel.Params{PerRound: 1, Total: 1}, 2)
+	combinatorial, err := roundop.Build(context.Background(), syncmodel.Params{PerRound: 1, Total: 1}.Operator(), input, 2, roundop.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +102,7 @@ func TestAsyncRuntimeMatchesComplex(t *testing.T) {
 	input := inputSimplex(inputs...)
 	p := asyncmodel.Params{N: 2, F: 1}
 	for _, rounds := range []int{1, 2} {
-		combinatorial, err := asyncmodel.Rounds(input, p, rounds)
+		combinatorial, err := roundop.Build(context.Background(), p.Operator(), input, rounds, roundop.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +139,7 @@ func TestAsyncAdversarialScheduleRealizesChosenFacet(t *testing.T) {
 		t.Fatal(err)
 	}
 	facet := facetFromRun(t, out.Decisions)
-	oneRound, err := asyncmodel.OneRound(input, p)
+	oneRound, err := roundop.Build(context.Background(), p.Operator(), input, 1, roundop.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

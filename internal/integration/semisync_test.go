@@ -1,9 +1,11 @@
 package integration
 
 import (
+	"context"
 	"testing"
 
 	"pseudosphere/internal/protocols"
+	"pseudosphere/internal/roundop"
 	"pseudosphere/internal/semisync"
 	"pseudosphere/internal/sim"
 	"pseudosphere/internal/topology"
@@ -18,7 +20,7 @@ func TestSemiSyncRuntimeMatchesComplex(t *testing.T) {
 	input := inputSimplex(inputs...)
 	timing := sim.Timing{C1: 1, C2: 2, D: 2}
 	p := semisync.Params{C1: timing.C1, C2: timing.C2, D: timing.D, PerRound: 1, Total: 1}
-	combinatorial, err := semisync.OneRound(input, p)
+	combinatorial, err := roundop.Build(context.Background(), p.Operator(), input, 1, roundop.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -90,7 +90,7 @@ func TestJobResumesAfterRestart(t *testing.T) {
 	}
 
 	// The resumed result must match an uninterrupted construction exactly.
-	// The fixture values are from asyncmodel.RoundsParallelCtx on the
+	// The fixture values are from roundop.Build on the
 	// identical input (see roundop's TestCkptFreshMatchesPlain for the
 	// live equivalence proof; the canonical hash is content-addressed, so
 	// any divergence — a lost shard, a double-merged delta, a mangled

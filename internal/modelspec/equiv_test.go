@@ -3,7 +3,7 @@ package modelspec_test
 // Hash-for-hash equivalence pins: inline specs that express a preset's
 // adversary in the spec dialect must build the byte-identical complex
 // (same CanonicalHash) as the preset path. Sync and custom are crash
-// budgets; IIS one-round branches are its ordered partitions rendered as
+// budgets (custom is also pinned to literal parent-commit values); IIS one-round branches are its ordered partitions rendered as
 // communication graphs; async's "hear n-f+1 including yourself" is the
 // oblivious message adversary over all sufficiently-dense graphs.
 
@@ -56,12 +56,53 @@ func TestSyncPresetEqualsCrashTotalSpec(t *testing.T) {
 	}
 }
 
+// TestCustomPresetEqualsCrashSpec pins the custom preset — and the crash
+// spec adversary it shares an operator with — to facet counts, shard
+// counts and hashes recorded before the preset compiled to syncmodel
+// with f = r*k, so stored responses, shard plans and checkpoint records
+// written then stay valid.
 func TestCustomPresetEqualsCrashSpec(t *testing.T) {
-	preset := mustQuery(t, "model=custom&n=2&k=1&r=2")
-	spec := mustCompile(t, `{"processes": 3, "rounds": 2,
-		"adversary": {"kind": "crash", "per_round": 1}}`)
-	if g, w := buildHash(t, spec), buildHash(t, preset); g != w {
-		t.Fatalf("crash spec hash %s != custom preset hash %s", g, w)
+	for _, tc := range []struct {
+		query, spec    string
+		facets, shards int
+		hash           string
+	}{
+		{"model=custom&n=2&k=1&r=2", `{"processes": 3, "rounds": 2, "adversary": {"kind": "crash", "per_round": 1}}`,
+			28, 13, "d9164c0cb9854b427e22f135b425db74567e7c01c62e7d39587223934e9ab88c"},
+		{"model=custom&n=3&k=2&r=2", `{"processes": 4, "rounds": 2, "adversary": {"kind": "crash", "per_round": 2}}`,
+			397, 129, "5c368f6a6dca7b4db68b534b0f52debad8edb91866a2dc7519f2f3de7ea87d9a"},
+		{"model=custom&n=2&k=4&r=3", `{"processes": 3, "rounds": 3, "adversary": {"kind": "crash", "per_round": 3}}`,
+			67, 25, "07c34e5befb3fe4ba7fb82c320b8f79f699947e553b37b9801629762fe603342"},
+	} {
+		for _, inst := range []*modelspec.Instance{mustQuery(t, tc.query), mustCompile(t, tc.spec)} {
+			in := input(inst.M)
+			res, err := inst.Build(context.Background(), in, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan, err := roundop.PlanShards(inst.Operator(), in, inst.R)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if f, s, h := res.Complex.FacetCount(), plan.NumShards(), res.Complex.CanonicalHash(); f != tc.facets || s != tc.shards || h != tc.hash {
+				t.Errorf("%s: %d facets, %d shards, hash %s; want %d, %d, %s", inst.Key, f, s, h, tc.facets, tc.shards, tc.hash)
+			}
+		}
+	}
+}
+
+// TestHugePerRoundBudgetClamped: the presets' failure budget r*k must
+// not wrap for huge k. No failure set is larger than the n+1 processes,
+// so k = 2^62 builds the same complex as k = n+1 (which at n=2, r=4 has
+// 121 facets for sync and custom and 481 for semisync, not the single
+// failure-free facet a wrapped budget of 0 gives).
+func TestHugePerRoundBudgetClamped(t *testing.T) {
+	for _, model := range []string{"sync", "semisync", "custom"} {
+		huge := mustQuery(t, "model="+model+"&n=2&k=4611686018427387904&r=4")
+		small := mustQuery(t, "model="+model+"&n=2&k=3&r=4")
+		if g, w := buildHash(t, huge), buildHash(t, small); g != w {
+			t.Errorf("%s: k=2^62 hash %s != k=n+1 hash %s", model, g, w)
+		}
 	}
 }
 

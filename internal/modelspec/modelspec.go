@@ -8,7 +8,6 @@ import (
 	"sort"
 	"strings"
 
-	"pseudosphere/internal/custommodel"
 	"pseudosphere/internal/syncmodel"
 )
 
@@ -293,21 +292,18 @@ func (a *Adversary) instance(n, m, r int) (*Instance, error) {
 	}
 	switch a.Kind {
 	case "crash":
+		// Without total, the budget is per round only: over r rounds at
+		// most r*per_round processes fail.
+		p := syncmodel.Params{PerRound: a.PerRound, Total: r * a.PerRound}
+		in.Key = fmt.Sprintf("model=spec|n=%d|m=%d|adv=crash:k=%d|r=%d", n, m, a.PerRound, r)
 		if a.Total != nil {
-			p := syncmodel.Params{PerRound: a.PerRound, Total: *a.Total}
-			if err := p.Validate(); err != nil {
-				return nil, &Error{msg: err.Error()}
-			}
-			in.op = p.Operator()
+			p.Total = *a.Total
 			in.Key = fmt.Sprintf("model=spec|n=%d|m=%d|adv=crash:k=%d,f=%d|r=%d", n, m, a.PerRound, *a.Total, r)
-		} else {
-			p := custommodel.Params{PerRound: a.PerRound}
-			if err := p.Validate(); err != nil {
-				return nil, &Error{msg: err.Error()}
-			}
-			in.op = p.Operator()
-			in.Key = fmt.Sprintf("model=spec|n=%d|m=%d|adv=crash:k=%d|r=%d", n, m, a.PerRound, r)
 		}
+		if err := p.Validate(); err != nil {
+			return nil, &Error{msg: err.Error()}
+		}
+		in.op = p.Operator()
 	case "graphs":
 		in.op = a.operator(n)
 		in.Key = fmt.Sprintf("model=spec|n=%d|m=%d|adv=graphs:%d:%s|r=%d", n, m, len(a.Graphs), a.graphsHash(), r)

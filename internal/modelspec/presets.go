@@ -2,7 +2,6 @@ package modelspec
 
 import (
 	"pseudosphere/internal/asyncmodel"
-	"pseudosphere/internal/custommodel"
 	"pseudosphere/internal/iis"
 	"pseudosphere/internal/roundop"
 	"pseudosphere/internal/semisync"
@@ -55,14 +54,18 @@ func init() {
 		Validate: func(Params) error { return nil },
 		Operator: func(Params) roundop.Operator { return iis.Operator() },
 	})
+	// The per-round-only crash budget: at most k crashes in any round,
+	// with no cumulative cap. Over r rounds at most r*k processes can
+	// fail, so the budget is Section 7's with f = r*k — the same compiled
+	// model as the crash{k} spec adversary.
 	Register(Model{
 		Name:   "custom",
 		Fields: []string{"k"},
 		Validate: func(p Params) error {
-			return custommodel.Params{PerRound: p.K}.Validate()
+			return syncParams(p).Validate()
 		},
 		Operator: func(p Params) roundop.Operator {
-			return custommodel.Params{PerRound: p.K}.Operator()
+			return syncParams(p).Operator()
 		},
 	})
 }
@@ -74,9 +77,18 @@ func asyncParams(p Params) asyncmodel.Params {
 // syncParams maps the preset tuple to Section 7's failure structure: at
 // most k crashes per round and f = r*k in total.
 func syncParams(p Params) syncmodel.Params {
-	return syncmodel.Params{PerRound: p.K, Total: p.R * p.K}
+	k := perRound(p)
+	return syncmodel.Params{PerRound: k, Total: p.R * k}
 }
 
 func semisyncParams(p Params) semisync.Params {
-	return semisync.Params{C1: p.C1, C2: p.C2, D: p.D, PerRound: p.K, Total: p.R * p.K}
+	k := perRound(p)
+	return semisync.Params{C1: p.C1, C2: p.C2, D: p.D, PerRound: k, Total: p.R * k}
+}
+
+// perRound is the tuple's per-round crash bound k clamped to the n+1
+// processes: no failure set is larger, so the clamp changes no complex,
+// and it keeps r*k from overflowing for huge k.
+func perRound(p Params) int {
+	return min(p.K, p.N+1)
 }

@@ -239,21 +239,18 @@ func (in *Instance) Estimate(input topology.Simplex) (int64, error) {
 	return roundop.EstimateFacets(in.op, input, in.R)
 }
 
-// Build constructs the R-round complex over input on the shared engine's
-// worker pool.
+// Build constructs the R-round complex over input on workers goroutines.
 func (in *Instance) Build(ctx context.Context, input topology.Simplex, workers int) (*pc.Result, error) {
-	if in.EmptyFor(input) {
-		return pc.NewResult(), nil
-	}
-	return roundop.RoundsParallelCtx(ctx, in.op, input, in.R, workers)
+	return in.BuildCkpt(ctx, input, workers, 0, nil)
 }
 
-// BuildCkpt is Build with shard-boundary checkpointing through ck.
+// BuildCkpt is Build with shard-boundary checkpointing through ck (none
+// when nil), flushing every flushEvery completed shards.
 func (in *Instance) BuildCkpt(ctx context.Context, input topology.Simplex, workers, flushEvery int, ck roundop.Checkpointer) (*pc.Result, error) {
 	if in.EmptyFor(input) {
 		return pc.NewResult(), nil
 	}
-	return roundop.RoundsParallelCkpt(ctx, in.op, input, in.R, workers, flushEvery, ck)
+	return roundop.Build(ctx, in.op, input, in.R, roundop.Options{Workers: workers, Checkpoint: ck, FlushEvery: flushEvery})
 }
 
 // FromQuery resolves the preset query form (model=name&n=...&r=...) to a

@@ -1,6 +1,7 @@
 package pc_test
 
 import (
+	"context"
 	"encoding/json"
 	"math/rand"
 	"strings"
@@ -9,6 +10,7 @@ import (
 	"pseudosphere/internal/asyncmodel"
 	"pseudosphere/internal/iis"
 	"pseudosphere/internal/pc"
+	"pseudosphere/internal/roundop"
 	"pseudosphere/internal/testutil"
 	"pseudosphere/internal/views"
 )
@@ -17,11 +19,11 @@ import (
 // carry nested views.
 func deltaFixtures(t *testing.T) map[string]*pc.Result {
 	t.Helper()
-	async, err := asyncmodel.OneRound(testutil.Labeled(3, "v"), asyncmodel.Params{N: 3, F: 3})
+	async, err := roundop.Build(context.Background(), asyncmodel.Params{N: 3, F: 3}.Operator(), testutil.Labeled(3, "v"), 1, roundop.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	twice, err := iis.Rounds(testutil.Labeled(2, "v"), 2)
+	twice, err := roundop.Build(context.Background(), iis.Operator(), testutil.Labeled(2, "v"), 2, roundop.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

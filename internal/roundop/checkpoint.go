@@ -4,11 +4,9 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"pseudosphere/internal/obs"
 	"pseudosphere/internal/pc"
-	"pseudosphere/internal/topology"
 )
 
 // Checkpointer persists construction progress at shard boundaries so a
@@ -37,91 +35,51 @@ type Checkpointer interface {
 	Flush(done []int, delta *pc.Result) error
 }
 
-// RoundsParallelCkpt is RoundsParallelCtx with shard-boundary
-// checkpointing: completed shards are batched and handed to ck.Flush
-// every flushEvery shards, and a previous run's shards recovered by
-// ck.Restore are skipped entirely. On cancellation the pending batch is
-// flushed before ctx.Err() is returned, so a SIGTERM mid-build loses at
-// most the shards still in flight, never completed ones. A nil ck
-// degrades to RoundsParallelCtx.
-//
-// The result is bit-for-bit the complex RoundsParallelCtx builds —
-// resumed or not — because shards partition the facet product and the
-// complex is a set: merge order cannot change it.
-func RoundsParallelCkpt(ctx context.Context, op Operator, input topology.Simplex, r, workers, flushEvery int, ck Checkpointer) (*pc.Result, error) {
-	if ck == nil {
-		return RoundsParallelCtx(ctx, op, input, r, workers)
-	}
-	if r < 0 {
-		return nil, fmt.Errorf("roundop: negative round count %d", r)
-	}
-	if r == 0 {
-		return Rounds(op, input, 0)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if flushEvery < 1 {
-		flushEvery = 1
-	}
-	cur := pc.InputViews(input)
-	branches, err := op.Branches(cur)
-	if err != nil {
-		return nil, err
-	}
-	jobs, _ := buildShardJobs(branches, r)
-	done, partial, err := ck.Restore(len(jobs))
-	if err != nil {
-		return nil, fmt.Errorf("roundop: restore checkpoint: %w", err)
-	}
-	if done != nil && len(done) != len(jobs) {
-		return nil, fmt.Errorf("roundop: checkpoint restored %d shards, job list has %d", len(done), len(jobs))
-	}
-	if done == nil {
-		done = make([]bool, len(jobs))
-	}
-	res := pc.NewResult()
-	if partial != nil {
-		res.Merge(partial)
-	}
-	restored := 0
-	for _, d := range done {
-		if d {
-			restored++
+// restore returns the indices of the shards a build still has to run:
+// every shard without a checkpoint, else those ck.Restore does not report
+// done, whose partial result it merges into res.
+func restore(ctx context.Context, plan *ShardPlan, res *pc.Result, ck Checkpointer) ([]int, error) {
+	total := plan.NumShards()
+	var done []bool
+	if ck != nil {
+		var partial *pc.Result
+		var err error
+		done, partial, err = ck.Restore(total)
+		if err != nil {
+			return nil, fmt.Errorf("roundop: restore checkpoint: %w", err)
+		}
+		if done != nil && len(done) != total {
+			return nil, fmt.Errorf("roundop: checkpoint restored %d shards, job list has %d", len(done), total)
+		}
+		if partial != nil {
+			res.Merge(partial)
 		}
 	}
-	tr := obs.FromContext(ctx)
-	tr.SetGoal("shards_done", uint64(len(jobs)))
-	tr.Counter("shards_done").Add(uint64(restored))
-	tr.Counter("shards_restored").Add(uint64(restored))
-	if err := runJobsCkpt(ctx, res, jobs, done, r, workers, flushEvery, ck); err != nil {
-		return nil, err
+	todo := make([]int, 0, total)
+	for i := 0; i < total; i++ {
+		if done == nil || !done[i] {
+			todo = append(todo, i)
+		}
 	}
-	return res, nil
+	if ck != nil {
+		restored := uint64(total - len(todo))
+		tr := obs.FromContext(ctx)
+		tr.SetGoal("shards_done", uint64(total))
+		tr.Counter("shards_done").Add(restored)
+		tr.Counter("shards_restored").Add(restored)
+	}
+	return todo, nil
 }
 
-// runJobsCkpt drains the not-yet-done jobs with a worker pool. Each
-// shard is enumerated into its own private result and handed to a
-// collector (this goroutine), which batches shard results and flushes
-// them through ck every flushEvery shards — Flush first, then merge into
-// res, so the checkpoint never claims shards the result lacks and the
-// result never includes shards the checkpoint could lose. On
-// cancellation or enumeration error the pending batch is still flushed.
-func runJobsCkpt(ctx context.Context, res *pc.Result, jobs []shardJob, done []bool, r, workers, flushEvery int, ck Checkpointer) error {
-	remaining := make([]int, 0, len(jobs))
-	for i, d := range done {
-		if !d {
-			remaining = append(remaining, i)
-		}
-	}
-	if len(remaining) == 0 {
-		return nil
-	}
-	if workers > len(remaining) {
-		workers = len(remaining)
-	}
-	tr := obs.FromContext(ctx)
-	facetCtr := tr.Counter("facets")
+// checkpointed runs the claim loop on workers goroutines, each shard into
+// its own result handed to a collector (this goroutine), which batches
+// shard results and flushes them through ck every flushEvery shards —
+// Flush first, then merge into res, so the checkpoint never claims shards
+// the result lacks and the result never includes shards the checkpoint
+// could lose. On cancellation or enumeration error the pending batch is
+// still flushed.
+func (d *drain) checkpointed(res *pc.Result, workers, flushEvery int, ck Checkpointer) error {
+	tr := obs.FromContext(d.ctx)
 	shardCtr := tr.Counter("shards_done")
 	flushCtr := tr.Counter("ckpt_flushes")
 
@@ -129,40 +87,18 @@ func runJobsCkpt(ctx context.Context, res *pc.Result, jobs []shardJob, done []bo
 		idx   int
 		local *pc.Result
 	}
+	// The out channel's backpressure (at most one buffered and one
+	// in-hand result per worker), together with claim's synchronous
+	// ctx check, bounds how many shards can complete after a kill, which
+	// is what makes the kill-mid-build checkpoint tests deterministic
+	// instead of a race against the goroutine scheduler.
 	out := make(chan shardOut, workers)
-	var cursor int64
-	var firstErr atomic.Pointer[error]
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				// ctx.Err() — not an AfterFunc-maintained flag — so the check
-				// is synchronous with cancel(): once a canceller's cancel()
-				// returns, no worker claims another shard. Combined with the
-				// out channel's backpressure (at most one buffered and one
-				// in-hand result per worker), this bounds how many shards can
-				// complete after a kill, which is what makes the
-				// kill-mid-build checkpoint tests deterministic instead of a
-				// race against the goroutine scheduler.
-				if ctx.Err() != nil || firstErr.Load() != nil {
-					return
-				}
-				j := atomic.AddInt64(&cursor, 1) - 1
-				if j >= int64(len(remaining)) {
-					return
-				}
-				idx := remaining[j]
-				job := jobs[idx]
-				local := pc.NewResult()
-				if err := runShard(local, job, r); err != nil {
-					firstErr.CompareAndSwap(nil, &err)
-					return
-				}
-				facetCtr.Add(uint64(job.hi - job.lo))
-				out <- shardOut{idx: idx, local: local}
-			}
+			d.claim(nil, func(idx int, local *pc.Result) { out <- shardOut{idx: idx, local: local} })
 		}()
 	}
 	go func() {
@@ -195,8 +131,7 @@ func runJobsCkpt(ctx context.Context, res *pc.Result, jobs []shardJob, done []bo
 		shardCtr.Add(1)
 		if len(pendingIdx) >= flushEvery {
 			if flushErr = flush(); flushErr != nil {
-				errStop := flushErr
-				firstErr.CompareAndSwap(nil, &errStop)
+				d.fail(flushErr)
 			}
 		}
 	}
@@ -209,11 +144,5 @@ func runJobsCkpt(ctx context.Context, res *pc.Result, jobs []shardJob, done []bo
 	if err := flush(); err != nil {
 		return err
 	}
-	if errp := firstErr.Load(); errp != nil {
-		return *errp
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return nil
+	return d.stopped()
 }

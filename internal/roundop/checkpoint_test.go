@@ -54,16 +54,16 @@ func (m *memCkpt) Flush(done []int, delta *pc.Result) error {
 
 func TestCkptNilDegrades(t *testing.T) {
 	op := asyncmodel.Params{N: 2, F: 2}.Operator()
-	got, err := roundop.RoundsParallelCkpt(context.Background(), op, input(2), 1, 2, 4, nil)
+	got, err := roundop.Build(context.Background(), op, input(2), 1, roundop.Options{Workers: 2, FlushEvery: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := roundop.RoundsParallelCtx(context.Background(), op, input(2), 1, 2)
+	want, err := asyncmodel.LegacySerialRounds(input(2), asyncmodel.Params{N: 2, F: 2}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Complex.CanonicalHash() != want.Complex.CanonicalHash() {
-		t.Fatal("nil checkpointer must match RoundsParallelCtx")
+		t.Fatal("a FlushEvery without a Checkpoint must not change the build")
 	}
 }
 
@@ -72,11 +72,11 @@ func TestCkptNilDegrades(t *testing.T) {
 func TestCkptFreshMatchesPlain(t *testing.T) {
 	op := asyncmodel.Params{N: 3, F: 3}.Operator()
 	ck := &memCkpt{}
-	got, err := roundop.RoundsParallelCkpt(context.Background(), op, input(3), 1, 4, 4, ck)
+	got, err := roundop.Build(context.Background(), op, input(3), 1, roundop.Options{Workers: 4, Checkpoint: ck, FlushEvery: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := roundop.RoundsParallelCtx(context.Background(), op, input(3), 1, 4)
+	want, err := roundop.Build(context.Background(), op, input(3), 1, roundop.Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestCkptResume(t *testing.T) {
 	op := asyncmodel.Params{N: 3, F: 3}.Operator()
 	in := input(3)
 
-	want, err := roundop.RoundsParallelCtx(context.Background(), op, in, 1, 4)
+	want, err := roundop.Build(context.Background(), op, in, 1, roundop.Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestCkptResume(t *testing.T) {
 			cancel() // workers observe this before their next shard claim
 		}
 	}}
-	if _, err := roundop.RoundsParallelCkpt(ctx, op, in, 1, 2, 4, ck); !errors.Is(err, context.Canceled) {
+	if _, err := roundop.Build(ctx, op, in, 1, roundop.Options{Workers: 2, Checkpoint: ck, FlushEvery: 4}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("killed run returned %v, want context.Canceled", err)
 	}
 	if ck.flushes < 2 {
@@ -148,7 +148,7 @@ func TestCkptResume(t *testing.T) {
 
 	tr := obs.NewTracker()
 	ctx2 := obs.WithTracker(context.Background(), tr)
-	got, err := roundop.RoundsParallelCkpt(ctx2, op, in, 1, 4, 4, ck)
+	got, err := roundop.Build(ctx2, op, in, 1, roundop.Options{Workers: 4, Checkpoint: ck, FlushEvery: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestCkptFlushErrorFails(t *testing.T) {
 	boom := errors.New("disk full")
 	op := asyncmodel.Params{N: 3, F: 3}.Operator()
 	ck := &memCkpt{failErr: boom}
-	if _, err := roundop.RoundsParallelCkpt(context.Background(), op, input(3), 1, 4, 1, ck); !errors.Is(err, boom) {
+	if _, err := roundop.Build(context.Background(), op, input(3), 1, roundop.Options{Workers: 4, Checkpoint: ck, FlushEvery: 1}); !errors.Is(err, boom) {
 		t.Fatalf("flush error not surfaced: %v", err)
 	}
 }
@@ -188,7 +188,7 @@ func (b *badRestoreCkpt) Restore(totalShards int) ([]bool, *pc.Result, error) {
 
 func TestCkptRestoreShapeMismatch(t *testing.T) {
 	op := asyncmodel.Params{N: 3, F: 3}.Operator()
-	if _, err := roundop.RoundsParallelCkpt(context.Background(), op, input(3), 1, 4, 4, &badRestoreCkpt{}); err == nil {
+	if _, err := roundop.Build(context.Background(), op, input(3), 1, roundop.Options{Workers: 4, Checkpoint: &badRestoreCkpt{}, FlushEvery: 4}); err == nil {
 		t.Fatal("mismatched restore shape must fail the run")
 	}
 }

@@ -9,9 +9,10 @@ import (
 	"pseudosphere/internal/views"
 )
 
-// EstimateFacets predicts the facet enumeration cost of Rounds(op, input, r)
-// without building the complex: the number of facet insertions the
-// construction will perform. It exists for budgeted admission — a query
+// EstimateFacets predicts the facet enumeration cost of an r-round Build
+// of op over input without building the complex: the number of facet
+// insertions the construction will perform, which a fresh Build reports
+// in its "facets" counter. It exists for budgeted admission — a query
 // service can refuse an oversized request in microseconds instead of
 // discovering the size the expensive way.
 //

@@ -1,11 +1,12 @@
 package roundop_test
 
 import (
+	"context"
 	"testing"
 
 	"pseudosphere/internal/asyncmodel"
-	"pseudosphere/internal/custommodel"
 	"pseudosphere/internal/iis"
+	"pseudosphere/internal/obs"
 	"pseudosphere/internal/pc"
 	"pseudosphere/internal/roundop"
 	"pseudosphere/internal/semisync"
@@ -49,8 +50,10 @@ func countInsertions(t *testing.T, op roundop.Operator, cur []*views.View, r int
 // against the unsampled reference count on every model's operator, one
 // and two rounds deep: the one-representative-per-branch sampling must
 // lose nothing, because a branch's continuation cost depends only on the
-// surviving participant set and remaining budget. It also checks that
-// FacetCount agrees with len(Facets()) on every model's round complex.
+// surviving participant set and remaining budget. It also checks that a
+// fresh Build's "facets" counter lands exactly on the estimate, one and
+// two rounds deep on every model, and that FacetCount agrees with
+// len(Facets()) on every model's round complex.
 func TestEstimateFacetsExactForInTreeOperators(t *testing.T) {
 	in := input(2)
 	for _, tc := range []struct {
@@ -63,8 +66,11 @@ func TestEstimateFacetsExactForInTreeOperators(t *testing.T) {
 		{"sync-r1", syncmodel.Params{PerRound: 1, Total: 2}.Operator(), 1},
 		{"sync-r2", syncmodel.Params{PerRound: 1, Total: 2}.Operator(), 2},
 		{"semisync-r1", semisync.Params{C1: 1, C2: 2, D: 2, PerRound: 1, Total: 1}.Operator(), 1},
+		{"semisync-r2", semisync.Params{C1: 1, C2: 2, D: 2, PerRound: 1, Total: 2}.Operator(), 2},
+		{"iis-r1", iis.Operator(), 1},
 		{"iis-r2", iis.Operator(), 2},
-		{"custom-r2", custommodel.Params{PerRound: 1}.Operator(), 2},
+		// The custom preset at k=2, r=2: crash{k} compiles to Total = r*k.
+		{"custom-r2", syncmodel.Params{PerRound: 2, Total: 4}.Operator(), 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			want := countInsertions(t, tc.op, pc.InputViews(in), tc.r)
@@ -75,11 +81,15 @@ func TestEstimateFacetsExactForInTreeOperators(t *testing.T) {
 			if got != want {
 				t.Fatalf("EstimateFacets = %d, reference insertion count = %d", got, want)
 			}
-			// The estimate bounds the true facet count from above.
-			res, err := roundop.Rounds(tc.op, in, tc.r)
+			tr := obs.NewTracker()
+			res, err := roundop.Build(obs.WithTracker(context.Background(), tr), tc.op, in, tc.r, roundop.Options{Workers: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
+			if n := tr.Counters()["facets"]; n != uint64(want) {
+				t.Fatalf("facets counter = %d after a fresh build, want %d insertions", n, want)
+			}
+			// The estimate bounds the true facet count from above.
 			facets := int64(len(res.Complex.Facets()))
 			if got < facets {
 				t.Fatalf("estimate %d below actual facet count %d", got, facets)

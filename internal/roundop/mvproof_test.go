@@ -1,6 +1,7 @@
 package roundop_test
 
 import (
+	"context"
 	"testing"
 
 	"pseudosphere/internal/asyncmodel"
@@ -42,7 +43,7 @@ func proveViaBranches(t *testing.T, name string, op roundop.Operator, in topolog
 	if len(proof.Steps) != len(pieces)-1 {
 		t.Fatalf("%s: proof has %d steps for %d pieces", name, len(proof.Steps), len(pieces))
 	}
-	whole, err := roundop.OneRound(op, in)
+	whole, err := roundop.Build(context.Background(), op, in, 1, roundop.Options{})
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}

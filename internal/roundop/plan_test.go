@@ -1,6 +1,7 @@
 package roundop_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -12,7 +13,7 @@ import (
 
 // TestPlanShardsMatchesParallelBuild is the exported shard plan's
 // contract: enumerating every shard independently (any order, any
-// grouping) and merging must reproduce RoundsParallelCtx bit for bit —
+// grouping) and merging must reproduce Build bit for bit —
 // CanonicalHash and view table. This is the invariant the distributed
 // construction protocol rests on: a remote worker that runs shard i of
 // the plan it re-derived computes exactly the sub-complex the
@@ -31,7 +32,7 @@ func TestPlanShardsMatchesParallelBuild(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			in := input(tc.n)
-			want, err := roundop.RoundsParallel(tc.op, in, tc.r, 4)
+			want, err := roundop.Build(context.Background(), tc.op, in, tc.r, roundop.Options{Workers: 4})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -7,20 +7,19 @@
 // view, so the branch's executions form the product of per-process option
 // lists (a pseudosphere, per Lemmas 11/14/19). This package owns that
 // shape once: a model is an Operator that yields branches with their
-// option tables, and the engine supplies everything downstream — serial
-// enumeration, mixed-radix facet-product iteration, the parallel shard
-// dispatcher and worker pool with private-complex merging, cooperative
-// cancellation, obs counters, and the iterated composition R^r.
+// option tables, and Build supplies everything downstream — the shard
+// plan, mixed-radix facet-product iteration, one shard claim loop for
+// every worker count, private-complex merging, checkpointing,
+// cooperative cancellation, obs counters, and the iterated composition
+// R^r.
 //
-// The model packages (asyncmodel, syncmodel, semisync, iis, custommodel)
-// are thin adapters: parameter validation plus option-table generation.
-// Adding a new model — a different failure structure, a dynamic network —
-// means writing only a Branches method.
+// The model packages (asyncmodel, syncmodel, semisync, iis) are thin
+// adapters: an Operator that validates its parameters and generates
+// option tables. Adding a new model — a different failure structure, a
+// dynamic network — means writing only a Branches method.
 package roundop
 
 import (
-	"fmt"
-
 	"pseudosphere/internal/pc"
 	"pseudosphere/internal/topology"
 	"pseudosphere/internal/views"
@@ -43,91 +42,41 @@ type Branch struct {
 // must be deterministic and ordered (the Mayer–Vietoris proofs iterate the
 // union in branch order), and the option tables must be safe for
 // concurrent read — pc.NewOption pre-encodes each view, so workers never
-// mutate shared state.
+// mutate shared state. Branches reports invalid model parameters as an
+// error, which Build returns.
 type Operator interface {
 	Branches(cur []*views.View) ([]Branch, error)
 }
 
-// OneRound returns the one-round complex R(S) of the operator over the
-// input simplex.
-func OneRound(op Operator, input topology.Simplex) (*pc.Result, error) {
-	return Rounds(op, input, 1)
-}
-
-// Rounds returns the iterated complex R^r(S): the union over the facets T
-// of one round of R^{r-1}(T), per the inductive definition shared by
-// Sections 6–8. Intermediate rounds only thread views forward; only the
-// final round's global states become simplexes of the r-round complex.
-func Rounds(op Operator, input topology.Simplex, r int) (*pc.Result, error) {
-	if r < 0 {
-		return nil, fmt.Errorf("roundop: negative round count %d", r)
-	}
-	res := pc.NewResult()
-	if err := appendRounds(res, op, pc.InputViews(input), r); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// appendRounds adds the r-round complex reachable from cur to res.
-func appendRounds(res *pc.Result, op Operator, cur []*views.View, r int) error {
+// appendRounds adds the r-round complex reachable from cur to res and
+// returns the number of final-round facets it inserted.
+func appendRounds(res *pc.Result, op Operator, cur []*views.View, r int) (int64, error) {
 	if r == 0 {
 		res.AddFacet(cur)
-		return nil
+		return 1, nil
 	}
 	branches, err := op.Branches(cur)
 	if err != nil {
-		return err
+		return 0, err
 	}
+	var inserted int64
 	for _, b := range branches {
-		if len(b.Opts) == 0 {
+		job, ok := branchJob(b)
+		if !ok {
 			continue
 		}
-		scratch := res
-		if r > 1 {
-			scratch = pc.NewResult()
-		}
-		for _, facet := range appendBranch(scratch, b.Opts, r > 1) {
-			if err := appendRounds(res, b.Next, facet, r-1); err != nil {
-				return err
-			}
+		n, err := runShard(res, job, r)
+		inserted += n
+		if err != nil {
+			return inserted, err
 		}
 	}
-	return nil
-}
-
-// appendBranch enumerates one branch's facet product into res with the
-// mixed-radix odometer, returning the facets as view lists when collect is
-// set (the iterated construction recurses into them; the final round does
-// not need them, so it reuses one buffer).
-func appendBranch(res *pc.Result, opts [][]pc.Option, collect bool) [][]*views.View {
-	if pc.ProductSize(opts) == 0 {
-		return nil
-	}
-	idx := make([]int, len(opts))
-	verts := make([]topology.Vertex, len(opts))
-	var facets [][]*views.View
-	buf := make([]*views.View, len(opts))
-	for {
-		facet := buf
-		if collect {
-			facet = make([]*views.View, len(opts))
-		}
-		pc.FillFacet(facet, verts, opts, idx)
-		res.AddFacetVertices(verts, facet)
-		if collect {
-			facets = append(facets, facet)
-		}
-		if !pc.Advance(idx, opts) {
-			break
-		}
-	}
-	return facets
+	return inserted, nil
 }
 
 // BranchResults enumerates each branch of one round over the input simplex
 // into its own result, in operator order. These are the pseudosphere
-// pieces whose union is OneRound(op, input); the Mayer–Vietoris proof
+// pieces whose union is the one-round complex; the Mayer–Vietoris proof
 // tests iterate Theorem 2 along exactly this order.
 func BranchResults(op Operator, input topology.Simplex) ([]*pc.Result, error) {
 	branches, err := op.Branches(pc.InputViews(input))
@@ -140,7 +89,11 @@ func BranchResults(op Operator, input topology.Simplex) ([]*pc.Result, error) {
 			continue
 		}
 		res := pc.NewResult()
-		appendBranch(res, b.Opts, false)
+		if job, ok := branchJob(b); ok {
+			if _, err := runShard(res, job, 1); err != nil {
+				return nil, err
+			}
+		}
 		out = append(out, res)
 	}
 	return out, nil

@@ -23,26 +23,25 @@ type failingOperator struct{ err error }
 func (o failingOperator) Branches([]*views.View) ([]roundop.Branch, error) { return nil, o.err }
 
 func TestRoundsNegative(t *testing.T) {
-	if _, err := roundop.Rounds(emptyOperator{}, input(2), -1); err == nil {
-		t.Fatal("Rounds must reject negative round counts")
-	}
-	if _, err := roundop.RoundsParallel(emptyOperator{}, input(2), -1, 4); err == nil {
-		t.Fatal("RoundsParallel must reject negative round counts")
+	for _, workers := range []int{1, 4} {
+		if _, err := roundop.Build(context.Background(), emptyOperator{}, input(2), -1, roundop.Options{Workers: workers}); err == nil {
+			t.Fatalf("Build on %d workers must reject negative round counts", workers)
+		}
 	}
 }
 
 func TestRoundsZeroIsInput(t *testing.T) {
-	res, err := roundop.Rounds(emptyOperator{}, input(2), 0)
+	res, err := roundop.Build(context.Background(), emptyOperator{}, input(2), 0, roundop.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := res.Complex.Facets(); len(got) != 1 || got[0].Dim() != 2 {
-		t.Fatalf("Rounds(0) must contain exactly the input facet, got %v", got)
+		t.Fatalf("Build(r=0) must contain exactly the input facet, got %v", got)
 	}
 }
 
 func TestEmptyOperatorYieldsEmptyComplex(t *testing.T) {
-	res, err := roundop.Rounds(emptyOperator{}, input(2), 1)
+	res, err := roundop.Build(context.Background(), emptyOperator{}, input(2), 1, roundop.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,17 +52,17 @@ func TestEmptyOperatorYieldsEmptyComplex(t *testing.T) {
 
 func TestOperatorErrorPropagates(t *testing.T) {
 	boom := errors.New("boom")
-	if _, err := roundop.Rounds(failingOperator{boom}, input(2), 1); !errors.Is(err, boom) {
-		t.Fatalf("Rounds must surface the operator error, got %v", err)
-	}
-	if _, err := roundop.RoundsParallel(failingOperator{boom}, input(2), 1, 4); !errors.Is(err, boom) {
-		t.Fatalf("RoundsParallel must surface the operator error, got %v", err)
+	for _, workers := range []int{1, 4} {
+		if _, err := roundop.Build(context.Background(), failingOperator{boom}, input(2), 1, roundop.Options{Workers: workers}); !errors.Is(err, boom) {
+			t.Fatalf("Build on %d workers must surface the operator error, got %v", workers, err)
+		}
 	}
 }
 
 func TestBranchResultsPartitionSync(t *testing.T) {
 	// The async operator has exactly one branch (one pseudosphere,
-	// Lemma 11): BranchResults must return one piece equal to OneRound.
+	// Lemma 11): BranchResults must return one piece equal to the
+	// one-round complex.
 	op := asyncmodel.Params{N: 2, F: 1}.Operator()
 	pieces, err := roundop.BranchResults(op, input(2))
 	if err != nil {
@@ -72,7 +71,7 @@ func TestBranchResultsPartitionSync(t *testing.T) {
 	if len(pieces) != 1 {
 		t.Fatalf("async one-round complex is a single pseudosphere, got %d pieces", len(pieces))
 	}
-	whole, err := roundop.OneRound(op, input(2))
+	whole, err := roundop.Build(context.Background(), op, input(2), 1, roundop.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +84,7 @@ func TestRoundsParallelCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	op := asyncmodel.Params{N: 3, F: 3}.Operator()
-	_, err := roundop.RoundsParallelCtx(ctx, op, input(3), 2, 4)
+	_, err := roundop.Build(ctx, op, input(3), 2, roundop.Options{Workers: 4})
 	if err == nil {
 		t.Fatal("a pre-cancelled context must abort the construction")
 	}
@@ -102,7 +101,7 @@ func TestMergeOrderInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	whole, err := roundop.OneRound(op, input(2))
+	whole, err := roundop.Build(context.Background(), op, input(2), 1, roundop.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,7 @@ func BenchmarkOneRound3ProcsK1(b *testing.B) {
 	p := timing(1, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := OneRound(input, p); err != nil {
+		if _, err := build(input, p, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -18,7 +18,7 @@ func BenchmarkOneRound3ProcsK2Micro3(b *testing.B) {
 	p := Params{C1: 1, C2: 2, D: 3, PerRound: 2, Total: 2}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := OneRound(input, p); err != nil {
+		if _, err := build(input, p, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -29,7 +29,7 @@ func BenchmarkTwoRounds4ProcsK1(b *testing.B) {
 	p := timing(1, 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Rounds(input, p, 2); err != nil {
+		if _, err := build(input, p, 2); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,14 @@
 package semisync
 
-import "testing"
+import (
+	"context"
+	"errors"
+	"sync"
+	"testing"
+
+	"pseudosphere/internal/pc"
+	"pseudosphere/internal/roundop"
+)
 
 func TestParamsValidateErrors(t *testing.T) {
 	bad := []Params{
@@ -64,14 +72,14 @@ func TestOneRoundPatternRejections(t *testing.T) {
 func TestRoundsZeroAndNegative(t *testing.T) {
 	input := inputSimplex("a", "b", "c")
 	p := timing(1, 1)
-	res, err := Rounds(input, p, 0)
+	res, err := build(input, p, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Complex.Facets()) != 1 {
 		t.Fatalf("M^0 should be the input closure; got %v", res.Complex)
 	}
-	if _, err := Rounds(input, p, -1); err == nil {
+	if _, err := build(input, p, -1); err == nil {
 		t.Fatal("negative round count accepted")
 	}
 }
@@ -105,5 +113,72 @@ func TestViewSetForcedSingleton(t *testing.T) {
 	// The forced view set is contained in the full one.
 	if forced[0] != full[0] && forced[0] != full[1] {
 		t.Fatalf("forced view %q not in [F] = %v", forced[0], full)
+	}
+}
+
+// TestOneRoundParallelMatchesOneRound: the one-round complex built on
+// four workers is the union of the Lemma 19 pieces M^1_{K,F}(S) over the
+// ordered (K, F) pairs.
+func TestOneRoundParallelMatchesOneRound(t *testing.T) {
+	p := Params{C1: 1, C2: 2, D: 2, PerRound: 1, Total: 2}
+	input := inputSimplex("a", "b", "c")
+	got, err := roundop.Build(context.Background(), p.Operator(), input, 1, roundop.Options{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := pc.NewResult()
+	for _, ip := range OrderedPseudospheres(input.IDs(), p) {
+		piece, err := OneRoundPattern(input, ip.Fail, ip.Pattern, p, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.Merge(piece)
+	}
+	if got.Complex.CanonicalHash() != want.Complex.CanonicalHash() {
+		t.Error("four-worker build differs from the union of the Lemma 19 pieces")
+	}
+}
+
+// TestRoundsParallelMatchesSerial shares one operator value between
+// concurrent multi-worker builds: its option tables are read from every
+// worker of every build at once (the -race run checks the operator keeps
+// no mutable state), and each build must match the serial reference.
+func TestRoundsParallelMatchesSerial(t *testing.T) {
+	p := Params{C1: 1, C2: 2, D: 2, PerRound: 1, Total: 2}
+	input := inputSimplex("a", "b", "c")
+	want, err := LegacySerialRounds(input, p, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	op := p.Operator()
+	hashes := make([]string, 4)
+	var wg sync.WaitGroup
+	for g := range hashes {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			res, err := roundop.Build(context.Background(), op, input, 2, roundop.Options{Workers: g + 1})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			hashes[g] = res.Complex.CanonicalHash()
+		}(g)
+	}
+	wg.Wait()
+	for g, h := range hashes {
+		if h != want.Complex.CanonicalHash() {
+			t.Errorf("concurrent build on %d workers diverged from the serial reference", g+1)
+		}
+	}
+}
+
+func TestRoundsParallelCtxPreCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	p := Params{C1: 1, C2: 2, D: 2, PerRound: 1, Total: 2}
+	_, err := roundop.Build(ctx, p.Operator(), inputSimplex("a", "b", "c"), 2, roundop.Options{Workers: 4})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("want context.Canceled, got %v", err)
 	}
 }

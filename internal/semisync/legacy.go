@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"pseudosphere/internal/pc"
+	"pseudosphere/internal/syncmodel"
 	"pseudosphere/internal/topology"
 	"pseudosphere/internal/views"
 )
@@ -38,7 +39,7 @@ func legacyRoundsRec(res *pc.Result, cur []*views.View, p Params, r int) error {
 		ids[i] = v.P
 	}
 	maxFail := min(p.PerRound, p.Total)
-	for _, fail := range FailureSets(ids, maxFail) {
+	for _, fail := range syncmodel.FailureSets(ids, maxFail) {
 		for _, f := range Patterns(fail, p.Micro()) {
 			scratch := pc.NewResult()
 			if r == 1 {

@@ -8,6 +8,7 @@ import (
 
 	"pseudosphere/internal/core"
 	"pseudosphere/internal/pc"
+	"pseudosphere/internal/syncmodel"
 	"pseudosphere/internal/topology"
 )
 
@@ -139,24 +140,10 @@ type IndexedPattern struct {
 func OrderedPseudospheres(ids []int, p Params) []IndexedPattern {
 	maxFail := min(p.PerRound, p.Total)
 	var out []IndexedPattern
-	for _, fail := range FailureSets(ids, maxFail) {
+	for _, fail := range syncmodel.FailureSets(ids, maxFail) {
 		for _, f := range Patterns(fail, p.Micro()) {
 			out = append(out, IndexedPattern{Fail: fail, Pattern: f})
 		}
 	}
 	return out
-}
-
-// RoundsOverInputs returns M^r applied to the whole input complex
-// psi(P^n; values).
-func RoundsOverInputs(n int, values []string, p Params, r int) (*pc.Result, error) {
-	res := pc.NewResult()
-	for _, s := range core.InputFacets(n, values) {
-		sub, err := Rounds(s, p, r)
-		if err != nil {
-			return nil, err
-		}
-		res.Merge(sub)
-	}
-	return res, nil
 }

@@ -24,7 +24,6 @@ import (
 	"strconv"
 
 	"pseudosphere/internal/pc"
-	"pseudosphere/internal/roundop"
 	"pseudosphere/internal/topology"
 	"pseudosphere/internal/views"
 )
@@ -242,58 +241,6 @@ func appendOneRoundPattern(res *pc.Result, cur []*views.View, fail []int, f Fail
 		}
 	}
 	return facets, nil
-}
-
-// OneRound returns M^1(S): the union of M^1_{K,F}(S) over failure sets K
-// of size at most min(PerRound, Total) and all failure patterns F for K.
-func OneRound(input topology.Simplex, p Params) (*pc.Result, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	return roundop.OneRound(p.Operator(), input)
-}
-
-// Rounds returns M^r(S): r semi-synchronous rounds with at most PerRound
-// failures per round and Total overall, mirroring the synchronous
-// iterated construction.
-func Rounds(input topology.Simplex, p Params, r int) (*pc.Result, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if r < 0 {
-		return nil, fmt.Errorf("semisync: negative round count %d", r)
-	}
-	return roundop.Rounds(p.Operator(), input, r)
-}
-
-// FailureSets enumerates the subsets of ids of size at most maxSize,
-// ordered by cardinality then lexicographically (the paper's ordering on
-// process sets).
-func FailureSets(ids []int, maxSize int) [][]int {
-	sorted := append([]int(nil), ids...)
-	sort.Ints(sorted)
-	var out [][]int
-	n := len(sorted)
-	if maxSize > n {
-		maxSize = n
-	}
-	for size := 0; size <= maxSize; size++ {
-		var acc []int
-		var rec func(start int)
-		rec = func(start int) {
-			if len(acc) == size {
-				out = append(out, append([]int(nil), acc...))
-				return
-			}
-			for i := start; i < n; i++ {
-				acc = append(acc, sorted[i])
-				rec(i + 1)
-				acc = acc[:len(acc)-1]
-			}
-		}
-		rec(0)
-	}
-	return out
 }
 
 // cartesianInts enumerates the cartesian product of the given option

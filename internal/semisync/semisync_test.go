@@ -6,6 +6,7 @@ import (
 	"pseudosphere/internal/bounds"
 	"pseudosphere/internal/homology"
 	"pseudosphere/internal/task"
+	"pseudosphere/internal/testutil/coreutil"
 	"pseudosphere/internal/topology"
 )
 
@@ -144,7 +145,7 @@ func TestLemma21Connectivity(t *testing.T) {
 		input := inputSimplex(labels[:c.n+1]...)
 		sub := input[:c.m+1]
 		p := timing(c.k, c.r*c.k)
-		res, err := Rounds(sub, p, c.r)
+		res, err := build(sub, p, c.r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,10 +163,7 @@ func TestLemma21Connectivity(t *testing.T) {
 func TestOneRoundNoConsensus(t *testing.T) {
 	p := timing(1, 1)
 	values := []string{"0", "1"}
-	res, err := RoundsOverInputs(2, values, p, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := coreutil.MustBuildOverInputs(p.Operator(), 2, values, 1)
 	ann := task.AnnotateViews(res.Complex, res.Views)
 	if _, found, err := task.FindDecision(ann, 1, 0); err != nil || found {
 		t.Fatalf("consensus map found=%v err=%v; want none", found, err)

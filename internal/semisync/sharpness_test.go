@@ -12,7 +12,7 @@ import (
 func TestLemma21SideConditionSharp(t *testing.T) {
 	input := inputSimplex("a", "b", "c")
 	p := timing(1, 2)
-	res, err := Rounds(input, p, 2) // n=2 < (r+1)k = 3
+	res, err := build(input, p, 2) // n=2 < (r+1)k = 3
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func TestLemma21SideConditionSharp(t *testing.T) {
 func TestOneRoundStaysConnectedInBudget(t *testing.T) {
 	input := inputSimplex("a", "b", "c")
 	p := timing(1, 1)
-	res, err := Rounds(input, p, 1)
+	res, err := build(input, p, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

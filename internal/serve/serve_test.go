@@ -248,9 +248,9 @@ func TestStoreSurvivesRestart(t *testing.T) {
 
 // TestBettiBackingSharedAcrossParams: two different parameter tuples that
 // build hash-identical complexes share one reduction through the
-// store-backed homology cache. custommodel with k=rk coincides with the
-// sync model at f=rk (the PR 4 differential pin), so sync n=2 k=1 r=1 and
-// custom n=2 k=1 r=1 produce the same canonical hash.
+// store-backed homology cache. The custom preset compiles to the sync
+// model at f=rk, so sync n=2 k=1 r=1 and custom n=2 k=1 r=1 produce the
+// same canonical hash.
 func TestBettiBackingSharedAcrossParams(t *testing.T) {
 	dir := t.TempDir()
 	s1 := newTestServer(t, dir, nil)

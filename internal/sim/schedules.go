@@ -55,20 +55,14 @@ func EnumerateCrashSchedulesCtx(ctx context.Context, n1, f, maxRound int) ([]Cra
 	return mergeSchedules(branches), nil
 }
 
-// EnumerateCrashSchedulesParallel is EnumerateCrashSchedules with the
-// top-level branches (one per smallest crashing process) enumerated by a
-// pool of workers. Branches are merged in branch order, so the output is
-// identical to the serial enumeration for every worker count.
-func EnumerateCrashSchedulesParallel(n1, f, maxRound, workers int) []CrashSchedule {
-	out, _ := EnumerateCrashSchedulesParallelCtx(context.Background(), n1, f, maxRound, workers)
-	return out
-}
-
-// EnumerateCrashSchedulesParallelCtx is EnumerateCrashSchedulesParallel
-// threaded with a context: workers observe cancellation at the next
-// branch claim and at every crash-set subtree inside a branch, the call
-// returns ctx.Err(), and an obs.Tracker carried by the context has its
-// "schedules" counter bumped subtree by subtree.
+// EnumerateCrashSchedulesParallelCtx is EnumerateCrashSchedulesCtx with
+// the top-level branches (one per smallest crashing process) enumerated by
+// a pool of workers. Branches are merged in branch order, so the output is
+// identical to the serial enumeration for every worker count. Workers
+// observe cancellation at the next branch claim and at every crash-set
+// subtree inside a branch, the call returns ctx.Err(), and an obs.Tracker
+// carried by the context has its "schedules" counter bumped subtree by
+// subtree.
 func EnumerateCrashSchedulesParallelCtx(ctx context.Context, n1, f, maxRound, workers int) ([]CrashSchedule, error) {
 	if workers <= 1 || f <= 0 || n1 <= 1 {
 		return EnumerateCrashSchedulesCtx(ctx, n1, f, maxRound)

@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 // Pins the exact schedule counts the enumeration must produce. For n1=3,
 // f=2, maxRound=2: 1 crash-free schedule, 3 single-crash sets with
@@ -42,7 +45,10 @@ func TestEnumerateCrashSchedulesCounts(t *testing.T) {
 func TestEnumerateCrashSchedulesParallelMatchesSerial(t *testing.T) {
 	want := EnumerateCrashSchedules(4, 2, 3)
 	for _, workers := range []int{1, 2, 4, 16} {
-		got := EnumerateCrashSchedulesParallel(4, 2, 3, workers)
+		got, err := EnumerateCrashSchedulesParallelCtx(context.Background(), 4, 2, 3, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if len(got) != len(want) {
 			t.Fatalf("workers=%d: %d schedules, want %d", workers, len(got), len(want))
 		}
@@ -56,6 +62,8 @@ func TestEnumerateCrashSchedulesParallelMatchesSerial(t *testing.T) {
 
 func BenchmarkEnumerateCrashSchedulesParallel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		EnumerateCrashSchedulesParallel(4, 2, 3, 4)
+		if _, err := EnumerateCrashSchedulesParallelCtx(context.Background(), 4, 2, 3, 4); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -3,15 +3,11 @@ package similarity
 import (
 	"testing"
 
-	"pseudosphere/internal/asyncmodel"
 	"pseudosphere/internal/topology"
 )
 
 func BenchmarkNewGraph(b *testing.B) {
-	res, err := asyncmodel.RoundsOverInputs([]string{"0", "1"}, asyncmodel.Params{N: 2, F: 1}, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
+	res := binaryAsync()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := NewGraph(res.Complex, 1); err != nil {
@@ -21,10 +17,7 @@ func BenchmarkNewGraph(b *testing.B) {
 }
 
 func BenchmarkChain(b *testing.B) {
-	res, err := asyncmodel.RoundsOverInputs([]string{"0", "1"}, asyncmodel.Params{N: 2, F: 1}, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
+	res := binaryAsync()
 	g, err := NewGraph(res.Complex, 1)
 	if err != nil {
 		b.Fatal(err)

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"pseudosphere/internal/asyncmodel"
+	"pseudosphere/internal/pc"
+	"pseudosphere/internal/testutil/coreutil"
 	"pseudosphere/internal/topology"
 )
 
@@ -53,10 +55,7 @@ func TestGraphOnPath(t *testing.T) {
 // execution. Along such a chain a consensus protocol's decision cannot
 // flip, which is the 1-dimensional reading of Corollary 13.
 func TestAsyncSimilarityChain(t *testing.T) {
-	res, err := asyncmodel.RoundsOverInputs([]string{"0", "1"}, asyncmodel.Params{N: 2, F: 1}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := binaryAsync()
 	g, err := NewGraph(res.Complex, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -113,4 +112,11 @@ func TestValidateChainRejectsGap(t *testing.T) {
 	if err := ValidateChain([]topology.Simplex{a, b}, 1); err == nil {
 		t.Fatal("disjoint consecutive states accepted")
 	}
+}
+
+// binaryAsync returns the one-round asynchronous complex over every
+// binary input, n=2, f=1.
+func binaryAsync() *pc.Result {
+	p := asyncmodel.Params{N: 2, F: 1}
+	return coreutil.MustBuildOverInputs(p.Operator(), p.N, []string{"0", "1"}, 1)
 }

@@ -7,7 +7,7 @@ func BenchmarkOneRound4ProcsK1(b *testing.B) {
 	p := Params{PerRound: 1, Total: 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := OneRound(input, p); err != nil {
+		if _, err := build(input, p, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -18,7 +18,7 @@ func BenchmarkOneRound5ProcsK2(b *testing.B) {
 	p := Params{PerRound: 2, Total: 2}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := OneRound(input, p); err != nil {
+		if _, err := build(input, p, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -29,7 +29,7 @@ func BenchmarkTwoRounds4ProcsK1(b *testing.B) {
 	p := Params{PerRound: 1, Total: 2}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Rounds(input, p, 2); err != nil {
+		if _, err := build(input, p, 2); err != nil {
 			b.Fatal(err)
 		}
 	}

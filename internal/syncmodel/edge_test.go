@@ -1,6 +1,14 @@
 package syncmodel
 
-import "testing"
+import (
+	"context"
+	"errors"
+	"sync"
+	"testing"
+
+	"pseudosphere/internal/pc"
+	"pseudosphere/internal/roundop"
+)
 
 func TestParamsValidate(t *testing.T) {
 	if err := (Params{PerRound: -1, Total: 0}).Validate(); err == nil {
@@ -41,14 +49,14 @@ func TestAllFailingYieldsEmpty(t *testing.T) {
 
 func TestRoundsZeroAndNegative(t *testing.T) {
 	input := inputSimplex("a", "b", "c")
-	res, err := Rounds(input, Params{PerRound: 1, Total: 1}, 0)
+	res, err := build(input, Params{PerRound: 1, Total: 1}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Complex.Facets()) != 1 || res.Complex.Facets()[0].Dim() != 2 {
 		t.Fatalf("S^0 should be the input closure; got %v", res.Complex)
 	}
-	if _, err := Rounds(input, Params{PerRound: 1, Total: 1}, -2); err == nil {
+	if _, err := build(input, Params{PerRound: 1, Total: 1}, -2); err == nil {
 		t.Fatal("negative round count accepted")
 	}
 }
@@ -58,7 +66,7 @@ func TestRoundsZeroAndNegative(t *testing.T) {
 // singleton sets, per Lemma 4's first identity).
 func TestZeroFailureBudgetIsDegenerate(t *testing.T) {
 	input := inputSimplex("a", "b", "c")
-	res, err := OneRound(input, Params{PerRound: 0, Total: 0})
+	res, err := build(input, Params{PerRound: 0, Total: 0}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,15 +80,82 @@ func TestZeroFailureBudgetIsDegenerate(t *testing.T) {
 // two budgets.
 func TestTotalBelowPerRound(t *testing.T) {
 	input := inputSimplex("a", "b", "c")
-	limited, err := OneRound(input, Params{PerRound: 2, Total: 1})
+	limited, err := build(input, Params{PerRound: 2, Total: 1}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	exactlyOne, err := OneRound(input, Params{PerRound: 1, Total: 1})
+	exactlyOne, err := build(input, Params{PerRound: 1, Total: 1}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !limited.Complex.Equal(exactlyOne.Complex) {
 		t.Fatal("Total=1 must cap PerRound=2 to one failure")
+	}
+}
+
+// TestOneRoundParallelMatchesOneRound: the one-round complex built on
+// four workers is the union of the Lemma 14 pieces S^1_K(S) over the
+// failure sets K.
+func TestOneRoundParallelMatchesOneRound(t *testing.T) {
+	p := Params{PerRound: 1, Total: 3}
+	input := inputSimplex("a", "b", "c", "d")
+	got, err := roundop.Build(context.Background(), p.Operator(), input, 1, roundop.Options{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := pc.NewResult()
+	for _, fail := range FailureSets(input.IDs(), p.PerRound) {
+		piece, err := OneRoundExactly(input, fail)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.Merge(piece)
+	}
+	if got.Complex.CanonicalHash() != want.Complex.CanonicalHash() {
+		t.Error("four-worker build differs from the union of the Lemma 14 pieces")
+	}
+}
+
+// TestRoundsParallelMatchesSerial shares one operator value between
+// concurrent multi-worker builds: its option tables are read from every
+// worker of every build at once (the -race run checks the operator keeps
+// no mutable state), and each build must match the serial reference.
+func TestRoundsParallelMatchesSerial(t *testing.T) {
+	p := Params{PerRound: 1, Total: 2}
+	input := inputSimplex("a", "b", "c", "d")
+	want, err := LegacySerialRounds(input, p, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	op := p.Operator()
+	hashes := make([]string, 4)
+	var wg sync.WaitGroup
+	for g := range hashes {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			res, err := roundop.Build(context.Background(), op, input, 2, roundop.Options{Workers: g + 1})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			hashes[g] = res.Complex.CanonicalHash()
+		}(g)
+	}
+	wg.Wait()
+	for g, h := range hashes {
+		if h != want.Complex.CanonicalHash() {
+			t.Errorf("concurrent build on %d workers diverged from the serial reference", g+1)
+		}
+	}
+}
+
+func TestRoundsParallelCtxPreCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	p := Params{PerRound: 1, Total: 2}
+	_, err := roundop.Build(ctx, p.Operator(), inputSimplex("a", "b", "c", "d"), 2, roundop.Options{Workers: 4})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("want context.Canceled, got %v", err)
 	}
 }

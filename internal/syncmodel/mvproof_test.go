@@ -39,7 +39,7 @@ func TestLemma16ViaMayerVietoris(t *testing.T) {
 			t.Fatalf("proof has %d steps for %d pieces", len(proof.Steps), len(pieces))
 		}
 		// Cross-check against the direct computation.
-		direct, err := OneRound(input, Params{PerRound: c.k, Total: c.k})
+		direct, err := build(input, Params{PerRound: c.k, Total: c.k}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

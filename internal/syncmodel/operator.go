@@ -6,11 +6,16 @@ import (
 )
 
 // Operator returns the synchronous model as a round operator for the
-// shared engine. One synchronous round has a branch per failure set K of
-// size at most min(PerRound, Total), in the paper's order (by cardinality,
-// then lexicographically); within a branch each survivor independently
-// hears all survivors plus an arbitrary subset of K (Lemma 14). The
-// branch's continuation rounds run with the failure budget reduced by |K|.
+// shared engine; roundop.Build over it yields S^r(S), r lockstep rounds
+// with at most PerRound failures per round and Total overall. One
+// synchronous round has a branch per failure set K of size at most
+// min(PerRound, Total), in the paper's order (by cardinality, then
+// lexicographically); within a branch each survivor independently hears
+// all survivors plus an arbitrary subset of K (Lemma 14), so S^1(S) is
+// the union of the S^1_K(S). Following the paper's decomposition, the
+// executions whose first-round failure set is K continue as an
+// (r-1)-round, (Total-|K|)-faulty protocol among the survivors. Invalid
+// parameters are a Branches error.
 func (p Params) Operator() roundop.Operator {
 	return syncOperator{p: p}
 }
@@ -20,6 +25,9 @@ type syncOperator struct {
 }
 
 func (o syncOperator) Branches(cur []*views.View) ([]roundop.Branch, error) {
+	if err := o.p.Validate(); err != nil {
+		return nil, err
+	}
 	ids := make([]int, len(cur))
 	for i, v := range cur {
 		ids[i] = v.P

@@ -5,6 +5,7 @@ import (
 
 	"pseudosphere/internal/homology"
 	"pseudosphere/internal/task"
+	"pseudosphere/internal/testutil/coreutil"
 )
 
 // TestLemma16SideConditionSharp shows the n >= 2k hypothesis matters: with
@@ -20,7 +21,7 @@ func TestLemma16SideConditionSharp(t *testing.T) {
 	}
 	for _, c := range cases {
 		input := inputSimplex("a", "b", "c", "d")[:c.n+1]
-		res, err := OneRound(input, Params{PerRound: c.k, Total: c.k})
+		res, err := build(input, Params{PerRound: c.k, Total: c.k}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -36,7 +37,7 @@ func TestLemma16SideConditionSharp(t *testing.T) {
 // exhausted relative to n, the r-round complex disconnects.
 func TestLemma17SideConditionSharp(t *testing.T) {
 	input := inputSimplex("a", "b", "c")
-	res, err := Rounds(input, Params{PerRound: 1, Total: 2}, 2) // n=2 < rk+k=3
+	res, err := build(input, Params{PerRound: 1, Total: 2}, 2) // n=2 < rk+k=3
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,10 +52,7 @@ func TestLemma17SideConditionSharp(t *testing.T) {
 // regime of Theorem 18, bound floor(f/k) = 2), a consensus decision map
 // exists on the now-disconnected complex.
 func TestDisconnectionEnablesDecision(t *testing.T) {
-	res, err := RoundsOverInputs(2, []string{"0", "1"}, Params{PerRound: 1, Total: 2}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := coreutil.MustBuildOverInputs(Params{PerRound: 1, Total: 2}.Operator(), 2, []string{"0", "1"}, 2)
 	ann := task.AnnotateViews(res.Complex, res.Views)
 	dm, found, err := task.FindDecision(ann, 1, 0)
 	if err != nil || !found {
@@ -65,10 +63,7 @@ func TestDisconnectionEnablesDecision(t *testing.T) {
 	}
 
 	// And one round is still not enough: floor(f/k) = 2.
-	one, err := RoundsOverInputs(2, []string{"0", "1"}, Params{PerRound: 1, Total: 2}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	one := coreutil.MustBuildOverInputs(Params{PerRound: 1, Total: 2}.Operator(), 2, []string{"0", "1"}, 1)
 	ann = task.AnnotateViews(one.Complex, one.Views)
 	if _, found, err := task.FindDecision(ann, 1, 0); err != nil || found {
 		t.Fatalf("found=%v err=%v; one round must not suffice", found, err)

@@ -18,7 +18,6 @@ import (
 
 	"pseudosphere/internal/core"
 	"pseudosphere/internal/pc"
-	"pseudosphere/internal/roundop"
 	"pseudosphere/internal/topology"
 	"pseudosphere/internal/views"
 )
@@ -178,29 +177,6 @@ func FailureSets(ids []int, maxSize int) [][]int {
 		rec(0)
 	}
 	return out
-}
-
-// OneRound returns S^1(S): the union of S^1_K(S) over all failure sets K
-// of size at most min(PerRound, Total).
-func OneRound(input topology.Simplex, p Params) (*pc.Result, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	return roundop.OneRound(p.Operator(), input)
-}
-
-// Rounds returns S^r(S): r synchronous rounds with at most PerRound
-// failures per round and Total failures overall. The decomposition follows
-// the paper: the executions whose first-round failure set is K continue as
-// an (r-1)-round, (Total-|K|)-faulty protocol among the survivors.
-func Rounds(input topology.Simplex, p Params, r int) (*pc.Result, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if r < 0 {
-		return nil, fmt.Errorf("syncmodel: negative round count %d", r)
-	}
-	return roundop.Rounds(p.Operator(), input, r)
 }
 
 // Lemma14Pseudosphere builds the abstract pseudosphere psi(S\K; 2^K) of

@@ -6,6 +6,7 @@ import (
 	"pseudosphere/internal/bounds"
 	"pseudosphere/internal/homology"
 	"pseudosphere/internal/task"
+	"pseudosphere/internal/testutil/coreutil"
 	"pseudosphere/internal/topology"
 )
 
@@ -47,7 +48,7 @@ func TestLemma14Isomorphism(t *testing.T) {
 // edges of which one is a face of the triangle: 1 + 3*3 = 10 facets.
 func TestFigure3(t *testing.T) {
 	input := inputSimplex("a", "b", "c")
-	res, err := OneRound(input, Params{PerRound: 1, Total: 1})
+	res, err := build(input, Params{PerRound: 1, Total: 1}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +137,7 @@ func TestLemma16Connectivity(t *testing.T) {
 		}
 		input := inputSimplex(labels[:c.n+1]...)
 		sub := input[:c.m+1]
-		res, err := OneRound(sub, Params{PerRound: c.k, Total: c.k})
+		res, err := build(sub, Params{PerRound: c.k, Total: c.k}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,7 +168,7 @@ func TestLemma17Connectivity(t *testing.T) {
 		}
 		input := inputSimplex(labels[:c.n+1]...)
 		sub := input[:c.m+1]
-		res, err := Rounds(sub, Params{PerRound: c.k, Total: c.r * c.k}, c.r)
+		res, err := build(sub, Params{PerRound: c.k, Total: c.r * c.k}, c.r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,19 +192,13 @@ func TestTheorem18Boundary(t *testing.T) {
 	values := []string{"0", "1"}
 	p := Params{PerRound: 1, Total: 1}
 
-	oneRound, err := RoundsOverInputs(2, values, p, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	oneRound := coreutil.MustBuildOverInputs(p.Operator(), 2, values, 1)
 	ann := task.AnnotateViews(oneRound.Complex, oneRound.Views)
 	if _, found, err := task.FindDecision(ann, 1, 0); err != nil || found {
 		t.Fatalf("1-round consensus map found=%v err=%v; want none", found, err)
 	}
 
-	twoRounds, err := RoundsOverInputs(2, values, p, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	twoRounds := coreutil.MustBuildOverInputs(p.Operator(), 2, values, 2)
 	ann = task.AnnotateViews(twoRounds.Complex, twoRounds.Views)
 	dm, found, err := task.FindDecision(ann, 1, 0)
 	if err != nil || !found {
@@ -219,7 +214,7 @@ func TestTheorem18Boundary(t *testing.T) {
 // most one process overall.
 func TestRoundsRespectsTotalBudget(t *testing.T) {
 	input := inputSimplex("a", "b", "c")
-	res, err := Rounds(input, Params{PerRound: 1, Total: 1}, 2)
+	res, err := build(input, Params{PerRound: 1, Total: 1}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,18 +7,11 @@ import (
 	"sync/atomic"
 )
 
-// FindDecisionCtx is FindDecision with cooperative cancellation: the
-// backtracking search checks the context at every node and returns
-// ctx.Err() once it fires. The k = 1 consensus procedure is polynomial
-// and always runs to completion.
-func FindDecisionCtx(ctx context.Context, a *Annotated, k int, nodeLimit int64) (DecisionMap, bool, error) {
-	return FindDecisionParallelCtx(ctx, a, k, nodeLimit, 1)
-}
-
-// FindDecisionParallel is FindDecision with the k >= 2 backtracking search
-// split across workers: the first decision variable's domain values become
-// independent branches, each explored by its own goroutine with private
-// assignment state over the shared read-only search setup.
+// FindDecisionParallelCtx is FindDecision with the k >= 2 backtracking
+// search split across workers and threaded with a context. The first
+// decision variable's domain values become independent branches, each
+// explored by its own goroutine with private assignment state over the
+// shared read-only search setup; at workers <= 1 the search runs serially.
 //
 // The branches share one atomic node budget (nodeLimit <= 0 means
 // unlimited). When a branch succeeds, only higher-indexed branches are
@@ -28,16 +21,12 @@ func FindDecisionCtx(ctx context.Context, a *Annotated, k int, nodeLimit int64) 
 // surviving branch wins even if another branch exhausted the budget — the
 // map is still a valid certificate — and ErrSearchLimit is reported only
 // when no branch succeeds.
-func FindDecisionParallel(a *Annotated, k int, nodeLimit int64, workers int) (DecisionMap, bool, error) {
-	return FindDecisionParallelCtx(context.Background(), a, k, nodeLimit, workers)
-}
-
-// FindDecisionParallelCtx is FindDecisionParallel threaded with a context:
-// every branch's per-node abort probe additionally observes cancellation,
+//
+// Every branch's per-node abort probe additionally observes cancellation,
 // so the search unwinds within one node expansion of ctx firing and the
 // call returns ctx.Err() (unless some branch had already found a decision
-// map, which is returned — it is a valid certificate regardless). With an
-// uncancellable context the behavior is exactly FindDecisionParallel.
+// map, which is returned — it is a valid certificate regardless). The
+// k = 1 consensus procedure is polynomial and always runs to completion.
 func FindDecisionParallelCtx(ctx context.Context, a *Annotated, k int, nodeLimit int64, workers int) (DecisionMap, bool, error) {
 	if err := a.Validate(); err != nil {
 		return nil, false, err

@@ -1,11 +1,13 @@
 package task
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
 
 	"pseudosphere/internal/asyncmodel"
+	"pseudosphere/internal/roundop"
 	"pseudosphere/internal/topology"
 )
 
@@ -17,7 +19,7 @@ func roundAnnotated(t testing.TB, n, f int) *Annotated {
 	for i := range verts {
 		verts[i] = topology.Vertex{P: i, Label: fmt.Sprintf("%d", i)}
 	}
-	res, err := asyncmodel.OneRound(mustSimplex(verts...), asyncmodel.Params{N: n, F: f})
+	res, err := roundop.Build(context.Background(), asyncmodel.Params{N: n, F: f}.Operator(), mustSimplex(verts...), 1, roundop.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +43,7 @@ func TestFindDecisionParallelMatchesSerial(t *testing.T) {
 			t.Fatalf("n=%d f=%d k=%d: serial: %v", tc.n, tc.f, tc.k, err)
 		}
 		for _, workers := range []int{1, 2, 4, 8} {
-			dm, ok, err := FindDecisionParallel(a, tc.k, 0, workers)
+			dm, ok, err := FindDecisionParallelCtx(context.Background(), a, tc.k, 0, workers)
 			if err != nil {
 				t.Fatalf("n=%d f=%d k=%d w=%d: %v", tc.n, tc.f, tc.k, workers, err)
 			}
@@ -67,7 +69,7 @@ func TestFindDecisionParallelDeterministic(t *testing.T) {
 		t.Fatalf("serial: ok=%v err=%v", ok, err)
 	}
 	for trial := 0; trial < 5; trial++ {
-		dm, ok, err := FindDecisionParallel(a, 2, 0, 4)
+		dm, ok, err := FindDecisionParallelCtx(context.Background(), a, 2, 0, 4)
 		if err != nil || !ok {
 			t.Fatalf("trial %d: ok=%v err=%v", trial, ok, err)
 		}
@@ -81,7 +83,7 @@ func TestFindDecisionParallelDeterministic(t *testing.T) {
 
 func TestFindDecisionParallelNodeLimit(t *testing.T) {
 	a := roundAnnotated(t, 2, 2) // unsolvable: the search must exhaust
-	_, ok, err := FindDecisionParallel(a, 2, 10, 4)
+	_, ok, err := FindDecisionParallelCtx(context.Background(), a, 2, 10, 4)
 	if ok {
 		t.Fatal("k=2 on a wait-free round should be unsolvable")
 	}
@@ -89,7 +91,7 @@ func TestFindDecisionParallelNodeLimit(t *testing.T) {
 		t.Fatalf("expected ErrSearchLimit with a 10-node budget, got %v", err)
 	}
 	// Consensus path ignores workers and the limit entirely.
-	if _, _, err := FindDecisionParallel(a, 1, 1, 4); err != nil {
+	if _, _, err := FindDecisionParallelCtx(context.Background(), a, 1, 1, 4); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -98,7 +100,7 @@ func BenchmarkFindDecisionParallel(b *testing.B) {
 	a := roundAnnotated(b, 2, 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok, err := FindDecisionParallel(a, 2, 0, 4); ok || err != nil {
+		if _, ok, err := FindDecisionParallelCtx(context.Background(), a, 2, 0, 4); ok || err != nil {
 			b.Fatalf("ok=%v err=%v", ok, err)
 		}
 	}

@@ -1,12 +1,14 @@
 package topology_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
 	"pseudosphere/internal/asyncmodel"
 	"pseudosphere/internal/core"
 	"pseudosphere/internal/homology"
+	"pseudosphere/internal/roundop"
 	"pseudosphere/internal/semisync"
 	"pseudosphere/internal/syncmodel"
 	"pseudosphere/internal/topology"
@@ -56,19 +58,19 @@ func requireAgreement(t *testing.T, ctx string, c *topology.Complex) {
 }
 
 func TestDifferentialRoundComplexes(t *testing.T) {
-	async, err := asyncmodel.OneRound(diffInput(2), asyncmodel.Params{N: 2, F: 1})
+	async, err := roundop.Build(context.Background(), asyncmodel.Params{N: 2, F: 1}.Operator(), diffInput(2), 1, roundop.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireAgreement(t, "A^1 n=2 f=1", async.Complex)
 
-	sync1, err := syncmodel.OneRound(diffInput(2), syncmodel.Params{PerRound: 1, Total: 2})
+	sync1, err := roundop.Build(context.Background(), syncmodel.Params{PerRound: 1, Total: 2}.Operator(), diffInput(2), 1, roundop.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireAgreement(t, "S^1 n=2 k=1", sync1.Complex)
 
-	semi, err := semisync.OneRound(diffInput(2), semisync.Params{C1: 1, C2: 2, D: 2, PerRound: 1, Total: 2})
+	semi, err := roundop.Build(context.Background(), semisync.Params{C1: 1, C2: 2, D: 2, PerRound: 1, Total: 2}.Operator(), diffInput(2), 1, roundop.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
