@@ -13,6 +13,7 @@ import (
 	"pseudosphere/internal/core"
 	"pseudosphere/internal/experiments"
 	"pseudosphere/internal/homology"
+	"pseudosphere/internal/pc"
 	"pseudosphere/internal/protocols"
 	"pseudosphere/internal/roundop"
 	"pseudosphere/internal/semisync"
@@ -291,6 +292,35 @@ func BenchmarkE19BuildReduceA1n3f3(b *testing.B) {
 		e := homology.NewEngine(1, nil)
 		if betti := e.BettiZ2(res.Complex); betti[0] != 1 {
 			b.Fatal("unexpected homology")
+		}
+	}
+}
+
+// discardCkpt is a Checkpointer that keeps nothing: every Restore is a
+// fresh start and every Flush drops its delta.
+type discardCkpt struct{}
+
+func (discardCkpt) Restore(int) ([]bool, *pc.Result, error) { return nil, nil, nil }
+func (discardCkpt) Flush([]int, *pc.Result) error           { return nil }
+
+// BenchmarkBuildCkpt is the checkpointed-enumeration canary gated by
+// .github/bench_baseline.json: A^1 n=3 f=3 (6560 simplexes) built at one
+// worker with a flush every 8 shards into a checkpointer that discards
+// its deltas. It times what a job's build adds to the plain enumeration
+// E3 and E19 time (batching shards and merging the batches), without the
+// encoding and fsync BenchmarkCkptFlush times.
+func BenchmarkBuildCkpt(b *testing.B) {
+	input := inputSimplex(3)
+	op := asyncmodel.Params{N: 3, F: 3}.Operator()
+	opts := roundop.Options{Workers: 1, Checkpoint: discardCkpt{}, FlushEvery: 8}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := roundop.Build(context.Background(), op, input, 1, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Complex.Size() != 6560 {
+			b.Fatalf("built %d simplexes, want 6560", res.Complex.Size())
 		}
 	}
 }

@@ -17,7 +17,9 @@ import (
 	"pseudosphere/internal/obs"
 	"pseudosphere/internal/pc"
 	"pseudosphere/internal/roundop"
+	"pseudosphere/internal/store"
 	"pseudosphere/internal/topology"
+	"pseudosphere/internal/views"
 )
 
 func testInput(m int) topology.Simplex {
@@ -518,6 +520,55 @@ func TestHandlersRejectProtocolErrors(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("corrupt frame: status %d, want 400", resp.StatusCode)
+	}
+
+	// A well-framed completion for a live lease whose delta is not
+	// face-closed (an edge without its vertices) is a 400 as well. It
+	// merges nothing and leaves the lease alone: once the lease expires
+	// its range is reclaimed like any abandoned one.
+	_, _, plan := testModel(t, "model=async&n=3&f=3&r=1")
+	now := time.Unix(1000, 0)
+	b := &build{
+		id:       "live",
+		plan:     plan,
+		state:    make([]uint8, plan.NumShards()),
+		leases:   make(map[uint64]*lease),
+		res:      pc.NewResult(),
+		leaseDur: time.Second,
+		maxClaim: 2,
+		local:    "local",
+		now:      func() time.Time { return now },
+		tr:       coord.tracker,
+		shardCtr: coord.tracker.Counter("shards_done"),
+		facetCtr: coord.tracker.Counter("facets"),
+		doneCh:   make(chan struct{}),
+	}
+	if !coord.register(b) {
+		t.Fatal("register live build")
+	}
+	l := b.claim("w", 2)
+	payload, err := json.Marshal(shardDelta{
+		Build: "live", Lease: l.Lease, Shards: []int{l.Lo, l.Lo + 1},
+		Verts: []pc.DeltaVert{{P: 0, L: views.Initial(0, "a").Encode()}, {P: 1, L: views.Initial(1, "b").Encode()}},
+		Simps: [][]int32{{0, 1}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err = http.Post(ts.URL+CompletePath, "application/octet-stream", bytes.NewReader(store.EncodeFrame(payload)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("delta that is not face-closed: status %d, want 400", resp.StatusCode)
+	}
+	if b.closed || b.doneCnt != 0 || !b.res.Complex.IsEmpty() {
+		t.Fatalf("bad delta changed the build: closed %v, done %d, size %d", b.closed, b.doneCnt, b.res.Complex.Size())
+	}
+	now = now.Add(2 * time.Second)
+	if again := b.claim("heir", 2); again.Lo != l.Lo || again.Hi != l.Hi {
+		t.Fatalf("claim after expiry = %+v, want the range [%d,%d) back", again, l.Lo, l.Hi)
 	}
 }
 

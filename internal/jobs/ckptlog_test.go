@@ -2,6 +2,7 @@ package jobs_test
 
 import (
 	"context"
+	"encoding/json"
 	"net/url"
 	"os"
 	"path/filepath"
@@ -9,8 +10,12 @@ import (
 
 	"pseudosphere/internal/jobs"
 	"pseudosphere/internal/modelspec"
+	"pseudosphere/internal/obs"
 	"pseudosphere/internal/pc"
+	"pseudosphere/internal/roundop"
+	"pseudosphere/internal/store"
 	"pseudosphere/internal/topology"
+	"pseudosphere/internal/views"
 )
 
 // goldenIISHash is the CanonicalHash of IIS n=2 r=2 over inputs a, b, c,
@@ -123,6 +128,39 @@ func TestRestoreSortedEncoderLog(t *testing.T) {
 	}
 	if got := restoredHash(t, openCopy(t, written), goldenIISShards); got != goldenIISHash {
 		t.Fatalf("current-encoder log restores to %s, want %s", got, goldenIISHash)
+	}
+}
+
+// TestRestoreSkipsUnclosedDelta: a shard record whose delta is not
+// face-closed (an edge without its vertices) fails validation like any
+// corrupt record. Restore skips it, so the build re-runs its shards and
+// lands on the plain build's complex instead of the broken one.
+func TestRestoreSkipsUnclosedDelta(t *testing.T) {
+	inst, input := buildQuery(t, "model=iis&n=2&r=1")
+	want := buildResult(t, "model=iis&n=2&r=1").Complex.CanonicalHash()
+	plan, err := roundop.PlanShards(inst.Operator(), input, inst.R)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := json.Marshal(map[string]any{
+		"t": "shards", "total": plan.NumShards(), "done": []int{0, 1},
+		"verts": []pc.DeltaVert{{P: 0, L: views.Initial(0, "a").Encode()}, {P: 1, L: views.Initial(1, "b").Encode()}},
+		"simps": [][]int32{{0, 1}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := openCopy(t, store.EncodeFrame(payload))
+	tr := obs.NewTracker()
+	res, err := inst.BuildCkpt(obs.WithTracker(context.Background(), tr), input, 1, 2, log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tr.Counters()["shards_restored"]; got != 0 {
+		t.Fatalf("shards_restored = %d, want 0: the record must be skipped", got)
+	}
+	if got := res.Complex.CanonicalHash(); got != want {
+		t.Fatalf("build over the bad record hashes %s, want %s", got, want)
 	}
 }
 

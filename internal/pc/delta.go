@@ -2,6 +2,7 @@ package pc
 
 import (
 	"fmt"
+	"slices"
 
 	"pseudosphere/internal/topology"
 	"pseudosphere/internal/views"
@@ -48,12 +49,13 @@ func EncodeDelta(r *Result) ([]DeltaVert, [][]int32) {
 	return verts, simps
 }
 
-// DecodeDelta validates an encoded delta in full and only then builds it
-// into a new result: every label must decode to a view of its process id,
-// every row index must name a table entry, and every row must be a
-// chromatic simplex. A corrupt or adversarial delta therefore yields an
-// error and never a half-built result. The delta must be face-closed, as
-// anything EncodeDelta wrote is.
+// DecodeDelta validates an encoded delta in full and returns the result
+// only when every check passes: every label must decode to a view of its
+// process id, every row index must name a table entry, every row must be
+// a chromatic simplex, and the rows must be face-closed, as anything
+// EncodeDelta wrote is. A corrupt or adversarial delta therefore yields
+// an error and never a result, in particular never a complex holding a
+// simplex without its faces.
 func DecodeDelta(verts []DeltaVert, simps [][]int32) (*Result, error) {
 	table := make([]topology.Vertex, len(verts))
 	vw := make([]*views.View, len(verts))
@@ -86,6 +88,16 @@ func DecodeDelta(verts []DeltaVert, simps [][]int32) (*Result, error) {
 	}
 	for _, s := range ss {
 		r.Complex.AddClosed(s)
+	}
+	// AddClosed trusted the rows to be face-closed; check it. Each entry's
+	// codimension-1 faces must be entries too (EntryFaces yields -1 for a
+	// missing one), and by induction on dimension so must all its faces.
+	var faces []int32
+	for ei := int32(0); ei < int32(r.Complex.EntryCount()); ei++ {
+		faces = r.Complex.EntryFaces(ei, faces[:0])
+		if slices.Contains(faces, -1) {
+			return nil, fmt.Errorf("pc: delta is not face-closed: a face of %v is missing", r.Complex.EntrySimplex(ei))
+		}
 	}
 	return r, nil
 }

@@ -134,6 +134,8 @@ func TestDecodeDeltaRejects(t *testing.T) {
 		{"index past the table", good, [][]int32{{0}, {2}}},
 		{"negative index", good, [][]int32{{-1}}},
 		{"non-chromatic row", append(good, pc.DeltaVert{P: 1, L: c}), [][]int32{{1, 2}}},
+		{"edge without its vertices", good, [][]int32{{0, 1}}},
+		{"edge without one vertex", good, [][]int32{{0}, {0, 1}}},
 	} {
 		if res, err := pc.DecodeDelta(tc.verts, tc.simps); err == nil || res != nil {
 			t.Fatalf("%s: DecodeDelta = (%v, %v), want an error and no result", tc.name, res, err)

@@ -21,6 +21,9 @@ type Options struct {
 	Checkpoint Checkpointer
 	// FlushEvery is the number of completed shards batched into one
 	// Checkpoint.Flush (at least 1). It is unused without a Checkpoint.
+	// Each worker batches the shards it runs itself, so with W workers
+	// up to W·(FlushEvery−1) completed shards sit in unfinished batches,
+	// and a SIGKILL loses those, plus any full batch not yet flushed.
 	FlushEvery int
 }
 
@@ -45,12 +48,13 @@ type Options struct {
 // of an in-tree operator ends with the counter at EstimateFacets.
 //
 // With a Checkpoint, shards a previous run persisted are skipped and
-// their partial result restored; completed shards are batched and handed
-// to Checkpoint.Flush every FlushEvery shards before they are merged into
-// the result. On cancellation the pending batch is still flushed, so a
-// SIGTERM mid-build loses at most the shards in flight, never completed
-// ones. The result is the same complex, resumed or not, because shards
-// partition the facet product and the complex is a set.
+// their partial result restored; each claim loop runs its shards into a
+// private batch that is handed to Checkpoint.Flush every FlushEvery shards
+// before it is merged into the result. On cancellation every loop hands
+// over its partial batch, which is flushed too, so a SIGTERM mid-build
+// loses at most the shards in flight, never completed ones. The result is
+// the same complex, resumed or not, because shards partition the facet
+// product and the complex is a set.
 func Build(ctx context.Context, op Operator, input topology.Simplex, r int, o Options) (*pc.Result, error) {
 	if r < 0 {
 		return nil, fmt.Errorf("roundop: negative round count %d", r)
@@ -77,7 +81,7 @@ func Build(ctx context.Context, op Operator, input topology.Simplex, r int, o Op
 	case o.Checkpoint != nil:
 		err = d.checkpointed(res, workers, max(o.FlushEvery, 1), o.Checkpoint)
 	case workers == 1:
-		d.claim(res, nil)
+		d.claim(res, len(todo))
 		err = d.stopped()
 	default:
 		err = d.pooled(res, workers)
@@ -100,31 +104,28 @@ type drain struct {
 }
 
 // claim is the shard claim loop. It runs the next pending shard into
-// into, or, when into is nil, into a fresh result that it passes to
-// emit, until the shards run out, a shard fails, or ctx is cancelled.
-// It reads ctx.Err() directly, so cancellation is synchronous: once
-// cancel() returns, no loop claims another shard (the checkpoint tests
-// rely on this bound).
-func (d *drain) claim(into *pc.Result, emit func(shard int, res *pc.Result)) {
-	for d.ctx.Err() == nil && d.err.Load() == nil {
+// into until it has run limit shards, the shards run out, a shard fails,
+// or ctx is cancelled, and returns the indices of the shards it
+// completed — none when a shard failed, since into then holds part of
+// that shard. It reads ctx.Err() directly, so cancellation is
+// synchronous: once cancel() returns, no loop claims another shard (the
+// checkpoint tests rely on this bound).
+func (d *drain) claim(into *pc.Result, limit int) []int {
+	var ran []int
+	for len(ran) < limit && d.ctx.Err() == nil && d.err.Load() == nil {
 		j := d.next.Add(1) - 1
 		if j >= int64(len(d.todo)) {
-			return
+			break
 		}
-		res := into
-		if res == nil {
-			res = pc.NewResult()
-		}
-		n, err := runShard(res, d.plan.jobs[d.todo[j]], d.plan.r)
+		n, err := runShard(into, d.plan.jobs[d.todo[j]], d.plan.r)
 		if err != nil {
 			d.fail(err)
-			return
+			return nil
 		}
 		d.facets.Add(uint64(n))
-		if emit != nil {
-			emit(d.todo[j], res)
-		}
+		ran = append(ran, d.todo[j])
 	}
+	return ran
 }
 
 // fail records the first error that stops the claim loops.
@@ -149,7 +150,7 @@ func (d *drain) pooled(res *pc.Result, workers int) error {
 		wg.Add(1)
 		go func(local *pc.Result) {
 			defer wg.Done()
-			d.claim(local, nil)
+			d.claim(local, len(d.todo))
 		}(locals[w])
 	}
 	wg.Wait()

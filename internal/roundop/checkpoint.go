@@ -71,34 +71,45 @@ func restore(ctx context.Context, plan *ShardPlan, res *pc.Result, ck Checkpoint
 	return todo, nil
 }
 
-// checkpointed runs the claim loop on workers goroutines, each shard into
-// its own result handed to a collector (this goroutine), which batches
-// shard results and flushes them through ck every flushEvery shards —
-// Flush first, then merge into res, so the checkpoint never claims shards
-// the result lacks and the result never includes shards the checkpoint
-// could lose. On cancellation or enumeration error the pending batch is
-// still flushed.
+// checkpointed runs the claim loop on workers goroutines. Each runs its
+// shards into a private batch and hands the batch to a collector (this
+// goroutine) after flushEvery shards, and its partial batch when it
+// stops. The collector flushes each batch through ck and then merges it
+// into res, so the checkpoint never claims shards the result lacks and
+// the result never includes shards the checkpoint could lose. On
+// cancellation every loop's partial batch is still flushed; a loop whose
+// shard fails drops its batch, which holds part of that shard, and the
+// other loops' batches are flushed.
 func (d *drain) checkpointed(res *pc.Result, workers, flushEvery int, ck Checkpointer) error {
 	tr := obs.FromContext(d.ctx)
 	shardCtr := tr.Counter("shards_done")
 	flushCtr := tr.Counter("ckpt_flushes")
 
-	type shardOut struct {
-		idx   int
-		local *pc.Result
+	type batch struct {
+		done  []int
+		delta *pc.Result
 	}
 	// The out channel's backpressure (at most one buffered and one
-	// in-hand result per worker), together with claim's synchronous
-	// ctx check, bounds how many shards can complete after a kill, which
-	// is what makes the kill-mid-build checkpoint tests deterministic
+	// in-hand batch per worker), together with claim's synchronous ctx
+	// check, bounds how many shards can complete after a kill, which is
+	// what makes the kill-mid-build checkpoint tests deterministic
 	// instead of a race against the goroutine scheduler.
-	out := make(chan shardOut, workers)
+	out := make(chan batch, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			d.claim(nil, func(idx int, local *pc.Result) { out <- shardOut{idx: idx, local: local} })
+			for {
+				local := pc.NewResult()
+				done := d.claim(local, flushEvery)
+				if len(done) > 0 {
+					out <- batch{done: done, delta: local}
+				}
+				if len(done) < flushEvery {
+					return
+				}
+			}
 		}()
 	}
 	go func() {
@@ -106,43 +117,22 @@ func (d *drain) checkpointed(res *pc.Result, workers, flushEvery int, ck Checkpo
 		close(out)
 	}()
 
-	pending := pc.NewResult()
-	var pendingIdx []int
-	flush := func() error {
-		if len(pendingIdx) == 0 {
-			return nil
-		}
-		if err := ck.Flush(pendingIdx, pending); err != nil {
-			return fmt.Errorf("roundop: flush checkpoint: %w", err)
-		}
-		flushCtr.Add(1)
-		res.Merge(pending)
-		pending = pc.NewResult()
-		pendingIdx = nil
-		return nil
-	}
 	var flushErr error
-	for so := range out {
+	for b := range out {
 		if flushErr != nil {
 			continue // drain so workers sending on out never block
 		}
-		pending.Merge(so.local)
-		pendingIdx = append(pendingIdx, so.idx)
-		shardCtr.Add(1)
-		if len(pendingIdx) >= flushEvery {
-			if flushErr = flush(); flushErr != nil {
-				d.fail(flushErr)
-			}
+		if err := ck.Flush(b.done, b.delta); err != nil {
+			flushErr = fmt.Errorf("roundop: flush checkpoint: %w", err)
+			d.fail(flushErr)
+			continue
 		}
+		flushCtr.Add(1)
+		shardCtr.Add(uint64(len(b.done)))
+		res.Merge(b.delta)
 	}
 	if flushErr != nil {
 		return flushErr
-	}
-	// Flush whatever completed since the last batch — on the happy path,
-	// after an enumeration error, and critically after cancellation:
-	// this is what makes SIGTERM lose in-flight shards only.
-	if err := flush(); err != nil {
-		return err
 	}
 	return d.stopped()
 }

@@ -17,18 +17,19 @@ import (
 // face.
 //
 // Internally the complex interns vertices into dense int32 ids and stores
-// each simplex as its id sequence keyed by a 64-bit hash (see intern.go),
-// so membership and face closure run without building string keys. The
-// representation is invisible through this API; ReferenceComplex retains
-// the original string-keyed builder for differential testing.
+// each simplex as its id sequence in one flat arena, found through an
+// open-addressing index over a 64-bit hash (see intern.go), so membership
+// and face closure run without building string keys. The representation
+// is invisible through this API; ReferenceComplex retains the original
+// string-keyed builder for differential testing.
 type Complex struct {
-	verts   map[Vertex]int32   // intern table
-	byID    []Vertex           // id -> vertex
-	table   map[uint64][]int32 // simplex hash -> entry indices
-	entries []simplexEntry     // all simplexes, insertion order
-	counts  []int              // f-vector, maintained incrementally
-	dim     int                // highest dimension seen; -1 when empty
-	arena   []int32            // chunked backing store for entry ids
+	verts  map[Vertex]int32 // intern table
+	byID   []Vertex         // id -> vertex
+	index  []uint64         // open-addressing simplex index; 0 = empty slot
+	ids    []int32          // id arena: every entry's ids, insertion order
+	ends   []int32          // end offset in ids of each entry
+	counts []int            // f-vector, maintained incrementally
+	dim    int              // highest dimension seen; -1 when empty
 
 	// Memoized CanonicalHash; insert, the single mutation point, clears it.
 	hash atomic.Pointer[string]
@@ -45,7 +46,6 @@ type Complex struct {
 func NewComplex() *Complex {
 	return &Complex{
 		verts: make(map[Vertex]int32),
-		table: make(map[uint64][]int32),
 		dim:   -1,
 	}
 }
@@ -88,7 +88,7 @@ func (c *Complex) AddClosed(s Simplex) {
 // member of every nonempty complex.
 func (c *Complex) Has(s Simplex) bool {
 	if len(s) == 0 {
-		return len(c.entries) > 0
+		return len(c.ends) > 0
 	}
 	ids, ok := c.lookupIDs(s)
 	if !ok {
@@ -104,10 +104,10 @@ func (c *Complex) HasVertex(v Vertex) bool {
 }
 
 // Size returns the total number of nonempty simplexes.
-func (c *Complex) Size() int { return len(c.entries) }
+func (c *Complex) Size() int { return len(c.ends) }
 
 // IsEmpty reports whether the complex has no simplexes.
-func (c *Complex) IsEmpty() bool { return len(c.entries) == 0 }
+func (c *Complex) IsEmpty() bool { return len(c.ends) == 0 }
 
 // Dim returns the dimension of the complex (-1 if empty).
 func (c *Complex) Dim() int { return c.dim }
@@ -118,8 +118,8 @@ func (c *Complex) Simplices(dim int) []Simplex {
 		return nil
 	}
 	eis := make([]int32, 0, c.counts[dim])
-	for ei := range c.entries {
-		if len(c.entries[ei].ids) == dim+1 {
+	for ei := range c.ends {
+		if len(c.entryIDs(int32(ei))) == dim+1 {
 			eis = append(eis, int32(ei))
 		}
 	}
@@ -130,7 +130,7 @@ func (c *Complex) Simplices(dim int) []Simplex {
 // AllSimplices returns every simplex of the complex, sorted by dimension
 // then key.
 func (c *Complex) AllSimplices() []Simplex {
-	eis := make([]int32, len(c.entries))
+	eis := make([]int32, len(c.ends))
 	for i := range eis {
 		eis[i] = int32(i)
 	}
@@ -199,10 +199,10 @@ func (c *Complex) FacetCount() int {
 // of another. Because the complex is closed under faces, a simplex is
 // maximal exactly when it is not a codimension-1 face of another simplex.
 func (c *Complex) nonMaximal() []bool {
-	nonMax := make([]bool, len(c.entries))
+	nonMax := make([]bool, len(c.ends))
 	face := make([]int32, c.dim+1) // local: this is a read and may run concurrently
-	for ei := range c.entries {
-		ids := c.entries[ei].ids
+	for ei := range c.ends {
+		ids := c.entryIDs(int32(ei))
 		if len(ids) < 2 {
 			continue
 		}
@@ -223,13 +223,13 @@ func (c *Complex) nonMaximal() []bool {
 func (c *Complex) simplicesAt(eis []int32) []Simplex {
 	total := 0
 	for _, ei := range eis {
-		total += len(c.entries[ei].ids)
+		total += len(c.entryIDs(ei))
 	}
 	flat := make([]Vertex, total)
 	out := make([]Simplex, len(eis))
 	off := 0
 	for i, ei := range eis {
-		ids := c.entries[ei].ids
+		ids := c.entryIDs(ei)
 		s := flat[off : off+len(ids) : off+len(ids)]
 		for j, id := range ids {
 			s[j] = c.byID[id]
@@ -263,22 +263,20 @@ func (c *Complex) EulerCharacteristic() int {
 	return chi
 }
 
-// Clone returns a deep-enough copy of the complex (entry id slices are
-// shared; they are immutable once inserted).
+// Clone returns an independent copy of the complex: inserting into one
+// leaves the other unchanged.
 func (c *Complex) Clone() *Complex {
 	out := &Complex{
-		verts:   make(map[Vertex]int32, len(c.verts)),
-		byID:    append([]Vertex(nil), c.byID...),
-		table:   make(map[uint64][]int32, len(c.table)),
-		entries: append([]simplexEntry(nil), c.entries...),
-		counts:  append([]int(nil), c.counts...),
-		dim:     c.dim,
+		verts:  make(map[Vertex]int32, len(c.verts)),
+		byID:   append([]Vertex(nil), c.byID...),
+		index:  append([]uint64(nil), c.index...),
+		ids:    append([]int32(nil), c.ids...),
+		ends:   append([]int32(nil), c.ends...),
+		counts: append([]int(nil), c.counts...),
+		dim:    c.dim,
 	}
 	for v, id := range c.verts {
 		out.verts[v] = id
-	}
-	for h, bucket := range c.table {
-		out.table[h] = append([]int32(nil), bucket...)
 	}
 	return out
 }
@@ -299,8 +297,8 @@ func (c *Complex) UnionWith(d *Complex) {
 	}
 	trans := c.translationTo(d)
 	buf := make([]int32, d.dim+1)
-	for ei := range d.entries {
-		ids, _ := translate(d.entries[ei].ids, trans, buf)
+	for ei := range d.ends {
+		ids, _ := translate(d.entryIDs(int32(ei)), trans, buf)
 		c.insertIfAbsent(ids)
 	}
 }
@@ -310,7 +308,7 @@ func (c *Complex) UnionWith(d *Complex) {
 // no closure step is needed.
 func (c *Complex) Intersection(d *Complex) *Complex {
 	small, large := c, d
-	if len(d.entries) < len(c.entries) {
+	if len(d.ends) < len(c.ends) {
 		small, large = d, c
 	}
 	out := NewComplex()
@@ -319,8 +317,8 @@ func (c *Complex) Intersection(d *Complex) *Complex {
 	}
 	trans := large.lookupTranslation(small)
 	buf := make([]int32, small.dim+1)
-	for ei := range small.entries {
-		ids, ok := translate(small.entries[ei].ids, trans, buf)
+	for ei := range small.ends {
+		ids, ok := translate(small.entryIDs(int32(ei)), trans, buf)
 		if !ok || large.find(ids, hashIDs(ids)) < 0 {
 			continue
 		}
@@ -331,7 +329,7 @@ func (c *Complex) Intersection(d *Complex) *Complex {
 
 // Equal reports whether c and d have exactly the same simplexes.
 func (c *Complex) Equal(d *Complex) bool {
-	if len(c.entries) != len(d.entries) {
+	if len(c.ends) != len(d.ends) {
 		return false
 	}
 	return c.IsSubcomplexOf(d)
@@ -339,7 +337,7 @@ func (c *Complex) Equal(d *Complex) bool {
 
 // IsSubcomplexOf reports whether every simplex of c is a simplex of d.
 func (c *Complex) IsSubcomplexOf(d *Complex) bool {
-	if len(c.entries) > len(d.entries) {
+	if len(c.ends) > len(d.ends) {
 		return false
 	}
 	if c.IsEmpty() {
@@ -347,8 +345,8 @@ func (c *Complex) IsSubcomplexOf(d *Complex) bool {
 	}
 	trans := d.lookupTranslation(c)
 	buf := make([]int32, c.dim+1)
-	for ei := range c.entries {
-		ids, ok := translate(c.entries[ei].ids, trans, buf)
+	for ei := range c.ends {
+		ids, ok := translate(c.entryIDs(int32(ei)), trans, buf)
 		if !ok || d.find(ids, hashIDs(ids)) < 0 {
 			return false
 		}
@@ -360,8 +358,8 @@ func (c *Complex) IsSubcomplexOf(d *Complex) bool {
 // at most k.
 func (c *Complex) Skeleton(k int) *Complex {
 	out := NewComplex()
-	for ei := range c.entries {
-		if len(c.entries[ei].ids)-1 <= k {
+	for ei := range c.ends {
+		if len(c.entryIDs(int32(ei)))-1 <= k {
 			out.addDirect(c.simplexAt(int32(ei))) // skeleton is face-closed
 		}
 	}
@@ -372,9 +370,9 @@ func (c *Complex) Skeleton(k int) *Complex {
 // whose vertices satisfy keep.
 func (c *Complex) Restriction(keep func(Vertex) bool) *Complex {
 	out := NewComplex()
-	for ei := range c.entries {
+	for ei := range c.ends {
 		ok := true
-		for _, id := range c.entries[ei].ids {
+		for _, id := range c.entryIDs(int32(ei)) {
 			if !keep(c.byID[id]) {
 				ok = false
 				break
@@ -395,8 +393,8 @@ func (c *Complex) Star(v Vertex) *Complex {
 	if !ok {
 		return out
 	}
-	for ei := range c.entries {
-		for _, eid := range c.entries[ei].ids {
+	for ei := range c.ends {
+		for _, eid := range c.entryIDs(int32(ei)) {
 			if eid == id {
 				out.Add(c.simplexAt(int32(ei)))
 				break
@@ -414,9 +412,9 @@ func (c *Complex) Link(v Vertex) *Complex {
 	if !ok {
 		return out
 	}
-	for ei := range c.entries {
+	for ei := range c.ends {
 		has := false
-		for _, eid := range c.entries[ei].ids {
+		for _, eid := range c.entryIDs(int32(ei)) {
 			if eid == id {
 				has = true
 				break

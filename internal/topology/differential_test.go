@@ -125,6 +125,17 @@ func FuzzComplexAdd(f *testing.F) {
 	f.Add([]byte{5, 5, 5, 5})
 	f.Add([]byte{1, 1, 0, 0, 1, 2, 0, 0, 1, 3})
 	f.Add([]byte{})
+	// A larger seed: 60 simplexes of up to 8 vertices on distinct
+	// processes, enough entries to double the simplex index several times.
+	rng := rand.New(rand.NewSource(3))
+	var big []byte
+	for i := 0; i < 60; i++ {
+		for _, p := range rng.Perm(28)[:1+rng.Intn(8)] {
+			big = append(big, byte(1+p), byte(rng.Intn(4)))
+		}
+		big = append(big, 0, 0)
+	}
+	f.Add(big)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		labels := []string{"a", "b", "c", "d"}
 		c := NewComplex()

@@ -1,8 +1,10 @@
 package topology
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
+	"math/bits"
 	"slices"
 	"strconv"
 	"strings"
@@ -53,12 +55,16 @@ func (c *Complex) keyRanks() ([]int32, bool) {
 // sortByKey sorts entry indices into the order of their keys, by dimension
 // first when byDim: the order sorting the materialized simplexes by
 // Simplex.Key produces. Keys are compared through vertex ranks when the
-// vertex tokens allow it (see keyRanks) and are otherwise rendered once
-// each, never once per comparison.
+// vertex tokens allow it (see keyRanks), packed into one integer per entry
+// when they fit (see sortPacked), and are otherwise rendered once each,
+// never once per comparison.
 func (c *Complex) sortByKey(eis []int32, byDim bool) {
 	if ranks, ok := c.keyRanks(); ok {
+		if c.sortPacked(eis, ranks, byDim) {
+			return
+		}
 		slices.SortFunc(eis, func(a, b int32) int {
-			x, y := c.entries[a].ids, c.entries[b].ids
+			x, y := c.entryIDs(a), c.entryIDs(b)
 			if byDim && len(x) != len(y) {
 				return len(x) - len(y)
 			}
@@ -77,11 +83,11 @@ func (c *Complex) sortByKey(eis []int32, byDim bool) {
 	}
 	ks := make([]keyed, len(eis))
 	for i, ei := range eis {
-		ks[i] = keyed{string(c.appendKey(nil, c.entries[ei].ids)), ei}
+		ks[i] = keyed{string(c.appendKey(nil, c.entryIDs(ei))), ei}
 	}
 	slices.SortFunc(ks, func(a, b keyed) int {
 		if byDim {
-			if d := len(c.entries[a.ei].ids) - len(c.entries[b.ei].ids); d != 0 {
+			if d := len(c.entryIDs(a.ei)) - len(c.entryIDs(b.ei)); d != 0 {
 				return d
 			}
 		}
@@ -90,6 +96,47 @@ func (c *Complex) sortByKey(eis []int32, byDim bool) {
 	for i := range ks {
 		eis[i] = ks[i].ei
 	}
+}
+
+// sortPacked sorts eis by one uint64 per entry: its dimension (when byDim)
+// above each vertex's rank+1 in a fixed-width field, zero fields padding
+// the entry to the complex's dimension. Integer order is then the rank
+// order, a sequence that is a prefix of another first, and the sort reads
+// no entry twice. It reports false, leaving eis as they were, when the
+// fields do not fit in 64 bits.
+func (c *Complex) sortPacked(eis []int32, ranks []int32, byDim bool) bool {
+	if len(eis) == 0 {
+		return true
+	}
+	width := bits.Len(uint(len(ranks))) // rank+1 is at most len(ranks)
+	top := 0
+	if byDim {
+		top = bits.Len(uint(c.dim))
+	}
+	if top+(c.dim+1)*width > 64 {
+		return false
+	}
+	type packed struct {
+		key uint64
+		ei  int32
+	}
+	ks := make([]packed, len(eis))
+	for i, ei := range eis {
+		ids := c.entryIDs(ei)
+		var key uint64
+		if byDim {
+			key = uint64(len(ids) - 1)
+		}
+		for _, id := range ids {
+			key = key<<width | uint64(ranks[id]+1)
+		}
+		ks[i] = packed{key << ((c.dim + 1 - len(ids)) * width), ei}
+	}
+	slices.SortFunc(ks, func(a, b packed) int { return cmp.Compare(a.key, b.key) })
+	for i := range ks {
+		eis[i] = ks[i].ei
+	}
+	return true
 }
 
 // FacetEncoding returns a canonical textual encoding of the complex: the
@@ -129,7 +176,7 @@ func (c *Complex) CanonicalHash() string {
 	if h := c.hash.Load(); h != nil {
 		return *h
 	}
-	eis := make([]int32, len(c.entries))
+	eis := make([]int32, len(c.ends))
 	for i := range eis {
 		eis[i] = int32(i)
 	}
@@ -138,7 +185,7 @@ func (c *Complex) CanonicalHash() string {
 	buf := make([]byte, 0, 64<<10)
 	var key []byte
 	for _, ei := range eis {
-		key = c.appendKey(key[:0], c.entries[ei].ids)
+		key = c.appendKey(key[:0], c.entryIDs(ei))
 		buf = strconv.AppendInt(buf, int64(len(key)), 10)
 		buf = append(buf, ':')
 		buf = append(buf, key...)

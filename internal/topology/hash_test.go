@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"strings"
@@ -212,6 +213,40 @@ func TestKeyOrderMatchesStringKeys(t *testing.T) {
 			ss := c.Simplices(d)
 			if !sort.SliceIsSorted(ss, func(i, j int) bool { return ss[i].Key() < ss[j].Key() }) {
 				t.Fatalf("trial %d: Simplices(%d) out of key order: %v", trial, d, ss)
+			}
+		}
+	}
+}
+
+// TestKeyOrderManyVertices covers the rank comparator that sortByKey
+// falls back on when an entry's packed ranks need more than 64 bits:
+// 8-vertex simplexes over several hundred vertices, so a rank field needs
+// 9 bits. Orders and digests must match the string-keyed reference there
+// too.
+func TestKeyOrderManyVertices(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for trial := 0; trial < 5; trial++ {
+		c, ref := NewComplex(), NewReferenceComplex()
+		for k := 0; k < 60; k++ {
+			var vs []Vertex
+			for p := 0; p < 8; p++ {
+				vs = append(vs, hv(p, fmt.Sprintf("%03d", rng.Intn(100))))
+			}
+			s := mustSimplex(vs...)
+			c.Add(s)
+			ref.Add(s)
+		}
+		ranks, ok := c.keyRanks()
+		if !ok || c.sortPacked([]int32{0}, ranks, true) {
+			t.Fatalf("trial %d: %d vertices, want the rank comparator, not the packed sort", trial, c.VertexCount())
+		}
+		if got, want := c.CanonicalHash(), ref.CanonicalHash(); got != want {
+			t.Fatalf("trial %d: hash %s, reference %s", trial, got, want)
+		}
+		all, wantAll := c.AllSimplices(), ref.AllSimplices()
+		for i := range all {
+			if all[i].Key() != wantAll[i].Key() {
+				t.Fatalf("trial %d: AllSimplices[%d] = %v, reference %v", trial, i, all[i], wantAll[i])
 			}
 		}
 	}

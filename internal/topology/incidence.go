@@ -11,10 +11,10 @@ package topology
 
 // EntryCount returns the number of stored simplexes. Entry indices run
 // 0..EntryCount()-1 in insertion order, mixing dimensions.
-func (c *Complex) EntryCount() int { return len(c.entries) }
+func (c *Complex) EntryCount() int { return len(c.ends) }
 
 // EntryDim returns the dimension of entry ei (0 for a vertex).
-func (c *Complex) EntryDim(ei int32) int { return len(c.entries[ei].ids) - 1 }
+func (c *Complex) EntryDim(ei int32) int { return len(c.entryIDs(ei)) - 1 }
 
 // EntrySimplex materializes entry ei as a Simplex (vertices in ascending
 // process-id order, the complex's canonical order).
@@ -33,7 +33,7 @@ func (c *Complex) VertexAt(id int32) Vertex { return c.byID[id] }
 // Together with VertexAt this dumps the complex as a vertex table plus
 // id rows without materializing a Simplex.
 func (c *Complex) AppendEntryIDs(buf []int32, ei int32) []int32 {
-	return append(buf, c.entries[ei].ids...)
+	return append(buf, c.entryIDs(ei)...)
 }
 
 // EntryFaces appends the entry indices of the codimension-1 faces of
@@ -43,13 +43,15 @@ func (c *Complex) AppendEntryIDs(buf []int32, ei int32) []int32 {
 // carries the orientation sign (-1)^i — the same convention the signed
 // boundary builders use. A vertex entry appends nothing. Every face of a
 // stored simplex is itself stored (the complex is closed under
-// containment), so the appended indices are always valid.
+// containment), so the appended indices are valid; only a load through
+// AddClosed of a set that was not face-closed leaves a face missing, and
+// its index is then -1.
 //
-// The lookup is read-only (hash probe, never insert) and uses no complex
+// The lookup is read-only (index probe, never insert) and uses no complex
 // scratch state, so concurrent EntryFaces calls — and concurrent readers
 // generally — are safe, matching the homology engine's access pattern.
 func (c *Complex) EntryFaces(ei int32, buf []int32) []int32 {
-	ids := c.entries[ei].ids
+	ids := c.entryIDs(ei)
 	n := len(ids)
 	if n <= 1 {
 		return buf

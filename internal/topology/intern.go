@@ -1,32 +1,34 @@
 package topology
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+)
 
 // The interned complex core.
 //
 // A Complex stores each distinct vertex once in a per-complex intern table
 // (Vertex -> dense int32 id) and each simplex as its vertex-id sequence in
 // ascending process-id order, the same canonical order Simplex itself
-// maintains. Simplexes are indexed by a cheap 64-bit hash of the id
-// sequence with collision buckets, so membership tests and face closure
-// never build string keys. Id slices are carved out of a chunked arena to
-// keep one Add from costing one allocation per face.
-
-// simplexEntry is one stored simplex: its interned vertex ids in ascending
-// process-id order. Entries are append-only and immutable once inserted.
-type simplexEntry struct {
-	ids []int32
-}
-
-// arenaChunk is the growth quantum of the id arena. Old chunks stay
-// referenced by the entries carved from them; only the slack at the end of
-// a chunk is ever wasted.
-const arenaChunk = 8192
+// maintains. The sequences lie end to end in one []int32 id arena, entry
+// ei at ids[ends[ei-1]:ends[ei]], so a stored simplex costs its ids plus
+// one offset and no pointer.
+//
+// Simplexes are found through an open-addressing index over a cheap
+// 64-bit hash of the id sequence: a power-of-two []uint64 whose nonzero
+// slots hold the hash's high 32 bits over entry+1, probed linearly from
+// the slot the hash's low bits name. The index doubles before it is half
+// full, re-hashing the stored ids. Membership tests and face closure
+// therefore never build string keys, and a probe reads only flat slices:
+// the index, and the arena when a slot's hash half matches.
 
 // maskWalkLimit bounds the bitmask closure walk: simplexes with more
 // vertices fall back to a recursive face closure. Chromatic simplexes have
 // one vertex per process, so real workloads sit far below this.
 const maskWalkLimit = 25
+
+// minIndexSlots is the index size a complex's first insertion allocates.
+const minIndexSlots = 16
 
 // intern returns the dense id of v, assigning the next id on first sight.
 func (c *Complex) intern(v Vertex) int32 {
@@ -39,8 +41,8 @@ func (c *Complex) intern(v Vertex) int32 {
 	return id
 }
 
-// hashIDs mixes an id sequence into a 64-bit bucket key (splitmix-style
-// rounds; collisions are resolved by exact comparison in find).
+// hashIDs mixes an id sequence into a 64-bit key (splitmix-style rounds;
+// collisions are resolved by exact comparison in find).
 func hashIDs(ids []int32) uint64 {
 	h := uint64(0x9e3779b97f4a7c15)
 	for _, id := range ids {
@@ -51,42 +53,56 @@ func hashIDs(ids []int32) uint64 {
 	return h
 }
 
-// find returns the entry index storing exactly ids (hashed to h), or -1.
-func (c *Complex) find(ids []int32, h uint64) int32 {
-	for _, ei := range c.table[h] {
-		e := c.entries[ei].ids
-		if len(e) != len(ids) {
-			continue
-		}
-		match := true
-		for i := range e {
-			if e[i] != ids[i] {
-				match = false
-				break
-			}
-		}
-		if match {
-			return ei
-		}
+// entryIDs returns the vertex ids of entry ei, a view into the arena that
+// callers must not modify.
+func (c *Complex) entryIDs(ei int32) []int32 {
+	lo := int32(0)
+	if ei > 0 {
+		lo = c.ends[ei-1]
 	}
-	return -1
+	hi := c.ends[ei]
+	return c.ids[lo:hi:hi]
 }
 
-// allocIDs copies ids into the arena and returns the stable copy.
-func (c *Complex) allocIDs(ids []int32) []int32 {
-	n := len(ids)
-	if cap(c.arena)-len(c.arena) < n {
-		grow := arenaChunk
-		if grow < n {
-			grow = n
-		}
-		c.arena = make([]int32, 0, grow)
+// find returns the entry index storing exactly ids (hashed to h), or -1.
+// It only reads, so concurrent finds on a complex nobody mutates are safe.
+func (c *Complex) find(ids []int32, h uint64) int32 {
+	if len(c.index) == 0 {
+		return -1
 	}
-	off := len(c.arena)
-	c.arena = c.arena[:off+n]
-	dst := c.arena[off : off+n : off+n]
-	copy(dst, ids)
-	return dst
+	mask := uint64(len(c.index) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		slot := c.index[i]
+		if slot == 0 {
+			return -1
+		}
+		if slot>>32 == h>>32 {
+			if ei := int32(uint32(slot)) - 1; slices.Equal(c.entryIDs(ei), ids) {
+				return ei
+			}
+		}
+	}
+}
+
+// place records entry ei, hashed to h, in the first empty slot of its
+// probe sequence.
+func (c *Complex) place(h uint64, ei int32) {
+	mask := uint64(len(c.index) - 1)
+	i := h & mask
+	for c.index[i] != 0 {
+		i = (i + 1) & mask
+	}
+	c.index[i] = h>>32<<32 | uint64(ei+1)
+}
+
+// growIndex doubles the index (allocating the first one) and re-places
+// every entry. A slot keeps only the high half of its hash, so each
+// entry's home slot is recomputed from its stored ids.
+func (c *Complex) growIndex() {
+	c.index = make([]uint64, max(2*len(c.index), minIndexSlots))
+	for ei := range c.ends {
+		c.place(hashIDs(c.entryIDs(int32(ei))), int32(ei))
+	}
 }
 
 // insert stores ids (hashed to h) as a new entry, updating the f-vector
@@ -96,9 +112,13 @@ func (c *Complex) insert(ids []int32, h uint64) {
 	if c.hash.Load() != nil {
 		c.hash.Store(nil)
 	}
-	ei := int32(len(c.entries))
-	c.entries = append(c.entries, simplexEntry{ids: c.allocIDs(ids)})
-	c.table[h] = append(c.table[h], ei)
+	ei := int32(len(c.ends))
+	if 2*(len(c.ends)+1) > len(c.index) {
+		c.growIndex()
+	}
+	c.ids = append(c.ids, ids...)
+	c.ends = append(c.ends, int32(len(c.ids)))
+	c.place(h, ei)
 	d := len(ids) - 1
 	for len(c.counts) <= d {
 		c.counts = append(c.counts, 0)
@@ -237,7 +257,7 @@ func (c *Complex) addClosureRecursive(ids []int32) {
 
 // simplexAt materializes the entry at index ei as a Simplex.
 func (c *Complex) simplexAt(ei int32) Simplex {
-	ids := c.entries[ei].ids
+	ids := c.entryIDs(ei)
 	s := make(Simplex, len(ids))
 	for i, id := range ids {
 		s[i] = c.byID[id]

@@ -1,0 +1,151 @@
+package topology
+
+import (
+	"fmt"
+	"testing"
+)
+
+// homeSlot is the index slot a probe for hash h starts from.
+func (c *Complex) homeSlot(h uint64) uint64 { return h & uint64(len(c.index)-1) }
+
+// lastSlotIDs returns k single-vertex id sequences, over vertices interned
+// in c, whose probes start at the last slot of a minIndexSlots index.
+func lastSlotIDs(t *testing.T, c *Complex, k int) [][]int32 {
+	t.Helper()
+	var out [][]int32
+	for p := 0; len(out) < k; p++ {
+		if p > 4096 {
+			t.Fatal("no ids hash to the last slot")
+		}
+		ids := []int32{c.intern(Vertex{P: p, Label: "v"})}
+		if hashIDs(ids)&(minIndexSlots-1) == minIndexSlots-1 {
+			out = append(out, ids)
+		}
+	}
+	return out
+}
+
+// TestIndexProbeWraps: an entry whose home is the last slot, already
+// taken, lands in slot 0, and a find for it wraps there too. An absent
+// sequence with the same home probes past both taken slots and misses.
+func TestIndexProbeWraps(t *testing.T) {
+	c := NewComplex()
+	seqs := lastSlotIDs(t, c, 3)
+	c.insertIfAbsent(seqs[0])
+	c.insertIfAbsent(seqs[1])
+	if len(c.index) != minIndexSlots {
+		t.Fatalf("index has %d slots, want %d", len(c.index), minIndexSlots)
+	}
+	if got := c.homeSlot(hashIDs(seqs[1])); got != minIndexSlots-1 {
+		t.Fatalf("home slot %d, want the last", got)
+	}
+	if c.index[minIndexSlots-1] == 0 || uint32(c.index[0]) != 2 {
+		t.Fatalf("slots last=%#x first=%#x, want entry 0 in the last and entry 1 wrapped to slot 0", c.index[minIndexSlots-1], c.index[0])
+	}
+	for ei, ids := range seqs[:2] {
+		if got := c.find(ids, hashIDs(ids)); got != int32(ei) {
+			t.Fatalf("find(%v) = %d, want %d", ids, got, ei)
+		}
+	}
+	if got := c.find(seqs[2], hashIDs(seqs[2])); got != -1 {
+		t.Fatalf("absent %v found at %d", seqs[2], got)
+	}
+}
+
+// TestIndexAbsentWithTakenHome: simplexes absent from a complex are
+// reported absent even when their home slot holds another entry.
+func TestIndexAbsentWithTakenHome(t *testing.T) {
+	c := NewComplex()
+	for p := 0; p < 30; p++ {
+		c.Add(mustSimplex(hv(p, "a"), hv(p+1, "b")))
+	}
+	taken := 0
+	for p := 0; p < 30; p++ {
+		for q := p + 2; q <= 30; q++ {
+			s := mustSimplex(hv(p, "a"), hv(q, "b"))
+			ids, ok := c.lookupIDs(s)
+			if !ok {
+				t.Fatalf("vertices of %v not interned", s)
+			}
+			if c.index[c.homeSlot(hashIDs(ids))] == 0 {
+				continue
+			}
+			taken++
+			if c.Has(s) {
+				t.Fatalf("absent %v reported present", s)
+			}
+		}
+	}
+	if taken == 0 {
+		t.Fatal("no absent simplex had a taken home slot")
+	}
+}
+
+// TestIndexGrowthKeepsEntries: inserting across several doublings keeps
+// every entry at the index it was inserted under, and finds it there.
+func TestIndexGrowthKeepsEntries(t *testing.T) {
+	c := NewComplex()
+	var keys []string
+	doublings := 0
+	for i := 0; i < 300; i++ {
+		slots := len(c.index)
+		c.Add(mustSimplex(Vertex{P: i % 7, Label: fmt.Sprint(i)}, Vertex{P: 7 + i%5, Label: "x"}, Vertex{P: 12, Label: fmt.Sprint(i % 3)}))
+		if slots > 0 && len(c.index) > slots {
+			doublings++
+		}
+		for ei := len(keys); ei < c.EntryCount(); ei++ {
+			keys = append(keys, c.EntrySimplex(int32(ei)).Key())
+		}
+	}
+	if doublings < 3 {
+		t.Fatalf("%d doublings, want at least 3", doublings)
+	}
+	if 2*c.EntryCount() > len(c.index) {
+		t.Fatalf("%d entries in %d slots: load above one half", c.EntryCount(), len(c.index))
+	}
+	for ei, key := range keys {
+		s := c.EntrySimplex(int32(ei))
+		if s.Key() != key {
+			t.Fatalf("entry %d is %v, inserted as %s", ei, s, key)
+		}
+		ids, _ := c.lookupIDs(s)
+		if got := c.find(ids, hashIDs(ids)); got != int32(ei) {
+			t.Fatalf("find(%v) = %d, want %d", s, got, ei)
+		}
+	}
+}
+
+// TestCloneIsIndependent: inserting into a clone, enough to grow its
+// index, leaves the original's size, facets and hash unchanged, and
+// inserting into the original afterwards leaves the clone unchanged.
+func TestCloneIsIndependent(t *testing.T) {
+	tri := mustSimplex(hv(0, "a"), hv(1, "b"), hv(2, "c"))
+	edge := mustSimplex(hv(0, "z"), hv(3, "w"))
+	orig := ComplexOf(tri, edge)
+	size, facets := orig.Size(), orig.FacetCount()
+	want := ComplexOf(tri, edge).CanonicalHash()
+
+	clone := orig.Clone()
+	var added []Simplex
+	for i := 0; i < 40; i++ {
+		s := mustSimplex(hv(0, fmt.Sprint(i)), hv(1, "b"), hv(4, "q"))
+		added = append(added, s)
+		clone.Add(s)
+	}
+	if orig.Size() != size || orig.FacetCount() != facets || orig.CanonicalHash() != want {
+		t.Fatalf("original changed: size %d (was %d), facets %d (was %d)", orig.Size(), size, orig.FacetCount(), facets)
+	}
+	for _, s := range added {
+		if orig.Has(s) {
+			t.Fatalf("original holds the clone's %v", s)
+		}
+	}
+	cloneHash := clone.CanonicalHash()
+	orig.Add(mustSimplex(hv(5, "o"), hv(6, "p")))
+	if clone.Has(mustSimplex(hv(5, "o"))) || clone.CanonicalHash() != cloneHash {
+		t.Fatal("inserting into the original changed the clone")
+	}
+	if fresh := ComplexOf(append(added, tri, edge)...).CanonicalHash(); cloneHash != fresh {
+		t.Fatalf("clone hash %s, want %s", cloneHash, fresh)
+	}
+}
