@@ -6,6 +6,7 @@ package pseudosphere_test
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"pseudosphere/internal/asyncmodel"
@@ -325,6 +326,66 @@ func BenchmarkBuildCkpt(b *testing.B) {
 	}
 }
 
+// --- field reduction: one column reducer for GF(2), GF(p) and Q ---
+
+// benchField times betti at one worker on the r=2 complex of op over n+1
+// processes, built once outside the timer; want pins the answer, which
+// is the same in every field.
+func benchField(b *testing.B, op roundop.Operator, n int, want []int, betti func(*topology.Complex) ([]int, error)) {
+	res, err := roundop.Build(context.Background(), op, inputSimplex(n), 2, roundop.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		got, err := betti(res.Complex)
+		if err != nil || !slices.Equal(got, want) {
+			b.Fatalf("betti = %v, %v; want %v", got, err, want)
+		}
+	}
+}
+
+func bettiZ2Morse(c *topology.Complex) ([]int, error) {
+	return homology.NewEngine(1, nil).BettiZ2Ctx(context.Background(), c)
+}
+
+func bettiGFpMorse(c *topology.Complex) ([]int, error) { return homology.BettiGFpMorse(c, 1048573) }
+
+func bettiQMorse(c *topology.Complex) ([]int, error) { return homology.BettiQMorse(c), nil }
+
+// sync n=4 k=1 r=2 (2,221 facets) is cold-sweep's tGFpSync4 template;
+// its GF(p) and Q benchmarks are canaries gated by
+// .github/bench_baseline.json.
+var (
+	sync4Op    = syncmodel.Params{PerRound: 1, Total: 2}.Operator()
+	sync4Betti = []int{1, 95, 320, 5, 0}
+)
+
+func BenchmarkBettiZ2MorseSync4(b *testing.B) { benchField(b, sync4Op, 4, sync4Betti, bettiZ2Morse) }
+
+func BenchmarkBettiGFpMorseSync4(b *testing.B) { benchField(b, sync4Op, 4, sync4Betti, bettiGFpMorse) }
+
+func BenchmarkBettiQMorseSync4(b *testing.B) { benchField(b, sync4Op, 4, sync4Betti, bettiQMorse) }
+
+// semisync n=4 k=1 c1=1 c2=2 d=2 r=2 (24,181 simplexes) is cold-sweep's
+// tGFpSemisync4 template.
+var (
+	semisync4Op    = semisync.Params{C1: 1, C2: 2, D: 2, PerRound: 1, Total: 2}.Operator()
+	semisync4Betti = []int{1, 180, 1240, 10, 0}
+)
+
+func BenchmarkBettiZ2MorseSemisync4(b *testing.B) {
+	benchField(b, semisync4Op, 4, semisync4Betti, bettiZ2Morse)
+}
+
+func BenchmarkBettiGFpMorseSemisync4(b *testing.B) {
+	benchField(b, semisync4Op, 4, semisync4Betti, bettiGFpMorse)
+}
+
+func BenchmarkBettiQMorseSemisync4(b *testing.B) {
+	benchField(b, semisync4Op, 4, semisync4Betti, bettiQMorse)
+}
+
 // --- ablation benches for engine design choices ---
 
 // BenchmarkAblationHomologySparseZ2 measures the production engine (sparse
@@ -342,8 +403,9 @@ func BenchmarkAblationHomologySparseZ2(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationHomologyDenseGFp measures the dense GF(3) fallback on
-// the same complex; the gap justifies the sparse default.
+// BenchmarkAblationHomologyDenseGFp measures the serial dense GF(3)
+// reference, the engine's differential oracle, on A^1 n=2 f=2; the
+// engine's sparse GF(p) store is timed by BenchmarkBettiGFpMorseSync4.
 func BenchmarkAblationHomologyDenseGFp(b *testing.B) {
 	res, err := roundop.Build(context.Background(), asyncmodel.Params{N: 2, F: 2}.Operator(), inputSimplex(2), 1, roundop.Options{})
 	if err != nil {

@@ -15,12 +15,11 @@
 // pre-interning string-keyed builder could not construct in reasonable
 // time.
 //
-// -reduce (default true) follows every constructed complex with two
-// GF(2) reduction stages — "<case> reduce plain" (coreduction disabled)
-// and "<case> reduce morse" (the default engine) — so the report carries
-// the before/after numbers for the Morse preprocessing pass alongside
-// the construction envelope; the collapse counters (morse_removed,
-// morse_critical) land in the report's counter section.
+// -reduce (default true) follows every constructed complex with a GF(2)
+// reduction stage, "<case> reduce morse" (coreduction, then the column
+// reduction of the critical cells), so the report carries the reduce
+// cost alongside the construction envelope; the collapse counters
+// (morse_removed, morse_critical) land in the report's counter section.
 //
 // Each case runs as one obs stage; -report serializes the stages (name,
 // wall millis, size/facet/count metadata) and the facet/schedule counters
@@ -71,7 +70,7 @@ func main() {
 func realMain() int {
 	workers := flag.Int("workers", 0, "constructor worker goroutines (0 = NumCPU, 1 = serial)")
 	deep := flag.Bool("deep", false, "include the large n=4 asynchronous instances")
-	reduce := flag.Bool("reduce", true, "time GF(2) reduction (plain vs morse) after each construction")
+	reduce := flag.Bool("reduce", true, "time GF(2) reduction after each construction")
 	reportPath := flag.String("report", "", "write the measurements as a JSON run report to this file")
 	jsonOut := flag.String("json", "", "alias for -report")
 	progress := flag.Bool("progress", false, "print periodic progress lines to stderr")
@@ -158,35 +157,24 @@ func run(ctx context.Context, w io.Writer, workers int, deep bool, reduce bool) 
 	// closure to the reduction stages that follow it.
 	var built *topology.Complex
 	// reduceCase times the GF(2) Betti computation over the just-built
-	// complex twice — coreduction off, then on (the engine default) — as
-	// two stages riding the same case name; fresh uncached engines so
-	// every run really reduces.
+	// complex as a stage riding the same case name; a fresh uncached
+	// engine, so the run really reduces.
 	reduceCase := func(name string) error {
 		c := built
 		built = nil
 		if !reduce || c == nil {
 			return nil
 		}
-		for _, mode := range []struct {
-			label   string
-			noMorse bool
-		}{{"plain", true}, {"morse", false}} {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			e := homology.NewEngine(workers, nil)
-			e.DisableMorse = mode.noMorse
-			sname := name + " reduce " + mode.label
-			stage := tracker.Stage(sname)
-			start := time.Now()
-			betti, err := e.BettiZ2Ctx(ctx, c)
-			elapsed := time.Since(start)
-			stage.End()
-			if err != nil {
-				return fmt.Errorf("%s: %w", sname, err)
-			}
-			fmt.Fprintf(w, "%-40s %12v  betti=%v\n", sname, elapsed, betti)
+		sname := name + " reduce morse"
+		stage := tracker.Stage(sname)
+		start := time.Now()
+		betti, err := homology.NewEngine(workers, nil).BettiZ2Ctx(ctx, c)
+		elapsed := time.Since(start)
+		stage.End()
+		if err != nil {
+			return fmt.Errorf("%s: %w", sname, err)
 		}
+		fmt.Fprintf(w, "%-40s %12v  betti=%v\n", sname, elapsed, betti)
 		return nil
 	}
 

@@ -105,7 +105,6 @@ func realMain(args []string, ready chan<- net.Addr) int {
 	jobRetention := fs.Duration("job-retention", 0, "how long terminal jobs stay pollable (0 = 1h)")
 	jobTimeout := fs.Duration("job-timeout", 0, "per-job run deadline (0 = none)")
 	jobCkptEvery := fs.Int("job-checkpoint-every", 0, "construction shards per checkpoint flush (0 = 8)")
-	noMorse := fs.Bool("no-morse", false, "disable the homology engines' coreduction preprocessing")
 	mode := fs.String("mode", "standalone", "process role: standalone, replica, or router")
 	self := fs.String("self", "", "replica mode: this replica's base URL as peers reach it")
 	peers := fs.String("peers", "", "replica mode: comma-separated base URLs of every replica (including -self)")
@@ -179,7 +178,6 @@ func realMain(args []string, ready chan<- net.Addr) int {
 		Cluster:            clusterCfg,
 		DistThreshold:      *distThreshold,
 		DistLease:          *distLease,
-		DisableMorse:       *noMorse,
 		Tracker:            tracker,
 		Log:                logger,
 	})

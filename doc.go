@@ -4,10 +4,10 @@
 //
 // The library builds the paper's combinatorial objects — simplicial
 // complexes (internal/topology), their homology and connectivity
-// (internal/homology: a serial sparse reference plus a parallel bitset
-// engine with canonical-hash memoization, differentially tested to give
-// bit-identical Betti numbers for every worker count; the cmd tools
-// expose it via -workers and -cache), pseudospheres and their algebra
+// (internal/homology: serial references plus a parallel sparse engine
+// for GF(2), GF(p) and Q with canonical-hash memoization, differentially
+// tested to give bit-identical Betti numbers for every worker count; the
+// cmd tools expose it via -workers and -cache), pseudospheres and their algebra
 // (internal/core) —
 // and the three round-structured protocol-complex constructions the paper
 // unifies: asynchronous (internal/asyncmodel), synchronous

@@ -30,10 +30,9 @@ func BenchmarkBettiZ2(b *testing.B) {
 	}
 }
 
-// The engine ablation: the serial sparse reference against the bitset
-// representation, the sharded parallel reduction, and the memoized
-// configuration, all on the same complex (7^3 = 343 facets, enough
-// columns to engage the chunked reduction).
+// The engine ablation: the serial sparse reference against the engine
+// at one and four workers and memoized, all on the same complex (7^3 =
+// 343 facets, enough columns to engage the chunked reduction).
 func benchEngine(b *testing.B, e *Engine) {
 	c := benchSphereProduct(7)
 	want := BettiZ2(c)
@@ -48,22 +47,12 @@ func benchEngine(b *testing.B, e *Engine) {
 	}
 }
 
-func BenchmarkEngineSparseSerial(b *testing.B) {
-	e := NewEngine(1, nil)
-	e.Force = "sparse"
-	benchEngine(b, e)
+func BenchmarkEngineSerial(b *testing.B) {
+	benchEngine(b, NewEngine(1, nil))
 }
 
-func BenchmarkEngineBitsetSerial(b *testing.B) {
-	e := NewEngine(1, nil)
-	e.Force = "bitset"
-	benchEngine(b, e)
-}
-
-func BenchmarkEngineBitsetParallel(b *testing.B) {
-	e := NewEngine(4, nil)
-	e.Force = "bitset"
-	benchEngine(b, e)
+func BenchmarkEngineParallel(b *testing.B) {
+	benchEngine(b, NewEngine(4, nil))
 }
 
 func BenchmarkEngineCached(b *testing.B) {

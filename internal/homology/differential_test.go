@@ -1,5 +1,5 @@
-// Differential tests: the parallel/bitset/cached engine must produce
-// bit-identical Betti numbers to the serial sparse reference on every
+// Differential tests: the parallel/cached engine must produce
+// bit-identical Betti numbers to the serial reference on every
 // tractable instance class the repo works with — pseudospheres, spheres
 // and boundaries, the three models' round complexes, derived subcomplexes
 // (unions, intersections, skeleta, links), and seeded random complexes.
@@ -110,25 +110,12 @@ func diffInstances(t *testing.T) map[string]*topology.Complex {
 }
 
 func diffEngines() map[string]*homology.Engine {
-	out := map[string]*homology.Engine{
-		"auto/w1":        homology.NewEngine(1, nil),
-		"auto/w4":        homology.NewEngine(4, nil),
-		"auto/w4/cached": homology.NewEngine(4, homology.NewCache()),
+	return map[string]*homology.Engine{
+		"w1":        homology.NewEngine(1, nil),
+		"w4":        homology.NewEngine(4, nil),
+		"w4/cached": homology.NewEngine(4, homology.NewCache()),
+		"w3/cached": homology.NewEngine(3, homology.NewCache()),
 	}
-	for _, force := range []string{"sparse", "bitset"} {
-		e := homology.NewEngine(3, homology.NewCache())
-		e.Force = force
-		out[force+"/w3/cached"] = e
-	}
-	// Morse-off twins of each variant: the suite pins the coreduction
-	// path (default-on above) against the unreduced path hash-for-hash.
-	for name, e := range out {
-		off := homology.NewEngine(e.Workers, nil)
-		off.Force = e.Force
-		off.DisableMorse = true
-		out[name+"/nomorse"] = off
-	}
-	return out
 }
 
 // TestDifferentialEngineVsSerial is the core differential suite.
@@ -165,10 +152,14 @@ func TestDifferentialEngineVsSerial(t *testing.T) {
 // TestDifferentialMorseFieldEngines diffs the coreduction-backed GF(p)
 // and rational engines against their unreduced references on every
 // instance: the Morse pass claims exactness over arbitrary coefficients,
-// so it must be invisible in all three fields, not just GF(2).
+// so it must be invisible in all three fields, not just GF(2). Both the
+// serial wrappers and the context-taking engine methods at four workers
+// are checked; 1,048,573 is the largest prime under the service's cap.
 func TestDifferentialMorseFieldEngines(t *testing.T) {
+	ctx := context.Background()
+	e := homology.NewEngine(4, nil)
 	for iname, c := range diffInstances(t) {
-		for _, p := range []int64{2, 3} {
+		for _, p := range []int64{2, 3, 7, 1048573} {
 			want, err := homology.BettiGFp(c, p)
 			if err != nil {
 				t.Fatal(err)
@@ -180,9 +171,55 @@ func TestDifferentialMorseFieldEngines(t *testing.T) {
 			if !sameInts(got, want) {
 				t.Fatalf("%s: BettiGFpMorse(p=%d) = %v, want %v", iname, p, got, want)
 			}
+			if got, err := e.BettiGFpCtx(ctx, c, p); err != nil || !sameInts(got, want) {
+				t.Fatalf("%s: BettiGFpCtx(p=%d) = %v, %v; want %v", iname, p, got, err, want)
+			}
 		}
-		if got, want := homology.BettiQMorse(c), homology.BettiQ(c); !sameInts(got, want) {
+		want := homology.BettiQ(c)
+		if got := homology.BettiQMorse(c); !sameInts(got, want) {
 			t.Fatalf("%s: BettiQMorse = %v, want %v", iname, got, want)
+		}
+		if got, err := e.BettiQCtx(ctx, c); err != nil || !sameInts(got, want) {
+			t.Fatalf("%s: BettiQCtx = %v, %v; want %v", iname, got, err, want)
+		}
+	}
+}
+
+// TestFieldGoldenBetti pins the Betti vectors of the sweep complexes too
+// big for the dense oracles, in all three fields. When pinned, the
+// vectors were checked by dense elimination over GF(p) (and over Q for
+// the first two) on the restricted matrices. The fields agree, so none
+// of these complexes has torsion that GF(2) could hide.
+func TestFieldGoldenBetti(t *testing.T) {
+	ctx := context.Background()
+	semi := semisync.Params{C1: 1, C2: 2, D: 2, PerRound: 1, Total: 2}.Operator()
+	for _, g := range []struct {
+		name string
+		op   roundop.Operator
+		n    int
+		want []int
+	}{
+		{"sync n=4 k=1 r=2", syncmodel.Params{PerRound: 1, Total: 2}.Operator(), 4, []int{1, 95, 320, 5, 0}},
+		{"semisync n=3 k=1 c1=1 c2=2 d=2 r=2", semi, 3, []int{1, 406, 8, 0}},
+		{"semisync n=4 k=1 c1=1 c2=2 d=2 r=2", semi, 4, []int{1, 180, 1240, 10, 0}},
+	} {
+		res, err := roundop.Build(ctx, g.op, diffInput(g.n), 2, roundop.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := res.Complex
+		e := homology.NewEngine(2, nil)
+		z2, err := e.BettiZ2Ctx(ctx, c)
+		if err != nil || !sameInts(z2, g.want) {
+			t.Fatalf("%s: GF(2) = %v, %v; want %v", g.name, z2, err, g.want)
+		}
+		gfp, err := e.BettiGFpCtx(ctx, c, 1048573)
+		if err != nil || !sameInts(gfp, g.want) {
+			t.Fatalf("%s: GF(1048573) = %v, %v; want %v", g.name, gfp, err, g.want)
+		}
+		q, err := e.BettiQCtx(ctx, c)
+		if err != nil || !sameInts(q, g.want) {
+			t.Fatalf("%s: Q = %v, %v; want %v", g.name, q, err, g.want)
 		}
 	}
 }

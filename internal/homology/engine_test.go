@@ -11,19 +11,12 @@ import (
 func engineVariants() map[string]*Engine {
 	out := make(map[string]*Engine)
 	for _, workers := range []int{1, 2, 4} {
-		for _, force := range []string{"", "sparse", "bitset"} {
-			for _, cached := range []bool{false, true} {
-				for _, noMorse := range []bool{false, true} {
-					var cache *Cache
-					if cached {
-						cache = NewCache()
-					}
-					e := NewEngine(workers, cache)
-					e.Force = force
-					e.DisableMorse = noMorse
-					out[fmt.Sprintf("w%d/%s/cache=%v/nomorse=%v", workers, force, cached, noMorse)] = e
-				}
+		for _, cached := range []bool{false, true} {
+			var cache *Cache
+			if cached {
+				cache = NewCache()
 			}
+			out[fmt.Sprintf("w%d/cache=%v", workers, cached)] = NewEngine(workers, cache)
 		}
 	}
 	return out
@@ -139,37 +132,49 @@ func TestEngineCacheConcurrentHammer(t *testing.T) {
 }
 
 // TestRankOfAgreesAcrossWorkerCounts checks the determinism guarantee at
-// the rank level on both representations. benchSphereProduct(7) has 343
+// the rank level in every field's store. benchSphereProduct(7) has 343
 // triangle columns, above minParallelColumns, so the chunked path really
-// runs.
+// runs. It is a join of discrete sets, so its homology is free and every
+// field sees the serial GF(2) ranks.
 func TestRankOfAgreesAcrossWorkerCounts(t *testing.T) {
 	cc := NewChainComplex(benchSphereProduct(7))
 	for d := 1; d <= cc.Dim(); d++ {
 		want := cc.boundaryZ2(d).rank()
+		signs := cc.signedBoundary(d)
 		for _, workers := range []int{1, 2, 3, 8} {
 			if got := rankOf(cc.boundaryZ2(d), workers, nil); got != want {
-				t.Fatalf("sparse d=%d workers=%d: rank %d, want %d", d, workers, got, want)
+				t.Fatalf("GF(2) d=%d workers=%d: rank %d, want %d", d, workers, got, want)
 			}
-			if got := rankOf(cc.boundaryBitset(d), workers, nil); got != want {
-				t.Fatalf("bitset d=%d workers=%d: rank %d, want %d", d, workers, got, want)
+			for _, p := range []int64{3, 1048573, fieldQ} {
+				if got := rankOf(coefFromDense(p, signs), workers, nil); got != want {
+					t.Fatalf("p=%d d=%d workers=%d: rank %d, want %d", p, d, workers, got, want)
+				}
 			}
 		}
 	}
 }
 
-func TestUseBitsetHeuristic(t *testing.T) {
-	if !useBitset(100, 3) {
-		t.Fatal("small matrices should pack into bitsets")
+// coefFromDense loads a dense integer matrix into the column store of
+// GF(p) (entries reduced into [0, p)) or Q (p = fieldQ).
+func coefFromDense(p int64, a [][]int64) *coefMatrix {
+	cols := 0
+	if len(a) > 0 {
+		cols = len(a[0])
 	}
-	if useBitset(1<<20, 3) {
-		t.Fatal("huge sparse matrices should stay sparse")
+	m := &coefMatrix{p: p, cols: make([]coefColumn, cols)}
+	for j := range m.cols {
+		for i := range a {
+			v := a[i][j]
+			if p > 0 {
+				v = (v%p + p) % p
+			}
+			if v != 0 {
+				m.cols[j].rows = append(m.cols[j].rows, i)
+				m.cols[j].vals = append(m.cols[j].vals, v)
+			}
+		}
 	}
-	if !useBitset(1<<20, 1<<12) {
-		t.Fatal("dense columns should pack into bitsets")
-	}
-	if useBitset(0, 3) {
-		t.Fatal("zero-row matrices need no representation")
-	}
+	return m
 }
 
 func equalInts(a, b []int) bool {

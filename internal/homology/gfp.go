@@ -65,6 +65,19 @@ func (m *denseGFp) rank() int {
 	return rank
 }
 
+// checkModulus rejects a GF(p) modulus outside [2, 2^31). Primality is
+// the caller's to guarantee. The bound keeps every product of two
+// residues, p² included, below 2^62.
+func checkModulus(p int64) error {
+	if p < 2 {
+		return fmt.Errorf("homology: %d is not a prime", p)
+	}
+	if p >= 1<<31 {
+		return fmt.Errorf("homology: modulus %d is not below 2^31", p)
+	}
+	return nil
+}
+
 // modInverse returns x^(p-2) mod p for prime p (Fermat).
 func modInverse(x, p int64) int64 {
 	result := int64(1)
@@ -99,12 +112,13 @@ func (cc *ChainComplex) boundaryGFp(p int64, d int) *denseGFp {
 	return m
 }
 
-// BettiGFp returns the Betti numbers of c over GF(p) for a prime p. For
-// p = 2 the result always matches BettiZ2 (the test suite checks this);
-// odd p detects 2-torsion-free discrepancies that GF(2) could mask.
+// BettiGFp returns the Betti numbers of c over GF(p) for a prime p below
+// 2^31. For p = 2 the result always matches BettiZ2 (the test suite
+// checks this); odd p detects 2-torsion-free discrepancies that GF(2)
+// could mask.
 func BettiGFp(c *topology.Complex, p int64) ([]int, error) {
-	if p < 2 {
-		return nil, fmt.Errorf("homology: %d is not a prime", p)
+	if err := checkModulus(p); err != nil {
+		return nil, err
 	}
 	cc := NewChainComplex(c)
 	if cc.dim < 0 {
@@ -118,15 +132,5 @@ func BettiGFp(c *topology.Complex, p int64) ([]int, error) {
 	for d := 0; d <= cc.dim; d++ {
 		betti[d] = cc.Count(d) - ranks[d] - ranks[d+1]
 	}
-	return betti, nil
-}
-
-// ReducedBettiGFp is BettiGFp with dimension 0 decremented.
-func ReducedBettiGFp(c *topology.Complex, p int64) ([]int, error) {
-	betti, err := BettiGFp(c, p)
-	if err != nil || len(betti) == 0 {
-		return betti, err
-	}
-	betti[0]--
 	return betti, nil
 }

@@ -1,6 +1,7 @@
 package homology
 
 import (
+	"context"
 	"fmt"
 	"sync/atomic"
 
@@ -39,8 +40,9 @@ import (
 //     is preserved, so the survivors form an S-complex with
 //     H̃_*(survivors) = H̃_*(original).
 //
-// The surviving ("critical") cells feed the existing rank engines through
-// restricted boundary matrices; for pseudospheres and protocol complexes
+// The surviving ("critical") cells feed the one column reduction (rankOf)
+// through restricted boundary matrices, built in the column store of the
+// field asked for (coreduced.rank); for pseudospheres and protocol complexes
 // these are typically an order of magnitude smaller than the full
 // boundary matrices, and in low dimensions usually empty.
 type coreduced struct {
@@ -248,57 +250,56 @@ func (cr *coreduced) criticalCount(d int) int {
 	return len(cr.aliveByDim[d])
 }
 
-// boundaryZ2 builds the restricted GF(2) boundary matrix ∂_d over the
-// critical cells, choosing the representation by the same density
-// heuristic as the unreduced path (force overrides it: "sparse",
-// "bitset", or "").
-func (cr *coreduced) boundaryZ2(d int, force string) z2store {
-	rows, cols := cr.criticalCount(d-1), cr.aliveByDim[d]
-	if force == "bitset" || (force == "" && useBitset(rows, d+1)) {
-		m := newBitsetZ2Matrix(rows, len(cols))
+// rank reduces the restricted boundary matrix ∂_d over field p (a prime
+// for GF(p), fieldQ for Q) in that field's column store.
+func (cr *coreduced) rank(d int, p int64, workers int, cancelled *atomic.Bool) int {
+	cols := cr.aliveByDim[d]
+	if p == 2 {
+		m := &sparseZ2Matrix{rows: cr.criticalCount(d - 1), cols: make([][]int, len(cols))}
 		for j, ei := range cols {
+			col := make([]int, 0, len(cr.faces[ei]))
 			for _, f := range cr.faces[ei] {
 				if cr.alive[f] {
-					m.toggle(j, int(cr.col[f]))
+					col = append(col, int(cr.col[f]))
 				}
 			}
-			m.resetLow(j)
+			m.cols[j] = normalizeColumn(col)
 		}
-		return m
+		return rankOf(m, workers, cancelled)
 	}
-	m := &sparseZ2Matrix{rows: rows, cols: make([][]int, len(cols))}
+	// Dead faces are skipped but keep their vertex-drop position, so the
+	// surviving coefficients are exactly the original (-1)^i signs: the
+	// coreduction invariant that makes the restriction exact.
+	m := &coefMatrix{p: p, cols: make([]coefColumn, len(cols))}
 	for j, ei := range cols {
-		col := make([]int, 0, len(cr.faces[ei]))
-		for _, f := range cr.faces[ei] {
-			if cr.alive[f] {
-				col = append(col, int(cr.col[f]))
-			}
-		}
-		m.cols[j] = normalizeColumn(col)
-	}
-	return m
-}
-
-// boundaryGFp builds the restricted signed boundary matrix ∂_d over
-// GF(p). Dead faces are skipped but keep their vertex-drop position, so
-// surviving coefficients are exactly the original (-1)^i signs — the
-// coreduction invariant that makes the restriction exact.
-func (cr *coreduced) boundaryGFp(p int64, d int) *denseGFp {
-	m := newDenseGFp(p, cr.criticalCount(d-1), cr.criticalCount(d))
-	for j, ei := range cr.aliveByDim[d] {
+		n := len(cr.faces[ei])
+		col := coefColumn{rows: make([]int, 0, n), vals: make([]int64, 0, n)}
 		sign := int64(1)
 		for _, f := range cr.faces[ei] {
 			if cr.alive[f] {
-				m.set(int(cr.col[f]), j, sign)
+				row, v := int(cr.col[f]), sign
+				if v < 0 && p > 0 {
+					v = p - 1
+				}
+				// Insertion sort by row: a column has at most d+1 entries.
+				i := len(col.rows)
+				col.rows = append(col.rows, 0)
+				col.vals = append(col.vals, 0)
+				for ; i > 0 && col.rows[i-1] > row; i-- {
+					col.rows[i], col.vals[i] = col.rows[i-1], col.vals[i-1]
+				}
+				col.rows[i], col.vals[i] = row, v
 			}
 			sign = -sign
 		}
+		m.cols[j] = col
 	}
-	return m
+	return m.rank(workers, cancelled, func() [][]int64 { return cr.signedBoundary(d) })
 }
 
 // signedBoundary builds the restricted integer boundary matrix ∂_d as
-// dense rows of {-1, 0, +1}, the rational engine's input form.
+// dense rows of {-1, 0, +1}, rationalRank's input when the Q store
+// overflows.
 func (cr *coreduced) signedBoundary(d int) [][]int64 {
 	rows, cols := cr.criticalCount(d-1), cr.aliveByDim[d]
 	a := make([][]int64, rows)
@@ -331,40 +332,16 @@ func (cr *coreduced) betti(ranks []int, top int) []int {
 }
 
 // BettiGFpMorse is BettiGFp with the coreduction pass in front: identical
-// results (the differential suite pins this), computed from restricted
-// matrices. Like BettiGFp it requires p prime and rejects p < 2.
+// results (the differential suite pins this), computed serially by
+// Engine.BettiGFpCtx. Like BettiGFp it requires p prime and rejects p
+// outside [2, 2^31).
 func BettiGFpMorse(c *topology.Complex, p int64) ([]int, error) {
-	if p < 2 {
-		return nil, fmt.Errorf("homology: %d is not a prime", p)
-	}
-	dim := c.Dim()
-	if dim < 0 {
-		return nil, nil
-	}
-	cr, _ := coreduce(c, nil)
-	ranks := make([]int, dim+2)
-	for d := 1; d <= dim; d++ {
-		if cr.criticalCount(d) > 0 {
-			ranks[d] = cr.boundaryGFp(p, d).rank()
-		}
-	}
-	return cr.betti(ranks, dim), nil
+	return NewEngine(1, nil).BettiGFpCtx(context.Background(), c, p)
 }
 
 // BettiQMorse is BettiQ with the coreduction pass in front: exact
-// rational Betti numbers from restricted matrices. The pass never changes
-// results; it widens the reach of the (otherwise slow) exact engine.
+// rational Betti numbers, computed serially by Engine.BettiQCtx.
 func BettiQMorse(c *topology.Complex) []int {
-	dim := c.Dim()
-	if dim < 0 {
-		return nil
-	}
-	cr, _ := coreduce(c, nil)
-	ranks := make([]int, dim+2)
-	for d := 1; d <= dim; d++ {
-		if cr.criticalCount(d) > 0 {
-			ranks[d] = rationalRank(cr.signedBoundary(d))
-		}
-	}
-	return cr.betti(ranks, dim)
+	betti, _ := NewEngine(1, nil).BettiQCtx(context.Background(), c)
+	return betti
 }

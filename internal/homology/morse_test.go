@@ -2,6 +2,7 @@ package homology
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"testing"
 
@@ -101,8 +102,57 @@ func TestMorseRestrictedFieldEngines(t *testing.T) {
 			t.Errorf("%s: BettiQMorse = %v, want %v", name, got, want)
 		}
 	}
-	if _, err := BettiGFpMorse(hollowTriangle(), 1); err == nil {
-		t.Error("BettiGFpMorse(p=1) accepted a non-prime")
+	for _, p := range []int64{1, 1 << 31, 4294967311} {
+		if _, err := BettiGFp(hollowTriangle(), p); err == nil {
+			t.Errorf("BettiGFp(p=%d) accepted a modulus outside [2, 2^31)", p)
+		}
+		if _, err := BettiGFpMorse(hollowTriangle(), p); err == nil {
+			t.Errorf("BettiGFpMorse(p=%d) accepted a modulus outside [2, 2^31)", p)
+		}
+		if _, err := NewEngine(1, nil).BettiGFpCtx(context.Background(), hollowTriangle(), p); err == nil {
+			t.Errorf("BettiGFpCtx(p=%d) accepted a modulus outside [2, 2^31)", p)
+		}
+	}
+}
+
+// TestFieldEnginesHonorCancellation: a GF(p) or Q query on an already
+// cancelled context returns context.Canceled before reducing a column,
+// so a timed-out request frees its compute slot at once.
+func TestFieldEnginesHonorCancellation(t *testing.T) {
+	c := benchSphereProduct(4)
+	e := NewEngine(2, nil)
+	tr := obs.NewTracker()
+	ctx, cancel := context.WithCancel(obs.WithTracker(context.Background(), tr))
+	cancel()
+	if got, err := e.BettiGFpCtx(ctx, c, 3); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled GF(3) = %v, %v; want context.Canceled", got, err)
+	}
+	if got, err := e.BettiQCtx(ctx, c); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled Q = %v, %v; want context.Canceled", got, err)
+	}
+	if cols := tr.Counters()["columns"]; cols != 0 {
+		t.Fatalf("cancelled queries reduced %d columns, want 0", cols)
+	}
+}
+
+// TestQStoreOverflowFallback gives the Q store columns whose fraction-free
+// combination overflows int64. Each column's low entry is 2^40+1 or
+// 2^40−1, so cancelling them multiplies entries of magnitude 2^40 by
+// 2^40. The rank must still equal rationalRank of the same matrix.
+func TestQStoreOverflowFallback(t *testing.T) {
+	const big = int64(1) << 40
+	a := [][]int64{
+		{big, 3, 1, 0},
+		{1, big, 0, 1},
+		{big + 1, big - 1, 1, 1},
+	}
+	want := rationalRank(a, nil)
+	m := coefFromDense(fieldQ, a)
+	if got := m.rank(2, nil, func() [][]int64 { return a }); got != want {
+		t.Fatalf("rank = %d, want %d", got, want)
+	}
+	if !m.overflow.Load() {
+		t.Fatal("the reduction did not overflow; the fixture no longer tests the fallback")
 	}
 }
 
@@ -127,38 +177,27 @@ func TestBettiZ2UpTo(t *testing.T) {
 }
 
 // TestEngineCappedSkipsTopDimensions asserts the capped engine path
-// actually avoids work: with the plain path, an upto=0 query on a
-// 2-dimensional complex must reduce only ∂_1's columns; with morse, it
-// must not touch ∂_2's critical columns either. Both must agree with the
-// full vector's prefix, and cached capped vectors must not poison the
-// full-vector key (or vice versa).
+// actually avoids work: an upto=0 query on a 2-dimensional complex must
+// not touch ∂_2's critical columns. It must agree with the full vector's
+// prefix, and cached capped vectors must not poison the full-vector key
+// (or vice versa).
 func TestEngineCappedSkipsTopDimensions(t *testing.T) {
 	c := benchSphereProduct(4) // 2-dimensional, 64 triangle columns
 	full := BettiZ2(c)
 
-	for _, disable := range []bool{true, false} {
-		e := NewEngine(2, nil)
-		e.DisableMorse = disable
-		tr := obs.NewTracker()
-		ctx := obs.WithTracker(context.Background(), tr)
-		got, err := e.BettiZ2UpToCtx(ctx, c, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !equalInts(got, full[:1]) {
-			t.Fatalf("disable=%v: capped betti = %v, want %v", disable, got, full[:1])
-		}
-		cols := tr.Counters()["columns"]
-		if disable {
-			// Plain capped: exactly the f_1 edge columns, none of f_2.
-			if want := uint64(c.FVector()[1]); cols != want {
-				t.Fatalf("plain capped reduced %d columns, want %d", cols, want)
-			}
-		} else if cols != 0 {
-			// The product-of-spheres complex coreduces to critical cells in
-			// dimension 2 only, so a dim-0 cap reduces nothing at all.
-			t.Fatalf("morse capped reduced %d columns, want 0", cols)
-		}
+	tr := obs.NewTracker()
+	ctx := obs.WithTracker(context.Background(), tr)
+	got, err := NewEngine(2, nil).BettiZ2UpToCtx(ctx, c, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !equalInts(got, full[:1]) {
+		t.Fatalf("capped betti = %v, want %v", got, full[:1])
+	}
+	// The product-of-spheres complex coreduces to critical cells in
+	// dimension 2 only, so a dim-0 cap reduces nothing at all.
+	if cols := tr.Counters()["columns"]; cols != 0 {
+		t.Fatalf("capped run reduced %d columns, want 0", cols)
 	}
 
 	// Cache isolation: a capped result must not serve the full query, and
@@ -171,7 +210,7 @@ func TestEngineCappedSkipsTopDimensions(t *testing.T) {
 		t.Fatalf("full vector after capped query = %v, want %v", got, full)
 	}
 	hitsBefore, _, _ := e.CacheStats()
-	got, err := e.BettiZ2UpToCtx(context.Background(), c, 1)
+	got, err = e.BettiZ2UpToCtx(context.Background(), c, 1)
 	if err != nil || !equalInts(got, full[:2]) {
 		t.Fatalf("capped-after-full = %v, %v; want %v", got, err, full[:2])
 	}
@@ -203,59 +242,53 @@ func TestConnectivityUpToCtx(t *testing.T) {
 	}
 }
 
-// TestBettiResumeCrossMorse checks the checkpoint seam across the Morse
-// switch: ranks emitted by a morse-on run are ranks of the original
-// boundary matrices, so a morse-off engine restores them verbatim (zero
-// columns reduced), and ranks from a morse-off run fully restore into a
-// morse-on engine (which routes full covers to the restore-only path).
+// TestBettiResumeCrossMorse checks the checkpoint seam across the
+// collapse: the ranks a run emits are ranks of the *original* boundary
+// matrices, equal to the serial oracle's, not of the restricted ones it
+// reduced. Ranks computed by the oracle therefore restore into the
+// engine verbatim, with zero columns reduced.
 func TestBettiResumeCrossMorse(t *testing.T) {
 	for _, c := range []*topology.Complex{hollowTetrahedron(), benchSphereProduct(3), twoComponentComplex()} {
-		morse := NewEngine(2, nil)
-		plain := NewEngine(2, nil)
-		plain.DisableMorse = true
+		e := NewEngine(2, nil)
 		want := BettiZ2(c)
-
-		collect := func(e *Engine) map[int]int {
-			var mu sync.Mutex
-			emitted := map[int]int{}
-			got, err := e.BettiZ2CtxResume(context.Background(), c, nil, func(d, rank int) {
-				mu.Lock()
-				emitted[d] = rank
-				mu.Unlock()
-			})
-			if err != nil || !equalInts(got, want) {
-				t.Fatalf("emitting run = %v, %v; want %v", got, err, want)
-			}
-			return emitted
+		cc := NewChainComplex(c)
+		oracle := map[int]int{}
+		for d := 1; d <= cc.Dim(); d++ {
+			oracle[d] = cc.boundaryZ2(d).rank()
 		}
-		restore := func(e *Engine, known map[int]int) {
-			tr := obs.NewTracker()
-			ctx := obs.WithTracker(context.Background(), tr)
-			got, err := e.BettiZ2CtxResume(ctx, c, known, nil)
-			if err != nil || !equalInts(got, want) {
-				t.Fatalf("restored run = %v, %v; want %v", got, err, want)
-			}
-			cs := tr.Counters()
-			if cs["columns"] != 0 {
-				t.Fatalf("restored run reduced %d columns, want 0 (counters %v)", cs["columns"], cs)
-			}
-			if cs["ranks_restored"] != uint64(c.Dim()) {
-				t.Fatalf("ranks_restored = %d, want %d", cs["ranks_restored"], c.Dim())
+
+		var mu sync.Mutex
+		emitted := map[int]int{}
+		got, err := e.BettiZ2CtxResume(context.Background(), c, nil, func(d, rank int) {
+			mu.Lock()
+			emitted[d] = rank
+			mu.Unlock()
+		})
+		if err != nil || !equalInts(got, want) {
+			t.Fatalf("emitting run = %v, %v; want %v", got, err, want)
+		}
+		if len(emitted) != len(oracle) {
+			t.Fatalf("emitted %d ranks %v, want %d", len(emitted), emitted, len(oracle))
+		}
+		for d, r := range oracle {
+			if emitted[d] != r {
+				t.Fatalf("dim %d: engine emitted rank %d, oracle rank %d", d, emitted[d], r)
 			}
 		}
 
-		fromMorse := collect(morse)
-		fromPlain := collect(plain)
-		if len(fromMorse) != c.Dim() || len(fromPlain) != c.Dim() {
-			t.Fatalf("emitted %d morse / %d plain ranks, want %d", len(fromMorse), len(fromPlain), c.Dim())
+		tr := obs.NewTracker()
+		ctx := obs.WithTracker(context.Background(), tr)
+		got, err = e.BettiZ2CtxResume(ctx, c, oracle, nil)
+		if err != nil || !equalInts(got, want) {
+			t.Fatalf("restored run = %v, %v; want %v", got, err, want)
 		}
-		for d, r := range fromPlain {
-			if fromMorse[d] != r {
-				t.Fatalf("dim %d: morse emitted rank %d, plain emitted %d", d, fromMorse[d], r)
-			}
+		cs := tr.Counters()
+		if cs["columns"] != 0 {
+			t.Fatalf("restored run reduced %d columns, want 0 (counters %v)", cs["columns"], cs)
 		}
-		restore(plain, fromMorse) // morse-off checkpoint consumer
-		restore(morse, fromPlain) // morse-on checkpoint consumer
+		if cs["ranks_restored"] != uint64(c.Dim()) {
+			t.Fatalf("ranks_restored = %d, want %d", cs["ranks_restored"], c.Dim())
+		}
 	}
 }
 

@@ -11,38 +11,14 @@ import (
 	"pseudosphere/internal/topology"
 )
 
-// z2store is the minimal column-store interface the chunked GF(2)
-// reduction operates on; sparseZ2Matrix and bitsetZ2Matrix both satisfy
-// it. lowOf returns the highest row index with a 1 in the column (-1 for
-// a zero column) and addInto XORs column src into column dst.
-type z2store interface {
-	numCols() int
-	lowOf(j int) int
-	addInto(dst, src int)
-}
-
-func (m *sparseZ2Matrix) numCols() int { return len(m.cols) }
-
-func (m *sparseZ2Matrix) lowOf(j int) int {
-	col := m.cols[j]
-	if len(col) == 0 {
-		return -1
-	}
-	return col[len(col)-1]
-}
-
-func (m *sparseZ2Matrix) addInto(dst, src int) {
-	m.cols[dst] = symDiff(m.cols[dst], m.cols[src])
-}
-
 // reduceColumns runs the standard low-index column reduction over the
 // given columns. Every addition cancels against a column from the same
 // set, so concurrent calls on disjoint column sets never share mutable
 // state. It returns the indices of the surviving (independent) columns;
-// their count is the GF(2) rank of the submatrix they span. A non-nil
+// their count is the rank of the submatrix they span. A non-nil
 // cancelled flag is probed once per column; on cancellation the partial
 // survivor list is returned and the caller discards it.
-func reduceColumns(m z2store, js []int, cancelled *atomic.Bool) []int {
+func reduceColumns(m colStore, js []int, cancelled *atomic.Bool) []int {
 	lowOwner := make(map[int]int, len(js))
 	out := make([]int, 0, len(js))
 	for _, j := range js {
@@ -70,7 +46,7 @@ func reduceColumns(m z2store, js []int, cancelled *atomic.Bool) []int {
 // across goroutines costs more than it saves.
 const minParallelColumns = 256
 
-// rankOf computes the GF(2) rank of m, sharding the column reduction
+// rankOf computes the rank of m over its field, sharding the column reduction
 // across up to `workers` goroutines. Each worker reduces a disjoint
 // contiguous block of columns to a local independent set (column
 // operations are block-internal, so blocks share nothing mutable); the
@@ -80,7 +56,7 @@ const minParallelColumns = 256
 // every worker count — the determinism guarantee the engine advertises.
 // A non-nil cancelled flag aborts the reduction early; the returned rank
 // is then meaningless and the caller must not use it.
-func rankOf(m z2store, workers int, cancelled *atomic.Bool) int {
+func rankOf(m colStore, workers int, cancelled *atomic.Bool) int {
 	n := m.numCols()
 	if n == 0 {
 		return 0
@@ -119,30 +95,22 @@ func rankOf(m z2store, workers int, cancelled *atomic.Bool) int {
 }
 
 // Engine is the parallel, optionally memoized homology engine. The zero
-// value is usable (serial, auto representation, no cache); NewEngine is
-// the usual constructor. The serial package-level functions (BettiZ2 and
-// friends) remain the reference implementation the test suite diffs this
-// engine against.
+// value is usable (one worker per CPU, no cache); NewEngine is the usual
+// constructor. Every field runs the same pipeline: coreduction (morse.go)
+// collapses the acyclic bulk, then one low-index column reduction
+// (rankOf) reduces the restricted boundary matrices in the field's
+// column store (columns.go). The serial package-level functions
+// (BettiZ2, BettiGFp, BettiQ) remain the reference implementations the
+// test suite diffs this engine against.
 //
 // Determinism: Betti numbers are matrix ranks, which do not depend on the
 // order column reductions are interleaved, so an Engine returns identical
-// output for every Workers setting and representation choice.
+// output for every Workers setting.
 type Engine struct {
 	// Workers is the goroutine budget for each rank computation; values
 	// <= 0 select runtime.NumCPU(). Boundary matrices of different
 	// dimensions are additionally reduced concurrently with one another.
 	Workers int
-	// Force overrides the density heuristic choosing the boundary-matrix
-	// representation: "sparse", "bitset", or "" for automatic. It exists
-	// for the differential tests and ablation benchmarks.
-	Force string
-	// DisableMorse turns off the coreduction (discrete-Morse)
-	// preprocessing pass that eliminates acyclic cell pairs before any
-	// boundary matrix is built (see morse.go); the zero value leaves the
-	// pass on. The pass never changes results — the differential suite
-	// pins morse-on against morse-off on every fixture — so the switch
-	// exists for benchmarks, tests, and incident triage.
-	DisableMorse bool
 
 	cache *Cache
 }
@@ -185,22 +153,18 @@ func (e *Engine) BettiZ2(c *topology.Complex) []int {
 // computes, the rest wait — and an obs.Tracker carried by the context has
 // its "columns" counter bumped per reduced boundary matrix.
 func (e *Engine) BettiZ2Ctx(ctx context.Context, c *topology.Complex) ([]int, error) {
-	if e.cache == nil {
-		return e.computeBetti(ctx, c)
-	}
-	return e.cache.do(ctx, c.CanonicalHash(), func() ([]int, error) {
-		return e.computeBetti(ctx, c)
-	})
+	return e.BettiZ2CtxResume(ctx, c, nil, nil)
 }
 
 // BettiZ2CtxResume is BettiZ2Ctx with per-dimension rank checkpoints,
-// the homology half of the job subsystem's resume story. Boundary ranks
-// present in known (keyed by dimension d of ∂_d) are trusted and their
-// reductions skipped; each rank the call does compute is reported
-// through emit as soon as its reduction completes. emit may be invoked
-// concurrently (one goroutine per dimension) and is never invoked for a
-// reduction aborted by cancellation, so persisted ranks are always ranks
-// of fully reduced matrices. Either of known and emit may be nil.
+// the homology half of the job subsystem's resume story. When known
+// (keyed by dimension d of ∂_d) holds the rank of every ∂_1..∂_dim, the
+// ranks are trusted and the vector is restored without a reduction; a
+// partial known set is ignored. A run that does reduce reports the rank
+// of every original boundary matrix through emit once the whole vector
+// is known. emit is never invoked for a run aborted by cancellation, so
+// persisted ranks are always ranks of fully reduced matrices. Either of
+// known and emit may be nil.
 //
 // The caller owns key validity: known must have been recorded for a
 // complex with this CanonicalHash (the job checkpoint log stores the
@@ -250,10 +214,7 @@ func (e *Engine) BettiZ2UpToCtx(ctx context.Context, c *topology.Complex, maxDim
 }
 
 func (e *Engine) computeBettiCapped(ctx context.Context, c *topology.Complex, maxDim int) ([]int, error) {
-	if e.DisableMorse {
-		return e.computeBettiPlain(ctx, c, maxDim, nil, nil)
-	}
-	return e.computeBettiMorse(ctx, c, maxDim, nil)
+	return e.computeBettiMorse(ctx, c, maxDim, 2, nil)
 }
 
 // ReducedBettiZ2 mirrors the package-level ReducedBettiZ2 on the engine.
@@ -369,40 +330,50 @@ func (e *Engine) ConnectivityUpToCtx(ctx context.Context, c *topology.Complex, m
 	return k, nil
 }
 
-// computeBetti builds the chain complex and reduces the boundary matrices
-// of all dimensions concurrently, each sharded across the worker budget.
-// A cancellable context plants a flag the column reductions probe; on
-// cancellation the partial ranks are discarded and ctx.Err() is returned.
-func (e *Engine) computeBetti(ctx context.Context, c *topology.Complex) ([]int, error) {
-	return e.computeBettiResume(ctx, c, nil, nil)
+// BettiGFpCtx returns the Betti numbers of c over GF(p), for a prime p
+// in [2, 2^31), through the same coreduction and column reduction as
+// BettiZ2Ctx; p = 2 runs the GF(2) store. The workers probe ctx once
+// per column. Results are not cached.
+func (e *Engine) BettiGFpCtx(ctx context.Context, c *topology.Complex, p int64) ([]int, error) {
+	if err := checkModulus(p); err != nil {
+		return nil, err
+	}
+	return e.computeBettiMorse(ctx, c, c.Dim(), p, nil)
 }
 
-// computeBettiResume is computeBetti with known-rank skipping and
-// completed-rank emission; see BettiZ2CtxResume for the contract. With
-// the Morse pass enabled the reduction runs over critical cells, but the
-// ranks it emits are still ranks of the *original* boundary matrices
-// (recovered from the Betti numbers by rank-nullity), so checkpoints
-// written by a morse-on run restore into a morse-off run and vice versa.
-// A checkpoint covering every dimension routes to the plain path, which
-// restores all ranks without building a single matrix — cheaper than
-// re-running the collapse.
+// BettiQCtx returns the exact Betti numbers of c over Q, like
+// BettiGFpCtx but on the fraction-free integer store.
+func (e *Engine) BettiQCtx(ctx context.Context, c *topology.Complex) ([]int, error) {
+	return e.computeBettiMorse(ctx, c, c.Dim(), fieldQ, nil)
+}
+
+// computeBettiResume computes the full GF(2) Betti vector with rank
+// checkpoints; see BettiZ2CtxResume for the contract. A checkpoint holding the rank of
+// every boundary matrix ∂_1..∂_dim restores the Betti vector by f-vector
+// arithmetic, b_d = f_d − r_d − r_{d+1}, without building a matrix. A
+// partial checkpoint is ignored: the restricted reduction costs less
+// than the skipped dimensions would save.
 func (e *Engine) computeBettiResume(ctx context.Context, c *topology.Complex, known map[int]int, emit func(d, rank int)) ([]int, error) {
 	dim := c.Dim()
-	if dim < 0 {
-		return nil, nil
+	if dim < 1 || !coversAllRanks(known, dim) {
+		return e.computeBettiMorse(ctx, c, dim, 2, emit)
 	}
-	if !e.DisableMorse && !coversAllRanks(known, dim) {
-		return e.computeBettiMorse(ctx, c, dim, emit)
+	fv := c.FVector()
+	ranks := make([]int, dim+2) // ∂_0 and ∂_{dim+1} are zero
+	for d := 1; d <= dim; d++ {
+		ranks[d] = known[d]
 	}
-	return e.computeBettiPlain(ctx, c, dim, known, emit)
+	betti := make([]int, dim+1)
+	for d := 0; d <= dim; d++ {
+		betti[d] = fv[d] - ranks[d] - ranks[d+1]
+	}
+	obs.FromContext(ctx).Counter("ranks_restored").Add(uint64(dim))
+	return betti, nil
 }
 
 // coversAllRanks reports whether known holds a rank for every boundary
-// dimension 1..dim, i.e. a restore that needs no reduction at all.
+// dimension 1..dim.
 func coversAllRanks(known map[int]int, dim int) bool {
-	if len(known) == 0 {
-		return dim == 0
-	}
 	for d := 1; d <= dim; d++ {
 		if _, ok := known[d]; !ok {
 			return false
@@ -422,65 +393,22 @@ func cancelFlag(ctx context.Context) (cancelled *atomic.Bool, stop func()) {
 	return cancelled, func() { release() }
 }
 
-// computeBettiPlain is the unreduced path: full boundary matrices for
-// ∂_1..∂_{maxDim+1}, Betti numbers for dimensions 0..min(maxDim, dim).
-// Passing maxDim >= c.Dim() yields the complete vector.
-func (e *Engine) computeBettiPlain(ctx context.Context, c *topology.Complex, maxDim int, known map[int]int, emit func(d, rank int)) ([]int, error) {
-	cc := NewChainComplex(c)
-	if cc.dim < 0 || maxDim < 0 {
-		return nil, nil
-	}
-	top := min(maxDim, cc.dim)
-	hi := min(top+1, cc.dim)
-	cancelled, stop := cancelFlag(ctx)
-	defer stop()
-	tr := obs.FromContext(ctx)
-	colCtr := tr.Counter("columns")
-	w := e.workers()
-	ranks := make([]int, cc.dim+2) // ∂_0 and ∂_{dim+1} are zero
-	var wg sync.WaitGroup
-	for d := 1; d <= hi; d++ {
-		if r, ok := known[d]; ok {
-			ranks[d] = r
-			tr.Counter("ranks_restored").Add(1)
-			continue
-		}
-		wg.Add(1)
-		go func(d int) {
-			defer wg.Done()
-			ranks[d] = e.rank(cc, d, w, cancelled)
-			colCtr.Add(uint64(cc.Count(d)))
-			// Only a reduction that ran all its columns may be
-			// persisted; if the flag fired, the rank is partial.
-			if emit != nil && (cancelled == nil || !cancelled.Load()) {
-				emit(d, ranks[d])
-			}
-		}(d)
-	}
-	wg.Wait()
-	if cancelled != nil && cancelled.Load() {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
-	betti := make([]int, top+1)
-	for d := 0; d <= top; d++ {
-		betti[d] = cc.Count(d) - ranks[d] - ranks[d+1]
-	}
-	return betti, nil
-}
-
-// computeBettiMorse is the coreduction path: collapse first, then reduce
-// only the restricted boundary matrices ∂_1..∂_{maxDim+1} of the critical
-// cells (concurrently across dimensions, as in the plain path). The
-// "columns" counter counts critical columns, so the collapse win is
-// visible in the same metric the plain path reports. Emitted checkpoint
-// ranks are translated back to original-matrix ranks; emission needs the
+// computeBettiMorse computes Betti numbers 0..min(maxDim, dim) of c over
+// field p (a prime for GF(p), fieldQ for Q). It collapses c first,
+// then reduces only the restricted boundary matrices ∂_1..∂_{maxDim+1}
+// of the critical cells, one goroutine per dimension. The "columns"
+// counter counts the critical columns reduced. Emitted checkpoint ranks are
+// translated back to ranks of the original matrices; emission needs the
 // whole Betti vector, so it only happens on uncapped runs.
-func (e *Engine) computeBettiMorse(ctx context.Context, c *topology.Complex, maxDim int, emit func(d, rank int)) ([]int, error) {
+func (e *Engine) computeBettiMorse(ctx context.Context, c *topology.Complex, maxDim int, p int64, emit func(d, rank int)) ([]int, error) {
 	dim := c.Dim()
 	if dim < 0 || maxDim < 0 {
 		return nil, nil
+	}
+	// The cancel flag is set from another goroutine, so an already
+	// cancelled ctx is caught here, before any work.
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	top := min(maxDim, dim)
 	hi := min(top+1, dim)
@@ -500,13 +428,16 @@ func (e *Engine) computeBettiMorse(ctx context.Context, c *topology.Complex, max
 	ranks := make([]int, dim+2)
 	var wg sync.WaitGroup
 	for d := 1; d <= hi; d++ {
-		if cr.criticalCount(d) == 0 {
+		// With no critical columns or no critical rows, ∂_d has rank 0:
+		// on pseudospheres every critical cell is top-dimensional, so no
+		// matrix is built at all.
+		if cr.criticalCount(d) == 0 || cr.criticalCount(d-1) == 0 {
 			continue
 		}
 		wg.Add(1)
 		go func(d int) {
 			defer wg.Done()
-			ranks[d] = rankOf(cr.boundaryZ2(d, e.Force), w, cancelled)
+			ranks[d] = cr.rank(d, p, w, cancelled)
 			colCtr.Add(uint64(cr.criticalCount(d)))
 		}(d)
 	}
@@ -528,20 +459,4 @@ func (e *Engine) computeBettiMorse(ctx context.Context, c *topology.Complex, max
 		}
 	}
 	return betti, nil
-}
-
-// rank reduces ∂_d with the representation the density heuristic (or the
-// Force override) selects.
-func (e *Engine) rank(cc *ChainComplex, d, workers int, cancelled *atomic.Bool) int {
-	if cc.Count(d) == 0 {
-		return 0
-	}
-	rows := cc.Count(d - 1)
-	var m z2store
-	if e.Force == "bitset" || (e.Force == "" && useBitset(rows, d+1)) {
-		m = cc.boundaryBitset(d)
-	} else {
-		m = cc.boundaryZ2(d)
-	}
-	return rankOf(m, workers, cancelled)
 }

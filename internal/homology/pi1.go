@@ -223,7 +223,7 @@ func abelianRankNonzero(relations [][]int, alive map[int]bool) bool {
 			}
 		}
 	}
-	return rationalRank(m) < len(gens)
+	return rationalRank(m, nil) < len(gens)
 }
 
 func abs(x int) int {

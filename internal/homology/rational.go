@@ -2,14 +2,17 @@ package homology
 
 import (
 	"math/big"
+	"sync/atomic"
 
 	"pseudosphere/internal/topology"
 )
 
-// rationalRank computes the rank of a signed boundary matrix exactly over
-// the rationals using big.Rat Gaussian elimination. Exact but slow; used
-// only on small complexes to certify characteristic-zero Betti numbers.
-func rationalRank(signs [][]int64) int {
+// rationalRank computes the rank of an integer matrix exactly over the
+// rationals using big.Rat Gaussian elimination. Exact but slow: it is
+// the serial Q oracle, and the Q store's fallback when its int64
+// entries overflow. A non-nil cancelled flag is probed once per pivot
+// column; on cancellation the returned rank is meaningless.
+func rationalRank(signs [][]int64, cancelled *atomic.Bool) int {
 	rows, cols := len(signs), 0
 	if rows > 0 {
 		cols = len(signs[0])
@@ -23,6 +26,9 @@ func rationalRank(signs [][]int64) int {
 	}
 	rank := 0
 	for col := 0; col < cols && rank < rows; col++ {
+		if cancelled != nil && cancelled.Load() {
+			return rank
+		}
 		pivot := -1
 		for r := rank; r < rows; r++ {
 			if a[r][col].Sign() != 0 {
@@ -85,21 +91,11 @@ func BettiQ(c *topology.Complex) []int {
 	}
 	ranks := make([]int, cc.dim+2)
 	for d := 1; d <= cc.dim; d++ {
-		ranks[d] = rationalRank(cc.signedBoundary(d))
+		ranks[d] = rationalRank(cc.signedBoundary(d), nil)
 	}
 	betti := make([]int, cc.dim+1)
 	for d := 0; d <= cc.dim; d++ {
 		betti[d] = cc.Count(d) - ranks[d] - ranks[d+1]
 	}
-	return betti
-}
-
-// ReducedBettiQ is BettiQ with dimension 0 decremented.
-func ReducedBettiQ(c *topology.Complex) []int {
-	betti := BettiQ(c)
-	if len(betti) == 0 {
-		return nil
-	}
-	betti[0]--
 	return betti
 }

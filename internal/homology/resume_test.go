@@ -10,8 +10,7 @@ import (
 
 // TestBettiResume checks the rank-checkpoint contract: ranks emitted by
 // a full run, fed back as known ranks, reproduce the same Betti vector
-// without reducing a single column; a partial known set skips exactly
-// the dimensions it covers.
+// without reducing a single column; a partial known set is ignored.
 func TestBettiResume(t *testing.T) {
 	c := hollowTetrahedron() // dims 0..2, so ∂_1 and ∂_2 are reduced
 	e := NewEngine(2, nil)
@@ -51,44 +50,34 @@ func TestBettiResume(t *testing.T) {
 		t.Fatalf("ranks_restored = %d, want 2", cs["ranks_restored"])
 	}
 
-	// A partial known set skips exactly the covered dimensions on the
-	// plain path. The Morse path instead ignores partial checkpoints (the
-	// restricted reduction is cheaper than the skipped work would be) —
-	// both must land on the same vector.
-	plain := NewEngine(2, nil)
-	plain.DisableMorse = true
-	tr2 := obs.NewTracker()
-	ctx2 := obs.WithTracker(context.Background(), tr2)
-	got3, err := plain.BettiZ2CtxResume(ctx2, c, map[int]int{1: emitted[1]}, nil)
+	// A partial known set is ignored: the run reduces the collapsed
+	// complex and lands on the same vector.
+	tr3 := obs.NewTracker()
+	ctx3 := obs.WithTracker(context.Background(), tr3)
+	got3, err := e.BettiZ2CtxResume(ctx3, c, map[int]int{1: emitted[1]}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !equalInts(got3, want) {
 		t.Fatalf("partially-restored run betti = %v, want %v", got3, want)
 	}
-	if cs2 := tr2.Counters(); cs2["ranks_restored"] != 1 || cs2["columns"] == 0 {
-		t.Fatalf("partial restore counters = %v, want ranks_restored=1 and columns>0", cs2)
-	}
-	tr3 := obs.NewTracker()
-	ctx3 := obs.WithTracker(context.Background(), tr3)
-	got3m, err := e.BettiZ2CtxResume(ctx3, c, map[int]int{1: emitted[1]}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !equalInts(got3m, want) {
-		t.Fatalf("morse partially-restored run betti = %v, want %v", got3m, want)
-	}
 	if cs3 := tr3.Counters(); cs3["ranks_restored"] != 0 || cs3["morse_removed"] == 0 {
-		t.Fatalf("morse partial restore counters = %v, want ranks_restored=0 and a collapse", cs3)
+		t.Fatalf("partial restore counters = %v, want ranks_restored=0 and a collapse", cs3)
 	}
 
-	// Out-of-range known dimensions are ignored, not trusted.
-	got4, err := e.BettiZ2CtxResume(context.Background(), c, map[int]int{7: 99, -1: 3}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !equalInts(got4, want) {
-		t.Fatalf("out-of-range known ranks changed betti: %v, want %v", got4, want)
+	// Out-of-range known dimensions are ignored, not trusted, whether or
+	// not the in-range ones cover every dimension.
+	for _, known := range []map[int]int{
+		{7: 99, -1: 3},
+		{1: emitted[1], 2: emitted[2], 0: 5, 3: 9},
+	} {
+		got4, err := e.BettiZ2CtxResume(context.Background(), c, known, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !equalInts(got4, want) {
+			t.Fatalf("known ranks %v changed betti: %v, want %v", known, got4, want)
+		}
 	}
 }
 

@@ -11,13 +11,16 @@
 // suite verifies simple connectivity on every instance small enough to
 // check, and the homological computations cover the rest.
 //
-// Two GF(2) engines coexist: the serial sparse functions in this file
-// (the reference implementation, kept intentionally simple) and Engine
-// (parallel.go, bitset.go, cache.go), which shards column reduction
-// across goroutines, packs dense boundary matrices into 64-bit words,
-// and memoizes results by topology.Complex.CanonicalHash. The
-// differential tests assert the two produce bit-identical Betti numbers
-// on every instance class the repo generates.
+// Two kinds of engine coexist. The serial functions over the whole
+// complex (BettiZ2 in this file, BettiGFp in gfp.go, BettiQ in
+// rational.go) are the references, kept intentionally simple. Engine
+// (parallel.go, morse.go, columns.go, cache.go) collapses the complex
+// by coreduction, then runs one low-index column reduction over the
+// critical cells in a column store per field, sharded across
+// goroutines, and memoizes GF(2) results by
+// topology.Complex.CanonicalHash. The differential tests assert the two
+// produce bit-identical Betti numbers on every instance class the repo
+// generates.
 package homology
 
 import "sort"

@@ -13,7 +13,6 @@ import (
 	"strconv"
 
 	"pseudosphere/internal/core"
-	"pseudosphere/internal/homology"
 	"pseudosphere/internal/jobs"
 	"pseudosphere/internal/modelspec"
 	"pseudosphere/internal/pc"
@@ -191,22 +190,6 @@ func (s *Server) bettiZ2(ctx context.Context, c *topology.Complex, ck *jobs.Chec
 	})
 }
 
-// bettiGFp and bettiQ are the dense-field engines behind the same Morse
-// switch as the GF(2) path; the pass never changes their results.
-func (s *Server) bettiGFp(c *topology.Complex, p int64) ([]int, error) {
-	if s.cfg.DisableMorse {
-		return homology.BettiGFp(c, p)
-	}
-	return homology.BettiGFpMorse(c, p)
-}
-
-func (s *Server) bettiQ(c *topology.Complex) []int {
-	if s.cfg.DisableMorse {
-		return homology.BettiQ(c)
-	}
-	return homology.BettiQMorse(c)
-}
-
 // buildPseudosphere serves psi(S^n; V) (Definition 3) statistics with
 // optional Betti numbers and connectivity.
 func (s *Server) buildPseudosphere(q url.Values) (endpointQuery, error) {
@@ -335,13 +318,14 @@ func (s *Server) buildModel(ctx context.Context, inst *modelspec.Instance, input
 }
 
 // buildConnectivity serves Betti numbers and connectivity of a model's
-// round complex over GF(2) (cancellable, cached by canonical hash via the
-// engine), GF(p), or Q. All three fields run behind the engine's
-// coreduction pass (unless the server was started with -no-morse). An
-// optional upto=k parameter (GF(2) only) caps the reduction at dimension
-// k: the response then reports Betti numbers 0..k and min(connectivity, k)
-// — top-dimensional boundary matrices are never reduced, which is the
-// cheap way to ask "is this complex at least k-connected?".
+// round complex over GF(2) (cached by canonical hash via the engine),
+// GF(p), or Q. All three fields run the engine's coreduction and column
+// reduction under the request context, so a timeout frees the compute
+// slot within a column. An optional upto=k parameter (GF(2) only) caps
+// the reduction at dimension k: the response then reports Betti numbers
+// 0..k and min(connectivity, k) — top-dimensional boundary matrices are
+// never reduced, which is the cheap way to ask "is this complex at least
+// k-connected?".
 func (s *Server) buildConnectivity(q url.Values, spec *modelspec.Spec) (endpointQuery, error) {
 	inst, err := resolveModel(q, spec)
 	if err != nil {
@@ -370,9 +354,10 @@ func (s *Server) buildConnectivity(q url.Values, spec *modelspec.Spec) (endpoint
 		if p, err = qInt(q, "p", 3); err != nil {
 			return endpointQuery{}, err
 		}
-		// Validate the modulus here, not in homology.BettiGFp after a full
+		// Validate the modulus here, not in the engine after a full
 		// construction: a bad p must cost a 400, not a built complex — and
-		// BettiGFp's Fermat inverses are silently wrong for composite p.
+		// the engine does not test primality, so a composite p would give
+		// a silently wrong answer.
 		if p > maxGFpP {
 			return endpointQuery{}, badRequest("p=%d exceeds the limit of %d", p, maxGFpP)
 		}
@@ -415,11 +400,14 @@ func (s *Server) buildConnectivity(q url.Values, spec *modelspec.Spec) (endpoint
 					return nil, err
 				}
 			case field == "gfp":
-				if betti, err = s.bettiGFp(c, int64(p)); err != nil {
-					return nil, badRequestError{msg: err.Error()}
+				// p was validated at parse, so the only error is ctx's.
+				if betti, err = s.engine.BettiGFpCtx(ctx, c, int64(p)); err != nil {
+					return nil, err
 				}
 			case field == "q":
-				betti = s.bettiQ(c)
+				if betti, err = s.engine.BettiQCtx(ctx, c); err != nil {
+					return nil, err
+				}
 			}
 			conn := connectivityOf(c, betti)
 			var uptoOut *int

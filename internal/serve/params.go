@@ -16,9 +16,10 @@ import (
 // ceilings (n, rounds) live in modelspec with the registry.
 const (
 	maxValues = 16
-	// maxGFpP caps field=gfp moduli: far below the int64 overflow bound of
-	// the dense GF(p) elimination (p^2 terms), and small enough that the
-	// trial-division primality check is microseconds.
+	// maxGFpP caps field=gfp moduli: far below the 2^31 bound the
+	// homology engine checks (where products of residues stop fitting an
+	// int64), and small enough that the trial-division primality check
+	// is microseconds.
 	maxGFpP = 1 << 20
 )
 

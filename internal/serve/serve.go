@@ -105,10 +105,6 @@ type Config struct {
 	// its claimed ranges before they are stolen back (0 = 10s).
 	DistThreshold int64
 	DistLease     time.Duration
-	// DisableMorse turns off the homology engines' coreduction
-	// preprocessing (see homology.Engine.DisableMorse); results are
-	// identical either way, so this is a triage/benchmark switch.
-	DisableMorse bool
 	// Tracker receives request/latency/cache metrics (nil: a fresh one).
 	Tracker *obs.Tracker
 	// Log receives operational lines (nil: the standard logger).
@@ -217,7 +213,6 @@ func New(cfg Config) (*Server, error) {
 		s.betti.SetBacking(bettiBacking{st: s.store})
 	}
 	s.engine = homology.NewEngine(cfg.Workers, s.betti)
-	s.engine.DisableMorse = cfg.DisableMorse
 
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
