@@ -386,6 +386,29 @@ func BenchmarkBettiQMorseSemisync4(b *testing.B) {
 	benchField(b, semisync4Op, 4, semisync4Betti, bettiQMorse)
 }
 
+// benchBuild times roundop.Build of the r=2 complex of op over n+1
+// processes at one worker; size pins the simplex count.
+func benchBuild(b *testing.B, op roundop.Operator, n, size int) {
+	input := inputSimplex(n)
+	for i := 0; i < b.N; i++ {
+		res, err := roundop.Build(context.Background(), op, input, 2, roundop.Options{Workers: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if got := res.Complex.Size(); got != size {
+			b.Fatalf("built %d simplexes, want %d", got, size)
+		}
+	}
+}
+
+// BenchmarkBuildSync4 and BenchmarkBuildSemisync4 are the multi-round
+// construction canaries gated by .github/bench_baseline.json: the whole
+// cost of building a view per option, encoding it and inserting each
+// facet, on cold-sweep's tGFpSync4 and tGFpSemisync4 complexes.
+func BenchmarkBuildSync4(b *testing.B) { benchBuild(b, sync4Op, 4, 6371) }
+
+func BenchmarkBuildSemisync4(b *testing.B) { benchBuild(b, semisync4Op, 4, 24181) }
+
 // --- ablation benches for engine design choices ---
 
 // BenchmarkAblationHomologySparseZ2 measures the production engine (sparse

@@ -11,6 +11,7 @@ package asyncmodel
 
 import (
 	"fmt"
+	"math/bits"
 
 	"pseudosphere/internal/core"
 	"pseudosphere/internal/pc"
@@ -48,55 +49,31 @@ func (p Params) DegenerateInput(m int) bool { return m < p.N-p.F }
 
 // oneRoundOptions precomputes, for every participant, the next-round view
 // produced by each admissible heard set (itself plus at least n-f others).
-// views.Next and the vertex encoding run once per (participant, heard-set)
-// option; the facet odometer only composes precomputed options. Returns nil
-// when the input has too few participants.
+// Each heard set is built and encoded once and shared by every member
+// that can receive it; the facet odometer only composes precomputed
+// options. A participant's options run over the subsets of the others in
+// ascending bitmask order. Returns nil when the input has too few
+// participants.
 func oneRoundOptions(cur []*views.View, p Params) [][]pc.Option {
 	m := len(cur) - 1
 	if p.DegenerateInput(m) {
 		return nil
 	}
+	hs := views.NewHeardSets(cur)
 	opts := make([][]pc.Option, len(cur))
 	for i := range cur {
-		others := make([]*views.View, 0, len(cur)-1)
-		for j, v := range cur {
-			if j != i {
-				others = append(others, v)
+		// others is a mask over the m other participants; spread it over
+		// cur's positions around i.
+		for others := uint64(0); others < 1<<m; others++ {
+			if bits.OnesCount64(others) < p.N-p.F {
+				continue
 			}
-		}
-		subs := subsetsOfViews(others, p.N-p.F)
-		opts[i] = make([]pc.Option, len(subs))
-		for si, sub := range subs {
-			heard := make(map[int]*views.View, len(sub)+1)
-			heard[cur[i].P] = cur[i]
-			for _, h := range sub {
-				heard[h.P] = h
-			}
-			opts[i][si] = pc.NewOption(views.Next(cur[i].P, heard))
+			low := others & (1<<i - 1)
+			mask := low | (others-low)<<1 | 1<<i
+			opts[i] = append(opts[i], pc.NewOption(hs.Of(mask).View(cur[i].P)))
 		}
 	}
 	return opts
-}
-
-// subsetsOfViews enumerates all subsets of vs of size at least minSize.
-func subsetsOfViews(vs []*views.View, minSize int) [][]*views.View {
-	if minSize < 0 {
-		minSize = 0
-	}
-	var out [][]*views.View
-	n := len(vs)
-	for mask := 0; mask < 1<<n; mask++ {
-		var sub []*views.View
-		for i := 0; i < n; i++ {
-			if mask&(1<<i) != 0 {
-				sub = append(sub, vs[i])
-			}
-		}
-		if len(sub) >= minSize {
-			out = append(out, sub)
-		}
-	}
-	return out
 }
 
 // Lemma11Pseudosphere builds the abstract pseudosphere of Lemma 11:

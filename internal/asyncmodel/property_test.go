@@ -23,19 +23,24 @@ func TestRandomHeardSetsYieldMembers(t *testing.T) {
 		// Each process hears itself plus a nonempty subset of the other
 		// two (n-f = 1): encode the choice as 1..3 (01, 10, 11).
 		base := pc.InputViews(input)
-		byID := map[int]*views.View{0: base[0], 1: base[1], 2: base[2]}
 		facet := make([]topology.Vertex, 3)
 		for i := 0; i < 3; i++ {
 			mask := int(choices[i])%3 + 1
-			heard := map[int]*views.View{i: byID[i]}
+			hears := map[int]bool{i: true}
 			others := []int{(i + 1) % 3, (i + 2) % 3}
 			if mask&1 != 0 {
-				heard[others[0]] = byID[others[0]]
+				hears[others[0]] = true
 			}
 			if mask&2 != 0 {
-				heard[others[1]] = byID[others[1]]
+				hears[others[1]] = true
 			}
-			v := views.Next(i, heard)
+			var from []*views.View
+			for _, v := range base {
+				if hears[v.P] {
+					from = append(from, v)
+				}
+			}
+			v := views.NewHeard(from, nil).View(i)
 			facet[i] = topology.Vertex{P: i, Label: v.Encode()}
 		}
 		s, err := topology.NewSimplex(facet...)

@@ -23,8 +23,6 @@
 package iis
 
 import (
-	"sort"
-
 	"pseudosphere/internal/pc"
 	"pseudosphere/internal/roundop"
 	"pseudosphere/internal/views"
@@ -46,29 +44,28 @@ func Operator() roundop.Operator {
 type iisOperator struct{}
 
 func (o iisOperator) Branches(cur []*views.View) ([]roundop.Branch, error) {
-	byID := make(map[int]*views.View, len(cur))
+	// cur is in ascending process order, so positions in cur are the
+	// option-table positions. A process's heard set is the union of the
+	// blocks up to its own: each distinct union is built once and shared
+	// by the block's members and by every partition of this call.
 	ids := make([]int, len(cur))
+	pos := make(map[int]int, len(cur)) // process id -> position in cur
 	for i, v := range cur {
-		byID[v.P] = v
 		ids[i] = v.P
+		pos[v.P] = i
 	}
-	sort.Ints(ids)
-	pos := make(map[int]int, len(ids)) // process id -> option-table position
-	for i, q := range ids {
-		pos[q] = i
-	}
+	hs := views.NewHeardSets(cur)
 	var out []roundop.Branch
 	for _, partition := range OrderedPartitions(ids) {
 		opts := make([][]pc.Option, len(ids))
-		var seen []int
+		var seen uint64
 		for _, block := range partition {
-			seen = append(seen, block...)
 			for _, p := range block {
-				heard := make(map[int]*views.View, len(seen))
-				for _, q := range seen {
-					heard[q] = byID[q]
-				}
-				opts[pos[p]] = []pc.Option{pc.NewOption(views.Next(p, heard))}
+				seen |= 1 << pos[p]
+			}
+			h := hs.Of(seen)
+			for _, p := range block {
+				opts[pos[p]] = []pc.Option{pc.NewOption(h.View(p))}
 			}
 		}
 		out = append(out, roundop.Branch{Opts: opts, Next: o})

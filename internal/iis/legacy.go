@@ -2,6 +2,7 @@ package iis
 
 import (
 	"fmt"
+	"slices"
 
 	"pseudosphere/internal/pc"
 	"pseudosphere/internal/topology"
@@ -9,7 +10,7 @@ import (
 )
 
 // LegacySerialRounds is the pre-engine serial construction of IIS_r,
-// retained verbatim as a reference implementation: the differential tests
+// retained as a reference implementation: the differential tests
 // pin the roundop engine's output against it hash for hash. Note it emits
 // each facet's views in partition-block order where the engine emits
 // ascending process order; the resulting complexes and view maps are
@@ -38,12 +39,14 @@ func legacyAppendOneRound(res *pc.Result, cur []*views.View) [][]*views.View {
 		var seen []int
 		for _, block := range partition {
 			seen = append(seen, block...)
+			heard := make([]*views.View, len(seen))
+			for i, q := range seen {
+				heard[i] = byID[q]
+			}
+			slices.SortFunc(heard, func(a, b *views.View) int { return a.P - b.P })
+			h := views.NewHeard(heard, nil)
 			for _, p := range block {
-				heard := make(map[int]*views.View, len(seen))
-				for _, q := range seen {
-					heard[q] = byID[q]
-				}
-				facet = append(facet, views.Next(p, heard))
+				facet = append(facet, h.View(p))
 			}
 		}
 		res.AddFacet(facet)

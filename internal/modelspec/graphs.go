@@ -52,29 +52,32 @@ type graphsOperator struct {
 }
 
 func (o graphsOperator) Branches(cur []*views.View) ([]roundop.Branch, error) {
-	byID := make(map[int]*views.View, len(cur))
-	for _, v := range cur {
+	pos := make(map[int]int, len(cur)) // process id -> position in cur
+	for i, v := range cur {
 		if v.P < 0 || v.P >= len(o.gm.inN[0]) {
 			return nil, fmt.Errorf("modelspec: participant %d outside the spec's %d processes", v.P, len(o.gm.inN[0]))
 		}
-		byID[v.P] = v
+		pos[v.P] = i
 	}
 	allowed := o.gm.all
 	if o.round < len(o.gm.sched) {
 		allowed = o.gm.sched[o.round]
 	}
 	next := graphsOperator{gm: o.gm, round: o.round + 1}
+	// A participant hears itself and its in-neighbours that participate;
+	// every distinct in-neighbourhood is one heard set, built once.
+	hs := views.NewHeardSets(cur)
 	branches := make([]roundop.Branch, 0, len(allowed))
 	for _, gi := range allowed {
 		opts := make([][]pc.Option, len(cur))
 		for i, v := range cur {
-			heard := map[int]*views.View{v.P: v}
+			mask := uint64(1) << i
 			for _, q := range o.gm.inN[gi][v.P] {
-				if w, ok := byID[q]; ok {
-					heard[q] = w
+				if j, ok := pos[q]; ok {
+					mask |= 1 << j
 				}
 			}
-			opts[i] = []pc.Option{pc.NewOption(views.Next(v.P, heard))}
+			opts[i] = []pc.Option{pc.NewOption(hs.Of(mask).View(v.P))}
 		}
 		branches = append(branches, roundop.Branch{Opts: opts, Next: next})
 	}

@@ -142,3 +142,18 @@ func TestDecodeDeltaRejects(t *testing.T) {
 		}
 	}
 }
+
+// TestDecodeDeltaRejectsNonCanonicalLabel: a face-closed, chromatic delta
+// whose labels all parse is still refused when one label spells a local
+// state in a non-canonical way. Admitting it would give a merged complex
+// a second vertex for a state it already has.
+func TestDecodeDeltaRejectsNonCanonicalLabel(t *testing.T) {
+	canonical := "0[0:(0=a);1:(1=b)]"
+	for _, label := range []string{canonical, "0[1:(1=b);0:(0=a)]"} {
+		verts := []pc.DeltaVert{{P: 0, L: label}, {P: 1, L: "1[0:(0=a);1:(1=b)]"}}
+		res, err := pc.DecodeDelta(verts, [][]int32{{0}, {1}, {0, 1}})
+		if ok := label == canonical; (err == nil) != ok || (res != nil) != ok {
+			t.Fatalf("label %q: DecodeDelta = (%v, %v), want accepted %v", label, res, err, ok)
+		}
+	}
+}

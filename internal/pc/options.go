@@ -11,8 +11,8 @@ import (
 // option lists: each participant (or survivor) independently picks one
 // admissible heard set, and each product point is one facet of the round
 // complex. The constructors build one Option per (position, choice) — so
-// views.Next and the canonical view encoding run once per option rather
-// than once per facet — and then walk the product with the helpers below.
+// a view and its label are built once per option rather than once per
+// facet — and then walk the product with the helpers below.
 // Linear indexing (DecodeIndex) lets the parallel constructors shard the
 // product space across workers without materializing it.
 
@@ -23,10 +23,9 @@ type Option struct {
 	Vert topology.Vertex
 }
 
-// NewOption encodes v into its protocol-complex vertex. The encoding is
-// memoized on the view, so sharing the returned Option across facets (and,
-// read-only, across goroutines) costs nothing. Callers must finish
-// mutating v (e.g. setting Meta) before calling NewOption.
+// NewOption pairs v with its protocol-complex vertex. A view is encoded
+// when it is built and never changes, so sharing the returned Option
+// across facets and, read-only, across goroutines costs nothing.
 func NewOption(v *views.View) Option {
 	return Option{View: v, Vert: topology.Vertex{P: v.P, Label: v.Encode()}}
 }

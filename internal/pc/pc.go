@@ -38,7 +38,7 @@ func (r *Result) AddFacet(vs []*views.View) topology.Simplex {
 	sort.Slice(s, func(i, j int) bool { return s[i].P < s[j].P })
 	if r.addNew(s) {
 		for _, v := range vs {
-			r.Views[topology.Vertex{P: v.P, Label: v.Encode()}] = v // Encode is memoized
+			r.Views[topology.Vertex{P: v.P, Label: v.Encode()}] = v // Encode only reads
 		}
 	}
 	return s

@@ -2,6 +2,7 @@ package protocols
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"pseudosphere/internal/sim"
@@ -50,7 +51,7 @@ func (p *FullInfo) Deliver(round, from int, payload string) {
 		return
 	}
 	v, err := views.Decode(payload[sep+1:])
-	if err != nil {
+	if err != nil || v.P != from {
 		return
 	}
 	p.heard[from] = v
@@ -66,12 +67,22 @@ func (p *FullInfo) EndRound(round int) (bool, string) {
 	if _, ok := heard[p.self]; !ok {
 		heard[p.self] = p.current
 	}
-	p.current = views.Next(p.self, heard)
+	p.current = views.NewHeard(sortedViews(heard), nil).View(p.self)
 	p.heard = nil
 	if round >= p.rounds {
 		return true, p.current.Encode()
 	}
 	return false, ""
+}
+
+// sortedViews returns the received views in ascending sender order.
+func sortedViews(heard map[int]*views.View) []*views.View {
+	from := make([]*views.View, 0, len(heard))
+	for _, v := range heard {
+		from = append(from, v)
+	}
+	sort.Slice(from, func(i, j int) bool { return from[i].P < from[j].P })
+	return from
 }
 
 // View returns the protocol's current full-information view.

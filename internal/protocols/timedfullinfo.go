@@ -57,7 +57,7 @@ func (p *TimedFullInfo) Deliver(now, from int, payload string) {
 		return
 	}
 	v, err := views.Decode(parts[2])
-	if err != nil {
+	if err != nil || v.P != from {
 		return
 	}
 	if micro > p.heardMicro[from] {
@@ -75,14 +75,12 @@ func (p *TimedFullInfo) Step(now int) (string, bool, string) {
 	if now >= p.timing.D {
 		// Round boundary passed; all round-1 messages were delivered
 		// before this step. Finalize the full-information view.
-		heard := make(map[int]*views.View, len(p.heardView))
-		meta := make(map[int]string, len(p.heardView))
-		for q, v := range p.heardView {
-			heard[q] = v
-			meta[q] = strconv.Itoa(p.heardMicro[q])
+		from := sortedViews(p.heardView)
+		notes := make([]string, len(from))
+		for i, v := range from {
+			notes[i] = strconv.Itoa(p.heardMicro[v.P])
 		}
-		next := views.Next(p.self, heard)
-		next.Meta = meta
+		next := views.NewHeard(from, notes).View(p.self)
 		p.decided, p.decision = true, next.Encode()
 		return "", true, p.decision
 	}

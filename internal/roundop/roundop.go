@@ -41,9 +41,10 @@ type Branch struct {
 // current views, the set of branches the adversary may choose. Branches
 // must be deterministic and ordered (the Mayer–Vietoris proofs iterate the
 // union in branch order), and the option tables must be safe for
-// concurrent read — pc.NewOption pre-encodes each view, so workers never
-// mutate shared state. Branches reports invalid model parameters as an
-// error, which Build returns.
+// concurrent read — views are encoded when built and never change, so
+// workers never mutate shared state. cur is in ascending process order.
+// Branches reports invalid model parameters as an error, which Build
+// returns.
 type Operator interface {
 	Branches(cur []*views.View) ([]Branch, error)
 }

@@ -93,7 +93,7 @@ func Lemma19Map(oneRound *pc.Result, input topology.Simplex) (topology.VertexMap
 	for vert, view := range oneRound.Views {
 		mu := make(map[int]int, len(ids))
 		for _, q := range ids {
-			if ms, ok := view.Meta[q]; ok {
+			if ms, ok := view.Note(q); ok {
 				n, err := strconv.Atoi(ms)
 				if err != nil {
 					return nil, fmt.Errorf("semisync: bad microround annotation %q on %v", ms, vert)

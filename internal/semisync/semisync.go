@@ -155,9 +155,10 @@ func OneRoundPattern(input topology.Simplex, fail []int, f FailurePattern, p Par
 // oneRoundPatternOptions precomputes each survivor's admissible next views
 // for failure set fail under pattern f: for each failing process j the
 // survivor last sees j at microround f[j]-1 or f[j] (exactly f[j] when
-// j == force). views.Next, the Meta annotation, and the vertex encoding run
-// once per (survivor, choice) option. Returns nil options when no process
-// survives.
+// j == force). A choice vector fixes the whole heard set, annotations
+// included, so each choice's heard set is built and encoded once and
+// shared by every survivor; the options are the (survivor, choice) views.
+// Returns nil options when no process survives.
 func oneRoundPatternOptions(cur []*views.View, fail []int, f FailurePattern, p Params, force int) ([][]pc.Option, error) {
 	micro := p.Micro()
 	failSet := make(map[int]bool, len(fail))
@@ -188,34 +189,42 @@ func oneRoundPatternOptions(cur []*views.View, fail []int, f FailurePattern, p P
 	sortedFail := append([]int(nil), fail...)
 	sort.Ints(sortedFail)
 	perFail := make([][]int, len(sortedFail))
+	failIdx := make(map[int]int, len(sortedFail))
 	for i, q := range sortedFail {
+		failIdx[q] = i
 		if q == force {
 			perFail[i] = []int{f[q]}
 		} else {
 			perFail[i] = []int{f[q] - 1, f[q]}
 		}
 	}
-	choices := cartesianInts(perFail)
+	// Microround annotations 0..micro, each formatted once.
+	notes := make([]string, micro+1)
+	for m := range notes {
+		notes[m] = strconv.Itoa(m)
+	}
 
+	choices := cartesianInts(perFail)
 	opts := make([][]pc.Option, len(survivors))
-	for i, sv := range survivors {
+	for i := range opts {
 		opts[i] = make([]pc.Option, len(choices))
-		for ci, mu := range choices {
-			heard := make(map[int]*views.View, len(cur))
-			meta := make(map[int]string, len(cur))
-			for _, w := range survivors {
-				heard[w.P] = w
-				meta[w.P] = strconv.Itoa(micro)
-			}
-			for jj, q := range sortedFail {
-				if mu[jj] >= 1 {
-					heard[q] = byID[q]
-					meta[q] = strconv.Itoa(mu[jj])
+	}
+	for ci, mu := range choices {
+		from := make([]*views.View, 0, len(cur))
+		ann := make([]string, 0, len(cur))
+		for _, v := range cur {
+			m := micro
+			if j, failing := failIdx[v.P]; failing {
+				if m = mu[j]; m < 1 {
+					continue
 				}
 			}
-			next := views.Next(sv.P, heard)
-			next.Meta = meta
-			opts[i][ci] = pc.NewOption(next)
+			from = append(from, v)
+			ann = append(ann, notes[m])
+		}
+		h := views.NewHeard(from, ann)
+		for i, sv := range survivors {
+			opts[i][ci] = pc.NewOption(h.View(sv.P))
 		}
 	}
 	return opts, nil

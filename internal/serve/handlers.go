@@ -18,6 +18,7 @@ import (
 	"pseudosphere/internal/pc"
 	"pseudosphere/internal/task"
 	"pseudosphere/internal/topology"
+	"pseudosphere/internal/views"
 )
 
 // complexStats is the JSON shape every endpoint reports a complex in.
@@ -471,6 +472,13 @@ func (s *Server) buildDecision(q url.Values, spec *modelspec.Spec) (endpointQuer
 	values, err := qValues(q)
 	if err != nil {
 		return endpointQuery{}, err
+	}
+	// The values become round-0 views, and a value holding an encoding
+	// delimiter could make two local states share one vertex label.
+	for _, v := range values {
+		if err := views.CheckValue(v); err != nil {
+			return endpointQuery{}, badRequest("%v", err)
+		}
 	}
 	limit := s.cfg.NodeLimit
 	if raw := q.Get("limit"); raw != "" {

@@ -169,6 +169,10 @@ func TestEndpointsServeValidJSON(t *testing.T) {
 			"/v1/connectivity?upto=nope",
 			"/v1/connectivity?field=gfp&p=5&upto=1",
 			"/v1/decision?agree=0",
+			// "a);1:(1=b" holds encoding delimiters: as process 0's input
+			// it would share the label 0[0:(0=a);1:(1=b)] with process 0
+			// holding "a" after hearing process 1's "b".
+			"/v1/decision?model=sync&n=1&k=1&r=1&agree=1&values=a,a%29%3B1%3A%281%3Db,b",
 			"/v1/pseudosphere?values=0,0",
 		} {
 			code, _, body := get(t, ts, path)

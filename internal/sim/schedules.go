@@ -97,10 +97,11 @@ func EnumerateCrashSchedulesParallelCtx(ctx context.Context, n1, f, maxRound, wo
 		}()
 	}
 	wg.Wait()
-	if cancelled != nil && cancelled.Load() {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
+	// Read ctx itself, not only the flag: AfterFunc sets the flag on its
+	// own goroutine, which may not have run yet when a small enumeration
+	// under an already-cancelled ctx finishes.
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	return mergeSchedules(branches), nil
 }

@@ -32,9 +32,10 @@ func (o syncOperator) Branches(cur []*views.View) ([]roundop.Branch, error) {
 	for i, v := range cur {
 		ids[i] = v.P
 	}
+	hs := views.NewHeardSets(cur)
 	var out []roundop.Branch
 	for _, fail := range FailureSets(ids, min(o.p.PerRound, o.p.Total)) {
-		opts, err := oneRoundExactlyOptions(cur, fail, -1)
+		opts, err := oneRoundExactlyOptions(hs, cur, fail, -1)
 		if err != nil {
 			return nil, err
 		}

@@ -71,27 +71,35 @@ func OneRoundFullyHeard(input topology.Simplex, fail []int, heardByAll int) (*pc
 // oneRoundExactlyOptions precomputes each survivor's admissible next views
 // for the failure set fail: every survivor hears all survivors (plus
 // forced, if set) and independently one subset of the remaining failing
-// processes. views.Next and the vertex encoding run once per (survivor,
-// subset) option. Returns nil options when no process survives.
-func oneRoundExactlyOptions(cur []*views.View, fail []int, forced int) ([][]pc.Option, error) {
-	failSet := make(map[int]bool, len(fail))
-	byID := make(map[int]*views.View, len(cur))
-	for _, v := range cur {
-		byID[v.P] = v
+// processes. Each heard set comes from hs, built over cur, so it is
+// built and encoded once and shared by every survivor, and by every
+// failure set that reaches it through the same hs; the options are the
+// (survivor, subset) views. Returns nil options when no process survives.
+func oneRoundExactlyOptions(hs *views.HeardSets, cur []*views.View, fail []int, forced int) ([][]pc.Option, error) {
+	pos := make(map[int]int, len(cur)) // process id -> position in cur
+	for i, v := range cur {
+		pos[v.P] = i
 	}
+	var failMask uint64
 	for _, q := range fail {
-		if _, ok := byID[q]; !ok {
+		i, ok := pos[q]
+		if !ok {
 			return nil, fmt.Errorf("syncmodel: failing process %d is not a participant", q)
 		}
-		failSet[q] = true
+		failMask |= 1 << i
 	}
-	if forced >= 0 && !failSet[forced] {
-		return nil, fmt.Errorf("syncmodel: forced process %d is not failing", forced)
+	base := ^failMask & (1<<len(cur) - 1) // the survivors
+	if forced >= 0 {
+		i, ok := pos[forced]
+		if !ok || failMask&(1<<i) == 0 {
+			return nil, fmt.Errorf("syncmodel: forced process %d is not failing", forced)
+		}
+		base |= 1 << i
 	}
-	var survivors []*views.View
-	for _, v := range cur {
-		if !failSet[v.P] {
-			survivors = append(survivors, v)
+	var survivors []int // process ids
+	for i, v := range cur {
+		if failMask&(1<<i) == 0 {
+			survivors = append(survivors, v.P)
 		}
 	}
 	if len(survivors) == 0 {
@@ -105,22 +113,25 @@ func oneRoundExactlyOptions(cur []*views.View, fail []int, forced int) ([][]pc.O
 	}
 	sort.Ints(optional)
 
-	subsets := intSubsets(optional)
+	// One heard-set mask per subset of optional, in ascending subset
+	// index order: bit b of the index picks optional[b].
+	masks := make([]uint64, 1<<len(optional))
+	for sub := range masks {
+		masks[sub] = base
+		for b, q := range optional {
+			if sub&(1<<b) != 0 {
+				masks[sub] |= 1 << pos[q]
+			}
+		}
+	}
 	opts := make([][]pc.Option, len(survivors))
-	for i, sv := range survivors {
-		opts[i] = make([]pc.Option, len(subsets))
-		for si, sub := range subsets {
-			heard := make(map[int]*views.View, len(survivors)+len(fail))
-			for _, w := range survivors {
-				heard[w.P] = w
-			}
-			if forced >= 0 {
-				heard[forced] = byID[forced]
-			}
-			for _, q := range sub {
-				heard[q] = byID[q]
-			}
-			opts[i][si] = pc.NewOption(views.Next(sv.P, heard))
+	for i := range opts {
+		opts[i] = make([]pc.Option, len(masks))
+	}
+	for si, mask := range masks {
+		h := hs.Of(mask)
+		for i, p := range survivors {
+			opts[i][si] = pc.NewOption(h.View(p))
 		}
 	}
 	return opts, nil
@@ -131,7 +142,7 @@ func oneRoundExactlyOptions(cur []*views.View, fail []int, forced int) ([][]pc.O
 // survivor hears from the failing process forced. Returns the facets as
 // survivor view lists.
 func appendOneRoundExactly(res *pc.Result, cur []*views.View, fail []int, forced int) ([][]*views.View, error) {
-	opts, err := oneRoundExactlyOptions(cur, fail, forced)
+	opts, err := oneRoundExactlyOptions(views.NewHeardSets(cur), cur, fail, forced)
 	if err != nil || opts == nil {
 		return nil, err
 	}
@@ -239,20 +250,4 @@ func Lemma15RHS(input topology.Simplex, fail []int) (*pc.Result, error) {
 		res.Merge(sub)
 	}
 	return res, nil
-}
-
-// intSubsets enumerates all subsets of the sorted slice xs.
-func intSubsets(xs []int) [][]int {
-	n := len(xs)
-	out := make([][]int, 0, 1<<n)
-	for mask := 0; mask < 1<<n; mask++ {
-		var sub []int
-		for i := 0; i < n; i++ {
-			if mask&(1<<i) != 0 {
-				sub = append(sub, xs[i])
-			}
-		}
-		out = append(out, sub)
-	}
-	return out
 }

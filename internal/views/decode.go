@@ -6,11 +6,14 @@ import (
 	"strings"
 )
 
-// Decode parses a canonical view encoding produced by Encode. Input values
-// must not contain the reserved characters '=', '[', ']', '(', ')', ';',
-// ':' or '@' (the model packages and protocols only use plain value
-// strings, so this is not restrictive in practice). Decode(Encode(v))
-// reconstructs a view with the same encoding.
+// Decode parses a canonical view encoding produced by Encode and returns
+// an error for anything else: Decode(s) succeeds exactly when s is the
+// encoding of the view it returns, so Decode(s).Encode() == s. Input
+// values and annotations must pass CheckValue, senders must be strictly
+// ascending, each sender's entry must hold that sender's own view, and
+// numbers must be written without sign or leading zeros. A label that
+// decodes therefore names one local state one way, and a shard frame or
+// checkpoint record cannot spell an existing vertex a second time.
 func Decode(s string) (*View, error) {
 	v, rest, err := parseView(s)
 	if err != nil {
@@ -18,6 +21,9 @@ func Decode(s string) (*View, error) {
 	}
 	if rest != "" {
 		return nil, fmt.Errorf("views: trailing input %q", rest)
+	}
+	if v.enc != s {
+		return nil, fmt.Errorf("views: %q is not canonical (the canonical form is %q)", s, v.enc)
 	}
 	return v, nil
 }
@@ -46,27 +52,33 @@ func parseView(s string) (*View, string, error) {
 		for j < len(s) && s[j] != ')' && s[j] != ';' {
 			j++
 		}
+		if err := CheckValue(s[i+1 : j]); err != nil {
+			return nil, "", err
+		}
 		return Initial(p, s[i+1:j]), s[j:], nil
 	case '[':
 		body, rest, err := balanced(s[i:], '[', ']')
 		if err != nil {
 			return nil, "", err
 		}
-		heard := make(map[int]*View)
-		meta := make(map[int]string)
+		var from []*View
+		var notes []string
 		for body != "" {
 			entry := body
-			// Entry: sender[@meta]:(view). The separator is the first
-			// colon: the head holds only digits and an optional "@meta".
+			// Entry: sender[@note]:(view). The separator is the first
+			// colon: the head holds only digits and an optional "@note".
 			colon := strings.IndexByte(entry, ':')
 			if colon < 0 {
 				return nil, "", fmt.Errorf("views: malformed entry %q", entry)
 			}
 			head := entry[:colon]
-			senderStr, metaStr, hasMeta := strings.Cut(head, "@")
+			senderStr, note, _ := strings.Cut(head, "@")
 			sender, err := strconv.Atoi(senderStr)
 			if err != nil {
 				return nil, "", fmt.Errorf("views: bad sender %q", head)
+			}
+			if err := CheckValue(note); err != nil {
+				return nil, "", err
 			}
 			if colon+1 >= len(entry) || entry[colon+1] != '(' {
 				return nil, "", fmt.Errorf("views: expected '(' in entry %q", entry)
@@ -82,10 +94,14 @@ func parseView(s string) (*View, string, error) {
 			if leftover != "" {
 				return nil, "", fmt.Errorf("views: trailing %q inside entry", leftover)
 			}
-			heard[sender] = sub
-			if hasMeta {
-				meta[sender] = metaStr
+			if sub.P != sender {
+				return nil, "", fmt.Errorf("views: sender %d carries the view of process %d", sender, sub.P)
 			}
+			if n := len(from); n > 0 && from[n-1].P >= sender {
+				return nil, "", fmt.Errorf("views: sender %d follows sender %d", sender, from[n-1].P)
+			}
+			from = append(from, sub)
+			notes = append(notes, note)
 			if after == "" {
 				body = ""
 			} else if after[0] == ';' {
@@ -94,11 +110,7 @@ func parseView(s string) (*View, string, error) {
 				return nil, "", fmt.Errorf("views: expected ';' between entries, got %q", after)
 			}
 		}
-		v := Next(p, heard)
-		if len(meta) > 0 {
-			v.Meta = meta
-		}
-		return v, rest, nil
+		return NewHeard(from, notes).View(p), rest, nil
 	default:
 		return nil, "", fmt.Errorf("views: unexpected %q after id %d", s[i], p)
 	}

@@ -18,9 +18,9 @@ func TestDecodeRoundTripInitial(t *testing.T) {
 
 func TestDecodeRoundTripNested(t *testing.T) {
 	a, b, c := Initial(0, "x"), Initial(1, "y"), Initial(2, "z")
-	r1 := Next(0, map[int]*View{0: a, 1: b})
-	r1b := Next(2, map[int]*View{1: b, 2: c})
-	r2 := Next(0, map[int]*View{0: r1, 2: r1b})
+	r1 := heard(0, a, b)
+	r1b := heard(2, b, c)
+	r2 := heard(0, r1, r1b)
 	back, err := Decode(r2.Encode())
 	if err != nil {
 		t.Fatal(err)
@@ -33,10 +33,10 @@ func TestDecodeRoundTripNested(t *testing.T) {
 	}
 }
 
+// TestDecodeRoundTripMeta round-trips a view with per-sender annotations.
 func TestDecodeRoundTripMeta(t *testing.T) {
 	a, b := Initial(0, "u"), Initial(1, "w")
-	v := Next(0, map[int]*View{0: a, 1: b})
-	v.Meta = map[int]string{0: "2", 1: "1"}
+	v := NewHeard([]*View{a, b}, []string{"2", "1"}).View(0)
 	back, err := Decode(v.Encode())
 	if err != nil {
 		t.Fatal(err)
@@ -44,18 +44,28 @@ func TestDecodeRoundTripMeta(t *testing.T) {
 	if back.Encode() != v.Encode() {
 		t.Fatalf("round trip: %q vs %q", back.Encode(), v.Encode())
 	}
-	if back.Meta[1] != "1" {
-		t.Fatalf("meta lost: %v", back.Meta)
+	if n, ok := back.Note(1); !ok || n != "1" {
+		t.Fatalf("annotation lost: %q, %v", n, ok)
 	}
 }
 
+// TestDecodeRejectsGarbage covers malformed input and well-formed but
+// non-canonical spellings of a view, which would otherwise let a label
+// name an existing local state a second way.
 func TestDecodeRejectsGarbage(t *testing.T) {
 	for _, bad := range []string{
 		"", "x", "3", "3[", "3[0:(1=a]", "3[zz:(1=a)]", "3[0:(1=a)extra]",
 		"1=a trailing)",
+		// Non-canonical: unsorted senders, a repeated sender, a leading
+		// zero.
+		"0[1:(1=b);0:(0=a)]", "0[0:(0=a);0:(0=b)]", "00=a",
+		// A sender carrying another process's view, a signed sender, an
+		// empty annotation, and reserved characters in values.
+		"0[1:(0=a)]", "0[+0:(0=a)]", "0[0@:(0=a)]", "0[0@1@2:(0=a)]",
+		"0=a[b", "0=a:b", "0=a=b",
 	} {
-		if _, err := Decode(bad); err == nil {
-			t.Fatalf("%q accepted", bad)
+		if v, err := Decode(bad); err == nil {
+			t.Fatalf("%q accepted as %q", bad, v.Encode())
 		}
 	}
 }
@@ -63,20 +73,43 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 // TestDecodeRoundTripQuick round-trips random small view structures.
 func TestDecodeRoundTripQuick(t *testing.T) {
 	prop := func(inputs [3]uint8, include [3]bool, withMeta bool) bool {
-		heard := make(map[int]*View)
+		var from []*View
 		for i := 0; i < 3; i++ {
 			if include[i] || i == 0 {
-				heard[i] = Initial(i, string(rune('a'+inputs[i]%5)))
+				from = append(from, Initial(i, string(rune('a'+inputs[i]%5))))
 			}
 		}
-		v := Next(0, heard)
+		var notes []string
 		if withMeta {
-			v.Meta = map[int]string{0: "3"}
+			notes = make([]string, len(from))
+			notes[0] = "3"
 		}
+		v := NewHeard(from, notes).View(0)
 		back, err := Decode(v.Encode())
 		return err == nil && back.Encode() == v.Encode()
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzDecode checks that Decode accepts canonical encodings only: whenever
+// it succeeds, the view it returns encodes back to exactly its input.
+func FuzzDecode(f *testing.F) {
+	for _, s := range []string{
+		"0=a", "12=", "0[0:(0=a);1:(1=b)]", "0[0@2:(0=a);1@2:(1=b)]",
+		"0[0:(0[0:(0=a);1:(1=b)]);1:(1[0:(0=a);1:(1=b)])]",
+		"0[1:(1=b);0:(0=a)]", "0[0:(0=a);0:(0=b)]", "00=a", "0[]",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		v, err := Decode(s)
+		if err != nil {
+			return
+		}
+		if got := v.Encode(); got != s {
+			t.Fatalf("Decode(%q) re-encodes as %q", s, got)
+		}
+	})
 }
