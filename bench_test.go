@@ -298,7 +298,7 @@ func BenchmarkE19BuildReduceA1n3f3(b *testing.B) {
 }
 
 // discardCkpt is a Checkpointer that keeps nothing: every Restore is a
-// fresh start and every Flush drops its delta.
+// fresh start and every Flush records nothing.
 type discardCkpt struct{}
 
 func (discardCkpt) Restore(int) ([]bool, *pc.Result, error) { return nil, nil, nil }
@@ -306,9 +306,9 @@ func (discardCkpt) Flush([]int, *pc.Result) error           { return nil }
 
 // BenchmarkBuildCkpt is the checkpointed-enumeration canary gated by
 // .github/bench_baseline.json: A^1 n=3 f=3 (6560 simplexes) built at one
-// worker with a flush every 8 shards into a checkpointer that discards
-// its deltas. It times what a job's build adds to the plain enumeration
-// E3 and E19 time (batching shards and merging the batches), without the
+// worker, its result handed every 8 shards to a checkpointer that
+// discards it. It times what a job's build adds to the plain enumeration
+// E3 and E19 time (the claim loop stopping to flush), without the
 // encoding and fsync BenchmarkCkptFlush times.
 func BenchmarkBuildCkpt(b *testing.B) {
 	input := inputSimplex(3)

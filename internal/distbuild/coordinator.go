@@ -316,7 +316,8 @@ type build struct {
 }
 
 // restore replays the checkpoint log into the done-set, so a resumed
-// coordinator never re-leases a shard a previous attempt flushed.
+// coordinator never re-leases a shard a previous attempt flushed, and
+// adopts its partial result as the build's result.
 func (b *build) restore() error {
 	if b.ck == nil {
 		return nil
@@ -334,7 +335,7 @@ func (b *build) restore() error {
 		}
 	}
 	if partial != nil {
-		b.res.Merge(partial)
+		b.res = partial // the checkpoint's chain continues into it
 	}
 	return nil
 }
@@ -413,11 +414,12 @@ func (b *build) reclaimExpiredLocked() []string {
 	return stolen
 }
 
-// complete merges one fulfilled lease: flush to the checkpoint first
-// (the durable record must never trail the served result), then merge,
-// then mark done. A completion for a stolen or unknown lease is
-// errLeaseGone — its shards are owned by someone else now and its delta
-// is discarded.
+// complete merges one fulfilled lease into the build's result, hands the
+// result to the checkpoint, and marks the shards done; the build finishes
+// only after its last completion's Flush returned, so a flush error fails
+// it before anything is served. A completion for a stolen or unknown
+// lease is errLeaseGone — its shards are owned by someone else now and
+// its delta is discarded.
 func (b *build) complete(leaseID uint64, shards []int, delta *pc.Result) error {
 	b.mu.Lock()
 	var stolen []string
@@ -449,23 +451,23 @@ func (b *build) complete(leaseID uint64, shards []int, delta *pc.Result) error {
 			return fmt.Errorf("distbuild: completion shard %d outside lease range [%d,%d)", s, l.lo, l.hi)
 		}
 	}
+	b.res.Merge(delta)
 	if b.ck != nil {
-		if err := b.ck.Flush(shards, delta); err != nil {
+		if err := b.ck.Flush(shards, b.res); err != nil {
 			b.fail(fmt.Errorf("distbuild: flush checkpoint: %w", err))
 			return b.err
 		}
 		b.tr.Counter("ckpt_flushes").Add(1)
 	}
-	b.res.Merge(delta)
-	var size int64
+	var facets int64
 	for _, s := range shards {
 		b.state[s] = shardDone
-		size += b.plan.Size(s)
+		facets += b.plan.Facets(s)
 	}
 	b.doneCnt += len(shards)
 	delete(b.leases, leaseID)
 	b.shardCtr.Add(uint64(len(shards)))
-	b.facetCtr.Add(uint64(size))
+	b.facetCtr.Add(uint64(facets))
 	b.tr.Counter("dist_shards_done").Add(uint64(len(shards)))
 	if b.doneCnt == len(b.state) {
 		b.closed = true

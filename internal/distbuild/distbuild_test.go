@@ -3,11 +3,13 @@ package distbuild
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -547,7 +549,7 @@ func TestHandlersRejectProtocolErrors(t *testing.T) {
 		t.Fatal("register live build")
 	}
 	l := b.claim("w", 2)
-	payload, err := json.Marshal(shardDelta{
+	payload, err := json.Marshal(legacyDelta{
 		Build: "live", Lease: l.Lease, Shards: []int{l.Lo, l.Lo + 1},
 		Verts: []pc.DeltaVert{{P: 0, L: views.Initial(0, "a").Encode()}, {P: 1, L: views.Initial(1, "b").Encode()}},
 		Simps: [][]int32{{0, 1}},
@@ -555,13 +557,29 @@ func TestHandlersRejectProtocolErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err = http.Post(ts.URL+CompletePath, "application/octet-stream", bytes.NewReader(store.EncodeFrame(payload)))
-	if err != nil {
-		t.Fatal(err)
+	// The same delta in a record-codec frame: the header, then a record of
+	// two shards, two new vertices and one row, the edge.
+	rec := []byte{tagFrame, 4}
+	rec = append(rec, "live"...)
+	rec = binary.AppendUvarint(rec, l.Lease)
+	rec = append(rec, 2, byte(l.Lo), byte(l.Lo+1), 0, 0, 2)
+	for _, v := range []*views.View{views.Initial(0, "a"), views.Initial(1, "b")} {
+		rec = append(rec, byte(v.P), byte(len(v.Encode())))
+		rec = append(rec, v.Encode()...)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("delta that is not face-closed: status %d, want 400", resp.StatusCode)
+	rec = append(rec, 1, 2, 0, 1)
+	if _, err := DecodeShardFrame(store.EncodeFrame(rec)); err == nil || !strings.Contains(err.Error(), "face-closed") {
+		t.Fatalf("record frame of a lone edge: %v, want a face-closure error", err)
+	}
+	for _, frame := range [][]byte{store.EncodeFrame(payload), store.EncodeFrame(rec)} {
+		resp, err = http.Post(ts.URL+CompletePath, "application/octet-stream", bytes.NewReader(frame))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("delta that is not face-closed: status %d, want 400", resp.StatusCode)
+		}
 	}
 	if b.closed || b.doneCnt != 0 || !b.res.Complex.IsEmpty() {
 		t.Fatalf("bad delta changed the build: closed %v, done %d, size %d", b.closed, b.doneCnt, b.res.Complex.Size())
@@ -622,8 +640,8 @@ func TestOfferHandlerValidates(t *testing.T) {
 }
 
 // TestEncodeDecodeShardDelta round-trips a real shard through the wire
-// frame: vertices, simplices, lease metadata, and the full face-closed
-// simplex set.
+// frame of the record codec: vertices, simplices, lease metadata, and the
+// full face-closed simplex set.
 func TestEncodeDecodeShardDelta(t *testing.T) {
 	_, _, plan := testModel(t, "model=async&n=3&f=2&r=1")
 	shard := pc.NewResult()
@@ -631,6 +649,9 @@ func TestEncodeDecodeShardDelta(t *testing.T) {
 		t.Fatal(err)
 	}
 	frame := EncodeShardDelta("b", 7, []int{0}, shard)
+	if payload, ok := store.DecodeFrame(frame); !ok || payload[0] != tagFrame {
+		t.Fatal("EncodeShardDelta wrote no tagged record frame")
+	}
 	delta, err := DecodeShardFrame(frame)
 	if err != nil {
 		t.Fatal(err)
@@ -689,4 +710,79 @@ func TestDecodeSortedEncoderFrame(t *testing.T) {
 	if got := again.Result.Complex.CanonicalHash(); got != goldenIISHash {
 		t.Fatalf("re-encoded frame decodes to %s, want %s", got, goldenIISHash)
 	}
+}
+
+// TestDistributedFacetsCounter: a distributed build's "facets" counter
+// counts final-round facet insertions, as a local Build's does, so both
+// end at EstimateFacets, also for r > 1, where a shard is a whole
+// first-round subtree and its first-round option count undercounts it.
+func TestDistributedFacetsCounter(t *testing.T) {
+	for _, q := range []string{"model=iis&n=2&r=2", "model=sync&n=2&k=1&r=2", "model=async&n=3&f=3&r=1"} {
+		inst, input, plan := testModel(t, q)
+		want, err := roundop.EstimateFacets(inst.Operator(), input, inst.R)
+		if err != nil {
+			t.Fatal(err)
+		}
+		local := obs.NewTracker()
+		if _, err := inst.Build(obs.WithTracker(context.Background(), local), input, 1); err != nil {
+			t.Fatal(err)
+		}
+		dist := obs.NewTracker()
+		if _, err := NewCoordinator(obs.NewTracker()).Run(obs.WithTracker(context.Background(), dist), "b-"+q, BuildConfig{Plan: plan}); err != nil {
+			t.Fatal(err)
+		}
+		if l, d := local.Counters()["facets"], dist.Counters()["facets"]; l != uint64(want) || d != uint64(want) {
+			t.Fatalf("%s: facets counter local %d, distributed %d, want %d insertions", q, l, d, want)
+		}
+	}
+}
+
+// checkSound fails unless res is a face-closed chromatic complex whose
+// every vertex has a view, its label being that view's canonical encoding.
+func checkSound(t *testing.T, res *pc.Result) {
+	t.Helper()
+	c := res.Complex
+	var faces []int32
+	for ei := int32(0); ei < int32(c.EntryCount()); ei++ {
+		if faces = c.EntryFaces(ei, faces[:0]); slices.Contains(faces, -1) {
+			t.Fatalf("entry %v lacks a face", c.EntrySimplex(ei))
+		}
+		s := c.EntrySimplex(ei)
+		for i := 1; i < len(s); i++ {
+			if s[i-1].P >= s[i].P {
+				t.Fatalf("entry %v is not chromatic", s)
+			}
+		}
+	}
+	for id := int32(0); id < int32(c.VertexCount()); id++ {
+		v := c.VertexAt(id)
+		view, ok := res.Views[v]
+		if _, err := views.Decode(v.Label); err != nil || !ok || view.P != v.P || view.Encode() != v.Label {
+			t.Fatalf("vertex %v has no canonical view", v)
+		}
+	}
+}
+
+// TestDecodeTailFrame: the committed frame of the whole IIS n=2 r=2 build,
+// as the record codec writes it, decodes to the pinned complex, so the
+// next codec change must keep reading it.
+func TestDecodeTailFrame(t *testing.T) {
+	raw, err := os.ReadFile("testdata/iis-n2-r2-tail.frame")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if payload, ok := store.DecodeFrame(raw); !ok || payload[0] != tagFrame {
+		t.Fatal("fixture is not a tagged completion frame")
+	}
+	delta, err := DecodeShardFrame(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if delta.Build != "golden" || delta.Lease != 7 || len(delta.Shards) != 13 {
+		t.Fatalf("decoded metadata = %+v", delta)
+	}
+	if got := delta.Result.Complex.CanonicalHash(); got != goldenIISHash {
+		t.Fatalf("golden tail frame decodes to %s, want %s", got, goldenIISHash)
+	}
+	checkSound(t, delta.Result)
 }

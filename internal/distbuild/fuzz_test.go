@@ -9,10 +9,12 @@ import (
 )
 
 // FuzzDecodeShardFrame hammers the completion-frame decoder with
-// arbitrary bytes plus mutations of a valid frame. The decoder sits on a
-// fleet-internal endpoint, but a crashed-and-restarted worker (or a
-// proxy truncation) can hand it anything; it must reject garbage with an
-// error — never panic, never return a half-validated complex.
+// arbitrary bytes plus mutations of valid frames, in the record codec and
+// in the legacy JSON form. The decoder sits on a fleet-internal endpoint,
+// but a crashed-and-restarted worker (or a proxy truncation) can hand it
+// anything; it must reject garbage with an error — never panic, never
+// return a half-validated complex. Whatever it returns is face-closed and
+// chromatic, with a canonical view behind every label.
 func FuzzDecodeShardFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("garbage"))
@@ -52,6 +54,16 @@ func FuzzDecodeShardFrame(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(golden)
+	// The record codec's golden frame, and a frame of two shards.
+	tail, err := os.ReadFile("testdata/iis-n2-r2-tail.frame")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(tail)
+	if err := plan.RunShard(shard, 1); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(EncodeShardDelta("seed-build", 2, []int{0, 1}, shard))
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		delta, err := DecodeShardFrame(raw)
@@ -74,6 +86,6 @@ func FuzzDecodeShardFrame(f *testing.F) {
 		if delta.Result == nil {
 			t.Fatal("decoded frame with nil result")
 		}
-		_ = delta.Result.Complex.CanonicalHash()
+		checkSound(t, delta.Result)
 	})
 }

@@ -22,18 +22,24 @@
 //
 // Offers carry the model as a modelspec document plus the input simplex,
 // never code or compiled state: the worker re-parses, re-prices against
-// its own budget, and re-derives the identical shard plan. Completions
-// are store.EncodeFrame-wrapped JSON (magic, length, checksum), so a
-// truncated or corrupted delivery is rejected whole; the payload interns
-// the vertex table and lists every simplex of the face-closed delta, so
-// the coordinator merges with topology.Complex.AddClosed and never walks
-// a closure. These endpoints are fleet-internal, like /internal/kv:
-// replicas should listen on an internal interface.
+// its own budget, and re-derives the identical shard plan. A completion
+// is one store.EncodeFrame frame (magic, length, checksum), so a
+// truncated or corrupted delivery is rejected whole. Its payload is a
+// small binary header (a tag byte, the build id, the lease) and one pc
+// record (pc.AppendRecord) over the worker's fresh result: its done list
+// is the leased shards, and it extends 0 vertices and 0 entries, so it
+// carries the vertex table and every simplex of the face-closed delta and
+// the coordinator loads it with the closure-free bulk path. Frames a
+// previous release wrote as JSON still decode. These endpoints are
+// fleet-internal, like /internal/kv: replicas should listen on an
+// internal interface.
 package distbuild
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"math"
 
 	"pseudosphere/internal/pc"
 	"pseudosphere/internal/store"
@@ -98,12 +104,14 @@ type claimResponse struct {
 	Hi    int    `json:"hi,omitempty"`
 }
 
-// shardDelta is the JSON payload inside a completion frame: the lease
-// being fulfilled, the shard indices it covered, and the enumerated
-// sub-complex in pc's delta encoding — the same encoding the checkpoint
-// log persists, so the coordinator can both flush it to the job's
-// CheckpointLog and merge it with the closure-free bulk path.
-type shardDelta struct {
+// tagFrame opens a completion payload; a previous release's JSON
+// payloads open with '{'.
+const tagFrame = 0x01
+
+// legacyDelta is the JSON payload of a completion frame from a previous
+// release: the lease, the shards it covered, and the sub-complex in pc's
+// legacy delta encoding.
+type legacyDelta struct {
 	Build  string         `json:"build"`
 	Lease  uint64         `json:"lease"`
 	Shards []int          `json:"shards"`
@@ -119,26 +127,26 @@ type Delta struct {
 	Result *pc.Result
 }
 
-// EncodeShardDelta frames a completed shard range for the wire. The
-// delta result must be face-closed (anything a ShardPlan.RunShard built
-// is).
+// EncodeShardDelta frames a completed shard range for the wire: the
+// header, then the record of all of delta, which must be the fresh result
+// the range was run into (anything a ShardPlan.RunShard built from
+// pc.NewResult is).
 func EncodeShardDelta(build string, lease uint64, shards []int, delta *pc.Result) []byte {
-	verts, simps := pc.EncodeDelta(delta)
-	payload, err := json.Marshal(shardDelta{Build: build, Lease: lease, Shards: shards, Verts: verts, Simps: simps})
-	if err != nil {
-		// The struct contains only marshalable fields; treat as impossible
-		// but fail safe with an empty (undecodable) frame.
-		return nil
-	}
+	payload := []byte{tagFrame}
+	payload = binary.AppendUvarint(payload, uint64(len(build)))
+	payload = append(payload, build...)
+	payload = binary.AppendUvarint(payload, lease)
+	payload = pc.AppendRecord(payload, shards, delta, pc.Mark{})
 	return store.EncodeFrame(payload)
 }
 
-// DecodeShardFrame decodes and fully validates one completion frame.
-// Everything is checked before anything is built — frame checksum, JSON
-// shape, and then the delta through pc.DecodeDelta (view labels, index
-// ranges, simplex validity) — so a corrupt or adversarial frame yields an
-// error and never a half-valid result. This is the attacker-controlled
-// surface of the protocol and the fuzz target.
+// DecodeShardFrame decodes and fully validates one completion frame. The
+// frame checksum, the header and then the record through
+// pc.ApplyRecord (view labels, id ranges, chromatic rows, face closure)
+// are all checked, so a corrupt or adversarial frame yields an error and
+// never a half-valid result. This is the attacker-controlled surface of
+// the protocol and the fuzz target. Shard indices are checked against the
+// lease when the coordinator merges the delta.
 func DecodeShardFrame(raw []byte) (*Delta, error) {
 	if len(raw) > MaxCompleteBody {
 		return nil, fmt.Errorf("distbuild: completion frame of %d bytes exceeds the %d limit", len(raw), MaxCompleteBody)
@@ -147,12 +155,36 @@ func DecodeShardFrame(raw []byte) (*Delta, error) {
 	if !ok {
 		return nil, fmt.Errorf("distbuild: completion frame failed checksum validation")
 	}
-	var sd shardDelta
+	if len(payload) > 0 && payload[0] == '{' {
+		return decodeLegacyFrame(payload)
+	}
+	if len(payload) == 0 || payload[0] != tagFrame {
+		return nil, fmt.Errorf("distbuild: completion payload has no frame tag")
+	}
+	rest := payload[1:]
+	n, k := binary.Uvarint(rest)
+	if k <= 0 || n > uint64(len(rest)-k) {
+		return nil, fmt.Errorf("distbuild: completion header is malformed")
+	}
+	build := string(rest[k : k+int(n)])
+	rest = rest[k+int(n):]
+	lease, k := binary.Uvarint(rest)
+	if k <= 0 {
+		return nil, fmt.Errorf("distbuild: completion header is malformed")
+	}
+	res := pc.NewResult()
+	shards, err := res.ApplyRecord(rest[k:], math.MaxInt32)
+	if err != nil {
+		return nil, fmt.Errorf("distbuild: completion delta: %w", err)
+	}
+	return checkDelta(&Delta{Build: build, Lease: lease, Shards: shards, Result: res})
+}
+
+// decodeLegacyFrame decodes a previous release's JSON completion payload.
+func decodeLegacyFrame(payload []byte) (*Delta, error) {
+	var sd legacyDelta
 	if err := json.Unmarshal(payload, &sd); err != nil {
 		return nil, fmt.Errorf("distbuild: completion payload: %w", err)
-	}
-	if sd.Build == "" || len(sd.Shards) == 0 {
-		return nil, fmt.Errorf("distbuild: completion names no build or no shards")
 	}
 	for _, i := range sd.Shards {
 		if i < 0 {
@@ -163,5 +195,13 @@ func DecodeShardFrame(raw []byte) (*Delta, error) {
 	if err != nil {
 		return nil, fmt.Errorf("distbuild: completion delta: %w", err)
 	}
-	return &Delta{Build: sd.Build, Lease: sd.Lease, Shards: sd.Shards, Result: res}, nil
+	return checkDelta(&Delta{Build: sd.Build, Lease: sd.Lease, Shards: sd.Shards, Result: res})
+}
+
+// checkDelta rejects a completion that names no build or no shards.
+func checkDelta(d *Delta) (*Delta, error) {
+	if d.Build == "" || len(d.Shards) == 0 {
+		return nil, fmt.Errorf("distbuild: completion names no build or no shards")
+	}
+	return d, nil
 }

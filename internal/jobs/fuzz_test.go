@@ -12,6 +12,7 @@ import (
 
 	"pseudosphere/internal/jobs"
 	"pseudosphere/internal/pc"
+	"pseudosphere/internal/roundop"
 	"pseudosphere/internal/store"
 )
 
@@ -55,8 +56,9 @@ func FuzzParseSpec(f *testing.F) {
 }
 
 // FuzzCheckpointLogOpen: any byte sequence on disk opens without panic,
-// yields a structurally sound restore, and the opened log accepts and
-// round-trips new appends.
+// yields a structurally sound restore — a face-closed chromatic complex
+// with a canonical view behind every label — and the opened log accepts
+// and round-trips new appends.
 func FuzzCheckpointLogOpen(f *testing.F) {
 	rank := store.EncodeFrame([]byte(`{"t":"rank","hash":"h","dim":1,"rank":3}`))
 	shards := store.EncodeFrame([]byte(`{"t":"shards","total":2,"done":[0],"verts":[{"p":0,"l":"(0:a)"}],"simps":[[0]]}`))
@@ -67,14 +69,21 @@ func FuzzCheckpointLogOpen(f *testing.F) {
 	f.Add([]byte("garbage that is not a frame at all"))
 	f.Add(store.EncodeFrame([]byte(`{"t":"mystery"}`)))
 	f.Add(store.EncodeFrame([]byte(`not json`)))
-	// Real shard records: the sorted encoder's golden log, and an
-	// insertion-order log from the current encoder.
+	// Real shard records: the sorted encoder's golden log, a one-record
+	// log from the record codec, its golden log, and a chain of records
+	// for the 4 shards the target restores.
 	golden, err := os.ReadFile("testdata/iis-n2-r2-sorted.ckpt")
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(golden)
 	f.Add(flushedLog(f, 4, []int{1, 3}, buildResult(f, "model=iis&n=2&r=1")))
+	tail, err := os.ReadFile("testdata/iis-n2-r2-tail.ckpt")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(tail)
+	f.Add(chainedLog(f, 4))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "fuzz.ckpt")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
@@ -93,6 +102,9 @@ func FuzzCheckpointLogOpen(f *testing.F) {
 		}
 		if (done == nil) != (partial == nil) {
 			t.Fatal("restore returned done xor partial")
+		}
+		if partial != nil {
+			checkSound(t, partial)
 		}
 		// Whatever was salvaged, the log must still accept appends...
 		if err := log.PutRank("fuzz", 2, 7); err != nil {
@@ -216,6 +228,43 @@ func TestCheckpointLogMutilation(t *testing.T) {
 			}
 		})
 	}
+}
+
+// chainedLog returns the bytes of a checkpoint log holding one record per
+// shard for the first total shards of IIS n=2 r=2, each extending the
+// result the previous ones flushed, as a build's log of total shards.
+func chainedLog(tb testing.TB, total int) []byte {
+	tb.Helper()
+	inst, input := buildQuery(tb, "model=iis&n=2&r=2")
+	plan, err := roundop.PlanShards(inst.Operator(), input, inst.R)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	path := filepath.Join(tb.TempDir(), "chain.ckpt")
+	log, err := jobs.OpenCheckpointLog(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, _, err := log.Restore(total); err != nil {
+		tb.Fatal(err)
+	}
+	res := pc.NewResult()
+	for s := 0; s < total; s++ {
+		if err := plan.RunShard(res, s); err != nil {
+			tb.Fatal(err)
+		}
+		if err := log.Flush([]int{s}, res); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := log.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return raw
 }
 
 // flushedLog returns the bytes of a fresh checkpoint log holding one

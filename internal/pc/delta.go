@@ -8,13 +8,13 @@ import (
 	"pseudosphere/internal/views"
 )
 
-// The delta codec: the one serialized form of a face-closed result, shared
-// by job checkpoint records and distributed-build completion frames. A
-// delta is a vertex table plus every simplex of the complex as a row of
-// vertex-table indices — the full face-closed set, not just facets, so the
-// decoder bulk-loads it with topology.Complex.AddClosed and never walks a
-// closure. Rows may come in any order; the decoder's result does not
-// depend on it.
+// The legacy delta reader. Before the record codec (record.go), job
+// checkpoint records and distributed-build completion frames carried a
+// face-closed result as JSON: a vertex table plus every simplex of the
+// complex as a row of vertex-table indices, in any order. Nothing writes
+// that form any more; DecodeDelta keeps logs and frames written by older
+// builds readable, so a job interrupted before an upgrade resumes after
+// it and a replica mid-upgrade can still deliver shards.
 
 // DeltaVert is one vertex-table entry of an encoded delta: the process id
 // and the encoded view label. It marshals as {"p":..,"l":..}.
@@ -23,37 +23,11 @@ type DeltaVert struct {
 	L string `json:"l"`
 }
 
-// EncodeDelta dumps r's face-closed complex as a vertex table and one
-// vertex-index row per simplex. It walks the complex's own intern table
-// and entries in insertion order: no sort, no Simplex materialization, no
-// map lookups. r.Views is not read; the decoder rebuilds views from the
-// labels.
-func EncodeDelta(r *Result) ([]DeltaVert, [][]int32) {
-	c := r.Complex
-	verts := make([]DeltaVert, c.VertexCount())
-	for id := range verts {
-		v := c.VertexAt(int32(id))
-		verts[id] = DeltaVert{P: v.P, L: v.Label}
-	}
-	total := 0
-	for d, f := range c.FVector() {
-		total += (d + 1) * f
-	}
-	flat := make([]int32, 0, total)
-	simps := make([][]int32, c.EntryCount())
-	for ei := range simps {
-		start := len(flat)
-		flat = c.AppendEntryIDs(flat, int32(ei))
-		simps[ei] = flat[start:len(flat):len(flat)]
-	}
-	return verts, simps
-}
-
 // DecodeDelta validates an encoded delta in full and returns the result
 // only when every check passes: every label must decode to a view of its
 // process id, every row index must name a table entry, every row must be
-// a chromatic simplex, and the rows must be face-closed, as anything
-// EncodeDelta wrote is. A corrupt or adversarial delta therefore yields
+// a chromatic simplex, and the rows must be face-closed, as anything the
+// old encoder wrote is. A corrupt or adversarial delta therefore yields
 // an error and never a result, in particular never a complex holding a
 // simplex without its faces.
 func DecodeDelta(verts []DeltaVert, simps [][]int32) (*Result, error) {

@@ -2,9 +2,7 @@ package pc_test
 
 import (
 	"context"
-	"encoding/json"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"pseudosphere/internal/asyncmodel"
@@ -30,44 +28,33 @@ func deltaFixtures(t *testing.T) map[string]*pc.Result {
 	return map[string]*pc.Result{"A^1 n=3 f=3": async, "IIS n=2 r=2": twice, "empty": pc.NewResult()}
 }
 
-// TestDeltaRoundTrip: EncodeDelta's output, through JSON and DecodeDelta,
-// rebuilds the same complex (same CanonicalHash) with a view per vertex,
-// and its rows follow the complex's insertion order.
+// TestDeltaRoundTrip: the record of a whole result, cut at the empty
+// mark and applied to a fresh result, rebuilds it vertex id for vertex id
+// and entry for entry (so the same CanonicalHash), with a view per
+// vertex that re-encodes as its label.
 func TestDeltaRoundTrip(t *testing.T) {
 	for name, res := range deltaFixtures(t) {
-		verts, simps := pc.EncodeDelta(res)
-		if len(verts) != res.Complex.VertexCount() || len(simps) != res.Complex.Size() {
-			t.Fatalf("%s: encoded %d verts, %d rows for %d vertices, %d simplexes",
-				name, len(verts), len(simps), res.Complex.VertexCount(), res.Complex.Size())
+		rec := pc.AppendRecord(nil, []int{0, 2}, res, pc.Mark{})
+		got := pc.NewResult()
+		done, err := got.ApplyRecord(rec, 3)
+		if err != nil {
+			t.Fatalf("%s: apply: %v", name, err)
 		}
-		for ei, row := range simps {
-			s := res.Complex.EntrySimplex(int32(ei))
-			for j, id := range row {
-				if v := verts[id]; v.P != s[j].P || v.L != s[j].Label {
-					t.Fatalf("%s: row %d vertex %d = %+v, entry has %v", name, ei, j, v, s[j])
-				}
+		if len(done) != 2 || done[0] != 0 || done[1] != 2 {
+			t.Fatalf("%s: done = %v, want [0 2]", name, done)
+		}
+		if got.Mark() != res.Mark() {
+			t.Fatalf("%s: applied %+v, encoded %+v", name, got.Mark(), res.Mark())
+		}
+		for id := int32(0); id < int32(res.Complex.VertexCount()); id++ {
+			if g, w := got.Complex.VertexAt(id), res.Complex.VertexAt(id); g != w {
+				t.Fatalf("%s: vertex %d = %v, encoded %v", name, id, g, w)
 			}
 		}
-		raw, err := json.Marshal(struct {
-			Verts []pc.DeltaVert `json:"verts"`
-			Simps [][]int32      `json:"simps"`
-		}{verts, simps})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(verts) > 0 && !strings.HasPrefix(string(raw), `{"verts":[{"p":`) {
-			t.Fatalf("%s: vertex table marshals as %.40s, want {p,l} objects", name, raw)
-		}
-		var back struct {
-			Verts []pc.DeltaVert
-			Simps [][]int32
-		}
-		if err := json.Unmarshal(raw, &back); err != nil {
-			t.Fatal(err)
-		}
-		got, err := pc.DecodeDelta(back.Verts, back.Simps)
-		if err != nil {
-			t.Fatalf("%s: decode: %v", name, err)
+		for ei := int32(0); ei < int32(res.Complex.EntryCount()); ei++ {
+			if g, w := got.Complex.EntrySimplex(ei), res.Complex.EntrySimplex(ei); !g.Equal(w) {
+				t.Fatalf("%s: entry %d = %v, encoded %v", name, ei, g, w)
+			}
 		}
 		if g, w := got.Complex.CanonicalHash(), res.Complex.CanonicalHash(); g != w {
 			t.Fatalf("%s: decoded hash %s, encoded %s", name, g, w)

@@ -19,11 +19,16 @@ type Options struct {
 	// Checkpoint, when non-nil, persists progress at shard boundaries and
 	// resumes from what a previous run persisted (see Checkpointer).
 	Checkpoint Checkpointer
-	// FlushEvery is the number of completed shards batched into one
-	// Checkpoint.Flush (at least 1). It is unused without a Checkpoint.
-	// Each worker batches the shards it runs itself, so with W workers
-	// up to W·(FlushEvery−1) completed shards sit in unfinished batches,
-	// and a SIGKILL loses those, plus any full batch not yet flushed.
+	// FlushEvery is the number of completed shards between two
+	// Checkpoint.Flush calls (at least 1). It is unused without a
+	// Checkpoint. A SIGKILL loses the shards completed since the last
+	// Flush: at one worker up to FlushEvery−1 of them. With W > 1 workers
+	// each batches the shards it runs itself, so up to W·(FlushEvery−1)
+	// completed shards sit in unfinished batches, plus any full batch not
+	// yet flushed. It also loses whatever the Checkpointer accepted but
+	// had not yet made durable: a jobs.CheckpointLog syncs its records on
+	// a writer goroutine and holds at most 8 unsynced ones, so up to
+	// 8·FlushEvery more shards.
 	FlushEvery int
 }
 
@@ -37,9 +42,9 @@ type Options struct {
 // one claim loop runs them. At Workers <= 1 it runs on the caller's
 // goroutine and writes straight into the result; with more workers each
 // goroutine accumulates into a private result and the results are merged
-// once at the end. Either way the complex — a set, whose accessors all
-// sort — is independent of worker count and scheduling, and its
-// CanonicalHash agrees bit for bit across them.
+// into the build's result. Either way the complex — a set, whose
+// accessors all sort — is independent of worker count and scheduling, and
+// its CanonicalHash agrees bit for bit across them.
 //
 // The claim loop checks ctx before every shard: after cancellation Build
 // returns ctx.Err() once each worker finishes the shard in hand. An
@@ -47,20 +52,21 @@ type Options struct {
 // bumped by each shard's final-round facet insertions, so a fresh build
 // of an in-tree operator ends with the counter at EstimateFacets.
 //
-// With a Checkpoint, shards a previous run persisted are skipped and
-// their partial result restored; each claim loop runs its shards into a
-// private batch that is handed to Checkpoint.Flush every FlushEvery shards
-// before it is merged into the result. On cancellation every loop hands
-// over its partial batch, which is flushed too, so a SIGTERM mid-build
-// loses at most the shards in flight, never completed ones. The result is
-// the same complex, resumed or not, because shards partition the facet
-// product and the complex is a set.
+// With a Checkpoint, shards a previous run persisted are skipped, and the
+// partial result Restore returns becomes the build's result. The build
+// hands its result to Checkpoint.Flush every FlushEvery completed shards:
+// at one worker the claim loop flushes as it goes, with more workers each
+// loop's batch is merged into the result and the result flushed. On
+// cancellation the shards completed since the last Flush are flushed too,
+// so a SIGTERM mid-build loses at most the shards in flight, never
+// completed ones. The result is the same complex, resumed or not, because
+// shards partition the facet product and the complex is a set.
 func Build(ctx context.Context, op Operator, input topology.Simplex, r int, o Options) (*pc.Result, error) {
 	if r < 0 {
 		return nil, fmt.Errorf("roundop: negative round count %d", r)
 	}
-	res := pc.NewResult()
 	if r == 0 {
+		res := pc.NewResult()
 		res.AddFacet(pc.InputViews(input))
 		return res, nil
 	}
@@ -68,7 +74,7 @@ func Build(ctx context.Context, op Operator, input topology.Simplex, r int, o Op
 	if err != nil {
 		return nil, err
 	}
-	todo, err := restore(ctx, plan, res, o.Checkpoint)
+	res, todo, err := restore(ctx, plan, o.Checkpoint)
 	if err != nil {
 		return nil, err
 	}
@@ -77,12 +83,12 @@ func Build(ctx context.Context, op Operator, input topology.Simplex, r int, o Op
 	}
 	d := &drain{ctx: ctx, plan: plan, todo: todo, facets: obs.FromContext(ctx).Counter("facets")}
 	workers := min(max(o.Workers, 1), len(todo))
+	flushEvery := max(o.FlushEvery, 1)
 	switch {
-	case o.Checkpoint != nil:
-		err = d.checkpointed(res, workers, max(o.FlushEvery, 1), o.Checkpoint)
 	case workers == 1:
-		d.claim(res, len(todo))
-		err = d.stopped()
+		err = d.serial(res, flushEvery, o.Checkpoint)
+	case o.Checkpoint != nil:
+		err = d.checkpointed(res, workers, flushEvery, o.Checkpoint)
 	default:
 		err = d.pooled(res, workers)
 	}
@@ -112,12 +118,13 @@ type drain struct {
 // checkpoint tests rely on this bound).
 func (d *drain) claim(into *pc.Result, limit int) []int {
 	var ran []int
+	var e enum
 	for len(ran) < limit && d.ctx.Err() == nil && d.err.Load() == nil {
 		j := d.next.Add(1) - 1
 		if j >= int64(len(d.todo)) {
 			break
 		}
-		n, err := runShard(into, d.plan.jobs[d.todo[j]], d.plan.r)
+		n, err := e.run(into, d.plan.jobs[d.todo[j]], d.plan.r)
 		if err != nil {
 			d.fail(err)
 			return nil
@@ -138,6 +145,34 @@ func (d *drain) stopped() error {
 		return *errp
 	}
 	return d.ctx.Err()
+}
+
+// serial runs the claim loop on the caller's goroutine, straight into
+// res. With a checkpoint it hands res to ck.Flush after every flushEvery
+// shards and when it stops, listing the shards run since the previous
+// Flush. A shard that fails ends the loop without a Flush: the build
+// fails, and res holds part of that shard.
+func (d *drain) serial(res *pc.Result, flushEvery int, ck Checkpointer) error {
+	if ck == nil {
+		d.claim(res, len(d.todo))
+		return d.stopped()
+	}
+	tr := obs.FromContext(d.ctx)
+	shardCtr := tr.Counter("shards_done")
+	flushCtr := tr.Counter("ckpt_flushes")
+	for {
+		done := d.claim(res, flushEvery)
+		if len(done) > 0 {
+			if err := ck.Flush(done, res); err != nil {
+				return fmt.Errorf("roundop: flush checkpoint: %w", err)
+			}
+			flushCtr.Add(1)
+			shardCtr.Add(uint64(len(done)))
+		}
+		if len(done) < flushEvery {
+			return d.stopped()
+		}
+	}
 }
 
 // pooled runs the claim loop on workers goroutines, each into a private

@@ -16,44 +16,56 @@ import (
 // rounds) triple — a checkpoint written by one process is meaningful to
 // the next.
 //
+// A checkpointed build has one result from start to finish: the partial
+// result Restore returns, else a fresh one. Every Flush is handed that
+// result, so a Checkpointer records only what it gained since the
+// previous Flush or the Restore — an append log of the build's own
+// result, whose records replay in order into the result they were cut
+// from.
+//
 // Restore and Flush are called from a single goroutine; implementations
 // need no internal locking against each other.
 type Checkpointer interface {
 	// Restore reports which of totalShards shards a prior run completed
-	// (done[i] == true) together with their merged partial result. A
-	// fresh run returns (nil, nil, nil). An implementation that finds
-	// its records corrupt or mismatched (e.g. written for a different
-	// shard count) should discard them and report a fresh start rather
+	// (done[i] == true) together with a partial result holding every
+	// facet of those shards, and nothing outside the complex being built,
+	// which becomes the build's result. A fresh run returns (nil, nil,
+	// nil). An implementation that finds some of its records corrupt or
+	// mismatched (e.g. written for a different shard count) should report
+	// what the records before them hold, possibly a fresh start, rather
 	// than error.
 	Restore(totalShards int) (done []bool, partial *pc.Result, err error)
 
-	// Flush durably records that the shards in done completed, with
-	// delta holding exactly their merged facets (a face-closed
-	// complex). Flush is called before the delta is merged into the
-	// final result, so a flush error fails the run without having
-	// served unpersisted state as progress.
-	Flush(done []int, delta *pc.Result) error
+	// Flush records that the shards in done completed. res is the build's
+	// result: it holds every facet of the shards in done, and everything
+	// it held at the previous Flush, or at Restore, was recorded then. A
+	// Flush error fails the build. A Checkpointer may make a record
+	// durable after Flush returns, provided a failure to do so is
+	// returned by a later Flush.
+	Flush(done []int, res *pc.Result) error
 }
 
-// restore returns the indices of the shards a build still has to run:
-// every shard without a checkpoint, else those ck.Restore does not report
-// done, whose partial result it merges into res.
-func restore(ctx context.Context, plan *ShardPlan, res *pc.Result, ck Checkpointer) ([]int, error) {
+// restore returns the build's result and the indices of the shards it
+// still has to run: without a checkpoint, a fresh result and every shard;
+// with one, ck.Restore's partial result itself (or a fresh one) and the
+// shards it does not report done. Using the partial result without a copy
+// keeps what the checkpointer recorded and the build's result the same.
+func restore(ctx context.Context, plan *ShardPlan, ck Checkpointer) (*pc.Result, []int, error) {
 	total := plan.NumShards()
 	var done []bool
+	var res *pc.Result
 	if ck != nil {
-		var partial *pc.Result
 		var err error
-		done, partial, err = ck.Restore(total)
+		done, res, err = ck.Restore(total)
 		if err != nil {
-			return nil, fmt.Errorf("roundop: restore checkpoint: %w", err)
+			return nil, nil, fmt.Errorf("roundop: restore checkpoint: %w", err)
 		}
 		if done != nil && len(done) != total {
-			return nil, fmt.Errorf("roundop: checkpoint restored %d shards, job list has %d", len(done), total)
+			return nil, nil, fmt.Errorf("roundop: checkpoint restored %d shards, job list has %d", len(done), total)
 		}
-		if partial != nil {
-			res.Merge(partial)
-		}
+	}
+	if res == nil {
+		res = pc.NewResult()
 	}
 	todo := make([]int, 0, total)
 	for i := 0; i < total; i++ {
@@ -68,18 +80,17 @@ func restore(ctx context.Context, plan *ShardPlan, res *pc.Result, ck Checkpoint
 		tr.Counter("shards_done").Add(restored)
 		tr.Counter("shards_restored").Add(restored)
 	}
-	return todo, nil
+	return res, todo, nil
 }
 
 // checkpointed runs the claim loop on workers goroutines. Each runs its
 // shards into a private batch and hands the batch to a collector (this
 // goroutine) after flushEvery shards, and its partial batch when it
-// stops. The collector flushes each batch through ck and then merges it
-// into res, so the checkpoint never claims shards the result lacks and
-// the result never includes shards the checkpoint could lose. On
-// cancellation every loop's partial batch is still flushed; a loop whose
-// shard fails drops its batch, which holds part of that shard, and the
-// other loops' batches are flushed.
+// stops. The collector merges each batch into res and then hands res to
+// ck.Flush with the batch's shards. On cancellation every loop's partial
+// batch is still merged and flushed; a loop whose shard fails drops its
+// batch, which holds part of that shard, and the other loops' batches are
+// flushed.
 func (d *drain) checkpointed(res *pc.Result, workers, flushEvery int, ck Checkpointer) error {
 	tr := obs.FromContext(d.ctx)
 	shardCtr := tr.Counter("shards_done")
@@ -122,14 +133,14 @@ func (d *drain) checkpointed(res *pc.Result, workers, flushEvery int, ck Checkpo
 		if flushErr != nil {
 			continue // drain so workers sending on out never block
 		}
-		if err := ck.Flush(b.done, b.delta); err != nil {
+		res.Merge(b.delta)
+		if err := ck.Flush(b.done, res); err != nil {
 			flushErr = fmt.Errorf("roundop: flush checkpoint: %w", err)
 			d.fail(flushErr)
 			continue
 		}
 		flushCtr.Add(1)
 		shardCtr.Add(uint64(len(b.done)))
-		res.Merge(b.delta)
 	}
 	if flushErr != nil {
 		return flushErr

@@ -3,6 +3,7 @@ package roundop_test
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 
 	"pseudosphere/internal/asyncmodel"
@@ -11,46 +12,49 @@ import (
 	"pseudosphere/internal/roundop"
 )
 
-// memCkpt is an in-memory Checkpointer: Flush accumulates the done set
-// and partial result exactly as a durable log would, records each batch
-// it was handed, and an onFlush hook lets tests kill the run
+// memCkpt is an in-memory Checkpointer that keeps what a durable log
+// would: each Flush appends the pc record of what the build's result
+// gained since the previous one, and Restore replays the records into a
+// fresh result, which the resumed build continues into. It also keeps
+// each Flush's done list, and an onFlush hook lets tests kill the run
 // deterministically after N flushes.
 type memCkpt struct {
 	total   int
+	records [][]byte
+	mark    pc.Mark
 	done    []bool
-	partial *pc.Result
 	flushes int
-	batches []flushed
+	batches [][]int
 	onFlush func(flushes int)
 	failErr error
 }
 
-// flushed is one Flush call's done list and delta.
-type flushed struct {
-	done  []int
-	delta *pc.Result
-}
-
 func (m *memCkpt) Restore(totalShards int) ([]bool, *pc.Result, error) {
 	m.total = totalShards
+	m.mark = pc.Mark{}
 	if m.done == nil {
 		return nil, nil, nil
 	}
-	return append([]bool(nil), m.done...), m.partial, nil
+	res := pc.NewResult()
+	for _, rec := range m.records {
+		if _, err := res.ApplyRecord(rec, totalShards); err != nil {
+			return nil, nil, err
+		}
+	}
+	m.mark = res.Mark()
+	return append([]bool(nil), m.done...), res, nil
 }
 
-func (m *memCkpt) Flush(done []int, delta *pc.Result) error {
+func (m *memCkpt) Flush(done []int, res *pc.Result) error {
 	if m.failErr != nil {
 		return m.failErr
 	}
 	if m.done == nil {
 		m.done = make([]bool, m.total)
 	}
-	if m.partial == nil {
-		m.partial = pc.NewResult()
-	}
-	m.partial.Merge(delta)
-	m.batches = append(m.batches, flushed{done: append([]int(nil), done...), delta: delta})
+	m.records = append(m.records, pc.AppendRecord(nil, done, res, m.mark))
+	m.mark = res.Mark()
+	m.batches = append(m.batches, append([]int(nil), done...))
 	for _, i := range done {
 		m.done[i] = true
 	}
@@ -203,11 +207,13 @@ func TestCkptRestoreShapeMismatch(t *testing.T) {
 	}
 }
 
-// TestCkptBatches pins how a checkpointed build batches its shards. At one
-// worker the flushed lists are consecutive runs of FlushEvery shards; with
-// more workers each loop batches its own shards, so every shard is flushed
-// in exactly one list of at most FlushEvery shards. Either way each delta
-// is exactly the union of RunShard over its list.
+// TestCkptBatches pins how a checkpointed build batches its shards and
+// what its records hold. At one worker the flushed lists are consecutive
+// runs of FlushEvery shards; with more workers each loop batches its own
+// shards, so every shard is flushed in exactly one list of at most
+// FlushEvery shards. Either way, replaying the records in order gives,
+// after each one, a complex holding RunShard of every shard flushed so
+// far, and after the last, the build itself.
 func TestCkptBatches(t *testing.T) {
 	op := asyncmodel.Params{N: 3, F: 3}.Operator()
 	in := input(3)
@@ -218,32 +224,49 @@ func TestCkptBatches(t *testing.T) {
 	const flushEvery = 3
 	for _, workers := range []int{1, 2, 4, 8} {
 		ck := &memCkpt{}
-		if _, err := roundop.Build(context.Background(), op, in, 1, roundop.Options{Workers: workers, Checkpoint: ck, FlushEvery: flushEvery}); err != nil {
+		got, err := roundop.Build(context.Background(), op, in, 1, roundop.Options{Workers: workers, Checkpoint: ck, FlushEvery: flushEvery})
+		if err != nil {
 			t.Fatal(err)
 		}
 		seen := make([]int, plan.NumShards())
-		for i, b := range ck.batches {
-			if len(b.done) == 0 || len(b.done) > flushEvery {
-				t.Fatalf("workers %d: flush %d lists %v, want 1..%d shards", workers, i, b.done, flushEvery)
+		replayed := pc.NewResult()
+		for i, done := range ck.batches {
+			if len(done) == 0 || len(done) > flushEvery {
+				t.Fatalf("workers %d: flush %d lists %v, want 1..%d shards", workers, i, done, flushEvery)
 			}
-			want := pc.NewResult()
-			for j, s := range b.done {
+			listed, err := replayed.ApplyRecord(ck.records[i], plan.NumShards())
+			if err != nil {
+				t.Fatalf("workers %d: record %d does not replay: %v", workers, i, err)
+			}
+			if !slices.Equal(listed, done) {
+				t.Fatalf("workers %d: record %d lists %v, Flush was handed %v", workers, i, listed, done)
+			}
+			for j, s := range done {
 				if workers == 1 && s != i*flushEvery+j {
-					t.Fatalf("workers 1: flush %d lists %v, want the run from %d", i, b.done, i*flushEvery)
+					t.Fatalf("workers 1: flush %d lists %v, want the run from %d", i, done, i*flushEvery)
 				}
 				seen[s]++
-				if err := plan.RunShard(want, s); err != nil {
+			}
+			for s, n := range seen {
+				if n == 0 {
+					continue
+				}
+				shard := pc.NewResult()
+				if err := plan.RunShard(shard, s); err != nil {
 					t.Fatal(err)
 				}
-			}
-			if b.delta.Complex.CanonicalHash() != want.Complex.CanonicalHash() || len(b.delta.Views) != len(want.Views) {
-				t.Fatalf("workers %d: flush %d delta differs from RunShard over %v", workers, i, b.done)
+				if !shard.Complex.IsSubcomplexOf(replayed.Complex) {
+					t.Fatalf("workers %d: after record %d the replay lacks shard %d", workers, i, s)
+				}
 			}
 		}
 		for s, n := range seen {
 			if n != 1 {
 				t.Fatalf("workers %d: shard %d flushed %d times, want once", workers, s, n)
 			}
+		}
+		if replayed.Complex.CanonicalHash() != got.Complex.CanonicalHash() || len(replayed.Views) != len(got.Views) {
+			t.Fatalf("workers %d: the replayed records differ from the build", workers)
 		}
 		if want := (plan.NumShards() + flushEvery - 1) / flushEvery; workers == 1 && len(ck.batches) != want {
 			t.Fatalf("workers 1: %d flushes, want %d", len(ck.batches), want)
@@ -276,10 +299,10 @@ func TestCkptCancelFlushesCompleted(t *testing.T) {
 			t.Fatalf("workers %d: cancelled run returned %v", workers, err)
 		}
 		var shards, facets uint64
-		for _, b := range ck.batches {
-			for _, s := range b.done {
+		for _, done := range ck.batches {
+			for _, s := range done {
 				shards++
-				facets += uint64(plan.Size(s))
+				facets += uint64(plan.Facets(s))
 			}
 		}
 		c := tr.Counters()

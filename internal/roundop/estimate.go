@@ -41,33 +41,31 @@ func estimateRounds(op Operator, cur []*views.View, r int) (int64, error) {
 		return 0, err
 	}
 	total := int64(0)
-	rep := []*views.View(nil)
 	for _, b := range branches {
-		if len(b.Opts) == 0 {
-			continue
-		}
 		size := pc.ProductSize(b.Opts)
-		if size == 0 {
+		if len(b.Opts) == 0 || size == 0 {
 			continue
 		}
 		per := int64(1)
 		if r > 1 {
-			// One representative facet: index 0 of the product.
-			if cap(rep) < len(b.Opts) {
-				rep = make([]*views.View, len(b.Opts))
-			}
-			facet := rep[:len(b.Opts)]
-			idx := make([]int, len(b.Opts))
-			verts := make([]topology.Vertex, len(b.Opts))
-			pc.FillFacet(facet, verts, b.Opts, idx)
-			per, err = estimateRounds(b.Next, facet, r-1)
-			if err != nil {
+			if per, err = continuation(b.Opts, b.Next, r); err != nil {
 				return 0, err
 			}
 		}
 		total = satAdd(total, satMul(size, per))
 	}
 	return total, nil
+}
+
+// continuation returns the facet insertions the r-1 rounds after one
+// facet of a branch perform, expanding one representative facet: index 0
+// of the branch's product.
+func continuation(opts [][]pc.Option, next Operator, r int) (int64, error) {
+	facet := make([]*views.View, len(opts))
+	for i, o := range opts {
+		facet[i] = o[0].View
+	}
+	return estimateRounds(next, facet, r-1)
 }
 
 func satAdd(a, b int64) int64 {

@@ -52,8 +52,9 @@ func countInsertions(t *testing.T, op roundop.Operator, cur []*views.View, r int
 // lose nothing, because a branch's continuation cost depends only on the
 // surviving participant set and remaining budget. It also checks that a
 // fresh Build's "facets" counter lands exactly on the estimate, one and
-// two rounds deep on every model, and that FacetCount agrees with
-// len(Facets()) on every model's round complex.
+// two rounds deep on every model, as do the per-shard counts
+// ShardPlan.Facets gives a distributed build, and that FacetCount agrees
+// with len(Facets()) on every model's round complex.
 func TestEstimateFacetsExactForInTreeOperators(t *testing.T) {
 	in := input(2)
 	for _, tc := range []struct {
@@ -88,6 +89,17 @@ func TestEstimateFacetsExactForInTreeOperators(t *testing.T) {
 			}
 			if n := tr.Counters()["facets"]; n != uint64(want) {
 				t.Fatalf("facets counter = %d after a fresh build, want %d insertions", n, want)
+			}
+			plan, err := roundop.PlanShards(tc.op, in, tc.r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var perShard int64
+			for i := 0; i < plan.NumShards(); i++ {
+				perShard += plan.Facets(i)
+			}
+			if perShard != want {
+				t.Fatalf("shard facet counts sum to %d, want %d insertions", perShard, want)
 			}
 			// The estimate bounds the true facet count from above.
 			facets := int64(len(res.Complex.Facets()))

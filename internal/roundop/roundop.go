@@ -49,32 +49,6 @@ type Operator interface {
 	Branches(cur []*views.View) ([]Branch, error)
 }
 
-// appendRounds adds the r-round complex reachable from cur to res and
-// returns the number of final-round facets it inserted.
-func appendRounds(res *pc.Result, op Operator, cur []*views.View, r int) (int64, error) {
-	if r == 0 {
-		res.AddFacet(cur)
-		return 1, nil
-	}
-	branches, err := op.Branches(cur)
-	if err != nil {
-		return 0, err
-	}
-	var inserted int64
-	for _, b := range branches {
-		job, ok := branchJob(b)
-		if !ok {
-			continue
-		}
-		n, err := runShard(res, job, r)
-		inserted += n
-		if err != nil {
-			return inserted, err
-		}
-	}
-	return inserted, nil
-}
-
 // BranchResults enumerates each branch of one round over the input simplex
 // into its own result, in operator order. These are the pseudosphere
 // pieces whose union is the one-round complex; the Mayer–Vietoris proof
@@ -85,15 +59,14 @@ func BranchResults(op Operator, input topology.Simplex) ([]*pc.Result, error) {
 		return nil, err
 	}
 	var out []*pc.Result
+	var e enum
 	for _, b := range branches {
 		if len(b.Opts) == 0 {
 			continue
 		}
 		res := pc.NewResult()
 		if job, ok := branchJob(b); ok {
-			if _, err := runShard(res, job, 1); err != nil {
-				return nil, err
-			}
+			e.final(res, job)
 		}
 		out = append(out, res)
 	}

@@ -140,7 +140,8 @@ func (c *Complex) AllSimplices() []Simplex {
 
 // Vertices returns the vertices of the complex, sorted by process id then
 // label. (Every interned vertex is a 0-simplex: vertices enter the table
-// only through Add's closure or a member-simplex insertion.)
+// through Add's closure, a member-simplex insertion, or Intern, whose
+// callers insert a simplex holding the vertex before any read.)
 func (c *Complex) Vertices() []Vertex {
 	out := append([]Vertex(nil), c.byID...)
 	sort.Slice(out, func(i, j int) bool {

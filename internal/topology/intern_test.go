@@ -149,3 +149,65 @@ func TestCloneIsIndependent(t *testing.T) {
 		t.Fatalf("clone hash %s, want %s", cloneHash, fresh)
 	}
 }
+
+// TestAddIDsMatchesAdd: interning each vertex once and inserting facets
+// as id sequences builds the complex Add builds, entry for entry, and
+// Intern reports a vertex new exactly once.
+func TestAddIDsMatchesAdd(t *testing.T) {
+	facets := []Simplex{
+		mustSimplex(hv(0, "a"), hv(1, "b"), hv(2, "c")),
+		mustSimplex(hv(0, "a"), hv(1, "d"), hv(2, "c")),
+		mustSimplex(hv(0, "e"), hv(2, "c")),
+		mustSimplex(hv(0, "a"), hv(1, "b"), hv(2, "c")),
+	}
+	want, got := NewComplex(), NewComplex()
+	seen := make(map[Vertex]bool)
+	for _, s := range facets {
+		want.Add(s)
+		ids := make([]int32, len(s))
+		for i, v := range s {
+			id, added := got.Intern(v)
+			if added == seen[v] {
+				t.Fatalf("Intern(%v) reported new = %v on sight %v", v, added, seen[v])
+			}
+			seen[v] = true
+			ids[i] = id
+		}
+		got.AddIDs(ids)
+	}
+	if got.EntryCount() != want.EntryCount() || got.VertexCount() != want.VertexCount() {
+		t.Fatalf("got %v, want %v", got, want)
+	}
+	for ei := int32(0); ei < int32(want.EntryCount()); ei++ {
+		if !got.EntrySimplex(ei).Equal(want.EntrySimplex(ei)) {
+			t.Fatalf("entry %d = %v, Add built %v", ei, got.EntrySimplex(ei), want.EntrySimplex(ei))
+		}
+	}
+}
+
+// TestTruncateRestoresMark: truncating to earlier counts gives back the
+// complex as it was then, and the complex keeps working afterwards.
+func TestTruncateRestoresMark(t *testing.T) {
+	c := ComplexOf(mustSimplex(hv(0, "a"), hv(1, "b")))
+	before := c.Clone()
+	hash := c.CanonicalHash()
+	nv, ne := c.VertexCount(), c.EntryCount()
+	for p := 0; p < 40; p++ { // enough entries to grow the index
+		c.Add(mustSimplex(hv(p, "x"), hv(p+1, "y"), hv(p+2, "z")))
+	}
+	id, _ := c.Intern(hv(0, "lone"))
+	if !c.AddClosedIDs([]int32{id}) || c.AddClosedIDs([]int32{id}) {
+		t.Fatal("AddClosedIDs must report the first insertion only")
+	}
+	c.Truncate(nv, ne)
+	if !c.Equal(before) || c.CanonicalHash() != hash || c.Dim() != 1 || c.VertexCount() != nv {
+		t.Fatalf("truncated complex %v differs from %v", c, before)
+	}
+	if c.HasVertex(hv(0, "lone")) || c.Has(mustSimplex(hv(3, "x"))) {
+		t.Fatal("truncated vertices or entries are still found")
+	}
+	c.Add(mustSimplex(hv(0, "a"), hv(1, "b"), hv(2, "c")))
+	if !c.Has(mustSimplex(hv(1, "b"), hv(2, "c"))) || c.Size() != 7 {
+		t.Fatalf("insertion after Truncate: %v", c)
+	}
+}
