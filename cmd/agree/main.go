@@ -56,6 +56,9 @@ func run(w io.Writer, model, proto, inputList string, f, k int, crash string, se
 		if err != nil {
 			return err
 		}
+		if err := crashes.Validate(n1, f); err != nil {
+			return err
+		}
 		rounds := protocols.FloodSetRounds(f, k)
 		var factory sim.ProtocolFactory
 		switch proto {
@@ -89,6 +92,9 @@ func run(w io.Writer, model, proto, inputList string, f, k int, crash string, se
 	case "semisync":
 		crashes, err := parseTimedCrashes(crash)
 		if err != nil {
+			return err
+		}
+		if err := crashes.Validate(n1, f); err != nil {
 			return err
 		}
 		timing := sim.Timing{C1: c1, C2: c2, D: d}

@@ -108,3 +108,27 @@ func TestRunSyncEarlyProtocol(t *testing.T) {
 		t.Fatal("unknown protocol accepted")
 	}
 }
+
+// TestRunRejectsCrashesOutsideModel: crash schedules over the failure
+// bound, of nonexistent processes or at negative times are rejected by
+// the schedule's validation before anything runs, rather than run and
+// reported as a protocol failure or as satisfied.
+func TestRunRejectsCrashesOutsideModel(t *testing.T) {
+	for _, tc := range []struct {
+		model, inputs, crash, want string
+	}{
+		{"sync", "0,1,2,3", "0@1:1,1@2:2", "2 crashes scheduled, failure bound is 1"},
+		{"semisync", "0,1,2", "0@1,1@1", "2 crashes scheduled, failure bound is 1"},
+		{"semisync", "0,1,2", "9@3", "nonexistent process 9"},
+		{"semisync", "0,1,2", "0@-5", "negative time -5"},
+	} {
+		var buf bytes.Buffer
+		err := run(&buf, tc.model, "flood", tc.inputs, 1, 1, tc.crash, 0, 1, 2, 2)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("-model %s -crash %s: err = %v, want %q", tc.model, tc.crash, err, tc.want)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("-model %s -crash %s: ran before rejecting:\n%s", tc.model, tc.crash, buf.String())
+		}
+	}
+}

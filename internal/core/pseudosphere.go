@@ -190,23 +190,6 @@ func IntersectSets(a, b [][]string) [][]string {
 	return out
 }
 
-// UnionOfPseudospheres builds the union of psi(bases[i]; sets[i]); the
-// canonical shape of one-round protocol complexes in all three models.
-func UnionOfPseudospheres(bases []topology.Simplex, sets [][][]string) (*topology.Complex, error) {
-	if len(bases) != len(sets) {
-		return nil, fmt.Errorf("core: %d bases but %d set sequences", len(bases), len(sets))
-	}
-	out := topology.NewComplex()
-	for i := range bases {
-		ps, err := Pseudosphere(bases[i], sets[i])
-		if err != nil {
-			return nil, err
-		}
-		out.UnionWith(ps)
-	}
-	return out, nil
-}
-
 // SubsetsAtLeast returns the canonical encodings of all subsets of ids with
 // size at least minSize, sorted. Used for the label sets of Lemma 11
 // (2^U_{>=k} in the paper's notation). Each subset is encoded by

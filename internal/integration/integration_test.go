@@ -1,14 +1,19 @@
 // Package integration cross-validates the two halves of the repository:
-// executions of the full-information protocol on the message-passing
-// runtime (internal/sim) must land exactly on simplexes of the
-// combinatorially constructed protocol complexes (internal/syncmodel,
-// internal/asyncmodel). This is the operational content of the paper's
-// protocol-complex definition: a set of local states spans a simplex iff
-// some execution produces them.
+// the round complexes roundop.Build constructs from the pseudosphere
+// definitions (internal/syncmodel, internal/asyncmodel, internal/semisync)
+// must equal the sets of global states that exhaustive executions of the
+// full-information protocol reach on the message-passing runtime
+// (internal/sim). This is the operational content of Lemmas 11, 14 and
+// 19: a set of local states spans a simplex iff some round-structured
+// execution produces them. Comparing the two complexes by CanonicalHash
+// checks inclusion (every run lands on a simplex of the construction) and
+// completeness (some run realizes every facet) at once.
 package integration
 
 import (
 	"context"
+	"fmt"
+	"math/bits"
 	"testing"
 
 	"pseudosphere/internal/asyncmodel"
@@ -16,6 +21,7 @@ import (
 	"pseudosphere/internal/roundop"
 	"pseudosphere/internal/sim"
 	"pseudosphere/internal/syncmodel"
+	"pseudosphere/internal/testutil"
 	"pseudosphere/internal/topology"
 )
 
@@ -25,6 +31,17 @@ func inputSimplex(labels ...string) topology.Simplex {
 		vs[i] = topology.Vertex{P: i, Label: l}
 	}
 	return mustSimplex(vs...)
+}
+
+// rowInput returns the input simplex of n+1 processes the roundop
+// differential rows use, and its labels as the runtime's inputs.
+func rowInput(n int) (topology.Simplex, []string) {
+	in := testutil.Labeled(n, "v")
+	inputs := make([]string, len(in))
+	for i, v := range in {
+		inputs[i] = v.Label
+	}
+	return in, inputs
 }
 
 // facetFromRun converts a run's decisions (encoded views) into a simplex.
@@ -41,82 +58,163 @@ func facetFromRun(t *testing.T, decisions map[int]string) topology.Simplex {
 	return s
 }
 
-// TestSyncRuntimeMatchesComplex runs one synchronous full-information
-// round under EVERY crash schedule with at most one failure and checks the
-// surviving views form a simplex of S^1; conversely, every facet of S^1 is
-// realized by some schedule.
+// realized is the complex a set of runs reaches: one simplex per run, the
+// views of the processes that decided.
+type realized struct {
+	c    *topology.Complex
+	runs int
+}
+
+func newRealized() *realized { return &realized{c: topology.NewComplex()} }
+
+func (r *realized) add(t *testing.T, decisions map[int]string) {
+	t.Helper()
+	r.runs++
+	if len(decisions) > 0 {
+		r.c.Add(facetFromRun(t, decisions))
+	}
+}
+
+// match requires the runs' complex to equal op's r-round complex over in,
+// by CanonicalHash. On a mismatch it lists the construction's facets no
+// run realizes and the runs' facets outside the construction.
+func (r *realized) match(t *testing.T, op roundop.Operator, in topology.Simplex, rounds int) {
+	t.Helper()
+	built, err := roundop.Build(context.Background(), op, in, rounds, roundop.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	facets := built.Complex.Facets()
+	if r.c.CanonicalHash() == built.Complex.CanonicalHash() {
+		t.Logf("%d runs realize all %d facets", r.runs, len(facets))
+		return
+	}
+	report := func(what string, ss []topology.Simplex, in *topology.Complex) {
+		var out []topology.Simplex
+		for _, s := range ss {
+			if !in.Has(s) {
+				out = append(out, s)
+			}
+		}
+		if len(out) > 0 {
+			t.Errorf("%d %s, first %v", len(out), what, out[0])
+		}
+	}
+	report(fmt.Sprintf("of %d facets realized by none of %d runs", len(facets), r.runs), facets, r.c)
+	report("run facets outside the construction", r.c.Facets(), built.Complex)
+	t.FailNow()
+}
+
+// product calls visit with every digit vector of the given radixes, last
+// digit fastest; an empty radix list gives one empty vector.
+func product(radix []int, visit func(digits []int)) {
+	digits := make([]int, len(radix))
+	for {
+		visit(digits)
+		i := len(digits) - 1
+		for ; i >= 0; i-- {
+			if digits[i]++; digits[i] < radix[i] {
+				break
+			}
+			digits[i] = 0
+		}
+		if i < 0 {
+			return
+		}
+	}
+}
+
+// members lists the set bits of mask in ascending order.
+func members(mask int) []int {
+	var out []int
+	for q := 0; mask>>q != 0; q++ {
+		if mask&(1<<q) != 0 {
+			out = append(out, q)
+		}
+	}
+	return out
+}
+
+// TestSyncRuntimeMatchesComplex runs r synchronous full-information
+// rounds under EVERY crash schedule with at most f failures, at most k of
+// them in any one round, each crash delivering its last message to every
+// subset of the other processes; the views they reach must form exactly
+// S^r (Lemma 14, iterated).
 func TestSyncRuntimeMatchesComplex(t *testing.T) {
-	inputs := []string{"a", "b", "c"}
-	input := inputSimplex(inputs...)
-	combinatorial, err := roundop.Build(context.Background(), syncmodel.Params{PerRound: 1, Total: 1}.Operator(), input, 1, roundop.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	realized := topology.NewComplex()
-	for _, cs := range sim.EnumerateCrashSchedules(len(inputs), 1, 1) {
-		out, err := sim.RunSync(inputs, protocols.NewFullInfo(1), cs, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		facet := facetFromRun(t, out.Decisions)
-		if !combinatorial.Complex.Has(facet) {
-			t.Fatalf("runtime execution %v (crashes %v) not in S^1", facet, cs)
-		}
-		realized.Add(facet)
-	}
-	// Completeness: the runtime realizes every facet of the construction.
-	for _, f := range combinatorial.Complex.Facets() {
-		if !realized.Has(f) {
-			t.Fatalf("facet %v of S^1 not realized by any crash schedule", f)
-		}
+	for _, row := range []struct{ n, k, f, r int }{
+		{2, 1, 1, 1}, {3, 1, 1, 1}, {3, 2, 2, 1}, {3, 3, 3, 1},
+		{2, 1, 1, 2}, {2, 1, 2, 2}, {3, 1, 2, 2}, {3, 1, 3, 2},
+	} {
+		t.Run(fmt.Sprintf("S^%d n=%d k=%d f=%d", row.r, row.n, row.k, row.f), func(t *testing.T) {
+			in, inputs := rowInput(row.n)
+			got := newRealized()
+		schedules:
+			for _, cs := range sim.EnumerateCrashSchedules(len(inputs), row.f, row.r) {
+				for _, c := range cs.FailuresPerRound() {
+					if c > row.k {
+						continue schedules
+					}
+				}
+				out, err := sim.RunSync(inputs, protocols.NewFullInfo(row.r), cs, row.r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got.add(t, out.Decisions)
+			}
+			got.match(t, syncmodel.Params{PerRound: row.k, Total: row.f}.Operator(), in, row.r)
+		})
 	}
 }
 
-// TestSyncTwoRoundRuntimeInComplex samples two-round schedules and checks
-// membership in S^2.
-func TestSyncTwoRoundRuntimeInComplex(t *testing.T) {
-	inputs := []string{"a", "b", "c"}
-	input := inputSimplex(inputs...)
-	combinatorial, err := roundop.Build(context.Background(), syncmodel.Params{PerRound: 1, Total: 1}.Operator(), input, 2, roundop.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, cs := range sim.EnumerateCrashSchedules(len(inputs), 1, 2) {
-		out, err := sim.RunSync(inputs, protocols.NewFullInfo(2), cs, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		facet := facetFromRun(t, out.Decisions)
-		if !combinatorial.Complex.Has(facet) {
-			t.Fatalf("two-round execution %v (crashes %v) not in S^2", facet, cs)
-		}
-	}
-}
-
-// TestAsyncRuntimeMatchesComplex runs the full-information protocol under
-// many random asynchronous schedules (with FIFO catch-up exercised) and
-// checks the final views always form a simplex of A^r.
+// TestAsyncRuntimeMatchesComplex runs r asynchronous full-information
+// rounds under EVERY heard-set pattern: in each round each receiver hears
+// each sender set that holds itself and at least n+1-f processes. The
+// views they reach must form exactly A^r (Lemma 11, iterated). FIFO
+// catch-up is exercised: a sender skipped in round 1 and heard in round 2
+// delivers its round-1 message first.
 func TestAsyncRuntimeMatchesComplex(t *testing.T) {
-	inputs := []string{"a", "b", "c"}
-	input := inputSimplex(inputs...)
-	p := asyncmodel.Params{N: 2, F: 1}
-	for _, rounds := range []int{1, 2} {
-		combinatorial, err := roundop.Build(context.Background(), p.Operator(), input, rounds, roundop.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for seed := int64(0); seed < 100; seed++ {
-			sched := sim.NewRandomAsyncSchedule(len(inputs), p.F, seed)
-			out, err := sim.RunAsync(inputs, protocols.NewFullInfo(rounds), nil, sched, rounds+1)
-			if err != nil {
-				t.Fatal(err)
+	for _, row := range []struct{ n, f, r int }{
+		{2, 1, 1}, {2, 2, 1}, {3, 1, 1}, {3, 2, 1}, {3, 3, 1},
+		{2, 1, 2}, {2, 2, 2}, {3, 1, 2},
+	} {
+		t.Run(fmt.Sprintf("A^%d n=%d m=%d f=%d", row.r, row.n, row.n, row.f), func(t *testing.T) {
+			in, inputs := rowInput(row.n)
+			n1 := len(inputs)
+			heard := make([][][]int, n1) // receiver -> admissible sender sets
+			for q := range heard {
+				for mask := 0; mask < 1<<n1; mask++ {
+					if mask&(1<<q) != 0 && bits.OnesCount(uint(mask)) >= n1-row.f {
+						heard[q] = append(heard[q], members(mask))
+					}
+				}
 			}
-			facet := facetFromRun(t, out.Decisions)
-			if !combinatorial.Complex.Has(facet) {
-				t.Fatalf("r=%d seed=%d: execution %v not in A^%d", rounds, seed, facet, rounds)
+			radix := make([]int, row.r*n1) // digit (round-1)*n1+q picks q's set
+			runs := 1
+			for i := range radix {
+				radix[i] = len(heard[i%n1])
+				runs *= radix[i]
 			}
-		}
+			if testing.Short() && runs > 1<<14 {
+				t.Skipf("%d runs; skipped under -short", runs)
+			}
+			got := newRealized()
+			product(radix, func(digits []int) {
+				sched := &sim.FixedAsyncSchedule{HeardSets: make(map[int]map[int][]int, row.r)}
+				for round := 1; round <= row.r; round++ {
+					byRecv := make(map[int][]int, n1)
+					for q := range heard {
+						byRecv[q] = heard[q][digits[(round-1)*n1+q]]
+					}
+					sched.HeardSets[round] = byRecv
+				}
+				out, err := sim.RunAsync(inputs, protocols.NewFullInfo(row.r), nil, sched, row.r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got.add(t, out.Decisions)
+			})
+			got.match(t, asyncmodel.Params{N: row.n, F: row.f}.Operator(), in, row.r)
+		})
 	}
 }
 

@@ -17,7 +17,6 @@ import (
 	"pseudosphere/internal/modelspec"
 	"pseudosphere/internal/pc"
 	"pseudosphere/internal/roundop"
-	"pseudosphere/internal/topology"
 	"pseudosphere/internal/views"
 )
 
@@ -222,10 +221,11 @@ func countInsertions(t *testing.T, op roundop.Operator, cur []*views.View, r int
 			continue
 		}
 		idx := make([]int, len(b.Opts))
-		verts := make([]topology.Vertex, len(b.Opts))
 		for {
 			facet := make([]*views.View, len(b.Opts))
-			pc.FillFacet(facet, verts, b.Opts, idx)
+			for i, o := range b.Opts {
+				facet[i] = o[idx[i]].View
+			}
 			total += countInsertions(t, b.Next, facet, r-1)
 			if !pc.Advance(idx, b.Opts) {
 				break

@@ -62,13 +62,3 @@ func Advance(idx []int, opts [][]Option) bool {
 	}
 	return false
 }
-
-// FillFacet materializes the product point idx into the facet's view list
-// and vertex list.
-func FillFacet(facet []*views.View, verts []topology.Vertex, opts [][]Option, idx []int) {
-	for i, o := range opts {
-		c := o[idx[i]]
-		facet[i] = c.View
-		verts[i] = c.Vert
-	}
-}

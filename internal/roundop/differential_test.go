@@ -2,13 +2,15 @@ package roundop_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
+	"slices"
 	"testing"
 
 	"pseudosphere/internal/asyncmodel"
 	"pseudosphere/internal/iis"
-	"pseudosphere/internal/pc"
 	"pseudosphere/internal/roundop"
 	"pseudosphere/internal/semisync"
 	"pseudosphere/internal/syncmodel"
@@ -17,49 +19,51 @@ import (
 )
 
 // The differential pin: every model's operator built through Build must
-// agree bit for bit — CanonicalHash and view count — with the retained
-// pre-engine serial implementation (LegacySerialRounds), on every worker
-// count, without a checkpoint and through an in-memory one at two flush
-// cadences; and a pre-cancelled context must stop every configuration.
-// Run under -race in CI, this is the contract that the single build path
-// changed no output anywhere.
+// reproduce each row's golden complex — CanonicalHash, f-vector and view
+// count — on every worker count, without a checkpoint and through an
+// in-memory one at two flush cadences; and a pre-cancelled context must
+// stop every configuration. Run under -race in CI, this is the contract
+// that the single build path changes no output anywhere.
+//
+// testdata/differential.json holds what the pre-engine serial builders
+// produced before they were removed. Those builders read the engine's own
+// option tables, so the independent check of the tables is
+// internal/integration: exhaustive simulator runs of the full-information
+// protocol reach the same complex on every row a simulator can run. The
+// other rows (M^2, IIS, the empty below-threshold input) rest on these
+// values and, for IIS, on its closed-form tests.
 
 func input(n int) topology.Simplex {
 	return testutil.Labeled(n, "v")
 }
 
-// diffCase is one row of the table: an r-round build of op over in and
-// the serial reference it must reproduce.
+// diffCase is one row of the table: an r-round build of op over in, named
+// as its golden row is.
 type diffCase struct {
 	model, name string
 	in          topology.Simplex
 	op          roundop.Operator
 	r           int
-	legacy      func() (*pc.Result, error)
 }
 
 // asyncCase builds A^r over an m-dimensional input face with n and f
 // global (m < n-f is Section 6's too-few-participants input).
 func asyncCase(n, m, f, r int) diffCase {
 	p := asyncmodel.Params{N: n, F: f}
-	return diffCase{"async", fmt.Sprintf("A^%d n=%d m=%d f=%d", r, n, m, f), input(m), p.Operator(), r,
-		func() (*pc.Result, error) { return asyncmodel.LegacySerialRounds(input(m), p, r) }}
+	return diffCase{"async", fmt.Sprintf("A^%d n=%d m=%d f=%d", r, n, m, f), input(m), p.Operator(), r}
 }
 
 func syncCase(n, k, f, r int) diffCase {
 	p := syncmodel.Params{PerRound: k, Total: f}
-	return diffCase{"sync", fmt.Sprintf("S^%d n=%d k=%d f=%d", r, n, k, f), input(n), p.Operator(), r,
-		func() (*pc.Result, error) { return syncmodel.LegacySerialRounds(input(n), p, r) }}
+	return diffCase{"sync", fmt.Sprintf("S^%d n=%d k=%d f=%d", r, n, k, f), input(n), p.Operator(), r}
 }
 
 func semisyncCase(n, r int, p semisync.Params) diffCase {
-	return diffCase{"semisync", fmt.Sprintf("M^%d n=%d %+v", r, n, p), input(n), p.Operator(), r,
-		func() (*pc.Result, error) { return semisync.LegacySerialRounds(input(n), p, r) }}
+	return diffCase{"semisync", fmt.Sprintf("M^%d n=%d %+v", r, n, p), input(n), p.Operator(), r}
 }
 
 func iisCase(n, r int) diffCase {
-	return diffCase{"iis", fmt.Sprintf("IIS^%d n=%d", r, n), input(n), iis.Operator(), r,
-		func() (*pc.Result, error) { return iis.LegacySerialRounds(input(n), r) }}
+	return diffCase{"iis", fmt.Sprintf("IIS^%d n=%d", r, n), input(n), iis.Operator(), r}
 }
 
 var differential = []diffCase{
@@ -77,9 +81,36 @@ var differential = []diffCase{
 	iisCase(1, 1), iisCase(2, 1), iisCase(3, 1), iisCase(1, 2), iisCase(2, 2),
 }
 
+// goldenRow is one differential row's pinned complex.
+type goldenRow struct {
+	Row     string `json:"row"`
+	Hash    string `json:"hash"`
+	FVector []int  `json:"f_vector"`
+	Views   int    `json:"views"`
+}
+
+// golden reads testdata/differential.json, keyed by row name.
+func golden(t *testing.T) map[string]goldenRow {
+	t.Helper()
+	raw, err := os.ReadFile("testdata/differential.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []goldenRow
+	if err := json.Unmarshal(raw, &rows); err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]goldenRow, len(rows))
+	for _, row := range rows {
+		out[row.Row] = row
+	}
+	return out
+}
+
 // runDifferential checks the table's rows for one model against every
 // Build configuration.
 func runDifferential(t *testing.T, model string) {
+	pins := golden(t)
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, tc := range differential {
@@ -87,11 +118,10 @@ func runDifferential(t *testing.T, model string) {
 			continue
 		}
 		t.Run(tc.name, func(t *testing.T) {
-			legacy, err := tc.legacy()
-			if err != nil {
-				t.Fatal(err)
+			want, ok := pins[tc.name]
+			if !ok {
+				t.Fatalf("no golden row %q", tc.name)
 			}
-			wantHash := legacy.Complex.CanonicalHash()
 			for _, workers := range []int{1, 2, 3, 8, 64} {
 				for _, flushEvery := range []int{0, 1, 3} {
 					var ck *memCkpt
@@ -105,11 +135,14 @@ func runDifferential(t *testing.T, model string) {
 					if err != nil {
 						t.Fatalf("%s: %v", cfg, err)
 					}
-					if h := got.Complex.CanonicalHash(); h != wantHash {
-						t.Errorf("%s: hash %s != legacy %s", cfg, h, wantHash)
+					if h := got.Complex.CanonicalHash(); h != want.Hash {
+						t.Errorf("%s: hash %s != golden %s", cfg, h, want.Hash)
 					}
-					if len(got.Views) != len(legacy.Views) {
-						t.Errorf("%s: %d views != legacy %d", cfg, len(got.Views), len(legacy.Views))
+					if fv := got.Complex.FVector(); !slices.Equal(fv, want.FVector) {
+						t.Errorf("%s: f-vector %v != golden %v", cfg, fv, want.FVector)
+					}
+					if len(got.Views) != want.Views {
+						t.Errorf("%s: %d views != golden %d", cfg, len(got.Views), want.Views)
 					}
 					if ck != nil {
 						for i, d := range ck.done {
@@ -126,10 +159,10 @@ func runDifferential(t *testing.T, model string) {
 					}
 					got, err = roundop.Build(cancelled, tc.op, tc.in, tc.r, o)
 					switch {
-					case err == nil && !legacy.Complex.IsEmpty():
+					case err == nil && want.Views != 0:
 						t.Errorf("%s: pre-cancelled build completed", cfg)
-					case err == nil && got.Complex.CanonicalHash() != wantHash:
-						t.Errorf("%s: pre-cancelled empty build diverged from legacy", cfg)
+					case err == nil && got.Complex.CanonicalHash() != want.Hash:
+						t.Errorf("%s: pre-cancelled empty build diverged from golden", cfg)
 					case err != nil && !errors.Is(err, context.Canceled):
 						t.Errorf("%s: pre-cancelled build returned %v, want context.Canceled", cfg, err)
 					}

@@ -10,7 +10,6 @@ import (
 	"pseudosphere/internal/pc"
 	"pseudosphere/internal/roundop"
 	"pseudosphere/internal/semisync"
-	"pseudosphere/internal/topology"
 	"pseudosphere/internal/views"
 )
 
@@ -98,7 +97,7 @@ func TestPlanShardsRejectsBadInput(t *testing.T) {
 
 // internFacetByFacet is the enumeration order without option ids: every
 // facet of every branch, in the plan's order, inserted through
-// AddFacetVertices, which interns the facet's vertices one by one.
+// pc.Result.AddFacet, which interns the facet's vertices one by one.
 func internFacetByFacet(t *testing.T, res *pc.Result, op roundop.Operator, cur []*views.View, r int) {
 	t.Helper()
 	branches, err := op.Branches(cur)
@@ -110,12 +109,13 @@ func internFacetByFacet(t *testing.T, res *pc.Result, op roundop.Operator, cur [
 			continue
 		}
 		idx := make([]int, len(b.Opts))
-		verts := make([]topology.Vertex, len(b.Opts))
 		for {
 			facet := make([]*views.View, len(b.Opts))
-			pc.FillFacet(facet, verts, b.Opts, idx)
+			for i, o := range b.Opts {
+				facet[i] = o[idx[i]].View
+			}
 			if r == 1 {
-				res.AddFacetVertices(verts, facet)
+				res.AddFacet(facet)
 			} else {
 				internFacetByFacet(t, res, b.Next, facet, r-1)
 			}

@@ -59,16 +59,24 @@ func BranchResults(op Operator, input topology.Simplex) ([]*pc.Result, error) {
 		return nil, err
 	}
 	var out []*pc.Result
-	var e enum
 	for _, b := range branches {
 		if len(b.Opts) == 0 {
 			continue
 		}
-		res := pc.NewResult()
-		if job, ok := branchJob(b); ok {
-			e.final(res, job)
-		}
-		out = append(out, res)
+		out = append(out, Product(b.Opts))
 	}
 	return out, nil
+}
+
+// Product returns the complex of one option table's facet product: every
+// choice of one option per position is a facet. The facets enter the
+// result through the vertex-id enumerator Build's shards use, so there is
+// one way to insert a facet product. An empty table, or one with an
+// empty position, gives an empty result.
+func Product(opts [][]pc.Option) *pc.Result {
+	res := pc.NewResult()
+	if job, ok := branchJob(Branch{Opts: opts}); ok {
+		new(enum).final(res, job)
+	}
+	return res
 }

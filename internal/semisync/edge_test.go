@@ -142,15 +142,16 @@ func TestOneRoundParallelMatchesOneRound(t *testing.T) {
 // TestRoundsParallelMatchesSerial shares one operator value between
 // concurrent multi-worker builds: its option tables are read from every
 // worker of every build at once (the -race run checks the operator keeps
-// no mutable state), and each build must match the serial reference.
+// no mutable state), and each build must match a one-worker build made
+// before any of them (roundop's differential table pins that one).
 func TestRoundsParallelMatchesSerial(t *testing.T) {
 	p := Params{C1: 1, C2: 2, D: 2, PerRound: 1, Total: 2}
 	input := inputSimplex("a", "b", "c")
-	want, err := LegacySerialRounds(input, p, 2)
+	op := p.Operator()
+	want, err := roundop.Build(context.Background(), op, input, 2, roundop.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	op := p.Operator()
 	hashes := make([]string, 4)
 	var wg sync.WaitGroup
 	for g := range hashes {

@@ -24,6 +24,7 @@ import (
 	"strconv"
 
 	"pseudosphere/internal/pc"
+	"pseudosphere/internal/roundop"
 	"pseudosphere/internal/topology"
 	"pseudosphere/internal/views"
 )
@@ -145,11 +146,11 @@ func OneRoundPattern(input topology.Simplex, fail []int, f FailurePattern, p Par
 	if err := f.Validate(fail, p.Micro()); err != nil {
 		return nil, err
 	}
-	res := pc.NewResult()
-	if _, err := appendOneRoundPattern(res, pc.InputViews(input), fail, f, p, force); err != nil {
+	opts, err := oneRoundPatternOptions(pc.InputViews(input), fail, f, p, force)
+	if err != nil {
 		return nil, err
 	}
-	return res, nil
+	return roundop.Product(opts), nil
 }
 
 // oneRoundPatternOptions precomputes each survivor's admissible next views
@@ -228,28 +229,6 @@ func oneRoundPatternOptions(cur []*views.View, fail []int, f FailurePattern, p P
 		}
 	}
 	return opts, nil
-}
-
-// appendOneRoundPattern enumerates the one-round executions with failure
-// set fail and pattern f, adding facets to res and returning them.
-func appendOneRoundPattern(res *pc.Result, cur []*views.View, fail []int, f FailurePattern, p Params, force int) ([][]*views.View, error) {
-	opts, err := oneRoundPatternOptions(cur, fail, f, p, force)
-	if err != nil || opts == nil {
-		return nil, err
-	}
-	var facets [][]*views.View
-	idx := make([]int, len(opts))
-	verts := make([]topology.Vertex, len(opts))
-	for {
-		facet := make([]*views.View, len(opts))
-		pc.FillFacet(facet, verts, opts, idx)
-		res.AddFacetVertices(verts, facet)
-		facets = append(facets, facet)
-		if !pc.Advance(idx, opts) {
-			break
-		}
-	}
-	return facets, nil
 }
 
 // cartesianInts enumerates the cartesian product of the given option

@@ -331,3 +331,88 @@ type badStep struct{}
 
 func (badStep) StepInterval(p, k int) int        { return 1 } // below c1 = 2
 func (badStep) Delay(from, to, sendTime int) int { return 1 }
+
+// lastHeard broadcasts its step number at every step before time d and,
+// at its first step at or after d, decides on the last step number it
+// heard from process 0 ("0" if none).
+type lastHeard struct {
+	d, step int
+	from0   string
+}
+
+func (p *lastHeard) Init(self, n int, input string, timing Timing) { p.d, p.from0 = timing.D, "0" }
+func (p *lastHeard) Deliver(now, from int, payload string) {
+	if from == 0 {
+		p.from0 = payload
+	}
+}
+func (p *lastHeard) Step(now int) (string, bool, string) {
+	if now >= p.d {
+		return "", true, p.from0
+	}
+	p.step++
+	return fmt.Sprint(p.step), false, ""
+}
+
+// TestTimedPartialBroadcast: a crash with a DeliveredTo set cuts the
+// broadcast of the step at the crash time short, so survivors see the
+// failing process last at different microrounds; without one, every
+// survivor sees it last at the same microround.
+func TestTimedPartialBroadcast(t *testing.T) {
+	timing := Timing{C1: 1, C2: 2, D: 2}
+	factory := func() TimedProtocol { return &lastHeard{} }
+	for _, tc := range []struct {
+		crash TimedCrash
+		want  map[int]string
+	}{
+		// Process 0 steps at microround 1 (time 0) and crashes at its
+		// microround-2 step (time 1), which reaches process 1 only.
+		{TimedCrash{Time: 1, DeliveredTo: map[int]bool{1: true}}, map[int]string{1: "2", 2: "1"}},
+		{TimedCrash{Time: 1, DeliveredTo: map[int]bool{}}, map[int]string{1: "1", 2: "1"}},
+		{TimedCrash{Time: 1}, map[int]string{1: "1", 2: "1"}},
+		{TimedCrash{Time: 0, DeliveredTo: map[int]bool{2: true}}, map[int]string{1: "0", 2: "1"}},
+	} {
+		run, err := RunTimed([]string{"a", "b", "c"}, factory, timing, LockstepSchedule{Timing: timing},
+			TimedCrashSchedule{0: tc.crash}, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !run.Outcome.Crashed[0] {
+			t.Errorf("%+v: process 0 not reported crashed", tc.crash)
+		}
+		if d, ok := run.Outcome.Decisions[0]; ok {
+			t.Errorf("%+v: crashed process 0 decided %q", tc.crash, d)
+		}
+		for p, want := range tc.want {
+			if got := run.Outcome.Decisions[p]; got != want {
+				t.Errorf("%+v: process %d last heard process 0 at microround %q, want %q", tc.crash, p, got, want)
+			}
+		}
+	}
+}
+
+// TestTimedCrashValidate: RunTimed rejects crashes of nonexistent
+// processes, at negative times, or delivering to the crasher itself or to
+// a nonexistent process; Validate also enforces a failure bound.
+func TestTimedCrashValidate(t *testing.T) {
+	timing := Timing{C1: 1, C2: 2, D: 2}
+	factory := func() TimedProtocol { return &lastHeard{} }
+	for _, cs := range []TimedCrashSchedule{
+		{9: {Time: 3}},
+		{-1: {Time: 3}},
+		{0: {Time: -5}},
+		{0: {Time: 1, DeliveredTo: map[int]bool{0: true}}},
+		{0: {Time: 1, DeliveredTo: map[int]bool{3: true}}},
+	} {
+		if _, err := RunTimed([]string{"a", "b", "c"}, factory, timing, LockstepSchedule{Timing: timing}, cs, 10); err == nil {
+			t.Errorf("schedule %v accepted", cs)
+		}
+	}
+	two := TimedCrashSchedule{0: {Time: 1}, 1: {Time: 1}}
+	if err := two.Validate(3, 1); err == nil {
+		t.Error("two crashes accepted with failure bound 1")
+	}
+	if err := two.Validate(3, 2); err != nil {
+		t.Errorf("two crashes rejected with failure bound 2: %v", err)
+	}
+}

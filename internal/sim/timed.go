@@ -144,13 +144,41 @@ func CheckSchedule(schedule TimedSchedule, timing Timing, n1, window int) error 
 const checkWindow = 64
 
 // TimedCrash stops a process at a virtual time: no steps or sends at or
-// after Time.
+// after Time. With a non-nil DeliveredTo, a step the process takes at
+// exactly Time still runs, but its broadcast reaches only the receivers in
+// DeliveredTo, it records no decision, and no later step follows: the
+// partial broadcast that lets each survivor see a failing process last at
+// a different microround (Lemma 19).
 type TimedCrash struct {
-	Time int
+	Time        int
+	DeliveredTo map[int]bool
 }
 
 // TimedCrashSchedule maps process ids to their crash times.
 type TimedCrashSchedule map[int]TimedCrash
+
+// Validate checks the schedule against the process count and failure
+// bound: at most f crashes, each of an existing process at a nonnegative
+// time, delivering only to other existing processes.
+func (cs TimedCrashSchedule) Validate(n1, f int) error {
+	if len(cs) > f {
+		return fmt.Errorf("sim: %d crashes scheduled, failure bound is %d", len(cs), f)
+	}
+	for p, c := range cs {
+		if p < 0 || p >= n1 {
+			return fmt.Errorf("sim: crash scheduled for nonexistent process %d", p)
+		}
+		if c.Time < 0 {
+			return fmt.Errorf("sim: process %d crashes at negative time %d", p, c.Time)
+		}
+		for q := range c.DeliveredTo {
+			if q < 0 || q >= n1 || q == p {
+				return fmt.Errorf("sim: crash of %d delivers to process %d, which is not another process", p, q)
+			}
+		}
+	}
+	return nil
+}
 
 // timedEvent is an entry in the discrete-event queue.
 type timedEvent struct {
@@ -210,6 +238,9 @@ func RunTimed(inputs []string, factory TimedFactory, timing Timing, schedule Tim
 	if err := CheckSchedule(schedule, timing, n1, window); err != nil {
 		return nil, err
 	}
+	if err := crashes.Validate(n1, n1); err != nil {
+		return nil, err
+	}
 	insts := make([]TimedProtocol, n1)
 	for i := range insts {
 		insts[i] = factory()
@@ -260,12 +291,17 @@ func RunTimed(inputs []string, factory TimedFactory, timing Timing, schedule Tim
 			insts[ev.proc].Deliver(ev.time, ev.from, ev.pay)
 		case 1: // step
 			p := ev.proc
-			if crashedAt(p, ev.time) {
+			c, crashing := crashes[p]
+			partial := crashing && ev.time == c.Time && c.DeliveredTo != nil
+			if crashedAt(p, ev.time) && !partial {
 				continue
 			}
 			payload, decided, decision := insts[p].Step(ev.time)
 			if payload != "" {
 				for to := 0; to < n1; to++ {
+					if partial && !c.DeliveredTo[to] {
+						continue
+					}
 					if to == p {
 						insts[p].Deliver(ev.time, p, payload)
 						continue
@@ -276,6 +312,9 @@ func RunTimed(inputs []string, factory TimedFactory, timing Timing, schedule Tim
 					}
 					push(&timedEvent{time: ev.time + delay, kind: 0, proc: to, from: p, pay: payload})
 				}
+			}
+			if partial {
+				continue
 			}
 			if decided {
 				if _, already := run.DecidedAt[p]; !already {

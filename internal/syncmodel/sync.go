@@ -18,6 +18,7 @@ import (
 
 	"pseudosphere/internal/core"
 	"pseudosphere/internal/pc"
+	"pseudosphere/internal/roundop"
 	"pseudosphere/internal/topology"
 	"pseudosphere/internal/views"
 )
@@ -47,11 +48,7 @@ func (p Params) Validate() error {
 // from an arbitrary subset of fail. Failing processes contribute no
 // vertices.
 func OneRoundExactly(input topology.Simplex, fail []int) (*pc.Result, error) {
-	res := pc.NewResult()
-	if _, err := appendOneRoundExactly(res, pc.InputViews(input), fail, -1); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return oneRoundExactly(input, fail, -1)
 }
 
 // OneRoundFullyHeard is OneRoundExactly restricted to executions in which
@@ -61,11 +58,19 @@ func OneRoundExactly(input topology.Simplex, fail []int) (*pc.Result, error) {
 // pseudosphere psi(S\K; 2^{K-{P}}) appearing on the right-hand side of
 // Lemma 15.
 func OneRoundFullyHeard(input topology.Simplex, fail []int, heardByAll int) (*pc.Result, error) {
-	res := pc.NewResult()
-	if _, err := appendOneRoundExactly(res, pc.InputViews(input), fail, heardByAll); err != nil {
+	return oneRoundExactly(input, fail, heardByAll)
+}
+
+// oneRoundExactly enumerates the one-round executions from input in which
+// exactly fail crashes; forced >= 0 additionally requires that every
+// survivor hears from the failing process forced.
+func oneRoundExactly(input topology.Simplex, fail []int, forced int) (*pc.Result, error) {
+	cur := pc.InputViews(input)
+	opts, err := oneRoundExactlyOptions(views.NewHeardSets(cur), cur, fail, forced)
+	if err != nil {
 		return nil, err
 	}
-	return res, nil
+	return roundop.Product(opts), nil
 }
 
 // oneRoundExactlyOptions precomputes each survivor's admissible next views
@@ -135,30 +140,6 @@ func oneRoundExactlyOptions(hs *views.HeardSets, cur []*views.View, fail []int, 
 		}
 	}
 	return opts, nil
-}
-
-// appendOneRoundExactly enumerates the one-round executions from cur in
-// which exactly fail crashes; forced >= 0 additionally requires that every
-// survivor hears from the failing process forced. Returns the facets as
-// survivor view lists.
-func appendOneRoundExactly(res *pc.Result, cur []*views.View, fail []int, forced int) ([][]*views.View, error) {
-	opts, err := oneRoundExactlyOptions(views.NewHeardSets(cur), cur, fail, forced)
-	if err != nil || opts == nil {
-		return nil, err
-	}
-	var facets [][]*views.View
-	idx := make([]int, len(opts))
-	verts := make([]topology.Vertex, len(opts))
-	for {
-		facet := make([]*views.View, len(opts))
-		pc.FillFacet(facet, verts, opts, idx)
-		res.AddFacetVertices(verts, facet)
-		facets = append(facets, facet)
-		if !pc.Advance(idx, opts) {
-			break
-		}
-	}
-	return facets, nil
 }
 
 // FailureSets enumerates the subsets of ids of size at most maxSize in the

@@ -24,16 +24,6 @@ func MustUniform(base topology.Simplex, set []string) *topology.Complex {
 	return c
 }
 
-// MustPseudosphere is core.Pseudosphere for statically-correct test
-// inputs; it panics on error.
-func MustPseudosphere(base topology.Simplex, sets [][]string) *topology.Complex {
-	c, err := core.Pseudosphere(base, sets)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 // MustBuildOverInputs returns op's r-round complex over the whole input
 // complex psi(P^n; values): the union of roundop.Build over its facets,
 // whose shared local states share vertices because view encodings are

@@ -20,8 +20,8 @@ import (
 // each simplex as its id sequence in one flat arena, found through an
 // open-addressing index over a 64-bit hash (see intern.go), so membership
 // and face closure run without building string keys. The representation
-// is invisible through this API; ReferenceComplex retains the original
-// string-keyed builder for differential testing.
+// is invisible through this API: the tests check every observable against
+// the set of Key strings of the added simplexes' faces.
 type Complex struct {
 	verts  map[Vertex]int32 // intern table
 	byID   []Vertex         // id -> vertex

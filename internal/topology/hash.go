@@ -162,11 +162,10 @@ func (c *Complex) FacetEncoding() string {
 // engine: equal complexes always hash equal, and distinct complexes
 // collide only with cryptographic improbability.
 //
-// The digest is taken over the sorted, length-prefixed simplex-key set.
-// The keys are rendered from the interned entries on demand, but the
-// encoding (and therefore the digest) is unchanged from the string-keyed
-// representation this core replaced — ReferenceComplex.CanonicalHash is
-// differentially tested to agree.
+// The digest is SHA-256 over the sorted simplex keys, each written as
+// "len:key;". The keys are rendered from the interned entries on demand;
+// the tests check the digest against that definition computed from Key
+// strings alone.
 //
 // The digest is memoized on the complex until the next insertion, so the
 // statistics pass, the Betti cache key and rank checkpoints of one build

@@ -157,7 +157,7 @@ func TestCanonicalHashConcurrentReaders(t *testing.T) {
 }
 
 // TestKeyOrderMatchesStringKeys pins the key order every sorted output
-// and the digest depend on, against the string-keyed reference, on random
+// and the digest depend on, against the string-keyed definition, on random
 // complexes whose labels mix separator bytes and prefixes of each other:
 // those defeat the vertex-rank comparison and must take the rendered-key
 // path, and the rest take the rank path.
@@ -173,7 +173,7 @@ func TestKeyOrderMatchesStringKeys(t *testing.T) {
 			}
 			return string(b)
 		}
-		c, ref := NewComplex(), NewReferenceComplex()
+		c, ref := NewComplex(), KeySet{}
 		for k := 0; k < 1+rng.Intn(5); k++ {
 			var vs []Vertex
 			for p := 0; p < 12; p++ {
@@ -191,7 +191,7 @@ func TestKeyOrderMatchesStringKeys(t *testing.T) {
 		if got, want := c.CanonicalHash(), ref.CanonicalHash(); got != want {
 			t.Fatalf("trial %d: hash %s, reference %s", trial, got, want)
 		}
-		all, wantAll := c.AllSimplices(), ref.AllSimplices()
+		all, wantAll := c.AllSimplices(), ref.All()
 		if len(all) != len(wantAll) {
 			t.Fatalf("trial %d: %d simplexes, reference %d", trial, len(all), len(wantAll))
 		}
@@ -221,12 +221,12 @@ func TestKeyOrderMatchesStringKeys(t *testing.T) {
 // TestKeyOrderManyVertices covers the rank comparator that sortByKey
 // falls back on when an entry's packed ranks need more than 64 bits:
 // 8-vertex simplexes over several hundred vertices, so a rank field needs
-// 9 bits. Orders and digests must match the string-keyed reference there
-// too.
+// 9 bits. Orders and digests must match the string-keyed definition
+// there too.
 func TestKeyOrderManyVertices(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 5; trial++ {
-		c, ref := NewComplex(), NewReferenceComplex()
+		c, ref := NewComplex(), KeySet{}
 		for k := 0; k < 60; k++ {
 			var vs []Vertex
 			for p := 0; p < 8; p++ {
@@ -243,7 +243,7 @@ func TestKeyOrderManyVertices(t *testing.T) {
 		if got, want := c.CanonicalHash(), ref.CanonicalHash(); got != want {
 			t.Fatalf("trial %d: hash %s, reference %s", trial, got, want)
 		}
-		all, wantAll := c.AllSimplices(), ref.AllSimplices()
+		all, wantAll := c.AllSimplices(), ref.All()
 		for i := range all {
 			if all[i].Key() != wantAll[i].Key() {
 				t.Fatalf("trial %d: AllSimplices[%d] = %v, reference %v", trial, i, all[i], wantAll[i])
