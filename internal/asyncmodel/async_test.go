@@ -78,7 +78,8 @@ func TestOneRoundParallelMatchesOneRound(t *testing.T) {
 // concurrent multi-worker builds: its option tables are read from every
 // worker of every build at once (the -race run checks the operator keeps
 // no mutable state), and each build must match a one-worker build made
-// before any of them (roundop's differential table pins that one).
+// before any of them (roundop's differential table pins one-worker builds
+// of the same parameters).
 func TestRoundsParallelMatchesSerial(t *testing.T) {
 	p := Params{N: 2, F: 2}
 	input := inputSimplex("a", "b", "c")
