@@ -58,18 +58,26 @@ func facetFromRun(t *testing.T, decisions map[int]string) topology.Simplex {
 	return s
 }
 
-// realized is the complex a set of runs reaches: one simplex per run, the
-// views of the processes that decided.
+// realized is the complex a set of runs over n1 processes reaches: one
+// simplex per run, the views of its survivors.
 type realized struct {
-	c    *topology.Complex
-	runs int
+	c        *topology.Complex
+	n1, runs int
 }
 
-func newRealized() *realized { return &realized{c: topology.NewComplex()} }
+func newRealized(n1 int) *realized { return &realized{c: topology.NewComplex(), n1: n1} }
 
-func (r *realized) add(t *testing.T, decisions map[int]string) {
+// add records one run. Every process the run did not crash must have
+// decided, and no crashed one: a survivor left undecided would add only a
+// face of a real facet, which CanonicalHash cannot tell apart.
+func (r *realized) add(t *testing.T, decisions map[int]string, crashed map[int]bool) {
 	t.Helper()
 	r.runs++
+	for p := 0; p < r.n1; p++ {
+		if _, decided := decisions[p]; decided == crashed[p] {
+			t.Fatalf("run %d: process %d decided=%v crashed=%v; want exactly the survivors decided", r.runs, p, decided, crashed[p])
+		}
+	}
 	if len(decisions) > 0 {
 		r.c.Add(facetFromRun(t, decisions))
 	}
@@ -147,7 +155,7 @@ func TestSyncRuntimeMatchesComplex(t *testing.T) {
 	} {
 		t.Run(fmt.Sprintf("S^%d n=%d k=%d f=%d", row.r, row.n, row.k, row.f), func(t *testing.T) {
 			in, inputs := rowInput(row.n)
-			got := newRealized()
+			got := newRealized(len(inputs))
 		schedules:
 			for _, cs := range sim.EnumerateCrashSchedules(len(inputs), row.f, row.r) {
 				for _, c := range cs.FailuresPerRound() {
@@ -159,7 +167,7 @@ func TestSyncRuntimeMatchesComplex(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got.add(t, out.Decisions)
+				got.add(t, out.Decisions, out.Crashed)
 			}
 			got.match(t, syncmodel.Params{PerRound: row.k, Total: row.f}.Operator(), in, row.r)
 		})
@@ -197,7 +205,7 @@ func TestAsyncRuntimeMatchesComplex(t *testing.T) {
 			if testing.Short() && runs > 1<<14 {
 				t.Skipf("%d runs; skipped under -short", runs)
 			}
-			got := newRealized()
+			got := newRealized(n1)
 			product(radix, func(digits []int) {
 				sched := &sim.FixedAsyncSchedule{HeardSets: make(map[int]map[int][]int, row.r)}
 				for round := 1; round <= row.r; round++ {
@@ -211,7 +219,7 @@ func TestAsyncRuntimeMatchesComplex(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got.add(t, out.Decisions)
+				got.add(t, out.Decisions, out.Crashed)
 			})
 			got.match(t, asyncmodel.Params{N: row.n, F: row.f}.Operator(), in, row.r)
 		})

@@ -33,7 +33,7 @@ func TestSemiSyncRuntimeMatchesComplex(t *testing.T) {
 			n1 := len(inputs)
 			timing := sim.Timing{C1: p.C1, C2: p.C2, D: p.D}
 			subsets := 1 << (n1 - 1) // receivers of a crash step, among the others
-			got := newRealized()
+			got := newRealized(n1)
 			for fail := 0; fail < 1<<n1; fail++ {
 				crashing := members(fail)
 				if len(crashing) > min(p.PerRound, p.Total) {
@@ -61,7 +61,7 @@ func TestSemiSyncRuntimeMatchesComplex(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					got.add(t, run.Outcome.Decisions)
+					got.add(t, run.Outcome.Decisions, run.Outcome.Crashed)
 				})
 			}
 			got.match(t, p.Operator(), in, 1)

@@ -354,10 +354,11 @@ func (p *lastHeard) Step(now int) (string, bool, string) {
 	return fmt.Sprint(p.step), false, ""
 }
 
-// TestTimedPartialBroadcast: a crash with a DeliveredTo set cuts the
-// broadcast of the step at the crash time short, so survivors see the
-// failing process last at different microrounds; without one, every
-// survivor sees it last at the same microround.
+// TestTimedPartialBroadcast: a crash cuts the broadcast of the step at
+// the crash time short to DeliveredTo, so survivors see the failing
+// process last at different microrounds; with DeliveredTo nil or empty
+// that step reaches no one, and every survivor sees it last at the same
+// microround.
 func TestTimedPartialBroadcast(t *testing.T) {
 	timing := Timing{C1: 1, C2: 2, D: 2}
 	factory := func() TimedProtocol { return &lastHeard{} }

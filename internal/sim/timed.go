@@ -143,12 +143,11 @@ func CheckSchedule(schedule TimedSchedule, timing Timing, n1, window int) error 
 // without making large horizons quadratic to start.
 const checkWindow = 64
 
-// TimedCrash stops a process at a virtual time: no steps or sends at or
-// after Time. With a non-nil DeliveredTo, a step the process takes at
-// exactly Time still runs, but its broadcast reaches only the receivers in
-// DeliveredTo, it records no decision, and no later step follows: the
-// partial broadcast that lets each survivor see a failing process last at
-// a different microround (Lemma 19).
+// TimedCrash stops a process at a virtual time. A step the process takes
+// at exactly Time reaches only the receivers in DeliveredTo (nil: no one)
+// and decides nothing, and no later step follows; deliveries to it at or
+// after Time are lost. The partial broadcast lets each survivor see a
+// failing process last at a different microround (Lemma 19).
 type TimedCrash struct {
 	Time        int
 	DeliveredTo map[int]bool
@@ -292,10 +291,10 @@ func RunTimed(inputs []string, factory TimedFactory, timing Timing, schedule Tim
 		case 1: // step
 			p := ev.proc
 			c, crashing := crashes[p]
-			partial := crashing && ev.time == c.Time && c.DeliveredTo != nil
-			if crashedAt(p, ev.time) && !partial {
+			if crashing && ev.time > c.Time {
 				continue
 			}
+			partial := crashing && ev.time == c.Time
 			payload, decided, decision := insts[p].Step(ev.time)
 			if payload != "" {
 				for to := 0; to < n1; to++ {
