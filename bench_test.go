@@ -105,7 +105,7 @@ func benchE4Engine(b *testing.B, e *homology.Engine) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if !e.IsKConnected(res.Complex, 0) {
+		if ok, err := e.IsKConnectedCtx(context.Background(), res.Complex, 0); err != nil || !ok {
 			b.Fatal("Lemma 12 violated")
 		}
 	}
@@ -185,7 +185,7 @@ func benchE7Engine(b *testing.B, e *homology.Engine) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if !e.IsKConnected(res.Complex, 0) {
+		if ok, err := e.IsKConnectedCtx(context.Background(), res.Complex, 0); err != nil || !ok {
 			b.Fatal("Lemma 17 violated")
 		}
 	}
@@ -291,7 +291,7 @@ func BenchmarkE19BuildReduceA1n3f3(b *testing.B) {
 			b.Fatal(err)
 		}
 		e := homology.NewEngine(1, nil)
-		if betti := e.BettiZ2(res.Complex); betti[0] != 1 {
+		if betti, err := e.BettiZ2Ctx(context.Background(), res.Complex); err != nil || betti[0] != 1 {
 			b.Fatal("unexpected homology")
 		}
 	}

@@ -26,8 +26,6 @@
 // as an obs.Report. SIGINT abandons the remaining cases at the next shard
 // boundary; -report still records the cases completed so far with
 // "interrupted" set, so a partial -deep run leaves a well-formed record.
-// -json is an alias for -report, kept for the documented regeneration
-// command lines.
 package main
 
 import (
@@ -72,17 +70,12 @@ func realMain() int {
 	deep := flag.Bool("deep", false, "include the large n=4 asynchronous instances")
 	reduce := flag.Bool("reduce", true, "time GF(2) reduction after each construction")
 	reportPath := flag.String("report", "", "write the measurements as a JSON run report to this file")
-	jsonOut := flag.String("json", "", "alias for -report")
 	progress := flag.Bool("progress", false, "print periodic progress lines to stderr")
 	debugAddr := flag.String("debug-addr", "", "serve expvar and pprof on this address (e.g. :6060)")
 	flag.Parse()
 	w := *workers
 	if w <= 0 {
 		w = runtime.NumCPU()
-	}
-	out := *reportPath
-	if out == "" {
-		out = *jsonOut
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -105,7 +98,7 @@ func realMain() int {
 	}
 
 	err := run(ctx, os.Stdout, w, *deep, *reduce)
-	if out != "" {
+	if out := *reportPath; out != "" {
 		rep := tracker.Snapshot("benchconstruct")
 		rep.Workers = w
 		rep.Deep = *deep

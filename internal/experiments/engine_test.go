@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -15,17 +16,20 @@ func TestSharedEngineConcurrentQueries(t *testing.T) {
 	sphere := mustUniform(core.ProcessSimplex(2), binary)
 	circle := mustUniform(core.ProcessSimplex(1), binary)
 	const goroutines, iters = 12, 20
+	ctx := context.Background()
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				if !conn.IsKConnected(sphere, 1) || conn.IsKConnected(sphere, 2) {
+				one, err1 := conn.IsKConnectedCtx(ctx, sphere, 1)
+				two, err2 := conn.IsKConnectedCtx(ctx, sphere, 2)
+				if err1 != nil || err2 != nil || !one || two {
 					t.Error("sphere connectivity wrong under concurrency")
 					return
 				}
-				if b := conn.BettiZ2(circle); b[0] != 1 || b[1] != 1 {
+				if b, err := conn.BettiZ2Ctx(ctx, circle); err != nil || b[0] != 1 || b[1] != 1 {
 					t.Error("circle Betti wrong under concurrency")
 					return
 				}
@@ -41,8 +45,12 @@ func TestConfigureEngine(t *testing.T) {
 	defer ConfigureEngine(0, true) // restore the default for other tests
 	ConfigureEngine(2, false)
 	sphere := mustUniform(core.ProcessSimplex(2), binary)
+	ctx := context.Background()
 	want := homology.BettiZ2(sphere)
-	got := conn.BettiZ2(sphere)
+	got, err := conn.BettiZ2Ctx(ctx, sphere)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for d := range want {
 		if got[d] != want[d] {
 			t.Fatalf("uncached engine betti %v, want %v", got, want)
@@ -52,8 +60,11 @@ func TestConfigureEngine(t *testing.T) {
 		t.Fatalf("uncached engine reported cache stats %d/%d/%d", hits, misses, entries)
 	}
 	ConfigureEngine(0, true)
-	conn.BettiZ2(sphere)
-	conn.BettiZ2(sphere)
+	for pass := 0; pass < 2; pass++ {
+		if _, err := conn.BettiZ2Ctx(ctx, sphere); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if hits, _, entries := EngineStats(); hits == 0 || entries != 1 {
 		t.Fatalf("cached engine stats: hits=%d entries=%d, want hits>0 entries=1", hits, entries)
 	}

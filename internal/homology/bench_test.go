@@ -1,6 +1,7 @@
 package homology
 
 import (
+	"context"
 	"testing"
 
 	"pseudosphere/internal/topology"
@@ -38,7 +39,10 @@ func benchEngine(b *testing.B, e *Engine) {
 	want := BettiZ2(c)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		got := e.BettiZ2(c)
+		got, err := e.BettiZ2Ctx(context.Background(), c)
+		if err != nil {
+			b.Fatal(err)
+		}
 		for d := range want {
 			if got[d] != want[d] {
 				b.Fatalf("betti = %v, want %v", got, want)

@@ -106,7 +106,7 @@ func (c *Cache) do(ctx context.Context, key string, compute func() ([]int, error
 		betti, err = compute()
 	}
 	// f.betti is shared with waiters while the compute's return value is
-	// handed to this caller, which may mutate it (ReducedBettiZ2 decrements
+	// handed to this caller, which may mutate it (ReducedBettiZ2Ctx decrements
 	// b0 in place) — so the flight and the cache keep a private copy.
 	var cp []int
 	if err == nil {

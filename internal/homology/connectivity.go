@@ -32,14 +32,26 @@ func IsKConnected(c *topology.Complex, k int) bool {
 // complex. An empty complex yields -2 (it is k-connected only for k < -1);
 // a nonempty complex yields at least -1.
 func Connectivity(c *topology.Complex) int {
-	if c.IsEmpty() {
+	return ConnectivityFromBetti(BettiZ2(c))
+}
+
+// ConnectivityFromBetti is the connectivity that a non-reduced GF(2) Betti
+// vector implies, with Connectivity's conventions: -2 for the empty vector
+// of an empty complex, otherwise the largest k < len(betti) whose reduced
+// Betti numbers vanish in dimensions 0..k (-1 when none do). On a vector
+// capped at maxDim >= 0 (Engine.BettiZ2UpToCtx) it is
+// min(Connectivity(c), maxDim).
+func ConnectivityFromBetti(betti []int) int {
+	if len(betti) == 0 {
 		return -2
 	}
-	betti := ReducedBettiZ2(c)
 	k := -1
-	for d := 0; d < len(betti); d++ {
-		if betti[d] != 0 {
-			return k
+	for d, b := range betti {
+		if d == 0 {
+			b--
+		}
+		if b != 0 {
+			break
 		}
 		k = d
 	}

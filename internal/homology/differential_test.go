@@ -120,6 +120,7 @@ func diffEngines() map[string]*homology.Engine {
 
 // TestDifferentialEngineVsSerial is the core differential suite.
 func TestDifferentialEngineVsSerial(t *testing.T) {
+	ctx := context.Background()
 	instances := diffInstances(t)
 	engines := diffEngines()
 	for iname, c := range instances {
@@ -127,21 +128,21 @@ func TestDifferentialEngineVsSerial(t *testing.T) {
 		wantConn := homology.Connectivity(c)
 		for ename, e := range engines {
 			for pass := 0; pass < 2; pass++ { // second pass hits the cache
-				got := e.BettiZ2(c)
-				if len(got) != len(want) {
-					t.Fatalf("%s / %s: betti %v, want %v", iname, ename, got, want)
+				got, err := e.BettiZ2Ctx(ctx, c)
+				if err != nil || len(got) != len(want) {
+					t.Fatalf("%s / %s: betti %v, %v; want %v", iname, ename, got, err, want)
 				}
 				for d := range want {
 					if got[d] != want[d] {
 						t.Fatalf("%s / %s: betti %v, want %v", iname, ename, got, want)
 					}
 				}
-				if gc := e.Connectivity(c); gc != wantConn {
-					t.Fatalf("%s / %s: connectivity %d, want %d", iname, ename, gc, wantConn)
+				if gc, err := e.ConnectivityCtx(ctx, c); err != nil || gc != wantConn {
+					t.Fatalf("%s / %s: connectivity %d, %v; want %d", iname, ename, gc, err, wantConn)
 				}
 				for k := -1; k <= 2; k++ {
-					if e.IsKConnected(c, k) != homology.IsKConnected(c, k) {
-						t.Fatalf("%s / %s: IsKConnected(%d) disagrees", iname, ename, k)
+					if ok, err := e.IsKConnectedCtx(ctx, c, k); err != nil || ok != homology.IsKConnected(c, k) {
+						t.Fatalf("%s / %s: IsKConnectedCtx(%d) = %v, %v; disagrees", iname, ename, k, ok, err)
 					}
 				}
 			}
@@ -262,9 +263,9 @@ func TestDifferentialRandomComplexes(t *testing.T) {
 		}
 		want := homology.BettiZ2(c)
 		for ename, e := range engines {
-			got := e.BettiZ2(c)
-			if len(got) != len(want) {
-				t.Fatalf("trial %d / %s: betti %v, want %v (facets:\n%s)", trial, ename, got, want, c.DescribeFacets())
+			got, err := e.BettiZ2Ctx(context.Background(), c)
+			if err != nil || len(got) != len(want) {
+				t.Fatalf("trial %d / %s: betti %v, %v; want %v (facets:\n%s)", trial, ename, got, err, want, c.DescribeFacets())
 			}
 			for d := range want {
 				if got[d] != want[d] {

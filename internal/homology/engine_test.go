@@ -1,6 +1,7 @@
 package homology
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -34,20 +35,21 @@ func TestEngineMatchesSerialOnKnownComplexes(t *testing.T) {
 		"sphere":     hollowTetrahedron(),
 		"empty":      topology.NewComplex(),
 	}
+	ctx := context.Background()
 	for name, e := range engineVariants() {
 		for fname, c := range fixtures {
 			want := BettiZ2(c)
 			for pass := 0; pass < 2; pass++ {
-				got := e.BettiZ2(c)
-				if !equalInts(got, want) {
-					t.Fatalf("%s: %s pass %d: betti = %v, want %v", name, fname, pass, got, want)
+				got, err := e.BettiZ2Ctx(ctx, c)
+				if err != nil || !equalInts(got, want) {
+					t.Fatalf("%s: %s pass %d: betti = %v, %v; want %v", name, fname, pass, got, err, want)
 				}
-				if gc, wc := e.Connectivity(c), Connectivity(c); gc != wc {
-					t.Fatalf("%s: %s: connectivity = %d, want %d", name, fname, gc, wc)
+				if gc, err := e.ConnectivityCtx(ctx, c); err != nil || gc != Connectivity(c) {
+					t.Fatalf("%s: %s: connectivity = %d, %v; want %d", name, fname, gc, err, Connectivity(c))
 				}
 				for k := -2; k <= 3; k++ {
-					if e.IsKConnected(c, k) != IsKConnected(c, k) {
-						t.Fatalf("%s: %s: IsKConnected(%d) disagrees with serial", name, fname, k)
+					if ok, err := e.IsKConnectedCtx(ctx, c, k); err != nil || ok != IsKConnected(c, k) {
+						t.Fatalf("%s: %s: IsKConnectedCtx(%d) = %v, %v; disagrees with serial", name, fname, k, ok, err)
 					}
 				}
 			}
@@ -56,16 +58,19 @@ func TestEngineMatchesSerialOnKnownComplexes(t *testing.T) {
 }
 
 // TestEngineReducedBettiDoesNotCorruptCache guards the copy discipline:
-// ReducedBettiZ2 decrements b0 in place on the returned slice, which must
-// never reach the cached value.
+// ReducedBettiZ2Ctx decrements b0 in place on the returned slice, which
+// must never reach the cached value.
 func TestEngineReducedBettiDoesNotCorruptCache(t *testing.T) {
 	e := NewEngine(2, NewCache())
 	c := hollowTetrahedron()
-	first := e.ReducedBettiZ2(c)
+	first, err := e.ReducedBettiZ2Ctx(context.Background(), c)
+	if err != nil {
+		t.Fatal(err)
+	}
 	first[0] += 99 // caller-side mutation
-	second := e.ReducedBettiZ2(c)
+	second, err := e.ReducedBettiZ2Ctx(context.Background(), c)
 	want := ReducedBettiZ2(c)
-	if !equalInts(second, want) {
+	if err != nil || !equalInts(second, want) {
 		t.Fatalf("cached value corrupted: second query = %v, want %v", second, want)
 	}
 	hits, misses, entries := e.CacheStats()
@@ -93,6 +98,7 @@ func TestEngineCacheConcurrentHammer(t *testing.T) {
 		conns[i] = Connectivity(c)
 	}
 	const goroutines, iters = 16, 25
+	ctx := context.Background()
 	var wg sync.WaitGroup
 	errs := make(chan error, goroutines)
 	for g := 0; g < goroutines; g++ {
@@ -101,20 +107,20 @@ func TestEngineCacheConcurrentHammer(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				ci := (g + i) % len(complexes)
-				if got := e.BettiZ2(complexes[ci]); !equalInts(got, wants[ci]) {
-					errs <- fmt.Errorf("goroutine %d: betti = %v, want %v", g, got, wants[ci])
+				if got, err := e.BettiZ2Ctx(ctx, complexes[ci]); err != nil || !equalInts(got, wants[ci]) {
+					errs <- fmt.Errorf("goroutine %d: betti = %v, %v; want %v", g, got, err, wants[ci])
 					return
 				}
-				if got := e.Connectivity(complexes[ci]); got != conns[ci] {
-					errs <- fmt.Errorf("goroutine %d: connectivity = %d, want %d", g, got, conns[ci])
+				if got, err := e.ConnectivityCtx(ctx, complexes[ci]); err != nil || got != conns[ci] {
+					errs <- fmt.Errorf("goroutine %d: connectivity = %d, %v; want %d", g, got, err, conns[ci])
 					return
 				}
 				// Capped queries share the same cache (decorated keys plus
 				// the full-vector Peek fast path) — hammer them too.
 				cap := i % 2
 				top := min(cap, complexes[ci].Dim())
-				if got := e.BettiZ2UpTo(complexes[ci], cap); !equalInts(got, wants[ci][:top+1]) {
-					errs <- fmt.Errorf("goroutine %d: capped betti = %v, want %v", g, got, wants[ci][:top+1])
+				if got, err := e.BettiZ2UpToCtx(ctx, complexes[ci], cap); err != nil || !equalInts(got, wants[ci][:top+1]) {
+					errs <- fmt.Errorf("goroutine %d: capped betti = %v, %v; want %v", g, got, err, wants[ci][:top+1])
 					return
 				}
 			}

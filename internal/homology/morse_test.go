@@ -69,8 +69,8 @@ func TestCoreduceEmpty(t *testing.T) {
 	if !ok || cr.components != 0 || cr.dim != -1 {
 		t.Fatalf("empty coreduce = %+v, ok=%v", cr, ok)
 	}
-	if got := NewEngine(1, nil).BettiZ2(topology.NewComplex()); got != nil {
-		t.Fatalf("morse engine on empty complex = %v, want nil", got)
+	if got, err := NewEngine(1, nil).BettiZ2Ctx(context.Background(), topology.NewComplex()); err != nil || got != nil {
+		t.Fatalf("morse engine on empty complex = %v, %v; want nil", got, err)
 	}
 }
 
@@ -206,8 +206,8 @@ func TestEngineCappedSkipsTopDimensions(t *testing.T) {
 	if _, err := e.BettiZ2UpToCtx(context.Background(), c, 0); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.BettiZ2(c); !equalInts(got, full) {
-		t.Fatalf("full vector after capped query = %v, want %v", got, full)
+	if got, err := e.BettiZ2Ctx(context.Background(), c); err != nil || !equalInts(got, full) {
+		t.Fatalf("full vector after capped query = %v, %v; want %v", got, err, full)
 	}
 	hitsBefore, _, _ := e.CacheStats()
 	got, err = e.BettiZ2UpToCtx(context.Background(), c, 1)
@@ -219,26 +219,25 @@ func TestEngineCappedSkipsTopDimensions(t *testing.T) {
 	}
 }
 
-// TestConnectivityUpToCtx pins the capped connectivity verdict against
-// min(Connectivity, cap) on the fixtures.
+// TestConnectivityUpToCtx pins the capped connectivity verdict the
+// upto= endpoint serves, ConnectivityFromBetti over BettiZ2UpToCtx,
+// against min(Connectivity, cap) on the fixtures.
 func TestConnectivityUpToCtx(t *testing.T) {
 	e := NewEngine(2, nil)
 	for _, c := range []*topology.Complex{
 		hollowTriangle(), hollowTetrahedron(), solidTriangle(), twoComponentComplex(), benchSphereProduct(3),
+		topology.NewComplex(),
 	} {
 		want := Connectivity(c)
-		for cap := -1; cap <= c.Dim()+1; cap++ {
-			got, err := e.ConnectivityUpToCtx(context.Background(), c, cap)
+		for cap := 0; cap <= c.Dim()+1; cap++ {
+			betti, err := e.BettiZ2UpToCtx(context.Background(), c, cap)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got != min(want, cap) {
-				t.Fatalf("ConnectivityUpToCtx(%v, %d) = %d, want %d", c, cap, got, min(want, cap))
+			if got := ConnectivityFromBetti(betti); got != min(want, cap) {
+				t.Fatalf("capped connectivity of %v at %d = %d, want %d", c, cap, got, min(want, cap))
 			}
 		}
-	}
-	if got, err := e.ConnectivityUpToCtx(context.Background(), topology.NewComplex(), 3); err != nil || got != -2 {
-		t.Fatalf("capped connectivity of empty = %d, %v; want -2", got, err)
 	}
 }
 
@@ -328,8 +327,8 @@ func FuzzCoreduce(f *testing.F) {
 		}
 		want := BettiZ2(c)
 		e := NewEngine(2, nil)
-		if got := e.BettiZ2(c); !equalInts(got, want) {
-			t.Fatalf("morse betti = %v, want %v (facets %s)", got, want, c.DescribeFacets())
+		if got, err := e.BettiZ2Ctx(context.Background(), c); err != nil || !equalInts(got, want) {
+			t.Fatalf("morse betti = %v, %v; want %v (facets %s)", got, err, want, c.DescribeFacets())
 		}
 		for cap := 0; cap <= c.Dim(); cap++ {
 			got, err := e.BettiZ2UpToCtx(context.Background(), c, cap)

@@ -137,21 +137,15 @@ func (e *Engine) workers() int {
 	return runtime.NumCPU()
 }
 
-// BettiZ2 returns the (non-reduced) GF(2) Betti numbers of c, identical
+// BettiZ2Ctx returns the (non-reduced) GF(2) Betti numbers of c, identical
 // to the package-level BettiZ2 but computed by the parallel engine and
 // memoized when the engine has a cache. The returned slice is owned by
-// the caller.
-func (e *Engine) BettiZ2(c *topology.Complex) []int {
-	betti, _ := e.BettiZ2Ctx(context.Background(), c)
-	return betti
-}
-
-// BettiZ2Ctx is BettiZ2 threaded with a context: the reduction workers
-// probe cancellation once per column and the call returns ctx.Err() once
-// it fires (nothing is cached for an aborted computation). Concurrent
-// calls for the same uncached complex are coalesced by the cache — one
-// computes, the rest wait — and an obs.Tracker carried by the context has
-// its "columns" counter bumped per reduced boundary matrix.
+// the caller. The reduction workers probe cancellation once per column
+// and the call returns ctx.Err() once it fires (nothing is cached for an
+// aborted computation). Concurrent calls for the same uncached complex
+// are coalesced by the cache — one computes, the rest wait — and an
+// obs.Tracker carried by the context has its "columns" counter bumped per
+// reduced boundary matrix.
 func (e *Engine) BettiZ2Ctx(ctx context.Context, c *topology.Complex) ([]int, error) {
 	return e.BettiZ2CtxResume(ctx, c, nil, nil)
 }
@@ -178,17 +172,11 @@ func (e *Engine) BettiZ2CtxResume(ctx context.Context, c *topology.Complex, know
 	})
 }
 
-// BettiZ2UpTo is BettiZ2 capped at maxDim: Betti numbers for dimensions
-// 0..min(maxDim, dim) only, reducing only the boundary matrices
+// BettiZ2UpToCtx is BettiZ2Ctx capped at maxDim: Betti numbers for
+// dimensions 0..min(maxDim, dim) only, reducing only the boundary matrices
 // ∂_1..∂_{maxDim+1} those dimensions need. Connectivity questions ask
 // about low dimensions of high-dimensional complexes, so the cap skips
-// exactly the top-dimensional matrices that dominate reduction cost.
-func (e *Engine) BettiZ2UpTo(c *topology.Complex, maxDim int) []int {
-	betti, _ := e.BettiZ2UpToCtx(context.Background(), c, maxDim)
-	return betti
-}
-
-// BettiZ2UpToCtx is BettiZ2UpTo with cancellation; see BettiZ2Ctx. A cap
+// exactly the top-dimensional matrices that dominate reduction cost. A cap
 // at or above the complex dimension delegates to the full computation
 // (and its plain cache key); a genuinely capped vector is cached under a
 // cap-decorated key so it can never be mistaken for the full vector, and
@@ -217,13 +205,8 @@ func (e *Engine) computeBettiCapped(ctx context.Context, c *topology.Complex, ma
 	return e.computeBettiMorse(ctx, c, maxDim, 2, nil)
 }
 
-// ReducedBettiZ2 mirrors the package-level ReducedBettiZ2 on the engine.
-func (e *Engine) ReducedBettiZ2(c *topology.Complex) []int {
-	betti, _ := e.ReducedBettiZ2Ctx(context.Background(), c)
-	return betti
-}
-
-// ReducedBettiZ2Ctx is ReducedBettiZ2 with cancellation; see BettiZ2Ctx.
+// ReducedBettiZ2Ctx mirrors the package-level ReducedBettiZ2 on the
+// engine; see BettiZ2Ctx.
 func (e *Engine) ReducedBettiZ2Ctx(ctx context.Context, c *topology.Complex) ([]int, error) {
 	betti, err := e.BettiZ2Ctx(ctx, c)
 	if err != nil || len(betti) == 0 {
@@ -233,15 +216,9 @@ func (e *Engine) ReducedBettiZ2Ctx(ctx context.Context, c *topology.Complex) ([]
 	return betti, nil
 }
 
-// IsKConnected mirrors the package-level IsKConnected on the engine.
-func (e *Engine) IsKConnected(c *topology.Complex, k int) bool {
-	ok, _ := e.IsKConnectedCtx(context.Background(), c, k)
-	return ok
-}
-
-// IsKConnectedCtx is IsKConnected with cancellation; see BettiZ2Ctx. The
-// verdict needs reduced Betti numbers only up to dimension k, so the
-// reduction is capped there (BettiZ2UpToCtx).
+// IsKConnectedCtx mirrors the package-level IsKConnected on the engine;
+// see BettiZ2Ctx. The verdict needs reduced Betti numbers only up to
+// dimension k, so the reduction is capped there (BettiZ2UpToCtx).
 func (e *Engine) IsKConnectedCtx(ctx context.Context, c *topology.Complex, k int) (bool, error) {
 	if k < -1 {
 		return true, nil
@@ -274,60 +251,14 @@ func reducedVanishUpTo(betti []int, k int) bool {
 	return true
 }
 
-// Connectivity mirrors the package-level Connectivity on the engine.
-func (e *Engine) Connectivity(c *topology.Complex) int {
-	k, _ := e.ConnectivityCtx(context.Background(), c)
-	return k
-}
-
-// ConnectivityCtx is Connectivity with cancellation; see BettiZ2Ctx.
+// ConnectivityCtx mirrors the package-level Connectivity on the engine;
+// see BettiZ2Ctx.
 func (e *Engine) ConnectivityCtx(ctx context.Context, c *topology.Complex) (int, error) {
-	if c.IsEmpty() {
-		return -2, nil
-	}
-	betti, err := e.ReducedBettiZ2Ctx(ctx, c)
+	betti, err := e.BettiZ2Ctx(ctx, c)
 	if err != nil {
 		return 0, err
 	}
-	k := -1
-	for d := 0; d < len(betti); d++ {
-		if betti[d] != 0 {
-			return k, nil
-		}
-		k = d
-	}
-	return k, nil
-}
-
-// ConnectivityUpToCtx is ConnectivityCtx with the reduction capped at
-// maxDim: it returns min(Connectivity(c), maxDim), i.e. the exact
-// connectivity whenever that is below the cap and the cap itself when the
-// complex is at least maxDim-connected. A caller that only needs to
-// distinguish "at least k-connected" from the exact defect below k pays
-// for the low-dimensional matrices only.
-func (e *Engine) ConnectivityUpToCtx(ctx context.Context, c *topology.Complex, maxDim int) (int, error) {
-	if c.IsEmpty() {
-		return -2, nil
-	}
-	if maxDim < 0 {
-		return -1, nil
-	}
-	betti, err := e.BettiZ2UpToCtx(ctx, c, maxDim)
-	if err != nil {
-		return 0, err
-	}
-	k := -1
-	for d := 0; d < len(betti); d++ {
-		v := betti[d]
-		if d == 0 {
-			v--
-		}
-		if v != 0 {
-			return k, nil
-		}
-		k = d
-	}
-	return k, nil
+	return ConnectivityFromBetti(betti), nil
 }
 
 // BettiGFpCtx returns the Betti numbers of c over GF(p), for a prime p

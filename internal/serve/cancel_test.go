@@ -143,3 +143,24 @@ func TestSaturationReturns429(t *testing.T) {
 	s.Abort()
 	<-blockerDone
 }
+
+// TestLargeTimeoutKeepsServerDeadline: a timeout_ms at or above the
+// server deadline keeps the deadline, however large. Converting such a
+// value to a Duration first overflows, and the compute would start out
+// expired (504). A value that is not a positive integer is refused.
+func TestLargeTimeoutKeepsServerDeadline(t *testing.T) {
+	s := newTestServer(t, "", nil)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for _, ms := range []string{"9223372036855", "18446744073709"} {
+		code, cache, body := get(t, ts, "/v1/rounds?model=async&n=2&f=1&r=1&timeout_ms="+ms)
+		if code != http.StatusOK || cache != "miss" {
+			t.Fatalf("timeout_ms=%s: status %d, X-Cache %q (want 200 miss): %v", ms, code, cache, body)
+		}
+	}
+	for _, ms := range []string{"0", "-5", "1.5", "x"} {
+		if code, _, body := get(t, ts, "/v1/rounds?model=async&n=2&f=1&r=1&timeout_ms="+ms); code != http.StatusBadRequest {
+			t.Fatalf("timeout_ms=%s: status %d (want 400): %v", ms, code, body)
+		}
+	}
+}

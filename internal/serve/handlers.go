@@ -13,6 +13,7 @@ import (
 	"strconv"
 
 	"pseudosphere/internal/core"
+	"pseudosphere/internal/homology"
 	"pseudosphere/internal/jobs"
 	"pseudosphere/internal/modelspec"
 	"pseudosphere/internal/pc"
@@ -240,10 +241,7 @@ func (s *Server) buildPseudosphere(q url.Values) (endpointQuery, error) {
 					return nil, err
 				}
 				out.BettiZ2 = betti
-				conn, err := s.engine.ConnectivityCtx(ctx, ps)
-				if err != nil {
-					return nil, err
-				}
+				conn := homology.ConnectivityFromBetti(betti)
 				out.Connectivity = &conn
 			}
 			return out, nil
@@ -410,7 +408,7 @@ func (s *Server) buildConnectivity(q url.Values, spec *modelspec.Spec) (endpoint
 					return nil, err
 				}
 			}
-			conn := connectivityOf(c, betti)
+			conn := homology.ConnectivityFromBetti(betti)
 			var uptoOut *int
 			if upto >= 0 {
 				uptoOut = &upto
@@ -427,27 +425,6 @@ func (s *Server) buildConnectivity(q url.Values, spec *modelspec.Spec) (endpoint
 			}{inst.Model, inst.Params, field, p, uptoOut, statsOf(c), betti, conn}, nil
 		},
 	}, nil
-}
-
-// connectivityOf derives the connectivity verdict from non-reduced Betti
-// numbers, matching homology.Connectivity's conventions.
-func connectivityOf(c *topology.Complex, betti []int) int {
-	if c.IsEmpty() {
-		return -2
-	}
-	reduced := make([]int, len(betti))
-	copy(reduced, betti)
-	if len(reduced) > 0 {
-		reduced[0]--
-	}
-	k := -1
-	for d := 0; d < len(reduced); d++ {
-		if reduced[d] != 0 {
-			return k
-		}
-		k = d
-	}
-	return k
 }
 
 // buildDecision runs the exact k-set-agreement solvability search

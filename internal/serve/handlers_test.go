@@ -1,10 +1,20 @@
 package serve
 
 import (
+	"bufio"
+	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"net/url"
+	"strings"
 	"testing"
+	"time"
 
+	"pseudosphere/internal/jobs"
 	"pseudosphere/internal/modelspec"
 )
 
@@ -30,4 +40,74 @@ func BenchmarkStatsOf(b *testing.B) {
 			b.Fatalf("statsOf counted %d facets, want 4096", st.Facets)
 		}
 	}
+}
+
+// BenchmarkSmallJob prices the job API's indirection on small work. Each
+// iteration asks one server, with a store and a job directory, for a key
+// no earlier iteration asked for: psi(S^2) over a fresh pair of values
+// (8 facets, Betti numbers included), so every answer is computed. get
+// sends one GET; job submits to /v1/jobs, follows the job's event stream
+// to done, and fetches /result.
+func BenchmarkSmallJob(b *testing.B) {
+	s, err := New(Config{StoreDir: b.TempDir(), JobDir: b.TempDir(), Workers: 1, Pool: 1, RequestTimeout: 30 * time.Second})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { s.Close() })
+	ts := httptest.NewServer(s.Handler())
+	b.Cleanup(ts.Close)
+	client := ts.Client()
+	fresh := 0 // shared by both sub-benchmarks and all their b.N rounds
+	values := func() string {
+		fresh++
+		return fmt.Sprintf("a%d,b%d", fresh, fresh)
+	}
+	// fetch sends one request and checks its status and X-Cache class.
+	fetch := func(b *testing.B, req *http.Request, status int, cache string) []byte {
+		resp, err := client.Do(req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != status || resp.Header.Get("X-Cache") != cache {
+			b.Fatalf("%s %s: status %d, X-Cache %q, %v (want %d %q): %s",
+				req.Method, req.URL.Path, resp.StatusCode, resp.Header.Get("X-Cache"), err, status, cache, body)
+		}
+		return body
+	}
+
+	b.Run("get", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			req, _ := http.NewRequest(http.MethodGet, ts.URL+"/v1/pseudosphere?n=2&values="+values(), nil)
+			fetch(b, req, http.StatusOK, "miss")
+		}
+	})
+	b.Run("job", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			spec := fmt.Sprintf(`{"endpoint":"pseudosphere","params":{"n":"2","values":%q}}`, values())
+			req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/jobs", strings.NewReader(spec))
+			var st jobs.Status
+			if err := json.Unmarshal(fetch(b, req, http.StatusAccepted, ""), &st); err != nil {
+				b.Fatal(err)
+			}
+			resp, err := client.Get(ts.URL + "/v1/jobs/" + st.ID + "/events")
+			if err != nil {
+				b.Fatal(err)
+			}
+			for sc := bufio.NewScanner(resp.Body); !st.State.Terminal() && sc.Scan(); {
+				if data, ok := bytes.CutPrefix(sc.Bytes(), []byte("data: ")); ok {
+					if err := json.Unmarshal(data, &st); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			resp.Body.Close()
+			if st.State != jobs.StateDone {
+				b.Fatalf("job %s ended %q: %s", st.ID, st.State, st.Error)
+			}
+			req, _ = http.NewRequest(http.MethodGet, ts.URL+"/v1/jobs/"+st.ID+"/result", nil)
+			fetch(b, req, http.StatusOK, "job")
+		}
+	})
 }

@@ -371,8 +371,10 @@ func (s *Server) requestCtx(r *http.Request) (context.Context, context.CancelFun
 		if err != nil || ms <= 0 {
 			return nil, nil, badRequest("timeout_ms=%q is not a positive integer", raw)
 		}
-		if d := time.Duration(ms) * time.Millisecond; d < timeout {
-			timeout = d
+		// Compare in milliseconds: a large ms would overflow the Duration
+		// product and start the compute already expired.
+		if int64(ms) < timeout.Milliseconds() {
+			timeout = time.Duration(ms) * time.Millisecond
 		}
 	}
 	ctx := obs.WithTracker(r.Context(), s.tracker)
@@ -542,8 +544,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleMetrics reports the service counters plus the cache-stack and
-// admission state as one JSON document; the CI smoke test and cmd/loadgen
-// read hit counters here.
+// admission state as one JSON document; the CI smoke test and the bench/
+// workloads read hit counters here.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	type cacheStats struct {
 		Hits      uint64 `json:"hits"`

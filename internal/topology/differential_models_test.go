@@ -45,10 +45,13 @@ func requireAgreement(t *testing.T, ctx string, c *topology.Complex) {
 		t.Fatalf("%s: size %d != reference %d", ctx, c.Size(), len(ref))
 	}
 	eng := homology.NewEngine(0, nil)
-	got := eng.BettiZ2(c)
-	want := eng.BettiZ2(ref.Complex())
-	if len(got) != len(want) {
-		t.Fatalf("%s: Betti %v != reference %v", ctx, got, want)
+	got, err := eng.BettiZ2Ctx(context.Background(), c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := eng.BettiZ2Ctx(context.Background(), ref.Complex())
+	if err != nil || len(got) != len(want) {
+		t.Fatalf("%s: Betti %v != reference %v (%v)", ctx, got, want, err)
 	}
 	for i := range got {
 		if got[i] != want[i] {
