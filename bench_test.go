@@ -201,7 +201,10 @@ func BenchmarkE7SyncConnectivityCached(b *testing.B) {
 
 func BenchmarkE8SyncBoundTable(b *testing.B) {
 	inputs := []string{"0", "1", "2"}
-	schedules := sim.EnumerateCrashSchedules(len(inputs), 1, 2)
+	schedules, err := sim.EnumerateCrashSchedules(context.Background(), len(inputs), 1, 2, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, cs := range schedules {
@@ -450,7 +453,7 @@ func BenchmarkAblationConsensusFastPath(b *testing.B) {
 	ann := task.AnnotateViews(res.Complex, res.Views)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, found, err := task.FindDecision(ann, 1, 0); err != nil || found {
+		if _, found, err := task.FindDecisionParallelCtx(context.Background(), ann, 1, 0, 1); err != nil || found {
 			b.Fatal("consensus should be impossible")
 		}
 	}
@@ -463,7 +466,7 @@ func BenchmarkAblationSearchBacktracking(b *testing.B) {
 	ann := task.AnnotateViews(res.Complex, res.Views)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, found, err := task.FindDecision(ann, 2, 0); err != nil || !found {
+		if _, found, err := task.FindDecisionParallelCtx(context.Background(), ann, 2, 0, 1); err != nil || !found {
 			b.Fatal("2-set agreement should be solvable")
 		}
 	}

@@ -219,7 +219,7 @@ func run(ctx context.Context, w io.Writer, workers int, deep bool, reduce bool) 
 	for _, c := range []struct{ n1, f, maxRound int }{{4, 2, 3}, {3, 2, 2}} {
 		name := fmt.Sprintf("EnumerateCrashSchedules(%d,%d,%d)", c.n1, c.f, c.maxRound)
 		err := record(name, func() (int, int, int, error) {
-			out, err := sim.EnumerateCrashSchedulesParallelCtx(ctx, c.n1, c.f, c.maxRound, workers)
+			out, err := sim.EnumerateCrashSchedules(ctx, c.n1, c.f, c.maxRound, workers)
 			return 0, 0, len(out), err
 		})
 		if err != nil {

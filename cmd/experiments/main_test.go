@@ -5,13 +5,51 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"pseudosphere/internal/experiments"
 	"pseudosphere/internal/obs"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/experiments.txt from this run")
+
+// TestExperimentsGolden pins the whole default run byte for byte: every
+// table row and the homology cache line. A fresh cached engine makes the
+// cache line independent of the tests that ran before. Rewrite the file
+// with go test ./cmd/experiments -run TestExperimentsGolden -update.
+func TestExperimentsGolden(t *testing.T) {
+	experiments.ConfigureEngine(0, true)
+	var buf bytes.Buffer
+	if err := run(context.Background(), &buf, "", false); err != nil {
+		t.Fatal(err)
+	}
+	const path = "testdata/experiments.txt"
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := buf.Bytes(); !bytes.Equal(got, want) {
+		gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gl) && i < len(wl); i++ {
+			if gl[i] != wl[i] {
+				t.Fatalf("line %d differs from %s:\n got: %s\nwant: %s", i+1, path, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("output has %d lines, %s has %d", len(gl), path, len(wl))
+	}
+}
 
 func TestRunSingleExperiment(t *testing.T) {
 	var buf bytes.Buffer

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -26,7 +27,10 @@ func main() {
 	fmt.Printf("Theorem 18 (k=1): consensus with n=%d, f=%d needs %d rounds\n", n, f, lb)
 
 	// The f+1-round protocol survives EVERY crash schedule.
-	schedules := sim.EnumerateCrashSchedules(len(inputs), f, f+1)
+	schedules, err := sim.EnumerateCrashSchedules(context.Background(), len(inputs), f, f+1, 1)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("\nrunning FloodSet (%d rounds) under all %d crash schedules...\n", f+1, len(schedules))
 	for _, cs := range schedules {
 		out, err := sim.RunSync(inputs, protocols.NewFloodSet(f), cs, f+2)
@@ -41,7 +45,11 @@ func main() {
 
 	// One round fewer is NOT enough: exhibit a breaking schedule.
 	short := protocols.NewSyncKSet(0, 1) // flood for only 1 round
-	for _, cs := range sim.EnumerateCrashSchedules(len(inputs), f, f) {
+	shortSchedules, err := sim.EnumerateCrashSchedules(context.Background(), len(inputs), f, f, 1)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, cs := range shortSchedules {
 		out, err := sim.RunSync(inputs, short, cs, f+1)
 		if err != nil {
 			log.Fatal(err)

@@ -44,7 +44,7 @@ func main() {
 			res.Merge(sub)
 		}
 		ann := task.AnnotateViews(res.Complex, res.Views)
-		_, found, err := task.FindDecision(ann, k, 50_000_000)
+		_, found, err := task.FindDecisionParallelCtx(context.Background(), ann, k, 50_000_000, 1)
 		if err != nil {
 			log.Fatal(err)
 		}

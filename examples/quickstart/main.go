@@ -48,7 +48,7 @@ func main() {
 	// 3. Solvability: Corollary 13 says consensus (k=1 <= f=1) is
 	// impossible; the exact decision-map search agrees.
 	ann := task.AnnotateViews(res.Complex, res.Views)
-	_, found, err := task.FindDecision(ann, 1, 0)
+	_, found, err := task.FindDecisionParallelCtx(context.Background(), ann, 1, 0, 1)
 	if err != nil {
 		log.Fatal(err)
 	}

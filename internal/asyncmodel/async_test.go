@@ -242,7 +242,7 @@ func TestCorollary13Obstruction(t *testing.T) {
 	// complex.
 	res := coreutil.MustBuildOverInputs(p.Operator(), p.N, values, 1)
 	ann := task.AnnotateViews(res.Complex, res.Views)
-	if _, found, err := task.FindDecision(ann, 1, 0); err != nil || found {
+	if _, found, err := task.FindDecisionParallelCtx(context.Background(), ann, 1, 0, 1); err != nil || found {
 		t.Fatalf("consensus map found=%v err=%v; Corollary 13 says impossible", found, err)
 	}
 }
@@ -287,7 +287,7 @@ func TestKSetSolvableAboveF(t *testing.T) {
 	if err := task.CheckDecision(ann, dm, k); err != nil {
 		t.Fatalf("min-of-heard should solve %d-set agreement: %v", k, err)
 	}
-	if _, found, err := task.FindDecision(ann, k, 5_000_000); err != nil || !found {
+	if _, found, err := task.FindDecisionParallelCtx(context.Background(), ann, k, 5_000_000, 1); err != nil || !found {
 		t.Fatalf("search: found=%v err=%v, want a decision map", found, err)
 	}
 }

@@ -157,7 +157,7 @@ func TestThreeRoundConnectivityAtScale(t *testing.T) {
 func TestNoConsensusAtTwoRounds(t *testing.T) {
 	res := coreutil.MustBuildOverInputs(Params{N: 2, F: 1}.Operator(), 2, []string{"0", "1"}, 2)
 	ann := task.AnnotateViews(res.Complex, res.Views)
-	if _, found, err := task.FindDecision(ann, 1, 0); err != nil || found {
+	if _, found, err := task.FindDecisionParallelCtx(context.Background(), ann, 1, 0, 1); err != nil || found {
 		t.Fatalf("found=%v err=%v; two-round consensus must remain impossible", found, err)
 	}
 }

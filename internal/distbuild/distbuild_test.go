@@ -525,9 +525,10 @@ func TestHandlersRejectProtocolErrors(t *testing.T) {
 	}
 
 	// A well-framed completion for a live lease whose delta is not
-	// face-closed (an edge without its vertices) is a 400 as well. It
-	// merges nothing and leaves the lease alone: once the lease expires
-	// its range is reclaimed like any abandoned one.
+	// face-closed (an edge without its vertices) is a 400 as well, and so
+	// is a face-closed delta in the JSON form a release before the record
+	// codec sent. Neither merges anything or touches the lease: once the
+	// lease expires its range is reclaimed like any abandoned one.
 	_, _, plan := testModel(t, "model=async&n=3&f=3&r=1")
 	now := time.Unix(1000, 0)
 	b := &build{
@@ -549,15 +550,18 @@ func TestHandlersRejectProtocolErrors(t *testing.T) {
 		t.Fatal("register live build")
 	}
 	l := b.claim("w", 2)
-	payload, err := json.Marshal(legacyDelta{
-		Build: "live", Lease: l.Lease, Shards: []int{l.Lo, l.Lo + 1},
-		Verts: []pc.DeltaVert{{P: 0, L: views.Initial(0, "a").Encode()}, {P: 1, L: views.Initial(1, "b").Encode()}},
-		Simps: [][]int32{{0, 1}},
+	payload, err := json.Marshal(map[string]any{
+		"build": "live", "lease": l.Lease, "shards": []int{l.Lo, l.Lo + 1},
+		"verts": []map[string]any{{"p": 0, "l": views.Initial(0, "a").Encode()}, {"p": 1, "l": views.Initial(1, "b").Encode()}},
+		"simps": [][]int32{{0}, {1}, {0, 1}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The same delta in a record-codec frame: the header, then a record of
+	if _, err := DecodeShardFrame(store.EncodeFrame(payload)); err == nil || !strings.Contains(err.Error(), "no frame tag") {
+		t.Fatalf("JSON frame: %v, want a frame-tag error", err)
+	}
+	// The lone edge in a record-codec frame: the header, then a record of
 	// two shards, two new vertices and one row, the edge.
 	rec := []byte{tagFrame, 4}
 	rec = append(rec, "live"...)
@@ -571,14 +575,14 @@ func TestHandlersRejectProtocolErrors(t *testing.T) {
 	if _, err := DecodeShardFrame(store.EncodeFrame(rec)); err == nil || !strings.Contains(err.Error(), "face-closed") {
 		t.Fatalf("record frame of a lone edge: %v, want a face-closure error", err)
 	}
-	for _, frame := range [][]byte{store.EncodeFrame(payload), store.EncodeFrame(rec)} {
+	for name, frame := range map[string][]byte{"JSON delta": store.EncodeFrame(payload), "lone edge": store.EncodeFrame(rec)} {
 		resp, err = http.Post(ts.URL+CompletePath, "application/octet-stream", bytes.NewReader(frame))
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("delta that is not face-closed: status %d, want 400", resp.StatusCode)
+			t.Fatalf("%s: status %d, want 400", name, resp.StatusCode)
 		}
 	}
 	if b.closed || b.doneCnt != 0 || !b.res.Complex.IsEmpty() {
@@ -678,37 +682,26 @@ func TestEncodeDecodeShardDelta(t *testing.T) {
 // the complex testdata/iis-n2-r2-sorted.frame carries.
 const goldenIISHash = "20c6cc88cbf55b69d1cc8651267f440b17972aeb67d12e085ff9fda4262daa8c"
 
-// TestDecodeSortedEncoderFrame: a completion frame written by the encoder
-// pc's delta codec replaced — vertex table in (process, label) order, rows
-// in (dimension, key) order — still decodes, to the pinned complex.
-// Frames from a replica running that encoder stay mergeable during a
-// rolling upgrade.
+// TestDecodeSortedEncoderFrame: a completion frame written by a release
+// before the record codec — a JSON payload, vertex table in (process,
+// label) order, rows in (dimension, key) order — is refused whole, as any
+// payload without the record tag is. The coordinator answers it 400 and
+// the sender's range is re-leased (TestHandlersRejectProtocolErrors). The
+// build it carried still hashes to the pin.
 func TestDecodeSortedEncoderFrame(t *testing.T) {
 	raw, err := os.ReadFile("testdata/iis-n2-r2-sorted.frame")
 	if err != nil {
 		t.Fatal(err)
 	}
-	delta, err := DecodeShardFrame(raw)
-	if err != nil {
-		t.Fatal(err)
+	if payload, ok := store.DecodeFrame(raw); !ok || payload[0] != '{' {
+		t.Fatal("fixture is not a framed JSON completion")
 	}
-	if delta.Build != "golden" || delta.Lease != 7 || len(delta.Shards) != 13 {
-		t.Fatalf("decoded metadata = %+v", delta)
-	}
-	if got := delta.Result.Complex.CanonicalHash(); got != goldenIISHash {
-		t.Fatalf("golden frame decodes to %s, want %s", got, goldenIISHash)
+	if delta, err := DecodeShardFrame(raw); err == nil || delta != nil {
+		t.Fatalf("JSON frame decoded to %+v, %v; want it refused", delta, err)
 	}
 	inst, input, _ := testModel(t, "model=iis&n=2&r=2")
 	if got := localHash(t, inst, input); got != goldenIISHash {
 		t.Fatalf("IIS n=2 r=2 builds to %s, golden pin %s", got, goldenIISHash)
-	}
-	// The current encoder's frame of the decoded delta round-trips too.
-	again, err := DecodeShardFrame(EncodeShardDelta("b", 1, delta.Shards, delta.Result))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := again.Result.Complex.CanonicalHash(); got != goldenIISHash {
-		t.Fatalf("re-encoded frame decodes to %s, want %s", got, goldenIISHash)
 	}
 }
 

@@ -5,44 +5,36 @@ import (
 	"testing"
 
 	"pseudosphere/internal/pc"
-	"pseudosphere/internal/topology"
+	"pseudosphere/internal/views"
 )
 
 // FuzzDecodeShardFrame hammers the completion-frame decoder with
-// arbitrary bytes plus mutations of valid frames, in the record codec and
-// in the legacy JSON form. The decoder sits on a fleet-internal endpoint,
-// but a crashed-and-restarted worker (or a proxy truncation) can hand it
-// anything; it must reject garbage with an error — never panic, never
-// return a half-validated complex. Whatever it returns is face-closed and
-// chromatic, with a canonical view behind every label.
+// arbitrary bytes plus mutations of valid frames, and of the JSON frame a
+// release before the record codec sent, which must be refused. The
+// decoder sits on a fleet-internal endpoint, but a crashed-and-restarted
+// worker (or a proxy truncation) can hand it anything; it must reject
+// garbage with an error — never panic, never return a half-validated
+// complex. Whatever it returns is face-closed and chromatic, with a
+// canonical view behind every label.
 func FuzzDecodeShardFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("garbage"))
 
-	// A small valid frame as a mutation seed: two facets on three
-	// vertices.
+	// A small valid frame as a mutation seed: two edges on three
+	// vertices, with their faces.
 	res := pc.NewResult()
-	s1, err := topology.NewSimplex(
-		topology.Vertex{P: 0, Label: "a"},
-		topology.Vertex{P: 1, Label: "b"},
-	)
-	if err != nil {
-		f.Fatal(err)
+	a, b, c := views.Initial(0, "a"), views.Initial(1, "b"), views.Initial(2, "c")
+	res.AddFacet([]*views.View{a, b})
+	res.AddFacet([]*views.View{b, c})
+	small := EncodeShardDelta("seed-build", 42, []int{0, 1}, res)
+	if _, err := DecodeShardFrame(small); err != nil {
+		f.Fatalf("the small seed frame is refused: %v", err)
 	}
-	s2, err := topology.NewSimplex(
-		topology.Vertex{P: 1, Label: "b"},
-		topology.Vertex{P: 2, Label: "c"},
-	)
-	if err != nil {
-		f.Fatal(err)
-	}
-	res.Complex.AddClosed(s1)
-	res.Complex.AddClosed(s2)
-	f.Add(EncodeShardDelta("seed-build", 42, []int{0, 1}, res))
+	f.Add(small)
 	f.Add(EncodeShardDelta("", 0, nil, pc.NewResult()))
 
 	// A real two-round shard in insertion order, and the same build as
-	// the sorted encoder wrote it.
+	// the sorted JSON encoder wrote it.
 	_, _, plan := testModel(f, "model=iis&n=2&r=2")
 	shard := pc.NewResult()
 	if err := plan.RunShard(shard, 0); err != nil {

@@ -29,10 +29,11 @@
 // record (pc.AppendRecord) over the worker's fresh result: its done list
 // is the leased shards, and it extends 0 vertices and 0 entries, so it
 // carries the vertex table and every simplex of the face-closed delta and
-// the coordinator loads it with the closure-free bulk path. Frames a
-// previous release wrote as JSON still decode. These endpoints are
-// fleet-internal, like /internal/kv: replicas should listen on an
-// internal interface.
+// the coordinator loads it with the closure-free bulk path. A payload in
+// any other form, such as the JSON a release before the record codec
+// wrote, is refused whole (400); the sender's lease then expires and the
+// range is re-leased. These endpoints are fleet-internal, like
+// /internal/kv: replicas should listen on an internal interface.
 package distbuild
 
 import (
@@ -104,20 +105,8 @@ type claimResponse struct {
 	Hi    int    `json:"hi,omitempty"`
 }
 
-// tagFrame opens a completion payload; a previous release's JSON
-// payloads open with '{'.
+// tagFrame opens a completion payload.
 const tagFrame = 0x01
-
-// legacyDelta is the JSON payload of a completion frame from a previous
-// release: the lease, the shards it covered, and the sub-complex in pc's
-// legacy delta encoding.
-type legacyDelta struct {
-	Build  string         `json:"build"`
-	Lease  uint64         `json:"lease"`
-	Shards []int          `json:"shards"`
-	Verts  []pc.DeltaVert `json:"verts,omitempty"`
-	Simps  [][]int32      `json:"simps,omitempty"`
-}
 
 // Delta is a decoded, validated completion.
 type Delta struct {
@@ -155,9 +144,6 @@ func DecodeShardFrame(raw []byte) (*Delta, error) {
 	if !ok {
 		return nil, fmt.Errorf("distbuild: completion frame failed checksum validation")
 	}
-	if len(payload) > 0 && payload[0] == '{' {
-		return decodeLegacyFrame(payload)
-	}
 	if len(payload) == 0 || payload[0] != tagFrame {
 		return nil, fmt.Errorf("distbuild: completion payload has no frame tag")
 	}
@@ -177,31 +163,8 @@ func DecodeShardFrame(raw []byte) (*Delta, error) {
 	if err != nil {
 		return nil, fmt.Errorf("distbuild: completion delta: %w", err)
 	}
-	return checkDelta(&Delta{Build: build, Lease: lease, Shards: shards, Result: res})
-}
-
-// decodeLegacyFrame decodes a previous release's JSON completion payload.
-func decodeLegacyFrame(payload []byte) (*Delta, error) {
-	var sd legacyDelta
-	if err := json.Unmarshal(payload, &sd); err != nil {
-		return nil, fmt.Errorf("distbuild: completion payload: %w", err)
-	}
-	for _, i := range sd.Shards {
-		if i < 0 {
-			return nil, fmt.Errorf("distbuild: negative shard index %d", i)
-		}
-	}
-	res, err := pc.DecodeDelta(sd.Verts, sd.Simps)
-	if err != nil {
-		return nil, fmt.Errorf("distbuild: completion delta: %w", err)
-	}
-	return checkDelta(&Delta{Build: sd.Build, Lease: sd.Lease, Shards: sd.Shards, Result: res})
-}
-
-// checkDelta rejects a completion that names no build or no shards.
-func checkDelta(d *Delta) (*Delta, error) {
-	if d.Build == "" || len(d.Shards) == 0 {
+	if build == "" || len(shards) == 0 {
 		return nil, fmt.Errorf("distbuild: completion names no build or no shards")
 	}
-	return d, nil
+	return &Delta{Build: build, Lease: lease, Shards: shards, Result: res}, nil
 }

@@ -1,6 +1,7 @@
 package iis
 
 import (
+	"context"
 	"testing"
 
 	"pseudosphere/internal/homology"
@@ -102,7 +103,7 @@ func TestWaitFreeConsensusImpossibleOnIIS(t *testing.T) {
 	n := 1 // two processes, wait-free
 	res := coreutil.MustBuildOverInputs(Operator(), n, []string{"0", "1"}, 1)
 	ann := task.AnnotateViews(res.Complex, res.Views)
-	if _, found, err := task.FindDecision(ann, 1, 0); err != nil || found {
+	if _, found, err := task.FindDecisionParallelCtx(context.Background(), ann, 1, 0, 1); err != nil || found {
 		t.Fatalf("found=%v err=%v; wait-free IIS consensus must be impossible", found, err)
 	}
 }

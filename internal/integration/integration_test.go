@@ -156,8 +156,12 @@ func TestSyncRuntimeMatchesComplex(t *testing.T) {
 		t.Run(fmt.Sprintf("S^%d n=%d k=%d f=%d", row.r, row.n, row.k, row.f), func(t *testing.T) {
 			in, inputs := rowInput(row.n)
 			got := newRealized(len(inputs))
+			all, err := sim.EnumerateCrashSchedules(context.Background(), len(inputs), row.f, row.r, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
 		schedules:
-			for _, cs := range sim.EnumerateCrashSchedules(len(inputs), row.f, row.r) {
+			for _, cs := range all {
 				for _, c := range cs.FailuresPerRound() {
 					if c > row.k {
 						continue schedules

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"slices"
@@ -280,81 +279,10 @@ func TestChainRejects(t *testing.T) {
 	}
 }
 
-// legacyFrame frames a shard record as a previous release wrote it: JSON,
-// with delta's whole complex as a vertex table and index rows.
-func legacyFrame(t *testing.T, total int, done []int, delta *pc.Result) []byte {
-	t.Helper()
-	c := delta.Complex
-	verts := make([]pc.DeltaVert, c.VertexCount())
-	for id := range verts {
-		v := c.VertexAt(int32(id))
-		verts[id] = pc.DeltaVert{P: v.P, L: v.Label}
-	}
-	simps := make([][]int32, c.EntryCount())
-	for ei := range simps {
-		simps[ei] = c.AppendEntryIDs(nil, int32(ei))
-	}
-	payload, err := json.Marshal(map[string]any{"t": "shards", "total": total, "done": done, "verts": verts, "simps": simps})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return store.EncodeFrame(payload)
-}
-
-// TestLegacyThenTailLog: a job whose first half ran under a release that
-// wrote JSON shard records and whose second half ran after the upgrade
-// leaves a log of JSON records followed by tail records. It restores to
-// the full complex.
-func TestLegacyThenTailLog(t *testing.T) {
-	inst, input := buildQuery(t, a1n3f3)
-	want := buildResult(t, a1n3f3).Complex.CanonicalHash()
-	shards := shardResults(t, inst, input)
-	var legacy []byte
-	for lo := 0; lo < len(shards)/2; lo += 4 {
-		delta := pc.NewResult()
-		var done []int
-		for s := lo; s < lo+4; s++ {
-			delta.Merge(shards[s])
-			done = append(done, s)
-		}
-		legacy = append(legacy, legacyFrame(t, len(shards), done, delta)...)
-	}
-	path := filepath.Join(t.TempDir(), "upgraded.ckpt")
-	if err := os.WriteFile(path, legacy, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	log, err := jobs.OpenCheckpointLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c := resume(t, inst, input, log, want); c["shards_restored"] != uint64(len(shards)/2) {
-		t.Fatalf("restored %d shards from the legacy records, want %d", c["shards_restored"], len(shards)/2)
-	}
-	if err := log.Close(); err != nil {
-		t.Fatal(err)
-	}
-	after, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(after, legacy) || len(after) == len(legacy) {
-		t.Fatal("the upgraded build did not append tail records after the legacy ones")
-	}
-	again := openCopy(t, after)
-	done, partial, err := again.Restore(len(shards))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if slices.Contains(done, false) || partial.Complex.CanonicalHash() != want {
-		t.Fatalf("the mixed log restores %v to %s, want every shard and %s", done, partial.Complex.CanonicalHash(), want)
-	}
-	checkSound(t, partial)
-}
-
 // TestRestoreTailLog: the committed log of IIS n=2 r=2 at two shards per
-// record plus one rank record (dimension 1, rank 5), as the record codec
-// writes it, restores to the pinned complex, so the next codec change
-// must keep reading it.
+// record plus one rank record (dimension 1, rank 5), as the record codecs
+// write them, restores to the pinned complex and rank, so the next codec
+// change must keep reading it.
 func TestRestoreTailLog(t *testing.T) {
 	raw, err := os.ReadFile("testdata/iis-n2-r2-tail.ckpt")
 	if err != nil {

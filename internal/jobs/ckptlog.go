@@ -2,9 +2,9 @@ package jobs
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -27,10 +27,16 @@ import (
 // the complex. Restore applies them in order to one result, which the
 // build then continues into. The first shard record that fails validation
 // or names another shard count ends the replay, and Restore truncates the
-// log there, so later appends extend the chain it rebuilt. Shard records
-// a previous release wrote as JSON deltas replay as self-contained pieces
-// of the chain, so a job interrupted before an upgrade resumes after it.
-// Rank records are JSON.
+// log there, so later appends extend the chain it rebuilt. A rank record
+// holds one boundary rank: the complex's canonical hash, the dimension
+// and the rank, each varint-coded.
+//
+// Open ends the log at the first frame that is neither a shard nor a
+// rank record, or at a rank record that does not parse, as at a torn
+// frame. So a log of JSON records, which releases before the record codec
+// wrote, opens empty and its job recomputes; a log of shard records
+// followed by JSON rank records keeps its chain and loses the ranks, so
+// only homology reruns.
 //
 // One writer goroutine per log writes the frames. Flush encodes its record
 // on the caller and queues it, blocking only while queueDepth records wait;
@@ -70,9 +76,11 @@ type CheckpointLog struct {
 // unflushed shards.
 const queueDepth = 4
 
-// tagTail opens the payload of a binary shard record; JSON records open
-// with '{'.
-const tagTail = 0x01
+// The tags that open a record's payload.
+const (
+	tagTail = 0x01 // a shard record
+	tagRank = 0x02 // a rank record
+)
 
 // write is one request to the writer goroutine: append frame, or, when
 // frame is nil, cut the file to trunc bytes. done, when set, receives the
@@ -83,32 +91,11 @@ type write struct {
 	done  chan error
 }
 
-// shardRec is one shard record loaded at open: a tail payload (after its
-// tag) or a legacy JSON delta, and the file offset its frame starts at.
+// shardRec is one shard record loaded at open: its payload after the
+// tag, and the file offset its frame starts at.
 type shardRec struct {
-	off    int64
-	tail   []byte
-	legacy *ckptRecord
-}
-
-// ckptRecord is one JSON log entry. T selects the variant: "rank"
-// persists one fully reduced boundary rank keyed by the complex's
-// canonical hash; "shards" is the legacy shard record, a batch of
-// completed construction shards with their merged delta in pc's legacy
-// delta encoding, which Restore still reads.
-type ckptRecord struct {
-	T string `json:"t"`
-
-	// T == "shards"
-	Total int            `json:"total,omitempty"`
-	Done  []int          `json:"done,omitempty"`
-	Verts []pc.DeltaVert `json:"verts,omitempty"`
-	Simps [][]int32      `json:"simps,omitempty"`
-
-	// T == "rank"
-	Hash string `json:"hash,omitempty"`
-	Dim  int    `json:"dim,omitempty"`
-	Rank int    `json:"rank,omitempty"`
+	off  int64
+	tail []byte
 }
 
 // OpenCheckpointLog opens (creating if absent) the log at path, loading
@@ -147,29 +134,45 @@ func OpenCheckpointLog(path string) (*CheckpointLog, error) {
 }
 
 // load files one checksummed payload found at offset off, reporting false
-// for a payload that does not parse, which ends the log.
+// for a payload that is not a record of this format, which ends the log.
 func (c *CheckpointLog) load(off int64, payload []byte) bool {
-	if len(payload) > 0 && payload[0] == tagTail {
-		c.shards = append(c.shards, shardRec{off: off, tail: payload[1:]})
-		return true
-	}
-	var rec ckptRecord
-	if err := json.Unmarshal(payload, &rec); err != nil {
+	if len(payload) == 0 {
 		return false
 	}
-	switch rec.T {
-	case "shards":
-		c.shards = append(c.shards, shardRec{off: off, legacy: &rec})
-	case "rank":
-		if c.ranks[rec.Hash] == nil {
-			c.ranks[rec.Hash] = make(map[int]int)
+	switch payload[0] {
+	case tagTail:
+		c.shards = append(c.shards, shardRec{off: off, tail: payload[1:]})
+		return true
+	case tagRank:
+		hash, dim, rank, ok := decodeRank(payload[1:])
+		if ok {
+			if c.ranks[hash] == nil {
+				c.ranks[hash] = make(map[int]int)
+			}
+			c.ranks[hash][dim] = rank
 		}
-		c.ranks[rec.Hash][rec.Dim] = rec.Rank
-	default:
-		// Unknown record types from a future format rev: skip, they
-		// checksummed correctly.
+		return ok
 	}
-	return true
+	return false
+}
+
+// decodeRank parses a rank record's body: uvarint(len(hash)), the hash,
+// uvarint(dim) and uvarint(rank), with nothing after.
+func decodeRank(b []byte) (hash string, dim, rank int, ok bool) {
+	n, k := binary.Uvarint(b)
+	if k <= 0 || n > uint64(len(b)-k) {
+		return "", 0, 0, false
+	}
+	hash, b = string(b[k:k+int(n)]), b[k+int(n):]
+	d, k := binary.Uvarint(b)
+	if k <= 0 {
+		return "", 0, 0, false
+	}
+	r, j := binary.Uvarint(b[k:])
+	if j <= 0 || k+j != len(b) || d > math.MaxInt || r > math.MaxInt {
+		return "", 0, 0, false
+	}
+	return hash, int(d), int(r), true
 }
 
 // Close drains the queue, stops the writer and closes the file. It
@@ -284,15 +287,14 @@ func (c *CheckpointLog) durable(w write) error {
 
 // Restore implements roundop.Checkpointer: it applies the shard records
 // loaded at open, in order, to one result and returns it with the shards
-// they completed. Tail records must name totalShards and pass
-// pc.ApplyRecord's checks; legacy JSON records must name totalShards and
-// pass pc.DecodeDelta's, and are merged whole. The first record that
-// fails ends the replay, and the log is truncated there (dropping every
-// later record) before Restore returns, so no record after a gap is ever
-// trusted and the next Flush extends exactly the returned result. A
-// failed record is never partly applied, so the result is always a
-// face-closed subcomplex of the build. Restore consumes the loaded
-// records: call it once, before any Flush.
+// they completed. Each record must name totalShards and pass
+// pc.ApplyRecord's checks. The first record that fails ends the replay,
+// and the log is truncated there (dropping every later record) before
+// Restore returns, so no record after a gap is ever trusted and the next
+// Flush extends exactly the returned result. A failed record is never
+// partly applied, so the result is always a face-closed subcomplex of the
+// build. Restore consumes the loaded records: call it once, before any
+// Flush.
 func (c *CheckpointLog) Restore(totalShards int) ([]bool, *pc.Result, error) {
 	if c.restored {
 		return nil, nil, errors.New("jobs: checkpoint log restored twice")
@@ -328,32 +330,11 @@ func (c *CheckpointLog) Restore(totalShards int) ([]bool, *pc.Result, error) {
 // replay applies one shard record to res and returns the shards it lists.
 // On error res is unchanged.
 func replay(rec shardRec, totalShards int, res *pc.Result) ([]int, error) {
-	if leg := rec.legacy; leg != nil {
-		if leg.Total != totalShards || len(leg.Done) == 0 || !shardsInRange(leg.Done, totalShards) {
-			return nil, fmt.Errorf("jobs: legacy shard record for %d shards", leg.Total)
-		}
-		delta, err := pc.DecodeDelta(leg.Verts, leg.Simps)
-		if err != nil {
-			return nil, err
-		}
-		res.Merge(delta)
-		return leg.Done, nil
-	}
 	total, n := binary.Uvarint(rec.tail)
 	if n <= 0 || total != uint64(totalShards) {
 		return nil, fmt.Errorf("jobs: shard record is not for %d shards", totalShards)
 	}
 	return res.ApplyRecord(rec.tail[n:], totalShards)
-}
-
-// shardsInRange reports whether every shard index lies in [0, total).
-func shardsInRange(idx []int, total int) bool {
-	for _, i := range idx {
-		if i < 0 || i >= total {
-			return false
-		}
-	}
-	return true
 }
 
 // Flush implements roundop.Checkpointer: it encodes what res gained since
@@ -398,9 +379,9 @@ func (c *CheckpointLog) KnownRanks(hash string) map[int]int {
 // durable. Safe for concurrent use — the homology engine emits ranks from
 // one goroutine per dimension.
 func (c *CheckpointLog) PutRank(hash string, dim, rank int) error {
-	payload, err := json.Marshal(ckptRecord{T: "rank", Hash: hash, Dim: dim, Rank: rank})
-	if err != nil {
-		return fmt.Errorf("jobs: encode checkpoint: %w", err)
-	}
+	payload := binary.AppendUvarint([]byte{tagRank}, uint64(len(hash)))
+	payload = append(payload, hash...)
+	payload = binary.AppendUvarint(payload, uint64(dim))
+	payload = binary.AppendUvarint(payload, uint64(rank))
 	return c.durable(write{frame: store.EncodeFrame(payload)})
 }

@@ -2,7 +2,6 @@ package jobs_test
 
 import (
 	"context"
-	"encoding/json"
 	"net/url"
 	"os"
 	"path/filepath"
@@ -13,14 +12,15 @@ import (
 	"pseudosphere/internal/obs"
 	"pseudosphere/internal/pc"
 	"pseudosphere/internal/roundop"
-	"pseudosphere/internal/store"
 	"pseudosphere/internal/topology"
 	"pseudosphere/internal/views"
 )
 
 // goldenIISHash is the CanonicalHash of IIS n=2 r=2 over inputs a, b, c,
-// a 13-shard build; testdata/iis-n2-r2-sorted.ckpt holds its checkpoint
-// log at two shards per flush plus one rank record (dimension 1, rank 5).
+// a 13-shard build. testdata/iis-n2-r2-tail.ckpt holds its checkpoint log
+// at two shards per flush plus one rank record (dimension 1, rank 5), and
+// testdata/iis-n2-r2-sorted.ckpt the same log in the JSON records of a
+// release before the record codec.
 const (
 	goldenIISHash   = "20c6cc88cbf55b69d1cc8651267f440b17972aeb67d12e085ff9fda4262daa8c"
 	goldenIISShards = 13
@@ -90,34 +90,39 @@ func restoredHash(t *testing.T, log *jobs.CheckpointLog, total int) string {
 	return partial.Complex.CanonicalHash()
 }
 
-// TestRestoreSortedEncoderLog: a checkpoint log written by the encoder
-// pc's delta codec replaced — vertex table in (process, label) order,
-// rows in (dimension, key) order — still restores, to the pinned complex,
-// so a job interrupted before an upgrade resumes after it. A log of the
-// same build written by the current encoder restores identically.
+// TestRestoreSortedEncoderLog: a checkpoint log of JSON records, as a
+// release before the record codec wrote it, opens empty: its first frame
+// ends the log, and open truncates the file there. A build over it runs
+// every shard and lands on the pinned complex, and the log that build
+// leaves restores to the same complex.
 func TestRestoreSortedEncoderLog(t *testing.T) {
 	raw, err := os.ReadFile("testdata/iis-n2-r2-sorted.ckpt")
 	if err != nil {
 		t.Fatal(err)
 	}
-	log := openCopy(t, raw)
-	if got := restoredHash(t, log, goldenIISShards); got != goldenIISHash {
-		t.Fatalf("golden log restores to %s, want %s", got, goldenIISHash)
+	path := filepath.Join(t.TempDir(), "upgraded.ckpt")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if ranks := log.KnownRanks(goldenIISHash); ranks[1] != 5 || len(ranks) != 1 {
-		t.Fatalf("golden rank records = %v, want map[1:5]", ranks)
+	log, err := jobs.OpenCheckpointLog(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-
+	if ranks := log.KnownRanks(goldenIISHash); ranks != nil {
+		t.Fatalf("JSON rank records loaded: %v", ranks)
+	}
+	if fi, err := os.Stat(path); err != nil || fi.Size() != 0 {
+		t.Fatalf("JSON log not truncated to empty at open: %v, %v", fi, err)
+	}
 	inst, input := buildQuery(t, "model=iis&n=2&r=2")
-	path := filepath.Join(t.TempDir(), "fresh.ckpt")
-	fresh, err := jobs.OpenCheckpointLog(path)
+	tr := obs.NewTracker()
+	res, err := inst.BuildCkpt(obs.WithTracker(context.Background(), tr), input, 1, 2, log)
+	log.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := inst.BuildCkpt(context.Background(), input, 1, 2, fresh)
-	fresh.Close()
-	if err != nil {
-		t.Fatal(err)
+	if got := tr.Counters()["shards_restored"]; got != 0 {
+		t.Fatalf("shards_restored = %d over a JSON log, want 0", got)
 	}
 	if got := res.Complex.CanonicalHash(); got != goldenIISHash {
 		t.Fatalf("IIS n=2 r=2 builds to %s, golden pin %s", got, goldenIISHash)
@@ -127,7 +132,7 @@ func TestRestoreSortedEncoderLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := restoredHash(t, openCopy(t, written), goldenIISShards); got != goldenIISHash {
-		t.Fatalf("current-encoder log restores to %s, want %s", got, goldenIISHash)
+		t.Fatalf("the recomputed build's log restores to %s, want %s", got, goldenIISHash)
 	}
 }
 
@@ -142,15 +147,8 @@ func TestRestoreSkipsUnclosedDelta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload, err := json.Marshal(map[string]any{
-		"t": "shards", "total": plan.NumShards(), "done": []int{0, 1},
-		"verts": []pc.DeltaVert{{P: 0, L: views.Initial(0, "a").Encode()}, {P: 1, L: views.Initial(1, "b").Encode()}},
-		"simps": [][]int32{{0, 1}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	log := openCopy(t, store.EncodeFrame(payload))
+	edge := []topology.Vertex{{P: 0, Label: views.Initial(0, "a").Encode()}, {P: 1, Label: views.Initial(1, "b").Encode()}}
+	log := openCopy(t, tailFrame(plan.NumShards(), encodeRecord([]int{0, 1}, pc.Mark{}, edge, [][]int32{{0, 1}})))
 	tr := obs.NewTracker()
 	res, err := inst.BuildCkpt(obs.WithTracker(context.Background(), tr), input, 1, 2, log)
 	if err != nil {

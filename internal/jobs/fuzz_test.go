@@ -58,20 +58,43 @@ func FuzzParseSpec(f *testing.F) {
 // FuzzCheckpointLogOpen: any byte sequence on disk opens without panic,
 // yields a structurally sound restore — a face-closed chromatic complex
 // with a canonical view behind every label — and the opened log accepts
-// and round-trips new appends.
+// and round-trips new appends. The JSON records of a release before the
+// record codec are seeds too: each must end the log.
 func FuzzCheckpointLogOpen(f *testing.F) {
-	rank := store.EncodeFrame([]byte(`{"t":"rank","hash":"h","dim":1,"rank":3}`))
+	rank := store.EncodeFrame([]byte("\x02\x01h\x01\x03"))
+	jsonRank := store.EncodeFrame([]byte(`{"t":"rank","hash":"h","dim":1,"rank":3}`))
 	shards := store.EncodeFrame([]byte(`{"t":"shards","total":2,"done":[0],"verts":[{"p":0,"l":"(0:a)"}],"simps":[[0]]}`))
+	mystery := store.EncodeFrame([]byte(`{"t":"mystery"}`))
+	// After a rank record, each JSON record ends the log: open keeps the
+	// rank and cuts the file there.
+	for _, seed := range [][]byte{jsonRank, shards, mystery} {
+		path := filepath.Join(f.TempDir(), "json.ckpt")
+		if err := os.WriteFile(path, append(append([]byte{}, rank...), seed...), 0o644); err != nil {
+			f.Fatal(err)
+		}
+		log, err := jobs.OpenCheckpointLog(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		ranks := log.KnownRanks("h")
+		if err := log.Close(); err != nil {
+			f.Fatal(err)
+		}
+		if fi, err := os.Stat(path); err != nil || fi.Size() != int64(len(rank)) || len(ranks) != 1 || ranks[1] != 3 {
+			f.Fatalf("rank record then %q: ranks %v, log %v (%v), want the rank record alone", seed[48:], ranks, fi, err)
+		}
+	}
 	f.Add([]byte{})
 	f.Add(rank)
+	f.Add(jsonRank)
 	f.Add(append(append([]byte{}, rank...), shards...))
 	f.Add(append(append([]byte{}, rank...), rank[:20]...)) // torn tail
 	f.Add([]byte("garbage that is not a frame at all"))
-	f.Add(store.EncodeFrame([]byte(`{"t":"mystery"}`)))
+	f.Add(mystery)
 	f.Add(store.EncodeFrame([]byte(`not json`)))
-	// Real shard records: the sorted encoder's golden log, a one-record
-	// log from the record codec, its golden log, and a chain of records
-	// for the 4 shards the target restores.
+	// Real shard records: the sorted JSON encoder's golden log, a
+	// one-record log from the record codec, its golden log, and a chain of
+	// records for the 4 shards the target restores.
 	golden, err := os.ReadFile("testdata/iis-n2-r2-sorted.ckpt")
 	if err != nil {
 		f.Fatal(err)
@@ -148,7 +171,7 @@ func TestCheckpointLogMutilation(t *testing.T) {
 		}
 		offsets = append(offsets, fi.Size())
 	}
-	// A fourth record, a shard batch, goes through the delta decoder on
+	// A fourth record, a shard batch, goes through the record decoder on
 	// every restore below.
 	delta := buildResult(t, "model=iis&n=2&r=1")
 	if _, _, err := log.Restore(1); err != nil {

@@ -1,10 +1,12 @@
 package pc_test
 
 import (
+	"context"
 	"encoding/binary"
 	"testing"
 
 	"pseudosphere/internal/asyncmodel"
+	"pseudosphere/internal/iis"
 	"pseudosphere/internal/pc"
 	"pseudosphere/internal/roundop"
 	"pseudosphere/internal/testutil"
@@ -37,6 +39,63 @@ func encodeRecord(done []int, base pc.Mark, verts []topology.Vertex, rows [][]in
 		}
 	}
 	return b
+}
+
+// deltaFixtures are real round complexes: one and two rounds, so labels
+// carry nested views.
+func deltaFixtures(t *testing.T) map[string]*pc.Result {
+	t.Helper()
+	async, err := roundop.Build(context.Background(), asyncmodel.Params{N: 3, F: 3}.Operator(), testutil.Labeled(3, "v"), 1, roundop.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	twice, err := roundop.Build(context.Background(), iis.Operator(), testutil.Labeled(2, "v"), 2, roundop.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return map[string]*pc.Result{"A^1 n=3 f=3": async, "IIS n=2 r=2": twice, "empty": pc.NewResult()}
+}
+
+// TestDeltaRoundTrip: the record of a whole result, cut at the empty
+// mark and applied to a fresh result, rebuilds it vertex id for vertex id
+// and entry for entry (so the same CanonicalHash), with a view per
+// vertex that re-encodes as its label.
+func TestDeltaRoundTrip(t *testing.T) {
+	for name, res := range deltaFixtures(t) {
+		rec := pc.AppendRecord(nil, []int{0, 2}, res, pc.Mark{})
+		got := pc.NewResult()
+		done, err := got.ApplyRecord(rec, 3)
+		if err != nil {
+			t.Fatalf("%s: apply: %v", name, err)
+		}
+		if len(done) != 2 || done[0] != 0 || done[1] != 2 {
+			t.Fatalf("%s: done = %v, want [0 2]", name, done)
+		}
+		if got.Mark() != res.Mark() {
+			t.Fatalf("%s: applied %+v, encoded %+v", name, got.Mark(), res.Mark())
+		}
+		for id := int32(0); id < int32(res.Complex.VertexCount()); id++ {
+			if g, w := got.Complex.VertexAt(id), res.Complex.VertexAt(id); g != w {
+				t.Fatalf("%s: vertex %d = %v, encoded %v", name, id, g, w)
+			}
+		}
+		for ei := int32(0); ei < int32(res.Complex.EntryCount()); ei++ {
+			if g, w := got.Complex.EntrySimplex(ei), res.Complex.EntrySimplex(ei); !g.Equal(w) {
+				t.Fatalf("%s: entry %d = %v, encoded %v", name, ei, g, w)
+			}
+		}
+		if g, w := got.Complex.CanonicalHash(), res.Complex.CanonicalHash(); g != w {
+			t.Fatalf("%s: decoded hash %s, encoded %s", name, g, w)
+		}
+		if len(got.Views) != res.Complex.VertexCount() {
+			t.Fatalf("%s: %d decoded views for %d vertices", name, len(got.Views), res.Complex.VertexCount())
+		}
+		for v, view := range got.Views {
+			if view.P != v.P || view.Encode() != v.Label {
+				t.Fatalf("%s: view for %v re-encodes as %q", name, v, view.Encode())
+			}
+		}
+	}
 }
 
 // TestRecordChain: records cut from one growing result at successive

@@ -8,7 +8,7 @@ import (
 
 func BenchmarkFloodSetAllSchedules(b *testing.B) {
 	inputs := []string{"0", "1", "2"}
-	schedules := sim.EnumerateCrashSchedules(3, 1, 2)
+	schedules := allSchedules(b, 3, 1, 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, cs := range schedules {

@@ -16,7 +16,7 @@ func TestEarlyDecidingExhaustive(t *testing.T) {
 		{[]string{"2", "0", "1", "1"}, 2},
 	}
 	for _, tc := range cases {
-		for _, cs := range sim.EnumerateCrashSchedules(len(tc.inputs), tc.f, tc.f+1) {
+		for _, cs := range allSchedules(t, len(tc.inputs), tc.f, tc.f+1) {
 			out, err := sim.RunSync(tc.inputs, NewEarlyDecidingConsensus(tc.f), cs, tc.f+2)
 			if err != nil {
 				t.Fatal(err)

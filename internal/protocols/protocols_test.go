@@ -1,12 +1,24 @@
 package protocols
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
 	"pseudosphere/internal/bounds"
 	"pseudosphere/internal/sim"
 )
+
+// allSchedules returns every crash schedule with at most f crashes among
+// n1 processes within maxRound rounds.
+func allSchedules(tb testing.TB, n1, f, maxRound int) []sim.CrashSchedule {
+	tb.Helper()
+	out, err := sim.EnumerateCrashSchedules(context.Background(), n1, f, maxRound, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return out
+}
 
 func TestFloodSetFailureFree(t *testing.T) {
 	out, err := sim.RunSync([]string{"b", "a", "c"}, NewFloodSet(1), nil, 5)
@@ -36,7 +48,7 @@ func TestFloodSetExhaustive(t *testing.T) {
 	}
 	for _, tc := range cases {
 		rounds := tc.f + 1
-		for _, cs := range sim.EnumerateCrashSchedules(len(tc.inputs), tc.f, rounds) {
+		for _, cs := range allSchedules(t, len(tc.inputs), tc.f, rounds) {
 			out, err := sim.RunSync(tc.inputs, NewFloodSet(tc.f), cs, rounds+1)
 			if err != nil {
 				t.Fatal(err)
@@ -56,7 +68,7 @@ func TestFloodSetTightness(t *testing.T) {
 	f := 1
 	shortFlood := func() sim.RoundProtocol { return &floodSet{rounds: f} } // one round too few
 	broke := false
-	for _, cs := range sim.EnumerateCrashSchedules(len(inputs), f, f) {
+	for _, cs := range allSchedules(t, len(inputs), f, f) {
 		out, err := sim.RunSync(inputs, shortFlood, cs, f+1)
 		if err != nil {
 			t.Fatal(err)
@@ -88,7 +100,7 @@ func TestSyncKSetExhaustive(t *testing.T) {
 		if err != nil || rounds != want {
 			t.Fatalf("round budget %d, want %d (%v)", rounds, want, err)
 		}
-		for _, cs := range sim.EnumerateCrashSchedules(len(tc.inputs), tc.f, rounds) {
+		for _, cs := range allSchedules(t, len(tc.inputs), tc.f, rounds) {
 			out, err := sim.RunSync(tc.inputs, NewSyncKSet(tc.f, tc.k), cs, rounds+1)
 			if err != nil {
 				t.Fatal(err)

@@ -1,6 +1,7 @@
 package semisync
 
 import (
+	"context"
 	"testing"
 
 	"pseudosphere/internal/bounds"
@@ -165,7 +166,7 @@ func TestOneRoundNoConsensus(t *testing.T) {
 	values := []string{"0", "1"}
 	res := coreutil.MustBuildOverInputs(p.Operator(), 2, values, 1)
 	ann := task.AnnotateViews(res.Complex, res.Views)
-	if _, found, err := task.FindDecision(ann, 1, 0); err != nil || found {
+	if _, found, err := task.FindDecisionParallelCtx(context.Background(), ann, 1, 0, 1); err != nil || found {
 		t.Fatalf("consensus map found=%v err=%v; want none", found, err)
 	}
 }

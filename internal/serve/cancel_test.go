@@ -164,3 +164,29 @@ func TestLargeTimeoutKeepsServerDeadline(t *testing.T) {
 		}
 	}
 }
+
+// TestBadTimeoutRefusedOnWarmKey: timeout_ms is checked before the
+// response store, so a value that is not a positive integer gets 400 on
+// a warm key as on a cold one, through GET and through the POST form.
+func TestBadTimeoutRefusedOnWarmKey(t *testing.T) {
+	s := newTestServer(t, t.TempDir(), nil)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	const path = "/v1/rounds?model=async&n=2&f=1&r=1"
+	const spec = `{"model": {"name": "async", "params": {"n": 2, "f": 1, "r": 1}}}`
+	get(t, ts, path)
+	if code, cache, body := get(t, ts, path); code != http.StatusOK || cache != "hit" {
+		t.Fatalf("warming GET: status %d, X-Cache %q (want 200 hit): %v", code, cache, body)
+	}
+	if code, cache, body := post(t, ts, "/v1/rounds", spec); code != http.StatusOK || cache != "hit" {
+		t.Fatalf("warm POST: status %d, X-Cache %q (want 200 hit): %v", code, cache, body)
+	}
+	for _, ms := range []string{"0", "-5", "x"} {
+		if code, cache, body := get(t, ts, path+"&timeout_ms="+ms); code != http.StatusBadRequest {
+			t.Fatalf("GET timeout_ms=%s: status %d, X-Cache %q (want 400): %v", ms, code, cache, body)
+		}
+		if code, cache, body := post(t, ts, "/v1/rounds?timeout_ms="+ms, spec); code != http.StatusBadRequest {
+			t.Fatalf("POST timeout_ms=%s: status %d, X-Cache %q (want 400): %v", ms, code, cache, body)
+		}
+	}
+}

@@ -82,12 +82,13 @@ func (s *Server) buildQuery(endpoint string, q url.Values, spec *modelspec.Spec)
 // spine.
 func (s *Server) handleEndpoint(endpoint string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		bq, err := s.buildQuery(endpoint, r.URL.Query(), nil)
+		q := r.URL.Query()
+		bq, err := s.buildQuery(endpoint, q, nil)
 		if err != nil {
 			s.fail(w, r, endpoint, err)
 			return
 		}
-		s.serveQuery(w, r, endpoint, bq.key, func(ctx context.Context) (any, error) {
+		s.serveQuery(w, r, endpoint, bq.key, q, func(ctx context.Context) (any, error) {
 			return bq.compute(ctx, nil)
 		})
 	}
@@ -170,7 +171,7 @@ func (s *Server) handleEndpointPost(endpoint string) http.HandlerFunc {
 		// the consumed body so the forwarded copy carries it.
 		r.Body = io.NopCloser(bytes.NewReader(body))
 		r.ContentLength = int64(len(body))
-		s.serveQuery(w, r, endpoint, bq.key, func(ctx context.Context) (any, error) {
+		s.serveQuery(w, r, endpoint, bq.key, r.URL.Query(), func(ctx context.Context) (any, error) {
 			return bq.compute(ctx, nil)
 		})
 	}

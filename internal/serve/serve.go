@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"log"
 	"net/http"
+	"net/url"
 	"runtime"
 	"strconv"
 	"sync"
@@ -360,16 +361,14 @@ func (b bettiBacking) Put(key string, betti []int) {
 	b.st.Put("betti-z2|"+key, raw) //nolint:errcheck // best-effort persistence
 }
 
-// requestCtx derives the compute context: the client's context (so a
-// disconnect cancels the enumeration), capped by the server deadline
-// (shortenable per-request via timeout_ms), additionally cancelled by
-// Abort, and carrying the metrics tracker for the engines' obs counters.
-func (s *Server) requestCtx(r *http.Request) (context.Context, context.CancelFunc, error) {
+// requestTimeout reads a request's compute deadline from its query
+// values: the server deadline, or the shorter one timeout_ms asks for.
+func (s *Server) requestTimeout(q url.Values) (time.Duration, error) {
 	timeout := s.cfg.RequestTimeout
-	if raw := r.URL.Query().Get("timeout_ms"); raw != "" {
+	if raw := q.Get("timeout_ms"); raw != "" {
 		ms, err := strconv.Atoi(raw)
 		if err != nil || ms <= 0 {
-			return nil, nil, badRequest("timeout_ms=%q is not a positive integer", raw)
+			return 0, badRequest("timeout_ms=%q is not a positive integer", raw)
 		}
 		// Compare in milliseconds: a large ms would overflow the Duration
 		// product and start the compute already expired.
@@ -377,17 +376,27 @@ func (s *Server) requestCtx(r *http.Request) (context.Context, context.CancelFun
 			timeout = time.Duration(ms) * time.Millisecond
 		}
 	}
+	return timeout, nil
+}
+
+// requestCtx derives the compute context: the client's context (so a
+// disconnect cancels the enumeration), capped by timeout, additionally
+// cancelled by Abort, and carrying the metrics tracker for the engines'
+// obs counters.
+func (s *Server) requestCtx(r *http.Request, timeout time.Duration) (context.Context, context.CancelFunc) {
 	ctx := obs.WithTracker(r.Context(), s.tracker)
 	ctx, cancel := context.WithTimeout(ctx, timeout)
 	stop := context.AfterFunc(s.hardStop, cancel)
-	return ctx, func() { stop(); cancel() }, nil
+	return ctx, func() { stop(); cancel() }
 }
 
 // serveQuery is the shared endpoint spine: metrics, the response cache
 // stack, admission, compute, persistence, and error mapping. key is the
-// canonical identity of the request; compute produces the response value
-// to marshal.
-func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, endpoint, key string, compute func(ctx context.Context) (any, error)) {
+// canonical identity of the request, and compute produces the response
+// value to marshal. q holds the request's URL query values; timeout_ms is
+// read from it before the response store, so a malformed value gets 400
+// on a warm key as on a cold one.
+func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, endpoint, key string, q url.Values, compute func(ctx context.Context) (any, error)) {
 	startAt := time.Now()
 	s.tracker.Counter("requests").Add(1)
 	s.tracker.Counter("requests." + endpoint).Add(1)
@@ -395,6 +404,11 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, endpoint, ke
 		s.tracker.Counter("latency_us." + endpoint).Add(uint64(time.Since(startAt).Microseconds()))
 		s.tracker.Counter("latency_count." + endpoint).Add(1)
 	}()
+	timeout, err := s.requestTimeout(q)
+	if err != nil {
+		s.fail(w, r, endpoint, err)
+		return
+	}
 
 	respKey := "resp|" + endpoint + "|" + key
 	if s.store != nil {
@@ -422,11 +436,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, endpoint, ke
 		}
 	}
 
-	ctx, cancel, err := s.requestCtx(r)
-	if err != nil {
-		s.fail(w, r, endpoint, err)
-		return
-	}
+	ctx, cancel := s.requestCtx(r, timeout)
 	defer cancel()
 
 	body, followed, err := s.flights.do(ctx, respKey, func(cctx context.Context) ([]byte, error) {

@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 func BenchmarkRunSyncFailureFree(b *testing.B) {
 	inputs := []string{"0", "1", "2", "3"}
@@ -47,6 +50,8 @@ func BenchmarkRunTimedLockstep(b *testing.B) {
 
 func BenchmarkEnumerateCrashSchedules(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		EnumerateCrashSchedules(4, 2, 3)
+		if _, err := EnumerateCrashSchedules(context.Background(), 4, 2, 3, 1); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

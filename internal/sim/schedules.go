@@ -20,103 +20,63 @@ import (
 // their smallest member), so schedules are unique by construction; a
 // canonical-key set guards that invariant during collection instead of the
 // former full-list dedup pass.
-func EnumerateCrashSchedules(n1, f, maxRound int) []CrashSchedule {
-	out, _ := EnumerateCrashSchedulesCtx(context.Background(), n1, f, maxRound)
-	return out
-}
-
-// EnumerateCrashSchedulesCtx is EnumerateCrashSchedules threaded with a
-// context: the enumeration is abandoned at the next crash-set subtree
-// after ctx fires (returning ctx.Err()), and an obs.Tracker carried by
-// the context has its "schedules" counter bumped subtree by subtree.
-func EnumerateCrashSchedulesCtx(ctx context.Context, n1, f, maxRound int) ([]CrashSchedule, error) {
+//
+// The top-level branches, one per smallest crashing process, are claimed
+// in order off one cursor by min(max(workers, 1), n1) claim loops, one of
+// them on the caller's goroutine, and merged in branch order, so the
+// output is the same at every worker count. The loops check ctx before
+// every claim and probe it at every crash-set subtree inside a branch;
+// after it fires the call returns ctx.Err(). An obs.Tracker carried by ctx
+// has its "schedules" counter bumped subtree by subtree, and once more for
+// the crash-free schedule, so a complete run leaves it at len(out).
+func EnumerateCrashSchedules(ctx context.Context, n1, f, maxRound, workers int) ([]CrashSchedule, error) {
 	schedCtr := obs.FromContext(ctx).Counter("schedules")
-	var cancelled *atomic.Bool
-	if ctx.Done() != nil {
-		cancelled = new(atomic.Bool)
-		stop := context.AfterFunc(ctx, func() { cancelled.Store(true) })
-		defer stop()
-	}
+	var cancelled atomic.Bool
+	stop := context.AfterFunc(ctx, func() { cancelled.Store(true) })
+	defer stop()
 	var branches [][]CrashSchedule
 	if f > 0 {
 		branches = make([][]CrashSchedule, n1)
-		for b := 0; b < n1; b++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
+	}
+	var next atomic.Int64
+	claim := func() {
+		for ctx.Err() == nil {
+			b := int(next.Add(1) - 1)
+			if b >= len(branches) {
+				return
 			}
-			branches[b] = branchSchedules(b, n1, f, maxRound, schedCtr, cancelled)
+			branches[b] = branchSchedules(b, n1, f, maxRound, schedCtr, &cancelled)
 		}
 	}
-	if cancelled != nil && cancelled.Load() {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
-	return mergeSchedules(branches), nil
-}
-
-// EnumerateCrashSchedulesParallelCtx is EnumerateCrashSchedulesCtx with
-// the top-level branches (one per smallest crashing process) enumerated by
-// a pool of workers. Branches are merged in branch order, so the output is
-// identical to the serial enumeration for every worker count. Workers
-// observe cancellation at the next branch claim and at every crash-set
-// subtree inside a branch, the call returns ctx.Err(), and an obs.Tracker
-// carried by the context has its "schedules" counter bumped subtree by
-// subtree.
-func EnumerateCrashSchedulesParallelCtx(ctx context.Context, n1, f, maxRound, workers int) ([]CrashSchedule, error) {
-	if workers <= 1 || f <= 0 || n1 <= 1 {
-		return EnumerateCrashSchedulesCtx(ctx, n1, f, maxRound)
-	}
-	var cancelled *atomic.Bool
-	if ctx.Done() != nil {
-		cancelled = new(atomic.Bool)
-		stop := context.AfterFunc(ctx, func() { cancelled.Store(true) })
-		defer stop()
-	}
-	schedCtr := obs.FromContext(ctx).Counter("schedules")
-	branches := make([][]CrashSchedule, n1)
-	if workers > n1 {
-		workers = n1
-	}
-	var cursor int64
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 1; w < min(max(workers, 1), len(branches)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				if cancelled != nil && cancelled.Load() {
-					return
-				}
-				b := int(atomic.AddInt64(&cursor, 1) - 1)
-				if b >= n1 {
-					return
-				}
-				branches[b] = branchSchedules(b, n1, f, maxRound, schedCtr, cancelled)
-			}
+			claim()
 		}()
 	}
+	claim()
 	wg.Wait()
-	// Read ctx itself, not only the flag: AfterFunc sets the flag on its
-	// own goroutine, which may not have run yet when a small enumeration
-	// under an already-cancelled ctx finishes.
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return mergeSchedules(branches), nil
+	out := mergeSchedules(branches)
+	schedCtr.Add(1) // the crash-free schedule
+	return out, nil
 }
 
 // branchSchedules enumerates, depth-first, every schedule whose smallest
 // crashing process is b, bumping the schedules counter subtree by subtree.
-// A non-nil cancelled flag is probed once per crash-set subtree — a
-// single branch can hold nearly the whole search space (branch 0 covers every schedule involving process 0), so
-// branch-level granularity alone would not make cancellation prompt; the
-// truncated result is discarded by the callers.
+// The cancelled flag is probed once per crash-set subtree — a single
+// branch can hold nearly the whole search space (branch 0 covers every
+// schedule involving process 0), so branch-level granularity alone would
+// not make cancellation prompt; the caller discards the truncated result.
 func branchSchedules(b, n1, f, maxRound int, schedCtr *obs.Counter, cancelled *atomic.Bool) []CrashSchedule {
 	var out []CrashSchedule
 	var choose func(start int, chosen []int)
 	choose = func(start int, chosen []int) {
-		if cancelled != nil && cancelled.Load() {
+		if cancelled.Load() {
 			return
 		}
 		sub := expandCrashes(chosen, n1, maxRound, cancelled)
@@ -127,8 +87,7 @@ func branchSchedules(b, n1, f, maxRound int, schedCtr *obs.Counter, cancelled *a
 		}
 		for i := start; i < n1; i++ {
 			// Copy before recursing: append(chosen, i) could hand sibling
-			// branches aliased backing arrays, and the parallel enumerator
-			// walks sibling subtrees concurrently.
+			// subtrees aliased backing arrays.
 			next := make([]int, len(chosen)+1)
 			copy(next, chosen)
 			next[len(chosen)] = i
@@ -167,7 +126,7 @@ func mergeSchedules(branches [][]CrashSchedule) []CrashSchedule {
 
 // expandCrashes enumerates round and partial-broadcast choices for a fixed
 // set of crashing processes. The option product is exponential in the
-// crash-set size, so a non-nil cancelled flag is probed every 1024 emitted
+// crash-set size, so the cancelled flag is probed every 1024 emitted
 // schedules and the truncated list returned; callers discard it.
 func expandCrashes(crashing []int, n1, maxRound int, cancelled *atomic.Bool) []CrashSchedule {
 	if len(crashing) == 0 {
@@ -191,7 +150,7 @@ func expandCrashes(crashing []int, n1, maxRound int, cancelled *atomic.Bool) []C
 				}
 			}
 			for _, tail := range tails {
-				if cancelled != nil && len(out)&1023 == 0 && cancelled.Load() {
+				if len(out)&1023 == 0 && cancelled.Load() {
 					return out
 				}
 				cs := make(CrashSchedule, len(tail)+1)

@@ -147,7 +147,7 @@ func TestRandomAsyncScheduleRespectsThreshold(t *testing.T) {
 }
 
 func TestEnumerateCrashSchedules(t *testing.T) {
-	got := EnumerateCrashSchedules(3, 1, 1)
+	got, _ := enumerate(t, 3, 1, 1, 1)
 	// No crash, or one of 3 processes crashing in round 1 with one of 4
 	// delivery subsets: 1 + 12 = 13.
 	if len(got) != 13 {
@@ -158,7 +158,7 @@ func TestEnumerateCrashSchedules(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	two := EnumerateCrashSchedules(3, 2, 2)
+	two, _ := enumerate(t, 3, 2, 2, 1)
 	for _, cs := range two {
 		if len(cs) > 2 {
 			t.Fatalf("schedule %v exceeds failure bound", cs)

@@ -1,6 +1,7 @@
 package syncmodel
 
 import (
+	"context"
 	"testing"
 
 	"pseudosphere/internal/homology"
@@ -54,7 +55,7 @@ func TestLemma17SideConditionSharp(t *testing.T) {
 func TestDisconnectionEnablesDecision(t *testing.T) {
 	res := coreutil.MustBuildOverInputs(Params{PerRound: 1, Total: 2}.Operator(), 2, []string{"0", "1"}, 2)
 	ann := task.AnnotateViews(res.Complex, res.Views)
-	dm, found, err := task.FindDecision(ann, 1, 0)
+	dm, found, err := task.FindDecisionParallelCtx(context.Background(), ann, 1, 0, 1)
 	if err != nil || !found {
 		t.Fatalf("found=%v err=%v; Theorem 18 allows 2 rounds here (n < f+k)", found, err)
 	}
@@ -65,7 +66,7 @@ func TestDisconnectionEnablesDecision(t *testing.T) {
 	// And one round is still not enough: floor(f/k) = 2.
 	one := coreutil.MustBuildOverInputs(Params{PerRound: 1, Total: 2}.Operator(), 2, []string{"0", "1"}, 1)
 	ann = task.AnnotateViews(one.Complex, one.Views)
-	if _, found, err := task.FindDecision(ann, 1, 0); err != nil || found {
+	if _, found, err := task.FindDecisionParallelCtx(context.Background(), ann, 1, 0, 1); err != nil || found {
 		t.Fatalf("found=%v err=%v; one round must not suffice", found, err)
 	}
 }

@@ -1,6 +1,7 @@
 package syncmodel
 
 import (
+	"context"
 	"testing"
 
 	"pseudosphere/internal/bounds"
@@ -194,13 +195,13 @@ func TestTheorem18Boundary(t *testing.T) {
 
 	oneRound := coreutil.MustBuildOverInputs(p.Operator(), 2, values, 1)
 	ann := task.AnnotateViews(oneRound.Complex, oneRound.Views)
-	if _, found, err := task.FindDecision(ann, 1, 0); err != nil || found {
+	if _, found, err := task.FindDecisionParallelCtx(context.Background(), ann, 1, 0, 1); err != nil || found {
 		t.Fatalf("1-round consensus map found=%v err=%v; want none", found, err)
 	}
 
 	twoRounds := coreutil.MustBuildOverInputs(p.Operator(), 2, values, 2)
 	ann = task.AnnotateViews(twoRounds.Complex, twoRounds.Views)
-	dm, found, err := task.FindDecision(ann, 1, 0)
+	dm, found, err := task.FindDecisionParallelCtx(context.Background(), ann, 1, 0, 1)
 	if err != nil || !found {
 		t.Fatalf("2-round consensus map found=%v err=%v; want one", found, err)
 	}

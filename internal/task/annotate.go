@@ -25,8 +25,8 @@ func AnnotateViews(c *topology.Complex, vm map[topology.Vertex]*views.View) *Ann
 // the annotated complex: the sum over vertices of log2 |Allowed(v)|. It is
 // the budgeted-admission seam for the decision search — a query service
 // compares it against a budget to refuse absurd searches upfront and to
-// size the node limit it passes to FindDecision, without touching the
-// exponentially larger object itself.
+// size the node limit it passes to FindDecisionParallelCtx, without
+// touching the exponentially larger object itself.
 func SearchSpaceLog2(a *Annotated) float64 {
 	bits := 0.0
 	for _, v := range a.Complex.Vertices() {

@@ -26,7 +26,7 @@ func BenchmarkFindConsensus(b *testing.B) {
 	ann := benchAnnotated(20)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, found, err := FindDecision(ann, 1, 0); err != nil || !found {
+		if _, found, err := decide(ann, 1, 0); err != nil || !found {
 			b.Fatal("expected solvable")
 		}
 	}
@@ -36,7 +36,7 @@ func BenchmarkFindDecisionK2(b *testing.B) {
 	ann := benchAnnotated(20)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, found, err := FindDecision(ann, 2, 0); err != nil || !found {
+		if _, found, err := decide(ann, 2, 0); err != nil || !found {
 			b.Fatal("expected solvable")
 		}
 	}

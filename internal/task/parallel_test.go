@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"pseudosphere/internal/asyncmodel"
 	"pseudosphere/internal/roundop"
@@ -26,8 +27,8 @@ func roundAnnotated(t testing.TB, n, f int) *Annotated {
 	return AnnotateViews(res.Complex, res.Views)
 }
 
-// The parallel search must agree with the serial search on existence and
-// return a valid certificate, for every worker count.
+// The search must return the same answer at every worker count as at
+// one: existence, and the same valid certificate.
 func TestFindDecisionParallelMatchesSerial(t *testing.T) {
 	cases := []struct {
 		n, f, k int
@@ -38,35 +39,41 @@ func TestFindDecisionParallelMatchesSerial(t *testing.T) {
 	}
 	for _, tc := range cases {
 		a := roundAnnotated(t, tc.n, tc.f)
-		wantDM, wantOK, err := FindDecision(a, tc.k, 0)
+		wantDM, wantOK, err := decide(a, tc.k, 0)
 		if err != nil {
-			t.Fatalf("n=%d f=%d k=%d: serial: %v", tc.n, tc.f, tc.k, err)
+			t.Fatalf("n=%d f=%d k=%d: one worker: %v", tc.n, tc.f, tc.k, err)
 		}
-		for _, workers := range []int{1, 2, 4, 8} {
+		for _, workers := range []int{0, 2, 4, 8} {
 			dm, ok, err := FindDecisionParallelCtx(context.Background(), a, tc.k, 0, workers)
 			if err != nil {
 				t.Fatalf("n=%d f=%d k=%d w=%d: %v", tc.n, tc.f, tc.k, workers, err)
 			}
 			if ok != wantOK {
-				t.Fatalf("n=%d f=%d k=%d w=%d: ok=%v, serial says %v", tc.n, tc.f, tc.k, workers, ok, wantOK)
+				t.Fatalf("n=%d f=%d k=%d w=%d: ok=%v, one worker says %v", tc.n, tc.f, tc.k, workers, ok, wantOK)
 			}
-			if ok {
-				if err := CheckDecision(a, dm, tc.k); err != nil {
-					t.Fatalf("n=%d f=%d k=%d w=%d: invalid map: %v", tc.n, tc.f, tc.k, workers, err)
+			if !ok {
+				continue
+			}
+			if err := CheckDecision(a, dm, tc.k); err != nil {
+				t.Fatalf("n=%d f=%d k=%d w=%d: invalid map: %v", tc.n, tc.f, tc.k, workers, err)
+			}
+			for v, val := range wantDM {
+				if dm[v] != val {
+					t.Fatalf("n=%d f=%d k=%d w=%d: decision at %v = %q, one worker %q", tc.n, tc.f, tc.k, workers, v, dm[v], val)
 				}
 			}
-			_ = wantDM
 		}
 	}
 }
 
 // The lowest-successful-branch rule makes the returned map deterministic:
-// repeated parallel runs return the identical map, equal to the serial one.
+// repeated runs on four workers return the identical map, equal to the
+// one-worker map.
 func TestFindDecisionParallelDeterministic(t *testing.T) {
 	a := roundAnnotated(t, 2, 1)
-	serial, ok, err := FindDecision(a, 2, 0)
+	serial, ok, err := decide(a, 2, 0)
 	if err != nil || !ok {
-		t.Fatalf("serial: ok=%v err=%v", ok, err)
+		t.Fatalf("one worker: ok=%v err=%v", ok, err)
 	}
 	for trial := 0; trial < 5; trial++ {
 		dm, ok, err := FindDecisionParallelCtx(context.Background(), a, 2, 0, 4)
@@ -75,7 +82,7 @@ func TestFindDecisionParallelDeterministic(t *testing.T) {
 		}
 		for v, val := range serial {
 			if dm[v] != val {
-				t.Fatalf("trial %d: decision at %v = %q, serial %q", trial, v, dm[v], val)
+				t.Fatalf("trial %d: decision at %v = %q, one worker %q", trial, v, dm[v], val)
 			}
 		}
 	}
@@ -93,6 +100,32 @@ func TestFindDecisionParallelNodeLimit(t *testing.T) {
 	// Consensus path ignores workers and the limit entirely.
 	if _, _, err := FindDecisionParallelCtx(context.Background(), a, 1, 1, 4); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFindDecisionCancel: the search checks ctx before every branch and
+// at every node, so on a search far longer than the test (wait-free 3-set
+// agreement on four processes) it returns ctx.Err() at once for a
+// cancelled ctx and soon after a deadline passes, at one worker and at
+// four.
+func TestFindDecisionCancel(t *testing.T) {
+	a := roundAnnotated(t, 3, 3)
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, workers := range []int{1, 4} {
+		if _, ok, err := FindDecisionParallelCtx(cancelled, a, 3, 0, workers); ok || !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d, cancelled ctx: ok=%v err=%v", workers, ok, err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		start := time.Now()
+		_, ok, err := FindDecisionParallelCtx(ctx, a, 3, 0, workers)
+		cancel()
+		if ok || !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("workers=%d, 20 ms deadline: ok=%v err=%v", workers, ok, err)
+		}
+		if d := time.Since(start); d > 2*time.Second {
+			t.Fatalf("workers=%d: the search returned %v after its 20 ms deadline", workers, d)
+		}
 	}
 }
 

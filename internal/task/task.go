@@ -7,9 +7,11 @@
 package task
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"pseudosphere/internal/topology"
@@ -76,16 +78,26 @@ func distinctDecisions(s topology.Simplex, dm DecisionMap) int {
 // budget without resolving existence.
 var ErrSearchLimit = errors.New("task: decision-map search exceeded its node limit")
 
-// FindDecision searches for a k-set agreement decision map on a. It
-// returns (map, true, nil) if one exists, (nil, false, nil) if provably
-// none exists, and (nil, false, ErrSearchLimit) if the backtracking search
-// hit nodeLimit without resolving. A nodeLimit <= 0 means unlimited.
+// FindDecisionParallelCtx searches for a k-set agreement decision map on
+// a. It returns (map, true, nil) if one exists, (nil, false, nil) if
+// provably none exists, and (nil, false, ErrSearchLimit) if the
+// backtracking search hit nodeLimit without resolving. A nodeLimit <= 0
+// means unlimited.
 //
 // For k = 1 (consensus) an exact polynomial-time procedure is used: every
 // simplex must be monochromatic, so the decision value is constant on each
 // connected component of the 1-skeleton and a map exists iff every
-// component's allowed sets have a common value.
-func FindDecision(a *Annotated, k int, nodeLimit int64) (DecisionMap, bool, error) {
+// component's allowed sets have a common value. It ignores ctx, workers
+// and nodeLimit and always runs to completion.
+//
+// For k >= 2 an exact backtracking search decides, on up to workers
+// goroutines (at least one) sharing the node budget. The map it returns
+// is the same at every worker count. A success wins even if the budget
+// ran out elsewhere, since the map is a valid certificate; ErrSearchLimit
+// means no map was found within the budget. The search checks ctx at
+// every node, and after ctx fires the call returns ctx.Err(), unless a map
+// had already been found, which is returned.
+func FindDecisionParallelCtx(ctx context.Context, a *Annotated, k int, nodeLimit int64, workers int) (DecisionMap, bool, error) {
 	if err := a.Validate(); err != nil {
 		return nil, false, err
 	}
@@ -99,7 +111,7 @@ func FindDecision(a *Annotated, k int, nodeLimit int64) (DecisionMap, bool, erro
 		dm, ok := findConsensus(a)
 		return dm, ok, nil
 	}
-	return findBacktracking(a, k, nodeLimit)
+	return newSearch(a, k).run(ctx, nodeLimit, workers)
 }
 
 // findConsensus implements the exact k=1 procedure.
@@ -164,8 +176,7 @@ func findConsensus(a *Annotated) (DecisionMap, bool) {
 
 // search is the immutable setup of the backtracking search: the vertex and
 // facet index structures, per-vertex domains, and the variable order. It is
-// built once and shared read-only by every search branch (including
-// concurrent branches of the parallel search).
+// built once and shared read-only by every search branch.
 type search struct {
 	verts      []topology.Vertex
 	facetOf    [][]int // vertex -> facet indices
@@ -207,43 +218,128 @@ func newSearch(a *Annotated, k int) *search {
 	}
 }
 
-// errAborted signals a branch cut off because a lower-indexed branch
-// already succeeded; its outcome is irrelevant and never surfaces.
+// run is the backtracking search with forward checking: when a facet
+// reaches k distinct assigned values, the domains of its unassigned
+// vertices shrink to those values. Each value of the first variable's
+// domain is a branch. Up to workers claim loops, one of them on the
+// caller's goroutine, take the branches in index order, each with private
+// assignment state. A branch aborts at its next node once ctx fires or a
+// lower branch has succeeded, so the lowest successful branch supplies the
+// map whatever the scheduling, and one loop visits the nodes in the
+// serial order.
+func (s *search) run(ctx context.Context, nodeLimit int64, workers int) (DecisionMap, bool, error) {
+	var cancelled atomic.Bool
+	stop := context.AfterFunc(ctx, func() { cancelled.Store(true) })
+	defer stop()
+	var budget *atomic.Int64
+	if nodeLimit > 0 {
+		budget = new(atomic.Int64)
+		budget.Store(nodeLimit)
+	}
+	dom := s.domains[s.order[0]]
+	dms := make([]DecisionMap, len(dom)) // the map of each branch that succeeded
+	var limited atomic.Bool
+	var best, next atomic.Int64 // best: the lowest branch that succeeded
+	best.Store(int64(len(dom)))
+	claim := func() {
+		for ctx.Err() == nil {
+			bi := next.Add(1) - 1
+			if bi >= int64(len(dom)) || best.Load() < bi {
+				return
+			}
+			b := &branchRun{
+				s:        s,
+				assign:   make([]string, len(s.verts)),
+				assigned: make([]bool, len(s.verts)),
+				budget:   budget,
+				abort:    func() bool { return cancelled.Load() || best.Load() < bi },
+			}
+			ok, err := b.try(0, dom[bi])
+			if err == ErrSearchLimit {
+				limited.Store(true)
+			}
+			if !ok {
+				continue
+			}
+			dms[bi] = b.decisionMap()
+			for { // lower best to bi unless a lower branch has won
+				cur := best.Load()
+				if cur < bi || best.CompareAndSwap(cur, bi) {
+					break
+				}
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(max(workers, 1), len(dom)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			claim()
+		}()
+	}
+	claim()
+	wg.Wait()
+	for _, dm := range dms {
+		if dm != nil {
+			return dm, true, nil
+		}
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, false, err
+	}
+	if limited.Load() {
+		return nil, false, ErrSearchLimit
+	}
+	return nil, false, nil
+}
+
+// errAborted signals a branch cut off because ctx fired or a lower branch
+// already succeeded; run never returns it.
 var errAborted = errors.New("task: search branch aborted")
 
 // branchRun is one search branch's mutable state: its own assignment
-// vectors, a share of the (possibly global) node budget, and an optional
-// abort probe checked at every node.
+// vectors, the shared node budget (nil = unlimited), and the abort probe
+// checked at every node.
 type branchRun struct {
 	s        *search
 	assign   []string
 	assigned []bool
-	budget   *int64 // remaining shared node budget; nil = unlimited
+	budget   *atomic.Int64
 	abort    func() bool
 }
 
+// rec tries each value of the pos-th variable in turn.
 func (b *branchRun) rec(pos int) (bool, error) {
 	if pos == len(b.s.order) {
 		return true, nil
 	}
-	vi := b.s.order[pos]
-	for _, val := range b.s.domains[vi] {
-		if b.budget != nil && atomic.AddInt64(b.budget, -1) < 0 {
-			return false, ErrSearchLimit
+	for _, val := range b.s.domains[b.s.order[pos]] {
+		if ok, err := b.try(pos, val); ok || err != nil {
+			return ok, err
 		}
-		if b.abort != nil && b.abort() {
-			return false, errAborted
-		}
-		b.assign[vi] = val
-		b.assigned[vi] = true
-		if consistent(vi, b.s.facetOf, b.s.facetVerts, b.assign, b.assigned, b.s.domains, b.s.k) {
-			ok, err := b.rec(pos + 1)
-			if ok || err != nil {
-				return ok, err
-			}
-		}
-		b.assigned[vi] = false
 	}
+	return false, nil
+}
+
+// try is one node of the search: it assigns val to the pos-th variable
+// and, if that stays consistent, searches the variables after it.
+func (b *branchRun) try(pos int, val string) (bool, error) {
+	if b.budget != nil && b.budget.Add(-1) < 0 {
+		return false, ErrSearchLimit
+	}
+	if b.abort() {
+		return false, errAborted
+	}
+	vi := b.s.order[pos]
+	b.assign[vi] = val
+	b.assigned[vi] = true
+	if consistent(vi, b.s.facetOf, b.s.facetVerts, b.assign, b.assigned, b.s.domains, b.s.k) {
+		if ok, err := b.rec(pos + 1); ok || err != nil {
+			return ok, err
+		}
+	}
+	b.assigned[vi] = false
 	return false, nil
 }
 
@@ -254,30 +350,6 @@ func (b *branchRun) decisionMap() DecisionMap {
 		dm[v] = b.assign[i]
 	}
 	return dm
-}
-
-// findBacktracking is an exact backtracking search with forward checking:
-// when a facet reaches k distinct assigned values, the domains of its
-// unassigned vertices shrink to those values.
-func findBacktracking(a *Annotated, k int, nodeLimit int64) (DecisionMap, bool, error) {
-	s := newSearch(a, k)
-	b := &branchRun{
-		s:        s,
-		assign:   make([]string, len(s.verts)),
-		assigned: make([]bool, len(s.verts)),
-	}
-	if nodeLimit > 0 {
-		remaining := nodeLimit
-		b.budget = &remaining
-	}
-	ok, err := b.rec(0)
-	if err != nil {
-		return nil, false, err
-	}
-	if !ok {
-		return nil, false, nil
-	}
-	return b.decisionMap(), true, nil
 }
 
 // consistent checks that every facet touching vertex vi can still be

@@ -1,6 +1,7 @@
 package task
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -11,6 +12,11 @@ func v(p int, label string) topology.Vertex { return topology.Vertex{P: p, Label
 
 func annotated(c *topology.Complex, allowed map[topology.Vertex][]string) *Annotated {
 	return &Annotated{Complex: c, Allowed: allowed}
+}
+
+// decide runs the decision search at one worker, without a deadline.
+func decide(a *Annotated, k int, nodeLimit int64) (DecisionMap, bool, error) {
+	return FindDecisionParallelCtx(context.Background(), a, k, nodeLimit, 1)
 }
 
 func TestFindConsensusOnMonochromeComponent(t *testing.T) {
@@ -24,7 +30,7 @@ func TestFindConsensusOnMonochromeComponent(t *testing.T) {
 		v(1, "b"): {"0", "1"},
 		v(0, "c"): {"0", "1"},
 	}
-	dm, found, err := FindDecision(annotated(c, allowed), 1, 0)
+	dm, found, err := decide(annotated(c, allowed), 1, 0)
 	if err != nil || !found {
 		t.Fatalf("found=%v err=%v", found, err)
 	}
@@ -45,7 +51,7 @@ func TestFindConsensusImpossibleOnForcedPath(t *testing.T) {
 		v(1, "b"): {"0", "1"},
 		v(0, "c"): {"1"},
 	}
-	_, found, err := FindDecision(annotated(c, allowed), 1, 0)
+	_, found, err := decide(annotated(c, allowed), 1, 0)
 	if err != nil || found {
 		t.Fatalf("found=%v err=%v; want impossible", found, err)
 	}
@@ -62,7 +68,7 @@ func TestFindConsensusDisconnectedComponents(t *testing.T) {
 		v(0, "a"): {"0"}, v(1, "b"): {"0"},
 		v(0, "x"): {"1"}, v(1, "y"): {"1"},
 	}
-	dm, found, err := FindDecision(annotated(c, allowed), 1, 0)
+	dm, found, err := decide(annotated(c, allowed), 1, 0)
 	if err != nil || !found {
 		t.Fatalf("found=%v err=%v", found, err)
 	}
@@ -79,14 +85,14 @@ func TestFindDecisionK2Triangle(t *testing.T) {
 	forced := map[topology.Vertex][]string{
 		v(0, "a"): {"0"}, v(1, "b"): {"1"}, v(2, "c"): {"2"},
 	}
-	_, found, err := FindDecision(annotated(c, forced), 2, 0)
+	_, found, err := decide(annotated(c, forced), 2, 0)
 	if err != nil || found {
 		t.Fatalf("found=%v err=%v; want impossible", found, err)
 	}
 	relaxed := map[topology.Vertex][]string{
 		v(0, "a"): {"0"}, v(1, "b"): {"1"}, v(2, "c"): {"2", "0"},
 	}
-	dm, found, err := FindDecision(annotated(c, relaxed), 2, 0)
+	dm, found, err := decide(annotated(c, relaxed), 2, 0)
 	if err != nil || !found {
 		t.Fatalf("found=%v err=%v; want solvable", found, err)
 	}
@@ -109,7 +115,7 @@ func TestFindDecisionSearchLimit(t *testing.T) {
 		allowed[b] = []string{"0", "1", "2"}
 	}
 	c := topology.ComplexOf(simplexes...)
-	_, _, err := FindDecision(annotated(c, allowed), 2, 1)
+	_, _, err := decide(annotated(c, allowed), 2, 1)
 	if !errors.Is(err, ErrSearchLimit) {
 		t.Fatalf("err = %v, want ErrSearchLimit", err)
 	}

@@ -69,21 +69,6 @@ func (c *Complex) Add(s Simplex) {
 	c.addClosure(c.internSimplex(s))
 }
 
-// AddClosed inserts s without walking its faces: the bulk-load path for
-// simplex sets already closed under containment, such as checkpoint
-// replay re-inserting a complex's full simplex list. It skips the
-// closure walk that dominates Add, so replaying a face-closed dump is
-// roughly one hash probe per simplex instead of one per subset. The
-// caller must insert every nonempty face of s (in any order) in the same
-// load; a set that is not face-closed breaks the complex's containment
-// invariant.
-func (c *Complex) AddClosed(s Simplex) {
-	if len(s) == 0 {
-		return
-	}
-	c.addDirect(s)
-}
-
 // Has reports whether s is a simplex of the complex. The empty simplex is a
 // member of every nonempty complex.
 func (c *Complex) Has(s Simplex) bool {

@@ -90,11 +90,11 @@ func (ks KeySet) All() []Simplex {
 }
 
 // Complex rebuilds an interned Complex holding exactly the set, through
-// AddClosed (the set is face-closed).
+// addDirect (the set is face-closed).
 func (ks KeySet) Complex() *Complex {
 	c := NewComplex()
 	for _, s := range ks.All() {
-		c.AddClosed(s)
+		c.addDirect(s)
 	}
 	return c
 }

@@ -90,9 +90,9 @@ func TestCanonicalHashMemoInvalidation(t *testing.T) {
 	}
 
 	before = c.CanonicalHash()
-	c.AddClosed(mustSimplex(hv(3, "d")))
+	c.addDirect(mustSimplex(hv(3, "d")))
 	if got, want := c.CanonicalHash(), fresh(tri, mustSimplex(hv(3, "d"))); got == before || got != want {
-		t.Fatalf("after AddClosed: hash %s, want %s", got, want)
+		t.Fatalf("after addDirect: hash %s, want %s", got, want)
 	}
 
 	before = c.CanonicalHash()

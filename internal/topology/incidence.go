@@ -44,8 +44,8 @@ func (c *Complex) AppendEntryIDs(buf []int32, ei int32) []int32 {
 // boundary builders use. A vertex entry appends nothing. Every face of a
 // stored simplex is itself stored (the complex is closed under
 // containment), so the appended indices are valid; only a load through
-// AddClosed of a set that was not face-closed leaves a face missing, and
-// its index is then -1.
+// AddClosedIDs of a set that was not face-closed leaves a face missing,
+// and its index is then -1.
 //
 // The lookup is read-only (index probe, never insert) and uses no complex
 // scratch state, so concurrent EntryFaces calls — and concurrent readers
@@ -94,9 +94,9 @@ func (c *Complex) Intern(v Vertex) (id int32, added bool) {
 func (c *Complex) AddIDs(ids []int32) { c.addClosure(ids) }
 
 // AddClosedIDs inserts the id sequence alone, without its faces, and
-// reports whether it was absent. It is the id-level AddClosed: the caller
-// must load a face-closed set, with ids interned in c and ordered by
-// ascending process id.
+// reports whether it was absent: the bulk-load path for a face-closed set.
+// The caller must load every face too, with ids interned in c and ordered
+// by ascending process id.
 func (c *Complex) AddClosedIDs(ids []int32) bool {
 	h := hashIDs(ids)
 	if c.find(ids, h) >= 0 {
