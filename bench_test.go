@@ -308,15 +308,15 @@ func (discardCkpt) Restore(int) ([]bool, *pc.Result, error) { return nil, nil, n
 func (discardCkpt) Flush([]int, *pc.Result) error           { return nil }
 
 // BenchmarkBuildCkpt is the checkpointed-enumeration canary gated by
-// .github/bench_baseline.json: A^1 n=3 f=3 (6560 simplexes) built at one
-// worker, its result handed every 8 shards to a checkpointer that
-// discards it. It times what a job's build adds to the plain enumeration
-// E3 and E19 time (the claim loop stopping to flush), without the
-// encoding and fsync BenchmarkCkptFlush times.
+// .github/bench_baseline.json: A^1 n=3 f=3 (6560 simplexes) built with
+// its result handed every 8 shards to a checkpointer that discards it. It
+// times what a job's build adds to the plain enumeration E3 and E19 time
+// (the build loop stopping to flush), without the encoding and fsync
+// BenchmarkCkptFlush times.
 func BenchmarkBuildCkpt(b *testing.B) {
 	input := inputSimplex(3)
 	op := asyncmodel.Params{N: 3, F: 3}.Operator()
-	opts := roundop.Options{Workers: 1, Checkpoint: discardCkpt{}, FlushEvery: 8}
+	opts := roundop.Options{Checkpoint: discardCkpt{}, FlushEvery: 8}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := roundop.Build(context.Background(), op, input, 1, opts)
@@ -390,11 +390,11 @@ func BenchmarkBettiQMorseSemisync4(b *testing.B) {
 }
 
 // benchBuild times roundop.Build of the r=2 complex of op over n+1
-// processes at one worker; size pins the simplex count.
+// processes; size pins the simplex count.
 func benchBuild(b *testing.B, op roundop.Operator, n, size int) {
 	input := inputSimplex(n)
 	for i := 0; i < b.N; i++ {
-		res, err := roundop.Build(context.Background(), op, input, 2, roundop.Options{Workers: 1})
+		res, err := roundop.Build(context.Background(), op, input, 2, roundop.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

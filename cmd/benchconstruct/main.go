@@ -9,7 +9,9 @@
 //	benchconstruct [-workers 4] [-deep] [-report out.json]
 //	               [-progress] [-debug-addr :6060]
 //
-// -workers sets the constructor worker pool (0 = NumCPU; 1 = serial).
+// -workers sets the goroutine budget of the reductions and the
+// crash-schedule enumeration (0 = NumCPU); every construction runs on one
+// goroutine.
 // -deep adds the large n=4 asynchronous instances, including the
 // 16^5-facet A^1 n=4 f=4 pseudosphere (1.4M simplexes) that the
 // pre-interning string-keyed builder could not construct in reasonable
@@ -66,7 +68,7 @@ func main() {
 }
 
 func realMain() int {
-	workers := flag.Int("workers", 0, "constructor worker goroutines (0 = NumCPU, 1 = serial)")
+	workers := flag.Int("workers", 0, "reduction and crash-schedule enumeration goroutines (0 = NumCPU)")
 	deep := flag.Bool("deep", false, "include the large n=4 asynchronous instances")
 	reduce := flag.Bool("reduce", true, "time GF(2) reduction after each construction")
 	reportPath := flag.String("report", "", "write the measurements as a JSON run report to this file")
@@ -202,7 +204,7 @@ func run(ctx context.Context, w io.Writer, workers int, deep bool, reduce bool) 
 	}
 	for _, c := range builds {
 		err := record(c.name, func() (int, int, int, error) {
-			res, err := roundop.Build(ctx, c.op, labeled(c.n), c.r, roundop.Options{Workers: workers})
+			res, err := roundop.Build(ctx, c.op, labeled(c.n), c.r, roundop.Options{})
 			if err != nil {
 				return 0, 0, 0, err
 			}

@@ -23,11 +23,11 @@
 // (crash budgets, or directed communication graphs with an optional
 // round schedule) — the same dialect the server's POST endpoints accept.
 //
-// Construction and homology share the -workers pool (default NumCPU): the
-// round complex is built by the parallel constructors and queried by the
-// parallel memoized engine (-cache, default on). Both the complex and the
-// Betti output are identical for every worker count. -cpuprofile and
-// -memprofile write pprof profiles for the run.
+// The round complex is built on one goroutine and queried by the
+// parallel memoized homology engine (-cache, default on), whose goroutine
+// budget -workers sets (default NumCPU). The Betti output is identical
+// for every worker count. -cpuprofile and -memprofile write pprof
+// profiles for the run.
 //
 // -progress prints periodic counter lines to stderr, -debug-addr serves
 // live expvar and pprof, and -report writes a JSON run report. SIGINT
@@ -84,7 +84,7 @@ func realMain() int {
 	flag.IntVar(&cfg.c1, "c1", 1, "semisync: min step interval")
 	flag.IntVar(&cfg.c2, "c2", 2, "semisync: max step interval")
 	flag.IntVar(&cfg.d, "d", 2, "semisync: max delivery delay")
-	flag.IntVar(&cfg.workers, "workers", 0, "construction and homology worker goroutines (0 = NumCPU)")
+	flag.IntVar(&cfg.workers, "workers", 0, "homology worker goroutines (0 = NumCPU)")
 	flag.BoolVar(&cfg.cache, "cache", true, "memoize homology by canonical complex hash")
 	progress := flag.Bool("progress", false, "print periodic progress lines to stderr")
 	debugAddr := flag.String("debug-addr", "", "serve expvar and pprof on this address (e.g. :6060)")
@@ -251,7 +251,6 @@ func specAt(spec *modelspec.Spec, m int) (*modelspec.Instance, error) {
 // construction goes through the compiled instance like everywhere else.
 func runReport(ctx context.Context, w io.Writer, cfg config, inst *modelspec.Instance) error {
 	tracker := obs.FromContext(ctx)
-	buildWorkers := workerCount(cfg.workers)
 
 	var complexName, condition string
 	var target int
@@ -274,7 +273,7 @@ func runReport(ctx context.Context, w io.Writer, cfg config, inst *modelspec.Ins
 	}
 
 	buildStage := tracker.Stage("construct")
-	res, err := inst.Build(ctx, inputSimplex(inst.M), buildWorkers)
+	res, err := inst.Build(ctx, inputSimplex(inst.M), 1)
 	if err != nil {
 		return err
 	}
@@ -346,7 +345,6 @@ func presetPrediction(cfg config) func(m, conn int) (string, string) {
 func runTable(ctx context.Context, w io.Writer, cfg config, header string, top int,
 	instAt func(m int) (*modelspec.Instance, error), predict func(m, conn int) (string, string)) error {
 	tracker := obs.FromContext(ctx)
-	buildWorkers := workerCount(cfg.workers)
 	var cache *homology.Cache
 	if cfg.cache {
 		cache = homology.NewCache()
@@ -360,7 +358,7 @@ func runTable(ctx context.Context, w io.Writer, cfg config, header string, top i
 		if err != nil {
 			return err
 		}
-		res, err := inst.Build(ctx, inputSimplex(m), buildWorkers)
+		res, err := inst.Build(ctx, inputSimplex(m), 1)
 		if err != nil {
 			return err
 		}
@@ -377,7 +375,7 @@ func runTable(ctx context.Context, w io.Writer, cfg config, header string, top i
 	stage.End()
 	if cache != nil {
 		hits, misses, _ := eng.CacheStats()
-		fmt.Fprintf(w, "engine:        workers=%d cache hits=%d misses=%d\n", buildWorkers, hits, misses)
+		fmt.Fprintf(w, "engine:        workers=%d cache hits=%d misses=%d\n", workerCount(cfg.workers), hits, misses)
 	}
 	return nil
 }

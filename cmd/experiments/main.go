@@ -9,11 +9,11 @@
 //	            [-cpuprofile cpu.out] [-memprofile mem.out]
 //
 // Connectivity queries run on the parallel memoized homology engine;
-// -workers sets its goroutine budget (0 = NumCPU), shared with the
-// parallel round-complex constructors, and -cache=false forces every query
-// to recompute. -deep extends E15 with the large-envelope constructions
-// (minutes of work; off by default so test runs stay fast). -cpuprofile
-// and -memprofile write pprof profiles for the run.
+// -workers sets its goroutine budget (0 = NumCPU), and -cache=false forces
+// every query to recompute. Round complexes are built on one goroutine.
+// -deep extends E15 with the large-envelope constructions (minutes of
+// work; off by default so test runs stay fast). -cpuprofile and
+// -memprofile write pprof profiles for the run.
 //
 // -progress prints periodic progress lines (facet/schedule counters,
 // rates) to stderr, -debug-addr serves live expvar counters and pprof at
@@ -48,7 +48,7 @@ func main() {
 func realMain() int {
 	id := flag.String("id", "", "run a single experiment (e.g. E5); default all")
 	markdown := flag.Bool("markdown", false, "emit GitHub-flavored markdown")
-	workers := flag.Int("workers", 0, "construction and homology worker goroutines (0 = NumCPU)")
+	workers := flag.Int("workers", 0, "homology worker goroutines (0 = NumCPU)")
 	cache := flag.Bool("cache", true, "memoize homology by canonical complex hash")
 	deep := flag.Bool("deep", false, "include the large-envelope E15 constructions")
 	progress := flag.Bool("progress", false, "print periodic progress lines to stderr")

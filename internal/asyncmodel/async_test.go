@@ -52,12 +52,12 @@ func TestLemma11Isomorphism(t *testing.T) {
 	}
 }
 
-// TestOneRoundParallelMatchesOneRound: the one-round complex built on
-// four workers is still the Lemma 11 pseudosphere.
+// TestOneRoundParallelMatchesOneRound: the one-round complex Build
+// returns is the Lemma 11 pseudosphere.
 func TestOneRoundParallelMatchesOneRound(t *testing.T) {
 	p := Params{N: 3, F: 2}
 	input := inputSimplex("a", "b", "c", "d")
-	got, err := roundop.Build(context.Background(), p.Operator(), input, 1, roundop.Options{Workers: 4})
+	got, err := roundop.Build(context.Background(), p.Operator(), input, 1, roundop.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,21 +70,20 @@ func TestOneRoundParallelMatchesOneRound(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := topology.VerifyIsomorphism(got.Complex, ps, m); err != nil {
-		t.Fatalf("four-worker build is not the Lemma 11 pseudosphere: %v", err)
+		t.Fatalf("Build's complex is not the Lemma 11 pseudosphere: %v", err)
 	}
 }
 
 // TestRoundsParallelMatchesSerial shares one operator value between
-// concurrent multi-worker builds: its option tables are read from every
-// worker of every build at once (the -race run checks the operator keeps
-// no mutable state), and each build must match a one-worker build made
-// before any of them (roundop's differential table pins one-worker builds
-// of the same parameters).
+// concurrent builds: its option tables are read from every build at once
+// (the -race run checks the operator keeps no mutable state), and each
+// build must match one made before any of them (roundop's differential
+// table pins builds of the same parameters).
 func TestRoundsParallelMatchesSerial(t *testing.T) {
 	p := Params{N: 2, F: 2}
 	input := inputSimplex("a", "b", "c")
 	op := p.Operator()
-	want, err := roundop.Build(context.Background(), op, input, 2, roundop.Options{Workers: 1})
+	want, err := roundop.Build(context.Background(), op, input, 2, roundop.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +93,7 @@ func TestRoundsParallelMatchesSerial(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			res, err := roundop.Build(context.Background(), op, input, 2, roundop.Options{Workers: g + 1})
+			res, err := roundop.Build(context.Background(), op, input, 2, roundop.Options{})
 			if err != nil {
 				t.Error(err)
 				return
@@ -105,7 +104,7 @@ func TestRoundsParallelMatchesSerial(t *testing.T) {
 	wg.Wait()
 	for g, h := range hashes {
 		if h != want.Complex.CanonicalHash() {
-			t.Errorf("concurrent build on %d workers diverged from the serial reference", g+1)
+			t.Errorf("concurrent build %d diverged from the reference build", g)
 		}
 	}
 }

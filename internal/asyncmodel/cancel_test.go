@@ -15,7 +15,7 @@ import (
 func TestRoundsParallelCtxPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := roundop.Build(ctx, Params{N: 3, F: 2}.Operator(), testutil.Labeled(3, "v"), 1, roundop.Options{Workers: 4})
+	_, err := roundop.Build(ctx, Params{N: 3, F: 2}.Operator(), testutil.Labeled(3, "v"), 1, roundop.Options{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
@@ -23,7 +23,7 @@ func TestRoundsParallelCtxPreCancelled(t *testing.T) {
 
 // TestRoundsParallelCtxCancelMidRun cancels the construction once the
 // facet counter shows real progress and requires a prompt error return
-// with no worker goroutines left behind.
+// with no goroutine left behind.
 func TestRoundsParallelCtxCancelMidRun(t *testing.T) {
 	before := runtime.NumGoroutine()
 	tracker := obs.NewTracker()
@@ -36,7 +36,7 @@ func TestRoundsParallelCtxCancelMidRun(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	res, err := roundop.Build(ctx, Params{N: 4, F: 4}.Operator(), testutil.Labeled(4, "v"), 1, roundop.Options{Workers: 4})
+	res, err := roundop.Build(ctx, Params{N: 4, F: 4}.Operator(), testutil.Labeled(4, "v"), 1, roundop.Options{})
 	elapsed := time.Since(start)
 	if err == nil {
 		// The build outran the canceller; the instance is large enough that
@@ -59,7 +59,7 @@ func TestRoundsParallelCtxCancelMidRun(t *testing.T) {
 }
 
 // The instrumented path (cancellable context + tracker counters) must stay
-// within a few percent of the plain serial path at one worker; E16 in
+// within a few percent of the plain path; E16 in
 // EXPERIMENTS.md pins the budget at 2%.
 func BenchmarkOneWorkerPlain(b *testing.B) {
 	in := testutil.Labeled(3, "v")

@@ -37,17 +37,17 @@ func TestRoundsRejectsNegative(t *testing.T) {
 }
 
 // TestRoundsParallelDegenerate: with too few participants (Section 6's
-// m < n-f convention) the complex is empty at any worker count.
+// m < n-f convention) the complex is empty.
 func TestRoundsParallelDegenerate(t *testing.T) {
 	p := Params{N: 4, F: 1}
-	got, err := roundop.Build(context.Background(), p.Operator(), inputSimplex("a", "b", "c"), 1, roundop.Options{Workers: 4})
+	got, err := roundop.Build(context.Background(), p.Operator(), inputSimplex("a", "b", "c"), 1, roundop.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Complex.Size() != 0 {
 		t.Errorf("expected empty complex, got size %d", got.Complex.Size())
 	}
-	if _, err := roundop.Build(context.Background(), p.Operator(), inputSimplex("a", "b", "c"), -1, roundop.Options{Workers: 4}); err == nil {
+	if _, err := roundop.Build(context.Background(), p.Operator(), inputSimplex("a", "b", "c"), -1, roundop.Options{}); err == nil {
 		t.Error("expected error for negative round count")
 	}
 }

@@ -12,7 +12,7 @@ import (
 // mustSimplex binds the shared test constructor; see internal/testutil.
 var mustSimplex = testutil.MustSimplex
 
-// build returns A^r(input) through the shared engine on one worker.
+// build returns A^r(input) through the shared engine.
 func build(input topology.Simplex, p Params, r int) (*pc.Result, error) {
 	return roundop.Build(context.Background(), p.Operator(), input, r, roundop.Options{})
 }

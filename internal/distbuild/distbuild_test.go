@@ -55,7 +55,7 @@ func testModel(t testing.TB, query string) (*modelspec.Instance, topology.Simple
 // hash the distributed path must reproduce.
 func localHash(t *testing.T, inst *modelspec.Instance, input topology.Simplex) string {
 	t.Helper()
-	want, err := inst.Build(context.Background(), input, 4)
+	want, err := inst.Build(context.Background(), input, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

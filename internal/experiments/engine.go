@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"runtime"
 
 	"pseudosphere/internal/core"
 	"pseudosphere/internal/homology"
@@ -18,16 +17,10 @@ import (
 // the worker budget follows runtime.NumCPU().
 var conn = homology.NewEngine(0, homology.NewCache())
 
-// buildWorkers is the worker budget for the parallel round-complex
-// constructors; 0 selects runtime.NumCPU(). It shares the -workers knob
-// with the homology engine.
-var buildWorkers = 0
-
 // ConfigureEngine replaces the shared engine: workers <= 0 selects
 // runtime.NumCPU(), and cached=false disables memoization so every query
 // recomputes (the configuration the differential benchmarks compare
-// against). The same worker budget drives the parallel round-complex
-// constructors. Call it before running experiments; it is not synchronized
+// against). Call it before running experiments; it is not synchronized
 // with concurrent experiment runs.
 func ConfigureEngine(workers int, cached bool) {
 	var cache *homology.Cache
@@ -35,21 +28,11 @@ func ConfigureEngine(workers int, cached bool) {
 		cache = homology.NewCache()
 	}
 	conn = homology.NewEngine(workers, cache)
-	buildWorkers = workers
 }
 
-// BuildWorkers resolves the configured construction worker budget.
-func BuildWorkers() int {
-	if buildWorkers > 0 {
-		return buildWorkers
-	}
-	return runtime.NumCPU()
-}
-
-// build constructs op's r-round complex over input on the configured
-// construction workers.
+// build constructs op's r-round complex over input.
 func build(ctx context.Context, op roundop.Operator, input topology.Simplex, r int) (*pc.Result, error) {
-	return roundop.Build(ctx, op, input, r, roundop.Options{Workers: BuildWorkers()})
+	return roundop.Build(ctx, op, input, r, roundop.Options{})
 }
 
 // buildOverInputs is build over the whole input complex psi(P^n; values):

@@ -376,8 +376,8 @@ func (c *CheckpointLog) KnownRanks(hash string) map[int]int {
 }
 
 // PutRank persists one fully reduced boundary rank and returns once it is
-// durable. Safe for concurrent use — the homology engine emits ranks from
-// one goroutine per dimension.
+// durable. Safe for concurrent use, though the homology engine emits a
+// complex's ranks serially, one per dimension, once its reduction ends.
 func (c *CheckpointLog) PutRank(hash string, dim, rank int) error {
 	payload := binary.AppendUvarint([]byte{tagRank}, uint64(len(hash)))
 	payload = append(payload, hash...)

@@ -22,7 +22,7 @@ import (
 
 func buildHash(t *testing.T, inst *modelspec.Instance) string {
 	t.Helper()
-	res, err := inst.Build(context.Background(), input(inst.M), 2)
+	res, err := inst.Build(context.Background(), input(inst.M), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,9 +236,10 @@ func countInsertions(t *testing.T, op roundop.Operator, cur []*views.View, r int
 }
 
 // TestEstimateExactForCompiledSpecs checks the admission seam on every
-// spec-compiled operator shape: EstimateFacets must equal the unsampled
+// spec-compiled operator shape, and on the IIS preset, the other model
+// with an arithmetic floor: EstimateFacets must equal the unsampled
 // reference, and the arithmetic InsertionFloor must never exceed it (for
-// graphs adversaries it is exact, which is what makes it a safe
+// graphs adversaries and IIS it is exact, which is what makes it a safe
 // pre-walk budget gate).
 func TestEstimateExactForCompiledSpecs(t *testing.T) {
 	for name, doc := range map[string]string{
@@ -248,6 +249,7 @@ func TestEstimateExactForCompiledSpecs(t *testing.T) {
 			"graphs": [{"edges": [[0,1],[1,2],[2,0]]}, {"edges": [[1,0],[2,1],[0,2]]}, {"edges": [[0,1],[1,0]]}]}}`,
 		"graphs-scheduled": `{"processes": 3, "rounds": 2, "adversary": {"kind": "graphs",
 			"graphs": [{"edges": [[0,1],[1,2],[2,0]]}, {"edges": [[1,0],[2,1],[0,2]]}], "schedule": [[0,1],[1]]}}`,
+		"iis": `{"name": "iis", "params": {"n": 2, "r": 2}}`,
 	} {
 		t.Run(name, func(t *testing.T) {
 			inst := mustCompile(t, doc)
@@ -263,7 +265,7 @@ func TestEstimateExactForCompiledSpecs(t *testing.T) {
 			if floor := inst.InsertionFloor(); floor > got {
 				t.Fatalf("InsertionFloor %d exceeds exact estimate %d", floor, got)
 			} else if inst.InsertionFloor() > 0 && floor != got {
-				t.Fatalf("graphs floor %d should be exact, estimate %d", floor, got)
+				t.Fatalf("floor %d should be exact, estimate %d", floor, got)
 			}
 		})
 	}
@@ -280,11 +282,11 @@ func TestScheduleRestrictsRounds(t *testing.T) {
 	if free.Key == pinned.Key {
 		t.Fatal("schedule did not change the canonical key")
 	}
-	fr, err := free.Build(context.Background(), input(free.M), 2)
+	fr, err := free.Build(context.Background(), input(free.M), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr, err := pinned.Build(context.Background(), input(pinned.M), 2)
+	pr, err := pinned.Build(context.Background(), input(pinned.M), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

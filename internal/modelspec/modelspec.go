@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strings"
 
+	"pseudosphere/internal/pc"
 	"pseudosphere/internal/syncmodel"
 )
 
@@ -345,7 +346,7 @@ func (a *Adversary) insertionFloor(r int) int64 {
 		if len(a.Schedule) > 0 {
 			per = int64(len(a.Schedule[ri]))
 		}
-		total = satMul64(total, per)
+		total = pc.SatMul(total, per)
 	}
 	return total
 }

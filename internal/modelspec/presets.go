@@ -1,8 +1,11 @@
 package modelspec
 
 import (
+	"fmt"
+
 	"pseudosphere/internal/asyncmodel"
 	"pseudosphere/internal/iis"
+	"pseudosphere/internal/pc"
 	"pseudosphere/internal/roundop"
 	"pseudosphere/internal/semisync"
 	"pseudosphere/internal/syncmodel"
@@ -50,9 +53,15 @@ func init() {
 		},
 	})
 	Register(Model{
-		Name:     "iis",
-		Validate: func(Params) error { return nil },
+		Name: "iis",
+		Validate: func(p Params) error {
+			if p.N > maxIISN {
+				return fmt.Errorf("iis: n=%d out of range [0, %d]", p.N, maxIISN)
+			}
+			return nil
+		},
 		Operator: func(Params) roundop.Operator { return iis.Operator() },
+		Floor:    iisFloor,
 	})
 	// The per-round-only crash budget: at most k crashes in any round,
 	// with no cumulative cap. Over r rounds at most r*k processes can
@@ -68,6 +77,26 @@ func init() {
 			return syncParams(p).Operator()
 		},
 	})
+}
+
+// maxIISN bounds the IIS preset's n. Pricing an IIS build calls Branches,
+// which enumerates every ordered partition of the participants, each a
+// branch with views of its own: 47,293 of them at n = 6 and 545,835 at
+// n = 7, too many to build just to price a request.
+const maxIISN = 6
+
+// iisFloor is the exact facet-insertion count of an R-round IIS build over
+// the m-face: one round over m+1 participants has one facet per ordered
+// partition, Fubini(m+1) of them (Kozlov, 1404.5813), and each facet's
+// next round has all m+1 participants again. It lets admission refuse a
+// deep IIS build before the estimate walk enumerates a single partition.
+func iisFloor(p Params) int64 {
+	per := int64(iis.FubiniNumber(p.M + 1))
+	total := int64(1)
+	for range p.R {
+		total = pc.SatMul(total, per)
+	}
+	return total
 }
 
 func asyncParams(p Params) asyncmodel.Params {

@@ -147,6 +147,11 @@ type Model struct {
 	// (asyncmodel's m < n-f). The serving tier has no per-model checks;
 	// this hook is the seam they moved into.
 	Degenerate func(p Params, inputDim int) bool
+	// Floor, when set, returns a saturating arithmetic lower bound on the
+	// facet insertions of the tuple's R-round build over its m-face (see
+	// Instance.InsertionFloor), for a model whose Branches call is itself
+	// too costly to make before admission can refuse.
+	Floor func(p Params) int64
 }
 
 var registry = map[string]Model{}
@@ -226,7 +231,8 @@ func (in *Instance) EmptyFor(input topology.Simplex) bool {
 // facet insertions of an R-round build, or 0 when the model defines
 // none. It costs nothing to compute, so admission can refuse an absurd
 // spec before even the one-representative-per-branch estimate walk —
-// which for a graphs adversary is itself as large as the answer.
+// which for a graphs adversary is itself as large as the answer, and
+// which for IIS enumerates every ordered partition of the participants.
 func (in *Instance) InsertionFloor() int64 { return in.floor }
 
 // Estimate prices an R-round build over input via roundop.EstimateFacets
@@ -239,18 +245,21 @@ func (in *Instance) Estimate(input topology.Simplex) (int64, error) {
 	return roundop.EstimateFacets(in.op, input, in.R)
 }
 
-// Build constructs the R-round complex over input on workers goroutines.
-func (in *Instance) Build(ctx context.Context, input topology.Simplex, workers int) (*pc.Result, error) {
-	return in.BuildCkpt(ctx, input, workers, 0, nil)
+// Build constructs the R-round complex over input on the caller's
+// goroutine. The int is unused; it keeps the signature the bench module
+// calls.
+func (in *Instance) Build(ctx context.Context, input topology.Simplex, _ int) (*pc.Result, error) {
+	return in.BuildCkpt(ctx, input, 1, 0, nil)
 }
 
 // BuildCkpt is Build with shard-boundary checkpointing through ck (none
-// when nil), flushing every flushEvery completed shards.
-func (in *Instance) BuildCkpt(ctx context.Context, input topology.Simplex, workers, flushEvery int, ck roundop.Checkpointer) (*pc.Result, error) {
+// when nil), flushing every flushEvery completed shards. The first int is
+// unused, as in Build.
+func (in *Instance) BuildCkpt(ctx context.Context, input topology.Simplex, _, flushEvery int, ck roundop.Checkpointer) (*pc.Result, error) {
 	if in.EmptyFor(input) {
 		return pc.NewResult(), nil
 	}
-	return roundop.Build(ctx, in.op, input, in.R, roundop.Options{Workers: workers, Checkpoint: ck, FlushEvery: flushEvery})
+	return roundop.Build(ctx, in.op, input, in.R, roundop.Options{Checkpoint: ck, FlushEvery: flushEvery})
 }
 
 // FromQuery resolves the preset query form (model=name&n=...&r=...) to a
@@ -311,6 +320,9 @@ func (m Model) instance(p Params) (*Instance, error) {
 	if deg := m.Degenerate; deg != nil {
 		in.degenerate = func(dim int) bool { return deg(p, dim) }
 	}
+	if m.Floor != nil {
+		in.floor = m.Floor(p)
+	}
 	return in, nil
 }
 
@@ -362,16 +374,4 @@ func (m Model) echo(p Params) ParamsJSON {
 		}
 	}
 	return out
-}
-
-// satMul64 mirrors roundop's saturating multiply for the insertion floor.
-func satMul64(a, b int64) int64 {
-	if a == 0 || b == 0 {
-		return 0
-	}
-	const max = int64(^uint64(0) >> 1)
-	if a > max/b {
-		return max
-	}
-	return a * b
 }

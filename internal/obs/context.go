@@ -6,7 +6,7 @@ import "context"
 type trackerKey struct{}
 
 // WithTracker returns a context carrying t. The long-running entry points
-// (parallel constructors, crash-schedule enumeration, decision search,
+// (round-complex construction, crash-schedule enumeration, decision search,
 // homology reduction) pick the tracker up with FromContext, so the same
 // context threads cancellation and observability together.
 func WithTracker(ctx context.Context, t *Tracker) context.Context {

@@ -10,7 +10,7 @@
 // or chunk, not once per element, keeping the instrumented overhead
 // within the ≤2% budget the benchmarks pin.
 //
-// The long-running entry points (the parallel round-complex constructors,
+// The long-running entry points (the round-complex construction,
 // the crash-schedule enumerator, the decision search, and the homology
 // engine) pick their Tracker out of the context.Context that also carries
 // their cancellation signal; see WithTracker and FromContext.

@@ -1,6 +1,8 @@
 package pc
 
 import (
+	"math"
+
 	"pseudosphere/internal/topology"
 	"pseudosphere/internal/views"
 )
@@ -13,8 +15,8 @@ import (
 // complex. The constructors build one Option per (position, choice) — so
 // a view and its label are built once per option rather than once per
 // facet — and then walk the product with the helpers below.
-// Linear indexing (DecodeIndex) lets the parallel constructors shard the
-// product space across workers without materializing it.
+// Linear indexing (DecodeIndex) lets a build cut the product space into
+// index-range shards without materializing it.
 
 // Option is one admissible next-view choice for a position in a facet
 // enumeration: the view together with its pre-encoded complex vertex.
@@ -31,13 +33,27 @@ func NewOption(v *views.View) Option {
 }
 
 // ProductSize returns the number of facets in the product of the option
-// lists (zero if any list is empty; one for an empty product).
+// lists (zero if any list is empty; one for an empty product), saturating
+// at math.MaxInt64.
 func ProductSize(opts [][]Option) int64 {
 	total := int64(1)
 	for _, o := range opts {
-		total *= int64(len(o))
+		total = SatMul(total, int64(len(o)))
 	}
 	return total
+}
+
+// SatMul returns a·b for nonnegative a and b, saturating at math.MaxInt64
+// instead of wrapping. Sizes and prices multiply through it, so an absurd
+// request prices as huge, never as small or negative.
+func SatMul(a, b int64) int64 {
+	if a == 0 || b == 0 {
+		return 0
+	}
+	if a > math.MaxInt64/b {
+		return math.MaxInt64
+	}
+	return a * b
 }
 
 // DecodeIndex writes the mixed-radix digits of li into idx, last digit

@@ -3,7 +3,6 @@ package roundop
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"pseudosphere/internal/obs"
 	"pseudosphere/internal/pc"
@@ -38,10 +37,10 @@ type Checkpointer interface {
 
 	// Flush records that the shards in done completed. res is the build's
 	// result: it holds every facet of the shards in done, and everything
-	// it held at the previous Flush, or at Restore, was recorded then. A
-	// Flush error fails the build. A Checkpointer may make a record
-	// durable after Flush returns, provided a failure to do so is
-	// returned by a later Flush.
+	// it held at the previous Flush, or at Restore, was recorded then.
+	// Build does not reuse done, so Flush may keep it. A Flush error fails
+	// the build. A Checkpointer may make a record durable after Flush
+	// returns, provided a failure to do so is returned by a later Flush.
 	Flush(done []int, res *pc.Result) error
 }
 
@@ -81,69 +80,4 @@ func restore(ctx context.Context, plan *ShardPlan, ck Checkpointer) (*pc.Result,
 		tr.Counter("shards_restored").Add(restored)
 	}
 	return res, todo, nil
-}
-
-// checkpointed runs the claim loop on workers goroutines. Each runs its
-// shards into a private batch and hands the batch to a collector (this
-// goroutine) after flushEvery shards, and its partial batch when it
-// stops. The collector merges each batch into res and then hands res to
-// ck.Flush with the batch's shards. On cancellation every loop's partial
-// batch is still merged and flushed; a loop whose shard fails drops its
-// batch, which holds part of that shard, and the other loops' batches are
-// flushed.
-func (d *drain) checkpointed(res *pc.Result, workers, flushEvery int, ck Checkpointer) error {
-	tr := obs.FromContext(d.ctx)
-	shardCtr := tr.Counter("shards_done")
-	flushCtr := tr.Counter("ckpt_flushes")
-
-	type batch struct {
-		done  []int
-		delta *pc.Result
-	}
-	// The out channel's backpressure (at most one buffered and one
-	// in-hand batch per worker), together with claim's synchronous ctx
-	// check, bounds how many shards can complete after a kill, which is
-	// what makes the kill-mid-build checkpoint tests deterministic
-	// instead of a race against the goroutine scheduler.
-	out := make(chan batch, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				local := pc.NewResult()
-				done := d.claim(local, flushEvery)
-				if len(done) > 0 {
-					out <- batch{done: done, delta: local}
-				}
-				if len(done) < flushEvery {
-					return
-				}
-			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(out)
-	}()
-
-	var flushErr error
-	for b := range out {
-		if flushErr != nil {
-			continue // drain so workers sending on out never block
-		}
-		res.Merge(b.delta)
-		if err := ck.Flush(b.done, res); err != nil {
-			flushErr = fmt.Errorf("roundop: flush checkpoint: %w", err)
-			d.fail(flushErr)
-			continue
-		}
-		flushCtr.Add(1)
-		shardCtr.Add(uint64(len(b.done)))
-	}
-	if flushErr != nil {
-		return flushErr
-	}
-	return d.stopped()
 }

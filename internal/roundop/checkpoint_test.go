@@ -10,13 +10,15 @@ import (
 	"pseudosphere/internal/obs"
 	"pseudosphere/internal/pc"
 	"pseudosphere/internal/roundop"
+	"pseudosphere/internal/views"
 )
 
 // memCkpt is an in-memory Checkpointer that keeps what a durable log
 // would: each Flush appends the pc record of what the build's result
 // gained since the previous one, and Restore replays the records into a
 // fresh result, which the resumed build continues into. It also keeps
-// each Flush's done list, and an onFlush hook lets tests kill the run
+// each Flush's done list as it was handed, without a copy (Build promises
+// not to reuse it), and an onFlush hook lets tests kill the run
 // deterministically after N flushes.
 type memCkpt struct {
 	total   int
@@ -54,7 +56,7 @@ func (m *memCkpt) Flush(done []int, res *pc.Result) error {
 	}
 	m.records = append(m.records, pc.AppendRecord(nil, done, res, m.mark))
 	m.mark = res.Mark()
-	m.batches = append(m.batches, append([]int(nil), done...))
+	m.batches = append(m.batches, done)
 	for _, i := range done {
 		m.done[i] = true
 	}
@@ -67,7 +69,7 @@ func (m *memCkpt) Flush(done []int, res *pc.Result) error {
 
 func TestCkptNilDegrades(t *testing.T) {
 	op := asyncmodel.Params{N: 2, F: 2}.Operator()
-	got, err := roundop.Build(context.Background(), op, input(2), 1, roundop.Options{Workers: 2, FlushEvery: 4})
+	got, err := roundop.Build(context.Background(), op, input(2), 1, roundop.Options{FlushEvery: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,15 +79,15 @@ func TestCkptNilDegrades(t *testing.T) {
 }
 
 // TestCkptFreshMatchesPlain: a checkpointed build from scratch produces
-// the same complex as the plain parallel build and flushes at least once.
+// the same complex as the plain build and flushes at least once.
 func TestCkptFreshMatchesPlain(t *testing.T) {
 	op := asyncmodel.Params{N: 3, F: 3}.Operator()
 	ck := &memCkpt{}
-	got, err := roundop.Build(context.Background(), op, input(3), 1, roundop.Options{Workers: 4, Checkpoint: ck, FlushEvery: 4})
+	got, err := roundop.Build(context.Background(), op, input(3), 1, roundop.Options{Checkpoint: ck, FlushEvery: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := roundop.Build(context.Background(), op, input(3), 1, roundop.Options{Workers: 4})
+	want, err := roundop.Build(context.Background(), op, input(3), 1, roundop.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,23 +113,16 @@ func TestCkptFreshMatchesPlain(t *testing.T) {
 // than the whole product, and (c) lands on the identical CanonicalHash
 // and view count.
 //
-// The kill is deterministic, not a race against the workers: onFlush is
-// a barrier — the collector goroutine is inside Flush while cancel()
-// runs, and the worker claim-loop checks ctx.Err() directly, so by the
-// time cancel() returns no worker can claim another shard. Work already
-// in flight is bounded by channel backpressure (per worker: one batch
-// buffered in the out channel plus one in hand, each of at most 4
-// shards), so with 2 workers at most 8 + 8 + 8 = 24 of the 32 shards
-// can ever reach the checkpoint — always strictly fewer than the full job
-// list, on any scheduler and any CPU count. (Before this barrier the
-// cancel was delivered via an async context.AfterFunc flag, and on fast
-// single-CPU machines all shards could persist before any worker
-// observed it.)
+// The kill is deterministic, not a race against the scheduler: onFlush
+// cancels inside the second Flush, and the build loop checks ctx.Err()
+// before every shard, so no shard starts after that Flush returns.
+// Exactly the 2·4 shards of the two flushes persist, of the plan's 32,
+// on any CPU count.
 func TestCkptResume(t *testing.T) {
 	op := asyncmodel.Params{N: 3, F: 3}.Operator()
 	in := input(3)
 
-	want, err := roundop.Build(context.Background(), op, in, 1, roundop.Options{Workers: 4})
+	want, err := roundop.Build(context.Background(), op, in, 1, roundop.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,14 +132,14 @@ func TestCkptResume(t *testing.T) {
 	defer cancel()
 	ck := &memCkpt{onFlush: func(flushes int) {
 		if flushes == 2 {
-			cancel() // workers observe this before their next shard claim
+			cancel() // the build loop observes this before its next shard
 		}
 	}}
-	if _, err := roundop.Build(ctx, op, in, 1, roundop.Options{Workers: 2, Checkpoint: ck, FlushEvery: 4}); !errors.Is(err, context.Canceled) {
+	if _, err := roundop.Build(ctx, op, in, 1, roundop.Options{Checkpoint: ck, FlushEvery: 4}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("killed run returned %v, want context.Canceled", err)
 	}
-	if ck.flushes < 2 {
-		t.Fatalf("flushes = %d before kill, want >= 2", ck.flushes)
+	if ck.flushes != 2 {
+		t.Fatalf("flushes = %d before kill, want 2", ck.flushes)
 	}
 	persisted := 0
 	for _, d := range ck.done {
@@ -152,13 +147,13 @@ func TestCkptResume(t *testing.T) {
 			persisted++
 		}
 	}
-	if persisted == 0 || persisted == ck.total {
-		t.Fatalf("persisted %d of %d shards; kill must land mid-build", persisted, ck.total)
+	if persisted != 2*4 {
+		t.Fatalf("persisted %d of %d shards; the kill must land after exactly 8", persisted, ck.total)
 	}
 
 	tr := obs.NewTracker()
 	ctx2 := obs.WithTracker(context.Background(), tr)
-	got, err := roundop.Build(ctx2, op, in, 1, roundop.Options{Workers: 4, Checkpoint: ck, FlushEvery: 4})
+	got, err := roundop.Build(ctx2, op, in, 1, roundop.Options{Checkpoint: ck, FlushEvery: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +179,7 @@ func TestCkptFlushErrorFails(t *testing.T) {
 	boom := errors.New("disk full")
 	op := asyncmodel.Params{N: 3, F: 3}.Operator()
 	ck := &memCkpt{failErr: boom}
-	if _, err := roundop.Build(context.Background(), op, input(3), 1, roundop.Options{Workers: 4, Checkpoint: ck, FlushEvery: 1}); !errors.Is(err, boom) {
+	if _, err := roundop.Build(context.Background(), op, input(3), 1, roundop.Options{Checkpoint: ck, FlushEvery: 1}); !errors.Is(err, boom) {
 		t.Fatalf("flush error not surfaced: %v", err)
 	}
 }
@@ -198,18 +193,17 @@ func (b *badRestoreCkpt) Restore(totalShards int) ([]bool, *pc.Result, error) {
 
 func TestCkptRestoreShapeMismatch(t *testing.T) {
 	op := asyncmodel.Params{N: 3, F: 3}.Operator()
-	if _, err := roundop.Build(context.Background(), op, input(3), 1, roundop.Options{Workers: 4, Checkpoint: &badRestoreCkpt{}, FlushEvery: 4}); err == nil {
+	if _, err := roundop.Build(context.Background(), op, input(3), 1, roundop.Options{Checkpoint: &badRestoreCkpt{}, FlushEvery: 4}); err == nil {
 		t.Fatal("mismatched restore shape must fail the run")
 	}
 }
 
 // TestCkptBatches pins how a checkpointed build batches its shards and
-// what its records hold. At one worker the flushed lists are consecutive
-// runs of FlushEvery shards; with more workers each loop batches its own
-// shards, so every shard is flushed in exactly one list of at most
-// FlushEvery shards. Either way, replaying the records in order gives,
-// after each one, a complex holding RunShard of every shard flushed so
-// far, and after the last, the build itself.
+// what its records hold. The flushed lists are the consecutive runs of
+// FlushEvery shards in index order, the last one possibly shorter, and
+// each still holds what it held when it was handed over. Replaying the
+// records in order gives, after each one, a complex holding RunShard of
+// every shard flushed so far, and after the last, the build itself.
 func TestCkptBatches(t *testing.T) {
 	op := asyncmodel.Params{N: 3, F: 3}.Operator()
 	in := input(3)
@@ -218,98 +212,105 @@ func TestCkptBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	const flushEvery = 3
-	for _, workers := range []int{1, 2, 4, 8} {
-		ck := &memCkpt{}
-		got, err := roundop.Build(context.Background(), op, in, 1, roundop.Options{Workers: workers, Checkpoint: ck, FlushEvery: flushEvery})
-		if err != nil {
-			t.Fatal(err)
-		}
-		seen := make([]int, plan.NumShards())
-		replayed := pc.NewResult()
-		for i, done := range ck.batches {
-			if len(done) == 0 || len(done) > flushEvery {
-				t.Fatalf("workers %d: flush %d lists %v, want 1..%d shards", workers, i, done, flushEvery)
-			}
-			listed, err := replayed.ApplyRecord(ck.records[i], plan.NumShards())
-			if err != nil {
-				t.Fatalf("workers %d: record %d does not replay: %v", workers, i, err)
-			}
-			if !slices.Equal(listed, done) {
-				t.Fatalf("workers %d: record %d lists %v, Flush was handed %v", workers, i, listed, done)
-			}
-			for j, s := range done {
-				if workers == 1 && s != i*flushEvery+j {
-					t.Fatalf("workers 1: flush %d lists %v, want the run from %d", i, done, i*flushEvery)
-				}
-				seen[s]++
-			}
-			for s, n := range seen {
-				if n == 0 {
-					continue
-				}
-				shard := pc.NewResult()
-				if err := plan.RunShard(shard, s); err != nil {
-					t.Fatal(err)
-				}
-				if !shard.Complex.IsSubcomplexOf(replayed.Complex) {
-					t.Fatalf("workers %d: after record %d the replay lacks shard %d", workers, i, s)
-				}
-			}
-		}
-		for s, n := range seen {
-			if n != 1 {
-				t.Fatalf("workers %d: shard %d flushed %d times, want once", workers, s, n)
-			}
-		}
-		if replayed.Complex.CanonicalHash() != got.Complex.CanonicalHash() || len(replayed.Views) != len(got.Views) {
-			t.Fatalf("workers %d: the replayed records differ from the build", workers)
-		}
-		if want := (plan.NumShards() + flushEvery - 1) / flushEvery; workers == 1 && len(ck.batches) != want {
-			t.Fatalf("workers 1: %d flushes, want %d", len(ck.batches), want)
-		}
-	}
-}
-
-// TestCkptCancelFlushesCompleted: a build cancelled mid-run flushes every
-// shard it completed — the facets counter, which counts each completed
-// shard's facets, equals the flushed shards' facet total — and every
-// shard counted in shards_done is in a flushed list.
-func TestCkptCancelFlushesCompleted(t *testing.T) {
-	op := asyncmodel.Params{N: 3, F: 3}.Operator()
-	in := input(3)
-	plan, err := roundop.PlanShards(op, in, 1)
+	ck := &memCkpt{}
+	got, err := roundop.Build(context.Background(), op, in, 1, roundop.Options{Checkpoint: ck, FlushEvery: flushEvery})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 2, 4} {
-		ctx, cancel := context.WithCancel(context.Background())
-		tr := obs.NewTracker()
-		ck := &memCkpt{onFlush: func(flushes int) {
-			if flushes == 2 {
-				cancel()
+	if want := (plan.NumShards() + flushEvery - 1) / flushEvery; len(ck.batches) != want {
+		t.Fatalf("%d flushes, want %d", len(ck.batches), want)
+	}
+	replayed := pc.NewResult()
+	for i, done := range ck.batches {
+		var run []int
+		for s := i * flushEvery; s < min((i+1)*flushEvery, plan.NumShards()); s++ {
+			run = append(run, s)
+		}
+		if !slices.Equal(done, run) {
+			t.Fatalf("flush %d lists %v, want %v", i, done, run)
+		}
+		listed, err := replayed.ApplyRecord(ck.records[i], plan.NumShards())
+		if err != nil {
+			t.Fatalf("record %d does not replay: %v", i, err)
+		}
+		if !slices.Equal(listed, done) {
+			t.Fatalf("record %d lists %v, Flush was handed %v", i, listed, done)
+		}
+		for s := 0; s <= done[len(done)-1]; s++ {
+			shard := pc.NewResult()
+			if err := plan.RunShard(shard, s); err != nil {
+				t.Fatal(err)
 			}
-		}}
-		_, err := roundop.Build(obs.WithTracker(ctx, tr), op, in, 1, roundop.Options{Workers: workers, Checkpoint: ck, FlushEvery: 2})
-		cancel()
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("workers %d: cancelled run returned %v", workers, err)
-		}
-		var shards, facets uint64
-		for _, done := range ck.batches {
-			for _, s := range done {
-				shards++
-				facets += uint64(plan.Facets(s))
+			if !shard.Complex.IsSubcomplexOf(replayed.Complex) {
+				t.Fatalf("after record %d the replay lacks shard %d", i, s)
 			}
 		}
-		c := tr.Counters()
-		if shards == 0 || shards == uint64(plan.NumShards()) {
-			t.Fatalf("workers %d: %d of %d shards flushed; the cancel must land mid-build", workers, shards, plan.NumShards())
+	}
+	if replayed.Complex.CanonicalHash() != got.Complex.CanonicalHash() || len(replayed.Views) != len(got.Views) {
+		t.Fatal("the replayed records differ from the build")
+	}
+}
+
+// cancelAt wraps an operator and cancels at its at-th Branches call,
+// counting the calls of the continuation operators it hands out too. In
+// an r = 2 build, call 1 plans the shards and shard k makes call k+2, so
+// the cancel lands inside a shard rather than inside a Flush.
+type cancelAt struct {
+	op     roundop.Operator
+	calls  *int
+	at     int
+	cancel context.CancelFunc
+}
+
+func (c cancelAt) Branches(cur []*views.View) ([]roundop.Branch, error) {
+	*c.calls++
+	if *c.calls == c.at {
+		c.cancel()
+	}
+	branches, err := c.op.Branches(cur)
+	out := make([]roundop.Branch, len(branches))
+	for i, b := range branches {
+		out[i] = roundop.Branch{Opts: b.Opts, Next: cancelAt{b.Next, c.calls, c.at, c.cancel}}
+	}
+	return out, err
+}
+
+// TestCkptCancelFlushesCompleted: a build cancelled inside a shard
+// finishes that shard, flushes every shard it completed since the last
+// Flush, and returns context.Canceled. The facets counter, which counts
+// each completed shard's facets, equals the flushed shards' facet total,
+// and shards_done counts exactly the flushed shards.
+func TestCkptCancelFlushesCompleted(t *testing.T) {
+	base := asyncmodel.Params{N: 2, F: 2}.Operator()
+	in := input(2)
+	plan, err := roundop.PlanShards(base, in, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	calls := 0
+	op := cancelAt{op: base, calls: &calls, at: 5 + 2, cancel: cancel} // inside shard 5
+	tr := obs.NewTracker()
+	ck := &memCkpt{}
+	_, err = roundop.Build(obs.WithTracker(ctx, tr), op, in, 2, roundop.Options{Checkpoint: ck, FlushEvery: 4})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled run returned %v", err)
+	}
+	if want := [][]int{{0, 1, 2, 3}, {4, 5}}; !slices.EqualFunc(ck.batches, want, slices.Equal[[]int]) {
+		t.Fatalf("flushed %v of %d shards, want %v", ck.batches, plan.NumShards(), want)
+	}
+	var facets uint64
+	for _, done := range ck.batches {
+		for _, s := range done {
+			facets += uint64(plan.Facets(s))
 		}
-		if c["shards_done"] != shards {
-			t.Fatalf("workers %d: shards_done = %d, flushed lists hold %d", workers, c["shards_done"], shards)
-		}
-		if c["facets"] != facets {
-			t.Fatalf("workers %d: completed shards hold %d facets, flushed ones %d", workers, c["facets"], facets)
-		}
+	}
+	c := tr.Counters()
+	if c["shards_done"] != 6 {
+		t.Fatalf("shards_done = %d, flushed lists hold 6", c["shards_done"])
+	}
+	if c["facets"] != facets {
+		t.Fatalf("completed shards hold %d facets, flushed ones %d", c["facets"], facets)
 	}
 }

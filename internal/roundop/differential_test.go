@@ -20,10 +20,10 @@ import (
 
 // The differential pin: every model's operator built through Build must
 // reproduce each row's golden complex — CanonicalHash, f-vector and view
-// count — on every worker count, without a checkpoint and through an
-// in-memory one at two flush cadences; and a pre-cancelled context must
-// stop every configuration. Run under -race in CI, this is the contract
-// that the single build path changes no output anywhere.
+// count — without a checkpoint and through an in-memory one at two flush
+// cadences; and a pre-cancelled context must stop every configuration.
+// This is the contract that the single build path changes no output
+// anywhere.
 //
 // testdata/differential.json holds what the pre-engine serial builders
 // produced before they were removed. Those builders read the engine's own
@@ -122,50 +122,48 @@ func runDifferential(t *testing.T, model string) {
 			if !ok {
 				t.Fatalf("no golden row %q", tc.name)
 			}
-			for _, workers := range []int{1, 2, 3, 8, 64} {
-				for _, flushEvery := range []int{0, 1, 3} {
-					var ck *memCkpt
-					o := roundop.Options{Workers: workers}
-					if flushEvery > 0 {
-						ck = &memCkpt{}
-						o.Checkpoint, o.FlushEvery = ck, flushEvery
-					}
-					cfg := fmt.Sprintf("workers=%d flushEvery=%d", workers, flushEvery)
-					got, err := roundop.Build(context.Background(), tc.op, tc.in, tc.r, o)
-					if err != nil {
-						t.Fatalf("%s: %v", cfg, err)
-					}
-					if h := got.Complex.CanonicalHash(); h != want.Hash {
-						t.Errorf("%s: hash %s != golden %s", cfg, h, want.Hash)
-					}
-					if fv := got.Complex.FVector(); !slices.Equal(fv, want.FVector) {
-						t.Errorf("%s: f-vector %v != golden %v", cfg, fv, want.FVector)
-					}
-					if len(got.Views) != want.Views {
-						t.Errorf("%s: %d views != golden %d", cfg, len(got.Views), want.Views)
-					}
-					if ck != nil {
-						for i, d := range ck.done {
-							if !d {
-								t.Errorf("%s: shard %d not checkpointed after a full build", cfg, i)
-							}
+			for _, flushEvery := range []int{0, 1, 3} {
+				var ck *memCkpt
+				var o roundop.Options
+				if flushEvery > 0 {
+					ck = &memCkpt{}
+					o.Checkpoint, o.FlushEvery = ck, flushEvery
+				}
+				cfg := fmt.Sprintf("flushEvery=%d", flushEvery)
+				got, err := roundop.Build(context.Background(), tc.op, tc.in, tc.r, o)
+				if err != nil {
+					t.Fatalf("%s: %v", cfg, err)
+				}
+				if h := got.Complex.CanonicalHash(); h != want.Hash {
+					t.Errorf("%s: hash %s != golden %s", cfg, h, want.Hash)
+				}
+				if fv := got.Complex.FVector(); !slices.Equal(fv, want.FVector) {
+					t.Errorf("%s: f-vector %v != golden %v", cfg, fv, want.FVector)
+				}
+				if len(got.Views) != want.Views {
+					t.Errorf("%s: %d views != golden %d", cfg, len(got.Views), want.Views)
+				}
+				if ck != nil {
+					for i, d := range ck.done {
+						if !d {
+							t.Errorf("%s: shard %d not checkpointed after a full build", cfg, i)
 						}
 					}
+				}
 
-					// A pre-cancelled context stops the build before its first
-					// shard; only a build with no shards at all completes.
-					if ck != nil {
-						o.Checkpoint = &memCkpt{}
-					}
-					got, err = roundop.Build(cancelled, tc.op, tc.in, tc.r, o)
-					switch {
-					case err == nil && want.Views != 0:
-						t.Errorf("%s: pre-cancelled build completed", cfg)
-					case err == nil && got.Complex.CanonicalHash() != want.Hash:
-						t.Errorf("%s: pre-cancelled empty build diverged from golden", cfg)
-					case err != nil && !errors.Is(err, context.Canceled):
-						t.Errorf("%s: pre-cancelled build returned %v, want context.Canceled", cfg, err)
-					}
+				// A pre-cancelled context stops the build before its first
+				// shard; only a build with no shards at all completes.
+				if ck != nil {
+					o.Checkpoint = &memCkpt{}
+				}
+				got, err = roundop.Build(cancelled, tc.op, tc.in, tc.r, o)
+				switch {
+				case err == nil && want.Views != 0:
+					t.Errorf("%s: pre-cancelled build completed", cfg)
+				case err == nil && got.Complex.CanonicalHash() != want.Hash:
+					t.Errorf("%s: pre-cancelled empty build diverged from golden", cfg)
+				case err != nil && !errors.Is(err, context.Canceled):
+					t.Errorf("%s: pre-cancelled build returned %v, want context.Canceled", cfg, err)
 				}
 			}
 		})
@@ -192,10 +190,8 @@ func TestBuildRejectsInvalidParams(t *testing.T) {
 		{"semisync c1=0", semisync.Params{C1: 0}.Operator()},
 		{"semisync d<c1", semisync.Params{C1: 2, C2: 3, D: 1, PerRound: 1, Total: 1}.Operator()},
 	} {
-		for _, workers := range []int{1, 4} {
-			if _, err := roundop.Build(context.Background(), tc.op, input(2), 1, roundop.Options{Workers: workers}); err == nil {
-				t.Errorf("%s on %d workers: Build accepted invalid parameters", tc.name, workers)
-			}
+		if _, err := roundop.Build(context.Background(), tc.op, input(2), 1, roundop.Options{}); err == nil {
+			t.Errorf("%s: Build accepted invalid parameters", tc.name)
 		}
 		if _, err := roundop.EstimateFacets(tc.op, input(2), 1); err == nil {
 			t.Errorf("%s: EstimateFacets accepted invalid parameters", tc.name)

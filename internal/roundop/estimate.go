@@ -52,7 +52,7 @@ func estimateRounds(op Operator, cur []*views.View, r int) (int64, error) {
 				return 0, err
 			}
 		}
-		total = satAdd(total, satMul(size, per))
+		total = satAdd(total, pc.SatMul(size, per))
 	}
 	return total, nil
 }
@@ -73,14 +73,4 @@ func satAdd(a, b int64) int64 {
 		return math.MaxInt64
 	}
 	return a + b
-}
-
-func satMul(a, b int64) int64 {
-	if a == 0 || b == 0 {
-		return 0
-	}
-	if a > math.MaxInt64/b {
-		return math.MaxInt64
-	}
-	return a * b
 }

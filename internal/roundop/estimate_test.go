@@ -2,6 +2,7 @@ package roundop_test
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"pseudosphere/internal/asyncmodel"
@@ -83,7 +84,7 @@ func TestEstimateFacetsExactForInTreeOperators(t *testing.T) {
 				t.Fatalf("EstimateFacets = %d, reference insertion count = %d", got, want)
 			}
 			tr := obs.NewTracker()
-			res, err := roundop.Build(obs.WithTracker(context.Background(), tr), tc.op, in, tc.r, roundop.Options{Workers: 2})
+			res, err := roundop.Build(obs.WithTracker(context.Background(), tr), tc.op, in, tc.r, roundop.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -110,6 +111,21 @@ func TestEstimateFacetsExactForInTreeOperators(t *testing.T) {
 				t.Fatalf("FacetCount = %d, len(Facets()) = %d", n, facets)
 			}
 		})
+	}
+}
+
+// TestEstimateFacetsSaturates: A^1 n=8 f=8 has one branch of 2^72
+// facets, a product that wraps to exactly 0 in int64 arithmetic. Its
+// estimate must saturate rather than price the build as empty, and Build
+// must refuse it rather than skip the branch and return an empty complex.
+func TestEstimateFacetsSaturates(t *testing.T) {
+	op := asyncmodel.Params{N: 8, F: 8}.Operator()
+	in := input(8)
+	if got, err := roundop.EstimateFacets(op, in, 1); err != nil || got != math.MaxInt64 {
+		t.Fatalf("EstimateFacets = %d, %v; want %d", got, err, int64(math.MaxInt64))
+	}
+	if _, err := roundop.Build(context.Background(), op, in, 1, roundop.Options{}); err == nil {
+		t.Fatal("Build of a 2^72-facet branch returned no error")
 	}
 }
 

@@ -2,6 +2,7 @@ package roundop
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"pseudosphere/internal/pc"
@@ -11,8 +12,8 @@ import (
 
 // Shard chunk sizes. One-round products are split into runs of
 // oneRoundChunk consecutive indices; with r > 1 each first-round facet
-// expands into a whole (r-1)-round subtree, so deepChunk dispatches them
-// one at a time to keep the workers balanced.
+// expands into a whole (r-1)-round subtree, so deepChunk makes each one
+// its own shard, which keeps the leases of a distributed build balanced.
 const (
 	oneRoundChunk = 128
 	deepChunk     = 1
@@ -43,16 +44,21 @@ func branchJob(b Branch) (shardJob, bool) {
 // index — is stable across runs of the same (operator, input, rounds)
 // triple. The checkpoint layer depends on that stability: a resumed run
 // rebuilds this list and trusts recorded shard indices to mean the same
-// facet ranges.
-func buildShardJobs(branches []Branch, r int) (jobs []shardJob) {
+// facet ranges. A branch whose facet product does not fit an int64 index
+// (pc.ProductSize saturated) is an error, not a branch to skip.
+func buildShardJobs(branches []Branch, r int) ([]shardJob, error) {
 	chunk := int64(oneRoundChunk)
 	if r > 1 {
 		chunk = deepChunk
 	}
-	for _, b := range branches {
+	var jobs []shardJob
+	for bi, b := range branches {
 		whole, ok := branchJob(b)
 		if !ok {
 			continue
+		}
+		if whole.hi == math.MaxInt64 {
+			return nil, fmt.Errorf("roundop: branch %d's facet product overflows int64", bi)
 		}
 		for lo := int64(0); lo < whole.hi; lo += chunk {
 			job := whole
@@ -60,7 +66,7 @@ func buildShardJobs(branches []Branch, r int) (jobs []shardJob) {
 			jobs = append(jobs, job)
 		}
 	}
-	return jobs
+	return jobs, nil
 }
 
 // enum is one goroutine's enumeration scratch, reused across every shard
@@ -206,7 +212,11 @@ func PlanShards(op Operator, input topology.Simplex, r int) (*ShardPlan, error) 
 	if err != nil {
 		return nil, err
 	}
-	return &ShardPlan{jobs: buildShardJobs(branches, r), r: r}, nil
+	jobs, err := buildShardJobs(branches, r)
+	if err != nil {
+		return nil, err
+	}
+	return &ShardPlan{jobs: jobs, r: r}, nil
 }
 
 // NumShards returns the number of shards in the plan. Checkpoint records
@@ -246,5 +256,5 @@ func (p *ShardPlan) Facets(i int) int64 {
 			return 0
 		}
 	}
-	return satMul(job.hi-job.lo, per)
+	return pc.SatMul(job.hi-job.lo, per)
 }

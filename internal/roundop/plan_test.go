@@ -15,7 +15,8 @@ import (
 
 // TestPlanShardsMatchesParallelBuild is the exported shard plan's
 // contract: enumerating every shard independently (any order, any
-// grouping) and merging must reproduce Build bit for bit —
+// grouping) and merging, as a distributed build does, must reproduce
+// Build bit for bit —
 // CanonicalHash and view table. This is the invariant the distributed
 // construction protocol rests on: a remote worker that runs shard i of
 // the plan it re-derived computes exactly the sub-complex the
@@ -34,7 +35,7 @@ func TestPlanShardsMatchesParallelBuild(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			in := input(tc.n)
-			want, err := roundop.Build(context.Background(), tc.op, in, tc.r, roundop.Options{Workers: 4})
+			want, err := roundop.Build(context.Background(), tc.op, in, tc.r, roundop.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -67,10 +68,10 @@ func TestPlanShardsMatchesParallelBuild(t *testing.T) {
 				got.Merge(shard)
 			}
 			if g, w := got.Complex.CanonicalHash(), want.Complex.CanonicalHash(); g != w {
-				t.Fatalf("shard-merged hash %s != parallel build hash %s", g, w)
+				t.Fatalf("shard-merged hash %s != Build hash %s", g, w)
 			}
 			if len(got.Views) != len(want.Views) {
-				t.Fatalf("shard-merged views %d != parallel build views %d", len(got.Views), len(want.Views))
+				t.Fatalf("shard-merged views %d != Build views %d", len(got.Views), len(want.Views))
 			}
 		})
 	}

@@ -8,10 +8,9 @@
 // lists (a pseudosphere, per Lemmas 11/14/19). This package owns that
 // shape once: a model is an Operator that yields branches with their
 // option tables, and Build supplies everything downstream — the shard
-// plan, mixed-radix facet-product iteration, one shard claim loop for
-// every worker count, private-complex merging, checkpointing,
-// cooperative cancellation, obs counters, and the iterated composition
-// R^r.
+// plan, mixed-radix facet-product iteration, one loop that runs the
+// shards in order into the build's result, checkpointing, cooperative
+// cancellation, obs counters, and the iterated composition R^r.
 //
 // The model packages (asyncmodel, syncmodel, semisync, iis) are thin
 // adapters: an Operator that validates its parameters and generates

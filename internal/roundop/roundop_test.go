@@ -23,10 +23,8 @@ type failingOperator struct{ err error }
 func (o failingOperator) Branches([]*views.View) ([]roundop.Branch, error) { return nil, o.err }
 
 func TestRoundsNegative(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		if _, err := roundop.Build(context.Background(), emptyOperator{}, input(2), -1, roundop.Options{Workers: workers}); err == nil {
-			t.Fatalf("Build on %d workers must reject negative round counts", workers)
-		}
+	if _, err := roundop.Build(context.Background(), emptyOperator{}, input(2), -1, roundop.Options{}); err == nil {
+		t.Fatal("Build must reject negative round counts")
 	}
 }
 
@@ -52,10 +50,8 @@ func TestEmptyOperatorYieldsEmptyComplex(t *testing.T) {
 
 func TestOperatorErrorPropagates(t *testing.T) {
 	boom := errors.New("boom")
-	for _, workers := range []int{1, 4} {
-		if _, err := roundop.Build(context.Background(), failingOperator{boom}, input(2), 1, roundop.Options{Workers: workers}); !errors.Is(err, boom) {
-			t.Fatalf("Build on %d workers must surface the operator error, got %v", workers, err)
-		}
+	if _, err := roundop.Build(context.Background(), failingOperator{boom}, input(2), 1, roundop.Options{}); !errors.Is(err, boom) {
+		t.Fatalf("Build must surface the operator error, got %v", err)
 	}
 }
 
@@ -84,7 +80,7 @@ func TestRoundsParallelCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	op := asyncmodel.Params{N: 3, F: 3}.Operator()
-	_, err := roundop.Build(ctx, op, input(3), 2, roundop.Options{Workers: 4})
+	_, err := roundop.Build(ctx, op, input(3), 2, roundop.Options{})
 	if err == nil {
 		t.Fatal("a pre-cancelled context must abort the construction")
 	}
@@ -94,7 +90,8 @@ func TestRoundsParallelCancellation(t *testing.T) {
 }
 
 // mergeOrderInvariance: merging per-branch pieces reproduces the whole,
-// regardless of order — the property the parallel merge relies on.
+// regardless of order — the property a distributed build's merge relies
+// on.
 func TestMergeOrderInvariance(t *testing.T) {
 	op := asyncmodel.Params{N: 2, F: 2}.Operator()
 	pieces, err := roundop.BranchResults(op, input(2))

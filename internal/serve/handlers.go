@@ -211,7 +211,7 @@ func (s *Server) buildPseudosphere(q url.Values) (endpointQuery, error) {
 	price := func() error {
 		facets := int64(1)
 		for i := 0; i <= n; i++ {
-			facets = satMulServe(facets, int64(len(values)))
+			facets = pc.SatMul(facets, int64(len(values)))
 		}
 		if facets > s.cfg.MaxFacets {
 			return overBudget("psi(S^%d; %d values) has %d facets, budget %d", n, len(values), facets, s.cfg.MaxFacets)
@@ -312,9 +312,9 @@ func (s *Server) buildModel(ctx context.Context, inst *modelspec.Instance, input
 		return res, err
 	}
 	if ck == nil {
-		return inst.Build(ctx, input, s.cfg.Workers)
+		return inst.Build(ctx, input, 1)
 	}
-	return inst.BuildCkpt(ctx, input, s.cfg.Workers, s.cfg.JobCheckpointEvery, ck)
+	return inst.BuildCkpt(ctx, input, 1, s.cfg.JobCheckpointEvery, ck)
 }
 
 // buildConnectivity serves Betti numbers and connectivity of a model's
@@ -475,7 +475,7 @@ func (s *Server) buildDecision(q url.Values, spec *modelspec.Spec) (endpointQuer
 		// and refuse before materializing a single simplex.
 		numInputs := int64(1)
 		for i := 0; i <= inst.N; i++ {
-			numInputs = satMulServe(numInputs, int64(len(values)))
+			numInputs = pc.SatMul(numInputs, int64(len(values)))
 		}
 		if numInputs > s.cfg.MaxFacets {
 			return overBudget("%d^%d = %d input facets exceeds budget %d", len(values), inst.N+1, numInputs, s.cfg.MaxFacets)
@@ -487,7 +487,7 @@ func (s *Server) buildDecision(q url.Values, spec *modelspec.Spec) (endpointQuer
 		if err != nil {
 			return err
 		}
-		if total := satMulServe(perInput, numInputs); total > s.cfg.MaxFacets {
+		if total := pc.SatMul(perInput, numInputs); total > s.cfg.MaxFacets {
 			return overBudget("%d inputs x %d facet insertions exceeds budget %d", numInputs, perInput, s.cfg.MaxFacets)
 		}
 		return nil
@@ -502,7 +502,7 @@ func (s *Server) buildDecision(q url.Values, spec *modelspec.Spec) (endpointQuer
 			inputs := core.InputFacets(inst.N, values)
 			res := pc.NewResult()
 			for _, input := range inputs {
-				sub, err := inst.Build(ctx, input, s.cfg.Workers)
+				sub, err := inst.Build(ctx, input, 1)
 				if err != nil {
 					return nil, err
 				}
@@ -571,16 +571,4 @@ func canonicalValues(values []string) string {
 		out += v
 	}
 	return out
-}
-
-// satMulServe mirrors roundop's saturating multiply for local budgets.
-func satMulServe(a, b int64) int64 {
-	if a == 0 || b == 0 {
-		return 0
-	}
-	const max = int64(^uint64(0) >> 1)
-	if a > max/b {
-		return max
-	}
-	return a * b
 }

@@ -60,8 +60,10 @@ type ClusterConfig struct {
 type Config struct {
 	// StoreDir roots the disk store; empty disables cross-restart caching.
 	StoreDir string
-	// Workers is the goroutine budget each construction/reduction may use
-	// (0 = NumCPU).
+	// Workers is the goroutine budget of each homology reduction and
+	// decision search, and the number of claim loops each side of a
+	// distributed build runs (0 = NumCPU). An in-process construction
+	// runs on one goroutine whatever its value.
 	Workers int
 	// Pool bounds concurrent computes (0 = NumCPU); Queue bounds how many
 	// more may wait for a slot (0 = 4*Pool, negative = none).

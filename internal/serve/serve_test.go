@@ -306,6 +306,58 @@ func TestBudgetAdmission(t *testing.T) {
 	}
 }
 
+// TestBudgetAdmissionOverflow: a model whose facet product does not fit
+// an int64 is priced as saturated and refused with 413. Async with f = n
+// has one branch of 2^(n(n+1)) facets, a product that wraps to exactly 0
+// in int64 arithmetic for these n.
+func TestBudgetAdmissionOverflow(t *testing.T) {
+	s := newTestServer(t, "", nil)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	paths := []string{
+		"/v1/rounds?model=async&n=12&f=12&r=1",
+		"/v1/rounds?model=async&n=8&f=8&r=1",
+		"/v1/connectivity?model=async&n=10&f=10&r=1",
+	}
+	for _, path := range paths {
+		if code, _, body := get(t, ts, path); code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: status %d (want 413): %v", path, code, body)
+		}
+	}
+	_, _, metrics := get(t, ts, "/metrics")
+	if got := metrics["counters"].(map[string]any)["rejected_budget"]; got != float64(len(paths)) {
+		t.Fatalf("rejected_budget counter: %v, want %d", got, len(paths))
+	}
+}
+
+// TestIISPricedByArithmetic: an IIS request is refused before pricing
+// enumerates a single ordered partition. IIS n=5 r=2 has 4683^2 facet
+// insertions, over the default budget by its arithmetic floor, and n=7 is
+// out of the preset's range.
+func TestIISPricedByArithmetic(t *testing.T) {
+	s := newTestServer(t, "", nil)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	for _, tc := range []struct {
+		path string
+		code int
+	}{
+		{"/v1/rounds?model=iis&n=5&r=2", http.StatusRequestEntityTooLarge},
+		{"/v1/rounds?model=iis&n=7&r=1", http.StatusBadRequest},
+	} {
+		start := time.Now()
+		code, _, body := get(t, ts, tc.path)
+		if code != tc.code {
+			t.Errorf("%s: status %d (want %d): %v", tc.path, code, tc.code, body)
+		}
+		if elapsed := time.Since(start); elapsed > time.Second {
+			t.Errorf("%s: refusal took %v; it must not enumerate the partitions", tc.path, elapsed)
+		}
+	}
+}
+
 // TestDecisionInputBudget pins the REVIEW fix: a /v1/decision request
 // whose |values|^(n+1) input facets exceed the budget must be refused by
 // arithmetic (413, fast) — never by enumerating the inputs first, which

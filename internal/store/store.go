@@ -77,9 +77,6 @@ func Open(dir string) (*Store, error) {
 	return &Store{root: dir}, nil
 }
 
-// Root returns the store's root directory.
-func (s *Store) Root() string { return s.root }
-
 // pathOf maps a key to its entry path: root/<first hex byte>/<full hash>.
 func (s *Store) pathOf(key string) string {
 	sum := sha256.Sum256([]byte(key))

@@ -93,13 +93,13 @@ func TestTotalBelowPerRound(t *testing.T) {
 	}
 }
 
-// TestOneRoundParallelMatchesOneRound: the one-round complex built on
-// four workers is the union of the Lemma 14 pieces S^1_K(S) over the
-// failure sets K.
+// TestOneRoundParallelMatchesOneRound: the one-round complex Build
+// returns is the union of the Lemma 14 pieces S^1_K(S) over the failure
+// sets K.
 func TestOneRoundParallelMatchesOneRound(t *testing.T) {
 	p := Params{PerRound: 1, Total: 3}
 	input := inputSimplex("a", "b", "c", "d")
-	got, err := roundop.Build(context.Background(), p.Operator(), input, 1, roundop.Options{Workers: 4})
+	got, err := roundop.Build(context.Background(), p.Operator(), input, 1, roundop.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,21 +112,20 @@ func TestOneRoundParallelMatchesOneRound(t *testing.T) {
 		want.Merge(piece)
 	}
 	if got.Complex.CanonicalHash() != want.Complex.CanonicalHash() {
-		t.Error("four-worker build differs from the union of the Lemma 14 pieces")
+		t.Error("Build's complex differs from the union of the Lemma 14 pieces")
 	}
 }
 
 // TestRoundsParallelMatchesSerial shares one operator value between
-// concurrent multi-worker builds: its option tables are read from every
-// worker of every build at once (the -race run checks the operator keeps
-// no mutable state), and each build must match a one-worker build made
-// before any of them (roundop's differential table pins one-worker builds
-// of the same parameters).
+// concurrent builds: its option tables are read from every build at once
+// (the -race run checks the operator keeps no mutable state), and each
+// build must match one made before any of them (roundop's differential
+// table pins builds of the same parameters).
 func TestRoundsParallelMatchesSerial(t *testing.T) {
 	p := Params{PerRound: 1, Total: 2}
 	input := inputSimplex("a", "b", "c", "d")
 	op := p.Operator()
-	want, err := roundop.Build(context.Background(), op, input, 2, roundop.Options{Workers: 1})
+	want, err := roundop.Build(context.Background(), op, input, 2, roundop.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +135,7 @@ func TestRoundsParallelMatchesSerial(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			res, err := roundop.Build(context.Background(), op, input, 2, roundop.Options{Workers: g + 1})
+			res, err := roundop.Build(context.Background(), op, input, 2, roundop.Options{})
 			if err != nil {
 				t.Error(err)
 				return
@@ -147,7 +146,7 @@ func TestRoundsParallelMatchesSerial(t *testing.T) {
 	wg.Wait()
 	for g, h := range hashes {
 		if h != want.Complex.CanonicalHash() {
-			t.Errorf("concurrent build on %d workers diverged from the serial reference", g+1)
+			t.Errorf("concurrent build %d diverged from the reference build", g)
 		}
 	}
 }
@@ -156,7 +155,7 @@ func TestRoundsParallelCtxPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	p := Params{PerRound: 1, Total: 2}
-	_, err := roundop.Build(ctx, p.Operator(), inputSimplex("a", "b", "c", "d"), 2, roundop.Options{Workers: 4})
+	_, err := roundop.Build(ctx, p.Operator(), inputSimplex("a", "b", "c", "d"), 2, roundop.Options{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}

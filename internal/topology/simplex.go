@@ -82,15 +82,6 @@ func (s Simplex) IDs() []int {
 	return ids
 }
 
-// Labels returns the vertex labels in process-id order.
-func (s Simplex) Labels() []string {
-	ls := make([]string, len(s))
-	for i, v := range s {
-		ls[i] = v.Label
-	}
-	return ls
-}
-
 // LabelOf returns the label of the vertex with the given process id, and
 // whether the simplex has such a vertex.
 func (s Simplex) LabelOf(p int) (string, bool) {
