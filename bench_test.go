@@ -201,7 +201,7 @@ func BenchmarkE7SyncConnectivityCached(b *testing.B) {
 
 func BenchmarkE8SyncBoundTable(b *testing.B) {
 	inputs := []string{"0", "1", "2"}
-	schedules, err := sim.EnumerateCrashSchedules(context.Background(), len(inputs), 1, 2, 1)
+	schedules, err := sim.EnumerateCrashSchedules(context.Background(), len(inputs), 1, 2)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -6,12 +6,10 @@
 //
 // Usage:
 //
-//	benchconstruct [-workers 4] [-deep] [-report out.json]
+//	benchconstruct [-deep] [-reduce=false] [-report out.json]
 //	               [-progress] [-debug-addr :6060]
 //
-// -workers sets the goroutine budget of the reductions and the
-// crash-schedule enumeration (0 = NumCPU); every construction runs on one
-// goroutine.
+// Every construction, reduction and enumeration runs on one goroutine.
 // -deep adds the large n=4 asynchronous instances, including the
 // 16^5-facet A^1 n=4 f=4 pseudosphere (1.4M simplexes) that the
 // pre-interning string-keyed builder could not construct in reasonable
@@ -38,7 +36,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"runtime"
 	"time"
 
 	"pseudosphere/internal/asyncmodel"
@@ -68,17 +65,12 @@ func main() {
 }
 
 func realMain() int {
-	workers := flag.Int("workers", 0, "reduction and crash-schedule enumeration goroutines (0 = NumCPU)")
 	deep := flag.Bool("deep", false, "include the large n=4 asynchronous instances")
 	reduce := flag.Bool("reduce", true, "time GF(2) reduction after each construction")
 	reportPath := flag.String("report", "", "write the measurements as a JSON run report to this file")
 	progress := flag.Bool("progress", false, "print periodic progress lines to stderr")
 	debugAddr := flag.String("debug-addr", "", "serve expvar and pprof on this address (e.g. :6060)")
 	flag.Parse()
-	w := *workers
-	if w <= 0 {
-		w = runtime.NumCPU()
-	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
@@ -99,10 +91,9 @@ func realMain() int {
 		fmt.Fprintf(os.Stderr, "benchconstruct: debug server at http://%s/debug/vars\n", ds.Addr)
 	}
 
-	err := run(ctx, os.Stdout, w, *deep, *reduce)
+	err := run(ctx, os.Stdout, *deep, *reduce)
 	if out := *reportPath; out != "" {
 		rep := tracker.Snapshot("benchconstruct")
-		rep.Workers = w
 		rep.Deep = *deep
 		rep.Interrupted = ctx.Err() != nil
 		if werr := rep.WriteFile(out); werr != nil {
@@ -121,7 +112,7 @@ func realMain() int {
 	return 0
 }
 
-func run(ctx context.Context, w io.Writer, workers int, deep bool, reduce bool) error {
+func run(ctx context.Context, w io.Writer, deep bool, reduce bool) error {
 	tracker := obs.FromContext(ctx)
 	// record times one case as an obs stage, attaching the measured sizes
 	// as stage metadata — the -report serialization is the report plumbing,
@@ -163,7 +154,7 @@ func run(ctx context.Context, w io.Writer, workers int, deep bool, reduce bool) 
 		sname := name + " reduce morse"
 		stage := tracker.Stage(sname)
 		start := time.Now()
-		betti, err := homology.NewEngine(workers, nil).BettiZ2Ctx(ctx, c)
+		betti, err := homology.NewEngine(1, nil).BettiZ2Ctx(ctx, c)
 		elapsed := time.Since(start)
 		stage.End()
 		if err != nil {
@@ -221,7 +212,7 @@ func run(ctx context.Context, w io.Writer, workers int, deep bool, reduce bool) 
 	for _, c := range []struct{ n1, f, maxRound int }{{4, 2, 3}, {3, 2, 2}} {
 		name := fmt.Sprintf("EnumerateCrashSchedules(%d,%d,%d)", c.n1, c.f, c.maxRound)
 		err := record(name, func() (int, int, int, error) {
-			out, err := sim.EnumerateCrashSchedules(ctx, c.n1, c.f, c.maxRound, workers)
+			out, err := sim.EnumerateCrashSchedules(ctx, c.n1, c.f, c.maxRound)
 			return 0, 0, len(out), err
 		})
 		if err != nil {

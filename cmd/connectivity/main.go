@@ -23,11 +23,9 @@
 // (crash budgets, or directed communication graphs with an optional
 // round schedule) — the same dialect the server's POST endpoints accept.
 //
-// The round complex is built on one goroutine and queried by the
-// parallel memoized homology engine (-cache, default on), whose goroutine
-// budget -workers sets (default NumCPU). The Betti output is identical
-// for every worker count. -cpuprofile and -memprofile write pprof
-// profiles for the run.
+// The round complex is built and queried on one goroutine, by the
+// memoized homology engine (-cache, default on). -cpuprofile and
+// -memprofile write pprof profiles for the run.
 //
 // -progress prints periodic counter lines to stderr, -debug-addr serves
 // live expvar and pprof, and -report writes a JSON run report. SIGINT
@@ -62,7 +60,6 @@ type config struct {
 	n, m, f, k int
 	r          int
 	c1, c2, d  int
-	workers    int
 	cache      bool
 }
 
@@ -84,7 +81,6 @@ func realMain() int {
 	flag.IntVar(&cfg.c1, "c1", 1, "semisync: min step interval")
 	flag.IntVar(&cfg.c2, "c2", 2, "semisync: max step interval")
 	flag.IntVar(&cfg.d, "d", 2, "semisync: max delivery delay")
-	flag.IntVar(&cfg.workers, "workers", 0, "homology worker goroutines (0 = NumCPU)")
 	flag.BoolVar(&cfg.cache, "cache", true, "memoize homology by canonical complex hash")
 	progress := flag.Bool("progress", false, "print periodic progress lines to stderr")
 	debugAddr := flag.String("debug-addr", "", "serve expvar and pprof on this address (e.g. :6060)")
@@ -148,7 +144,6 @@ func realMain() int {
 	}
 	if *reportPath != "" {
 		rep := tracker.Snapshot("connectivity")
-		rep.Workers = workerCount(cfg.workers)
 		rep.Interrupted = ctx.Err() != nil
 		if werr := rep.WriteFile(*reportPath); werr != nil {
 			fmt.Fprintln(os.Stderr, "connectivity:", werr)
@@ -284,7 +279,7 @@ func runReport(ctx context.Context, w io.Writer, cfg config, inst *modelspec.Ins
 	if cfg.cache {
 		cache = homology.NewCache()
 	}
-	eng := homology.NewEngine(cfg.workers, cache)
+	eng := homology.NewEngine(1, cache)
 
 	fmt.Fprintf(w, "%s\n", complexName)
 	fmt.Fprintf(w, "f-vector:      %v\n", c.FVector())
@@ -308,7 +303,7 @@ func runReport(ctx context.Context, w io.Writer, cfg config, inst *modelspec.Ins
 	}
 	if cache != nil {
 		hits, misses, _ := eng.CacheStats()
-		fmt.Fprintf(w, "engine:        workers=%d cache hits=%d misses=%d\n", workerCount(cfg.workers), hits, misses)
+		fmt.Fprintf(w, "engine:        cache hits=%d misses=%d\n", hits, misses)
 	}
 	return nil
 }
@@ -349,7 +344,7 @@ func runTable(ctx context.Context, w io.Writer, cfg config, header string, top i
 	if cfg.cache {
 		cache = homology.NewCache()
 	}
-	eng := homology.NewEngine(cfg.workers, cache)
+	eng := homology.NewEngine(1, cache)
 	fmt.Fprintf(w, "%s\n", header)
 	fmt.Fprintf(w, "%4s  %8s  %12s  %6s  %s\n", "m'", "facets", "connectivity", "target", "verdict")
 	stage := tracker.Stage("construct")
@@ -375,16 +370,9 @@ func runTable(ctx context.Context, w io.Writer, cfg config, header string, top i
 	stage.End()
 	if cache != nil {
 		hits, misses, _ := eng.CacheStats()
-		fmt.Fprintf(w, "engine:        workers=%d cache hits=%d misses=%d\n", workerCount(cfg.workers), hits, misses)
+		fmt.Fprintf(w, "engine:        cache hits=%d misses=%d\n", hits, misses)
 	}
 	return nil
-}
-
-func workerCount(flagged int) int {
-	if flagged > 0 {
-		return flagged
-	}
-	return runtime.NumCPU()
 }
 
 // inputSimplex builds the m-dimensional input simplex; the vertices are

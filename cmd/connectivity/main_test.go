@@ -31,8 +31,8 @@ func TestRunAllModels(t *testing.T) {
 			want: "M^1(S^2), n=2 k=1 p=2",
 		},
 		{
-			name: "async parallel cached",
-			cfg:  config{model: "async", n: 2, m: -1, f: 1, r: 1, workers: 2, cache: true},
+			name: "async cached",
+			cfg:  config{model: "async", n: 2, m: -1, f: 1, r: 1, cache: true},
 			want: "cache hits=1 misses=1",
 		},
 	}

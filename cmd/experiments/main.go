@@ -4,13 +4,13 @@
 //
 // Usage:
 //
-//	experiments [-id E5] [-markdown] [-workers 4] [-cache=false] [-deep]
+//	experiments [-id E5] [-markdown] [-cache=false] [-deep]
 //	            [-progress] [-debug-addr :6060] [-report out.json]
 //	            [-cpuprofile cpu.out] [-memprofile mem.out]
 //
-// Connectivity queries run on the parallel memoized homology engine;
-// -workers sets its goroutine budget (0 = NumCPU), and -cache=false forces
-// every query to recompute. Round complexes are built on one goroutine.
+// Connectivity queries run on the memoized homology engine, and
+// -cache=false forces every query to recompute. Round complexes are
+// built, and every query answered, on one goroutine.
 // -deep extends E15 with the large-envelope constructions (minutes of
 // work; off by default so test runs stay fast). -cpuprofile and
 // -memprofile write pprof profiles for the run.
@@ -48,7 +48,6 @@ func main() {
 func realMain() int {
 	id := flag.String("id", "", "run a single experiment (e.g. E5); default all")
 	markdown := flag.Bool("markdown", false, "emit GitHub-flavored markdown")
-	workers := flag.Int("workers", 0, "homology worker goroutines (0 = NumCPU)")
 	cache := flag.Bool("cache", true, "memoize homology by canonical complex hash")
 	deep := flag.Bool("deep", false, "include the large-envelope E15 constructions")
 	progress := flag.Bool("progress", false, "print periodic progress lines to stderr")
@@ -70,7 +69,7 @@ func realMain() int {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	experiments.ConfigureEngine(*workers, *cache)
+	experiments.ConfigureEngine(*cache)
 	experiments.SetDeepScaling(*deep)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -107,7 +106,6 @@ func realMain() int {
 	}
 	if *reportPath != "" {
 		rep := tracker.Snapshot("experiments")
-		rep.Workers = *workers
 		rep.Deep = *deep
 		rep.Interrupted = ctx.Err() != nil
 		if werr := rep.WriteFile(*reportPath); werr != nil {

@@ -22,7 +22,7 @@ var update = flag.Bool("update", false, "rewrite testdata/experiments.txt from t
 // cache line independent of the tests that ran before. Rewrite the file
 // with go test ./cmd/experiments -run TestExperimentsGolden -update.
 func TestExperimentsGolden(t *testing.T) {
-	experiments.ConfigureEngine(0, true)
+	experiments.ConfigureEngine(true)
 	var buf bytes.Buffer
 	if err := run(context.Background(), &buf, "", false); err != nil {
 		t.Fatal(err)

@@ -92,7 +92,7 @@ func realMain(args []string, ready chan<- net.Addr) int {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	addr := fs.String("addr", ":8080", "listen address")
 	storeDir := fs.String("store", "", "result store directory (empty: in-memory caching only)")
-	workers := fs.Int("workers", 0, "reduction, decision-search and distributed-build goroutines per request (0 = NumCPU)")
+	workers := fs.Int("workers", 0, "distributed-build claim loops per replica (0 = NumCPU)")
 	pool := fs.Int("pool", 0, "max concurrent computes (0 = NumCPU)")
 	queue := fs.Int("queue", 0, "max queued computes beyond the pool (0 = 4x pool, -1 = none)")
 	timeout := fs.Duration("timeout", 60*time.Second, "per-request compute deadline")

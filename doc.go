@@ -4,10 +4,10 @@
 //
 // The library builds the paper's combinatorial objects — simplicial
 // complexes (internal/topology), their homology and connectivity
-// (internal/homology: serial references plus a parallel sparse engine
-// for GF(2), GF(p) and Q with canonical-hash memoization, differentially
-// tested to give bit-identical Betti numbers for every worker count; the
-// cmd tools expose it via -workers and -cache), pseudospheres and their algebra
+// (internal/homology: serial references plus a sparse engine for GF(2),
+// GF(p) and Q with coreduction and canonical-hash memoization,
+// differentially tested to give bit-identical Betti numbers; the cmd
+// tools expose its cache via -cache), pseudospheres and their algebra
 // (internal/core) —
 // and the three round-structured protocol-complex constructions the paper
 // unifies: asynchronous (internal/asyncmodel), synchronous
@@ -17,8 +17,8 @@
 // cmd/experiments tool.
 //
 // An executable substrate (internal/sim) runs real agreement protocols
-// (internal/protocols) as goroutines over reliable FIFO channels under the
-// same three timing models, with crash injection; it supplies the matching
+// (internal/protocols) over reliable FIFO links under the same three
+// timing models, with crash injection; it supplies the matching
 // upper bounds for the paper's lower bounds (Theorem 18, Corollaries 13
 // and 22).
 //

@@ -27,7 +27,7 @@ func main() {
 	fmt.Printf("Theorem 18 (k=1): consensus with n=%d, f=%d needs %d rounds\n", n, f, lb)
 
 	// The f+1-round protocol survives EVERY crash schedule.
-	schedules, err := sim.EnumerateCrashSchedules(context.Background(), len(inputs), f, f+1, 1)
+	schedules, err := sim.EnumerateCrashSchedules(context.Background(), len(inputs), f, f+1)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func main() {
 
 	// One round fewer is NOT enough: exhibit a breaking schedule.
 	short := protocols.NewSyncKSet(0, 1) // flood for only 1 round
-	shortSchedules, err := sim.EnumerateCrashSchedules(context.Background(), len(inputs), f, f, 1)
+	shortSchedules, err := sim.EnumerateCrashSchedules(context.Background(), len(inputs), f, f)
 	if err != nil {
 		log.Fatal(err)
 	}

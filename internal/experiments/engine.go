@@ -13,21 +13,19 @@ import (
 // conn is the homology engine every experiment's connectivity and Betti
 // query routes through. The experiments repeatedly interrogate unions,
 // intersections, links, and skeleta of the same round complexes (the
-// Mayer–Vietoris sweeps especially), so memoization is on by default and
-// the worker budget follows runtime.NumCPU().
-var conn = homology.NewEngine(0, homology.NewCache())
+// Mayer–Vietoris sweeps especially), so memoization is on by default.
+var conn = homology.NewEngine(1, homology.NewCache())
 
-// ConfigureEngine replaces the shared engine: workers <= 0 selects
-// runtime.NumCPU(), and cached=false disables memoization so every query
-// recomputes (the configuration the differential benchmarks compare
-// against). Call it before running experiments; it is not synchronized
-// with concurrent experiment runs.
-func ConfigureEngine(workers int, cached bool) {
+// ConfigureEngine replaces the shared engine: cached=false disables
+// memoization so every query recomputes (the configuration the
+// differential benchmarks compare against). Call it before running
+// experiments; it is not synchronized with concurrent experiment runs.
+func ConfigureEngine(cached bool) {
 	var cache *homology.Cache
 	if cached {
 		cache = homology.NewCache()
 	}
-	conn = homology.NewEngine(workers, cache)
+	conn = homology.NewEngine(1, cache)
 }
 
 // build constructs op's r-round complex over input.

@@ -42,8 +42,8 @@ func TestSharedEngineConcurrentQueries(t *testing.T) {
 // TestConfigureEngine checks the uncached configuration still agrees with
 // the serial reference and that reconfiguration replaces the engine.
 func TestConfigureEngine(t *testing.T) {
-	defer ConfigureEngine(0, true) // restore the default for other tests
-	ConfigureEngine(2, false)
+	defer ConfigureEngine(true) // restore the default for other tests
+	ConfigureEngine(false)
 	sphere := mustUniform(core.ProcessSimplex(2), binary)
 	ctx := context.Background()
 	want := homology.BettiZ2(sphere)
@@ -59,7 +59,7 @@ func TestConfigureEngine(t *testing.T) {
 	if hits, misses, entries := EngineStats(); hits+misses != 0 || entries != 0 {
 		t.Fatalf("uncached engine reported cache stats %d/%d/%d", hits, misses, entries)
 	}
-	ConfigureEngine(0, true)
+	ConfigureEngine(true)
 	for pass := 0; pass < 2; pass++ {
 		if _, err := conn.BettiZ2Ctx(ctx, sphere); err != nil {
 			t.Fatal(err)

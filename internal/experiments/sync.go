@@ -173,7 +173,7 @@ func E8SyncBoundTable(ctx context.Context) (*Table, error) {
 	inputs := []string{"0", "1", "2"}
 	f := 1
 	okAll := true
-	schedules, err := sim.EnumerateCrashSchedules(ctx, len(inputs), f, f+1, 1)
+	schedules, err := sim.EnumerateCrashSchedules(ctx, len(inputs), f, f+1)
 	if err != nil {
 		return nil, err
 	}
@@ -190,7 +190,7 @@ func E8SyncBoundTable(ctx context.Context) (*Table, error) {
 
 	broke := false
 	short := protocols.NewSyncKSet(0, 1) // 1-round flooding, pretending f=0
-	shortSchedules, err := sim.EnumerateCrashSchedules(ctx, len(inputs), f, f, 1)
+	shortSchedules, err := sim.EnumerateCrashSchedules(ctx, len(inputs), f, f)
 	if err != nil {
 		return nil, err
 	}

@@ -31,9 +31,8 @@ func BenchmarkBettiZ2(b *testing.B) {
 	}
 }
 
-// The engine ablation: the serial sparse reference against the engine
-// at one and four workers and memoized, all on the same complex (7^3 =
-// 343 facets, enough columns to engage the chunked reduction).
+// The engine ablation: the serial sparse reference against the engine,
+// unmemoized and memoized, all on the same complex (7^3 = 343 facets).
 func benchEngine(b *testing.B, e *Engine) {
 	c := benchSphereProduct(7)
 	want := BettiZ2(c)
@@ -55,12 +54,8 @@ func BenchmarkEngineSerial(b *testing.B) {
 	benchEngine(b, NewEngine(1, nil))
 }
 
-func BenchmarkEngineParallel(b *testing.B) {
-	benchEngine(b, NewEngine(4, nil))
-}
-
 func BenchmarkEngineCached(b *testing.B) {
-	benchEngine(b, NewEngine(4, NewCache()))
+	benchEngine(b, NewEngine(1, NewCache()))
 }
 
 func BenchmarkBettiGFp(b *testing.B) {

@@ -6,12 +6,12 @@ import (
 	"sync/atomic"
 )
 
-// colStore is the column store the low-index reduction (reduceColumns,
-// rankOf) runs on. There is one store per coefficient field:
-// sparseZ2Matrix for GF(2), and coefMatrix for GF(p) and for Q. lowOf
-// returns the highest row index with a nonzero entry in column j (-1
-// for a zero column); addInto cancels column dst's low entry against
-// column src, whose low entry sits in the same row.
+// colStore is the column store the low-index reduction (rankOf) runs
+// on. There is one store per coefficient field: sparseZ2Matrix for
+// GF(2), and coefMatrix for GF(p) and for Q. lowOf returns the highest
+// row index with a nonzero entry in column j (-1 for a zero column);
+// addInto cancels column dst's low entry against column src, whose low
+// entry sits in the same row.
 type colStore interface {
 	numCols() int
 	lowOf(j int) int
@@ -57,14 +57,14 @@ type coefColumn struct {
 type coefMatrix struct {
 	p        int64
 	cols     []coefColumn
-	overflow atomic.Bool
+	overflow bool
 }
 
 func (m *coefMatrix) numCols() int { return len(m.cols) }
 
 func (m *coefMatrix) lowOf(j int) int {
 	rows := m.cols[j].rows
-	if len(rows) == 0 || m.overflow.Load() {
+	if len(rows) == 0 || m.overflow {
 		return -1
 	}
 	return rows[len(rows)-1]
@@ -80,7 +80,7 @@ func (m *coefMatrix) addInto(dst, src int) {
 	g := gcd(a, b)
 	out, ok := lincomb(x, y, b/g, -a/g, 0)
 	if !ok {
-		m.overflow.Store(true)
+		m.overflow = true
 		m.cols[dst] = coefColumn{}
 		return
 	}
@@ -101,9 +101,9 @@ func (m *coefMatrix) addInto(dst, src int) {
 // rank is rankOf on m, plus the Q overflow fallback: when a combination
 // overflowed int64, the rank is recomputed by the exact rationalRank
 // over dense(), which must return the matrix m held before reduction.
-func (m *coefMatrix) rank(workers int, cancelled *atomic.Bool, dense func() [][]int64) int {
-	r := rankOf(m, workers, cancelled)
-	if m.overflow.Load() {
+func (m *coefMatrix) rank(cancelled *atomic.Bool, dense func() [][]int64) int {
+	r := rankOf(m, cancelled)
+	if m.overflow {
 		return rationalRank(dense(), cancelled)
 	}
 	return r

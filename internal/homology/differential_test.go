@@ -111,10 +111,8 @@ func diffInstances(t *testing.T) map[string]*topology.Complex {
 
 func diffEngines() map[string]*homology.Engine {
 	return map[string]*homology.Engine{
-		"w1":        homology.NewEngine(1, nil),
-		"w4":        homology.NewEngine(4, nil),
-		"w4/cached": homology.NewEngine(4, homology.NewCache()),
-		"w3/cached": homology.NewEngine(3, homology.NewCache()),
+		"uncached": homology.NewEngine(1, nil),
+		"cached":   homology.NewEngine(1, homology.NewCache()),
 	}
 }
 
@@ -154,11 +152,11 @@ func TestDifferentialEngineVsSerial(t *testing.T) {
 // and rational engines against their unreduced references on every
 // instance: the Morse pass claims exactness over arbitrary coefficients,
 // so it must be invisible in all three fields, not just GF(2). Both the
-// serial wrappers and the context-taking engine methods at four workers
-// are checked; 1,048,573 is the largest prime under the service's cap.
+// serial wrappers and the context-taking engine methods are checked;
+// 1,048,573 is the largest prime under the service's cap.
 func TestDifferentialMorseFieldEngines(t *testing.T) {
 	ctx := context.Background()
-	e := homology.NewEngine(4, nil)
+	e := homology.NewEngine(1, nil)
 	for iname, c := range diffInstances(t) {
 		for _, p := range []int64{2, 3, 7, 1048573} {
 			want, err := homology.BettiGFp(c, p)
@@ -209,7 +207,7 @@ func TestFieldGoldenBetti(t *testing.T) {
 			t.Fatal(err)
 		}
 		c := res.Complex
-		e := homology.NewEngine(2, nil)
+		e := homology.NewEngine(1, nil)
 		z2, err := e.BettiZ2Ctx(ctx, c)
 		if err != nil || !sameInts(z2, g.want) {
 			t.Fatalf("%s: GF(2) = %v, %v; want %v", g.name, z2, err, g.want)

@@ -2,28 +2,26 @@ package homology
 
 import (
 	"context"
-	"runtime"
 	"strconv"
-	"sync"
 	"sync/atomic"
 
 	"pseudosphere/internal/obs"
 	"pseudosphere/internal/topology"
 )
 
-// reduceColumns runs the standard low-index column reduction over the
-// given columns. Every addition cancels against a column from the same
-// set, so concurrent calls on disjoint column sets never share mutable
-// state. It returns the indices of the surviving (independent) columns;
-// their count is the rank of the submatrix they span. A non-nil
-// cancelled flag is probed once per column; on cancellation the partial
-// survivor list is returned and the caller discards it.
-func reduceColumns(m colStore, js []int, cancelled *atomic.Bool) []int {
-	lowOwner := make(map[int]int, len(js))
-	out := make([]int, 0, len(js))
-	for _, j := range js {
+// rankOf computes the rank of m over its field by the standard low-index
+// column reduction: each column in turn cancels its lowest entry against
+// the earlier column owning that row until its low row is unowned or the
+// column is zero. The surviving columns are independent, and their count
+// is the rank. A non-nil cancelled flag is probed once per column; on
+// cancellation the returned rank is meaningless and the caller must not
+// use it.
+func rankOf(m colStore, cancelled *atomic.Bool) int {
+	n := m.numCols()
+	lowOwner := make(map[int]int, n)
+	for j := 0; j < n; j++ {
 		if cancelled != nil && cancelled.Load() {
-			return out
+			return 0
 		}
 		for {
 			low := m.lowOf(j)
@@ -33,92 +31,31 @@ func reduceColumns(m colStore, js []int, cancelled *atomic.Bool) []int {
 			owner, ok := lowOwner[low]
 			if !ok {
 				lowOwner[low] = j
-				out = append(out, j)
 				break
 			}
 			m.addInto(j, owner)
 		}
 	}
-	return out
+	return len(lowOwner)
 }
 
-// minParallelColumns is the column count below which sharding a reduction
-// across goroutines costs more than it saves.
-const minParallelColumns = 256
-
-// rankOf computes the rank of m over its field, sharding the column reduction
-// across up to `workers` goroutines. Each worker reduces a disjoint
-// contiguous block of columns to a local independent set (column
-// operations are block-internal, so blocks share nothing mutable); the
-// surviving columns of all blocks span the same space as the original
-// matrix, and a final serial pass over the survivors yields the rank.
-// Rank is a basis-independent invariant, so the result is identical for
-// every worker count — the determinism guarantee the engine advertises.
-// A non-nil cancelled flag aborts the reduction early; the returned rank
-// is then meaningless and the caller must not use it.
-func rankOf(m colStore, workers int, cancelled *atomic.Bool) int {
-	n := m.numCols()
-	if n == 0 {
-		return 0
-	}
-	chunks := workers
-	if max := (n + minParallelColumns - 1) / minParallelColumns; chunks > max {
-		chunks = max
-	}
-	if chunks <= 1 {
-		js := make([]int, n)
-		for i := range js {
-			js[i] = i
-		}
-		return len(reduceColumns(m, js, cancelled))
-	}
-	survivors := make([][]int, chunks)
-	var wg sync.WaitGroup
-	for ci := 0; ci < chunks; ci++ {
-		lo, hi := ci*n/chunks, (ci+1)*n/chunks
-		wg.Add(1)
-		go func(ci, lo, hi int) {
-			defer wg.Done()
-			js := make([]int, hi-lo)
-			for i := range js {
-				js[i] = lo + i
-			}
-			survivors[ci] = reduceColumns(m, js, cancelled)
-		}(ci, lo, hi)
-	}
-	wg.Wait()
-	merged := make([]int, 0, n)
-	for _, s := range survivors {
-		merged = append(merged, s...)
-	}
-	return len(reduceColumns(m, merged, cancelled))
-}
-
-// Engine is the parallel, optionally memoized homology engine. The zero
-// value is usable (one worker per CPU, no cache); NewEngine is the usual
-// constructor. Every field runs the same pipeline: coreduction (morse.go)
+// Engine is the optionally memoized homology engine. The zero value is
+// usable (no cache); NewEngine is the usual constructor. Every field runs
+// the same pipeline on the caller's goroutine: coreduction (morse.go)
 // collapses the acyclic bulk, then one low-index column reduction
 // (rankOf) reduces the restricted boundary matrices in the field's
 // column store (columns.go). The serial package-level functions
 // (BettiZ2, BettiGFp, BettiQ) remain the reference implementations the
 // test suite diffs this engine against.
-//
-// Determinism: Betti numbers are matrix ranks, which do not depend on the
-// order column reductions are interleaved, so an Engine returns identical
-// output for every Workers setting.
 type Engine struct {
-	// Workers is the goroutine budget for each rank computation; values
-	// <= 0 select runtime.NumCPU(). Boundary matrices of different
-	// dimensions are additionally reduced concurrently with one another.
-	Workers int
-
 	cache *Cache
 }
 
-// NewEngine returns an engine with the given worker budget (<= 0 means
-// runtime.NumCPU()) and memoization cache (nil disables caching).
-func NewEngine(workers int, cache *Cache) *Engine {
-	return &Engine{Workers: workers, cache: cache}
+// NewEngine returns an engine with the given memoization cache (nil
+// disables caching). The int is unused; it keeps the signature the bench
+// module calls.
+func NewEngine(_ int, cache *Cache) *Engine {
+	return &Engine{cache: cache}
 }
 
 // CacheStats reports the engine's cache counters; all zeros when the
@@ -130,18 +67,11 @@ func (e *Engine) CacheStats() (hits, misses uint64, entries int) {
 	return e.cache.Stats()
 }
 
-func (e *Engine) workers() int {
-	if e.Workers > 0 {
-		return e.Workers
-	}
-	return runtime.NumCPU()
-}
-
 // BettiZ2Ctx returns the (non-reduced) GF(2) Betti numbers of c, identical
-// to the package-level BettiZ2 but computed by the parallel engine and
-// memoized when the engine has a cache. The returned slice is owned by
-// the caller. The reduction workers probe cancellation once per column
-// and the call returns ctx.Err() once it fires (nothing is cached for an
+// to the package-level BettiZ2 but computed by the engine and memoized
+// when the engine has a cache. The returned slice is owned by the
+// caller. The reduction probes cancellation once per column and the
+// call returns ctx.Err() once it fires (nothing is cached for an
 // aborted computation). Concurrent calls for the same uncached complex
 // are coalesced by the cache — one computes, the rest wait — and an
 // obs.Tracker carried by the context has its "columns" counter bumped per
@@ -263,7 +193,7 @@ func (e *Engine) ConnectivityCtx(ctx context.Context, c *topology.Complex) (int,
 
 // BettiGFpCtx returns the Betti numbers of c over GF(p), for a prime p
 // in [2, 2^31), through the same coreduction and column reduction as
-// BettiZ2Ctx; p = 2 runs the GF(2) store. The workers probe ctx once
+// BettiZ2Ctx; p = 2 runs the GF(2) store. The reduction probes ctx once
 // per column. Results are not cached.
 func (e *Engine) BettiGFpCtx(ctx context.Context, c *topology.Complex, p int64) ([]int, error) {
 	if err := checkModulus(p); err != nil {
@@ -325,12 +255,12 @@ func cancelFlag(ctx context.Context) (cancelled *atomic.Bool, stop func()) {
 }
 
 // computeBettiMorse computes Betti numbers 0..min(maxDim, dim) of c over
-// field p (a prime for GF(p), fieldQ for Q). It collapses c first,
-// then reduces only the restricted boundary matrices ∂_1..∂_{maxDim+1}
-// of the critical cells, one goroutine per dimension. The "columns"
-// counter counts the critical columns reduced. Emitted checkpoint ranks are
-// translated back to ranks of the original matrices; emission needs the
-// whole Betti vector, so it only happens on uncapped runs.
+// field p (a prime for GF(p), fieldQ for Q). It collapses c first, then
+// reduces only the restricted boundary matrices ∂_1..∂_{maxDim+1} of the
+// critical cells, in order. The "columns" counter counts the critical
+// columns reduced. Emitted checkpoint ranks are translated back to ranks
+// of the original matrices; emission needs the whole Betti vector, so it
+// only happens on uncapped runs.
 func (e *Engine) computeBettiMorse(ctx context.Context, c *topology.Complex, maxDim int, p int64, emit func(d, rank int)) ([]int, error) {
 	dim := c.Dim()
 	if dim < 0 || maxDim < 0 {
@@ -355,9 +285,7 @@ func (e *Engine) computeBettiMorse(ctx context.Context, c *topology.Complex, max
 	}
 	cr.publish(tr)
 	colCtr := tr.Counter("columns")
-	w := e.workers()
 	ranks := make([]int, dim+2)
-	var wg sync.WaitGroup
 	for d := 1; d <= hi; d++ {
 		// With no critical columns or no critical rows, ∂_d has rank 0:
 		// on pseudospheres every critical cell is top-dimensional, so no
@@ -365,14 +293,9 @@ func (e *Engine) computeBettiMorse(ctx context.Context, c *topology.Complex, max
 		if cr.criticalCount(d) == 0 || cr.criticalCount(d-1) == 0 {
 			continue
 		}
-		wg.Add(1)
-		go func(d int) {
-			defer wg.Done()
-			ranks[d] = cr.rank(d, p, w, cancelled)
-			colCtr.Add(uint64(cr.criticalCount(d)))
-		}(d)
+		ranks[d] = cr.rank(d, p, cancelled)
+		colCtr.Add(uint64(cr.criticalCount(d)))
 	}
-	wg.Wait()
 	if cancelled != nil && cancelled.Load() {
 		if err := ctx.Err(); err != nil {
 			return nil, err

@@ -10,17 +10,10 @@ import (
 )
 
 func engineVariants() map[string]*Engine {
-	out := make(map[string]*Engine)
-	for _, workers := range []int{1, 2, 4} {
-		for _, cached := range []bool{false, true} {
-			var cache *Cache
-			if cached {
-				cache = NewCache()
-			}
-			out[fmt.Sprintf("w%d/cache=%v", workers, cached)] = NewEngine(workers, cache)
-		}
+	return map[string]*Engine{
+		"uncached": NewEngine(1, nil),
+		"cached":   NewEngine(1, NewCache()),
 	}
-	return out
 }
 
 // TestEngineMatchesSerialOnKnownComplexes diffs every engine configuration
@@ -61,7 +54,7 @@ func TestEngineMatchesSerialOnKnownComplexes(t *testing.T) {
 // ReducedBettiZ2Ctx decrements b0 in place on the returned slice, which
 // must never reach the cached value.
 func TestEngineReducedBettiDoesNotCorruptCache(t *testing.T) {
-	e := NewEngine(2, NewCache())
+	e := NewEngine(1, NewCache())
 	c := hollowTetrahedron()
 	first, err := e.ReducedBettiZ2Ctx(context.Background(), c)
 	if err != nil {
@@ -81,9 +74,9 @@ func TestEngineReducedBettiDoesNotCorruptCache(t *testing.T) {
 
 // TestEngineCacheConcurrentHammer drives one shared cached engine from
 // many goroutines over a mix of complexes; run under -race this certifies
-// the cache and the sharded reductions publish no unsynchronized state.
+// the cache publishes no unsynchronized state.
 func TestEngineCacheConcurrentHammer(t *testing.T) {
-	e := NewEngine(4, NewCache())
+	e := NewEngine(1, NewCache())
 	complexes := []*topology.Complex{
 		hollowTriangle(),
 		hollowTetrahedron(),
@@ -137,24 +130,22 @@ func TestEngineCacheConcurrentHammer(t *testing.T) {
 	}
 }
 
-// TestRankOfAgreesAcrossWorkerCounts checks the determinism guarantee at
-// the rank level in every field's store. benchSphereProduct(7) has 343
-// triangle columns, above minParallelColumns, so the chunked path really
-// runs. It is a join of discrete sets, so its homology is free and every
-// field sees the serial GF(2) ranks.
-func TestRankOfAgreesAcrossWorkerCounts(t *testing.T) {
+// TestRankOfAgreesAcrossFields checks rankOf in every field's store
+// against the serial GF(2) reference on the unrestricted boundary
+// matrices of benchSphereProduct(7), 343 triangle columns. It is a join
+// of discrete sets, so its homology is free and every field sees the
+// GF(2) ranks.
+func TestRankOfAgreesAcrossFields(t *testing.T) {
 	cc := NewChainComplex(benchSphereProduct(7))
 	for d := 1; d <= cc.Dim(); d++ {
 		want := cc.boundaryZ2(d).rank()
+		if got := rankOf(cc.boundaryZ2(d), nil); got != want {
+			t.Fatalf("GF(2) d=%d: rank %d, want %d", d, got, want)
+		}
 		signs := cc.signedBoundary(d)
-		for _, workers := range []int{1, 2, 3, 8} {
-			if got := rankOf(cc.boundaryZ2(d), workers, nil); got != want {
-				t.Fatalf("GF(2) d=%d workers=%d: rank %d, want %d", d, workers, got, want)
-			}
-			for _, p := range []int64{3, 1048573, fieldQ} {
-				if got := rankOf(coefFromDense(p, signs), workers, nil); got != want {
-					t.Fatalf("p=%d d=%d workers=%d: rank %d, want %d", p, d, workers, got, want)
-				}
+		for _, p := range []int64{3, 1048573, fieldQ} {
+			if got := rankOf(coefFromDense(p, signs), nil); got != want {
+				t.Fatalf("p=%d d=%d: rank %d, want %d", p, d, got, want)
 			}
 		}
 	}

@@ -61,8 +61,8 @@ const coreduceProbe = 4096
 
 // coreduce runs the pass over c. It is deterministic: entries are seeded
 // and paired in a fixed order, so critical-cell counts are stable across
-// runs and worker settings. A non-nil cancelled flag aborts the pass; ok
-// is then false and the returned value must be discarded.
+// runs. A non-nil cancelled flag aborts the pass; ok is then false and
+// the returned value must be discarded.
 func coreduce(c *topology.Complex, cancelled *atomic.Bool) (cr *coreduced, ok bool) {
 	dim := c.Dim()
 	n := c.EntryCount()
@@ -252,7 +252,7 @@ func (cr *coreduced) criticalCount(d int) int {
 
 // rank reduces the restricted boundary matrix ∂_d over field p (a prime
 // for GF(p), fieldQ for Q) in that field's column store.
-func (cr *coreduced) rank(d int, p int64, workers int, cancelled *atomic.Bool) int {
+func (cr *coreduced) rank(d int, p int64, cancelled *atomic.Bool) int {
 	cols := cr.aliveByDim[d]
 	if p == 2 {
 		m := &sparseZ2Matrix{rows: cr.criticalCount(d - 1), cols: make([][]int, len(cols))}
@@ -265,7 +265,7 @@ func (cr *coreduced) rank(d int, p int64, workers int, cancelled *atomic.Bool) i
 			}
 			m.cols[j] = normalizeColumn(col)
 		}
-		return rankOf(m, workers, cancelled)
+		return rankOf(m, cancelled)
 	}
 	// Dead faces are skipped but keep their vertex-drop position, so the
 	// surviving coefficients are exactly the original (-1)^i signs: the
@@ -294,7 +294,7 @@ func (cr *coreduced) rank(d int, p int64, workers int, cancelled *atomic.Bool) i
 		}
 		m.cols[j] = col
 	}
-	return m.rank(workers, cancelled, func() [][]int64 { return cr.signedBoundary(d) })
+	return m.rank(cancelled, func() [][]int64 { return cr.signedBoundary(d) })
 }
 
 // signedBoundary builds the restricted integer boundary matrix ∂_d as

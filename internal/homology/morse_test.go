@@ -120,7 +120,7 @@ func TestMorseRestrictedFieldEngines(t *testing.T) {
 // so a timed-out request frees its compute slot at once.
 func TestFieldEnginesHonorCancellation(t *testing.T) {
 	c := benchSphereProduct(4)
-	e := NewEngine(2, nil)
+	e := NewEngine(1, nil)
 	tr := obs.NewTracker()
 	ctx, cancel := context.WithCancel(obs.WithTracker(context.Background(), tr))
 	cancel()
@@ -148,10 +148,10 @@ func TestQStoreOverflowFallback(t *testing.T) {
 	}
 	want := rationalRank(a, nil)
 	m := coefFromDense(fieldQ, a)
-	if got := m.rank(2, nil, func() [][]int64 { return a }); got != want {
+	if got := m.rank(nil, func() [][]int64 { return a }); got != want {
 		t.Fatalf("rank = %d, want %d", got, want)
 	}
-	if !m.overflow.Load() {
+	if !m.overflow {
 		t.Fatal("the reduction did not overflow; the fixture no longer tests the fallback")
 	}
 }
@@ -187,7 +187,7 @@ func TestEngineCappedSkipsTopDimensions(t *testing.T) {
 
 	tr := obs.NewTracker()
 	ctx := obs.WithTracker(context.Background(), tr)
-	got, err := NewEngine(2, nil).BettiZ2UpToCtx(ctx, c, 0)
+	got, err := NewEngine(1, nil).BettiZ2UpToCtx(ctx, c, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestEngineCappedSkipsTopDimensions(t *testing.T) {
 
 	// Cache isolation: a capped result must not serve the full query, and
 	// a cached full vector answers capped queries by prefix (Peek path).
-	e := NewEngine(2, NewCache())
+	e := NewEngine(1, NewCache())
 	if _, err := e.BettiZ2UpToCtx(context.Background(), c, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestEngineCappedSkipsTopDimensions(t *testing.T) {
 // upto= endpoint serves, ConnectivityFromBetti over BettiZ2UpToCtx,
 // against min(Connectivity, cap) on the fixtures.
 func TestConnectivityUpToCtx(t *testing.T) {
-	e := NewEngine(2, nil)
+	e := NewEngine(1, nil)
 	for _, c := range []*topology.Complex{
 		hollowTriangle(), hollowTetrahedron(), solidTriangle(), twoComponentComplex(), benchSphereProduct(3),
 		topology.NewComplex(),
@@ -248,7 +248,7 @@ func TestConnectivityUpToCtx(t *testing.T) {
 // engine verbatim, with zero columns reduced.
 func TestBettiResumeCrossMorse(t *testing.T) {
 	for _, c := range []*topology.Complex{hollowTetrahedron(), benchSphereProduct(3), twoComponentComplex()} {
-		e := NewEngine(2, nil)
+		e := NewEngine(1, nil)
 		want := BettiZ2(c)
 		cc := NewChainComplex(c)
 		oracle := map[int]int{}
@@ -326,7 +326,7 @@ func FuzzCoreduce(f *testing.F) {
 			return
 		}
 		want := BettiZ2(c)
-		e := NewEngine(2, nil)
+		e := NewEngine(1, nil)
 		if got, err := e.BettiZ2Ctx(context.Background(), c); err != nil || !equalInts(got, want) {
 			t.Fatalf("morse betti = %v, %v; want %v (facets %s)", got, err, want, c.DescribeFacets())
 		}

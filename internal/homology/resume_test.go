@@ -13,7 +13,7 @@ import (
 // without reducing a single column; a partial known set is ignored.
 func TestBettiResume(t *testing.T) {
 	c := hollowTetrahedron() // dims 0..2, so ∂_1 and ∂_2 are reduced
-	e := NewEngine(2, nil)
+	e := NewEngine(1, nil)
 	want := BettiZ2(c)
 
 	var mu sync.Mutex
@@ -85,7 +85,7 @@ func TestBettiResume(t *testing.T) {
 // BettiZ2Ctx, so a second call is a pure hit and emit never fires.
 func TestBettiResumeCached(t *testing.T) {
 	c := hollowTriangle()
-	e := NewEngine(2, NewCache())
+	e := NewEngine(1, NewCache())
 	want := BettiZ2(c)
 	if got, err := e.BettiZ2CtxResume(context.Background(), c, nil, nil); err != nil || !equalInts(got, want) {
 		t.Fatalf("first call = %v, %v", got, err)

@@ -14,13 +14,12 @@
 // Two kinds of engine coexist. The serial functions over the whole
 // complex (BettiZ2 in this file, BettiGFp in gfp.go, BettiQ in
 // rational.go) are the references, kept intentionally simple. Engine
-// (parallel.go, morse.go, columns.go, cache.go) collapses the complex
-// by coreduction, then runs one low-index column reduction over the
-// critical cells in a column store per field, sharded across
-// goroutines, and memoizes GF(2) results by
-// topology.Complex.CanonicalHash. The differential tests assert the two
-// produce bit-identical Betti numbers on every instance class the repo
-// generates.
+// (engine.go, morse.go, columns.go, cache.go) collapses the complex by
+// coreduction, then runs one low-index column reduction over the
+// critical cells in a column store per field, and memoizes GF(2)
+// results by topology.Complex.CanonicalHash. Both run on the caller's
+// goroutine. The differential tests assert the two produce bit-identical
+// Betti numbers on every instance class the repo generates.
 package homology
 
 import "sort"

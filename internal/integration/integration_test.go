@@ -156,7 +156,7 @@ func TestSyncRuntimeMatchesComplex(t *testing.T) {
 		t.Run(fmt.Sprintf("S^%d n=%d k=%d f=%d", row.r, row.n, row.k, row.f), func(t *testing.T) {
 			in, inputs := rowInput(row.n)
 			got := newRealized(len(inputs))
-			all, err := sim.EnumerateCrashSchedules(context.Background(), len(inputs), row.f, row.r, 1)
+			all, err := sim.EnumerateCrashSchedules(context.Background(), len(inputs), row.f, row.r)
 			if err != nil {
 				t.Fatal(err)
 			}

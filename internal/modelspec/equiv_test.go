@@ -271,6 +271,46 @@ func TestEstimateExactForCompiledSpecs(t *testing.T) {
 	}
 }
 
+// TestCrashFloorEqualsEstimate: the arithmetic floor of the crash-failure
+// models is not just a lower bound but the estimate walk's exact count,
+// on every sync, custom and semisync preset with n <= 4, m <= n,
+// k <= n+2, r <= 3 (semisync with c1=1, c2=2 and d in {2, 3}), and on
+// every crash spec over the same n, m and r with per_round <= n+1 and
+// total absent or in 0..4.
+func TestCrashFloorEqualsEstimate(t *testing.T) {
+	check := func(inst *modelspec.Instance) {
+		t.Helper()
+		want, err := inst.Estimate(input(inst.M))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := inst.InsertionFloor(); got != want {
+			t.Fatalf("%s: InsertionFloor = %d, Estimate = %d", inst.Key, got, want)
+		}
+	}
+	for n := 0; n <= 4; n++ {
+		for m := 0; m <= n; m++ {
+			for r := 0; r <= 3; r++ {
+				for k := 0; k <= n+2; k++ {
+					for _, q := range []string{"model=sync", "model=custom", "model=semisync&d=2", "model=semisync&d=3"} {
+						check(mustQuery(t, fmt.Sprintf("%s&n=%d&m=%d&k=%d&r=%d", q, n, m, k, r)))
+					}
+				}
+				for k := 0; k <= n+1; k++ {
+					total := ""
+					for f := -1; f <= 4; f++ {
+						if f >= 0 {
+							total = fmt.Sprintf(`, "total": %d`, f)
+						}
+						check(mustCompile(t, fmt.Sprintf(`{"processes": %d, "input_dim": %d, "rounds": %d,
+							"adversary": {"kind": "crash", "per_round": %d%s}}`, n+1, m, r, k, total)))
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestScheduleRestrictsRounds: a schedule is a round quantifier — pinning
 // round 2 to one graph must shrink the complex relative to the
 // unscheduled adversary.

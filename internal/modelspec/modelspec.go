@@ -305,6 +305,7 @@ func (a *Adversary) instance(n, m, r int) (*Instance, error) {
 			return nil, &Error{msg: err.Error()}
 		}
 		in.op = p.Operator()
+		in.floor = crashFloor(m, r, p.PerRound, p.Total, 1)
 	case "graphs":
 		in.op = a.operator(n)
 		in.Key = fmt.Sprintf("model=spec|n=%d|m=%d|adv=graphs:%d:%s|r=%d", n, m, len(a.Graphs), a.graphsHash(), r)

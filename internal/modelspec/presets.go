@@ -2,6 +2,7 @@ package modelspec
 
 import (
 	"fmt"
+	"math"
 
 	"pseudosphere/internal/asyncmodel"
 	"pseudosphere/internal/iis"
@@ -41,6 +42,7 @@ func init() {
 		Operator: func(p Params) roundop.Operator {
 			return syncParams(p).Operator()
 		},
+		Floor: syncFloor,
 	})
 	Register(Model{
 		Name:   "semisync",
@@ -50,6 +52,10 @@ func init() {
 		},
 		Operator: func(p Params) roundop.Operator {
 			return semisyncParams(p).Operator()
+		},
+		Floor: func(p Params) int64 {
+			sp := semisyncParams(p)
+			return crashFloor(p.M, p.R, sp.PerRound, sp.Total, sp.Micro())
 		},
 	})
 	Register(Model{
@@ -76,6 +82,7 @@ func init() {
 		Operator: func(p Params) roundop.Operator {
 			return syncParams(p).Operator()
 		},
+		Floor: syncFloor,
 	})
 }
 
@@ -91,12 +98,63 @@ const maxIISN = 6
 // next round has all m+1 participants again. It lets admission refuse a
 // deep IIS build before the estimate walk enumerates a single partition.
 func iisFloor(p Params) int64 {
-	per := int64(iis.FubiniNumber(p.M + 1))
-	total := int64(1)
-	for range p.R {
-		total = pc.SatMul(total, per)
+	return satPow(int64(iis.FubiniNumber(p.M+1)), p.R)
+}
+
+// syncFloor prices the sync and custom presets, which compile to the
+// same crash budget.
+func syncFloor(p Params) int64 {
+	sp := syncParams(p)
+	return crashFloor(p.M, p.R, sp.PerRound, sp.Total, 1)
+}
+
+// crashFloor is the exact facet-insertion count of an r-round build over
+// the m-face under crash failures, at most k per round and b in total,
+// from the branch sizes of Lemmas 14 and 19. A round over P processes
+// has a branch per failure set of j <= min(k, b, P-1) processes and per
+// failure pattern, mu^j of them (mu = 1 in the synchronous model,
+// ceil(d/c1) microrounds in the semi-synchronous one), and each of the
+// P-j survivors hears an arbitrary subset of the j crashed processes:
+//
+//	E(P, r, b) = sum_j C(P, j) * mu^j * 2^(j(P-j)) * E(P-j, r-1, b-j)
+//
+// with E(P, 0, b) = 1, saturating. It lets admission refuse an
+// exponential build before the estimate walk calls Branches at every
+// node of its branch tree.
+func crashFloor(m, r, k, b, mu int) int64 {
+	memo := make(map[[3]int]int64)
+	var e func(p, r, b int) int64
+	e = func(p, r, b int) int64 {
+		if r == 0 {
+			return 1
+		}
+		b = min(b, p-1) // every round leaves a survivor
+		key := [3]int{p, r, b}
+		if v, ok := memo[key]; ok {
+			return v
+		}
+		total, choose := int64(0), int64(1) // choose = C(p, j), exact for p <= MaxN+1
+		for j := 0; j <= min(k, b); j++ {
+			if j > 0 {
+				choose = choose * int64(p-j+1) / int64(j)
+			}
+			term := pc.SatMul(choose, pc.SatMul(satPow(int64(mu), j), satPow(2, j*(p-j))))
+			term = pc.SatMul(term, e(p-j, r-1, b-j))
+			total = min(total, math.MaxInt64-term) + term
+		}
+		memo[key] = total
+		return total
 	}
-	return total
+	return e(m+1, r, b)
+}
+
+// satPow returns base^exp for nonnegative base, saturating.
+func satPow(base int64, exp int) int64 {
+	v := int64(1)
+	for range exp {
+		v = pc.SatMul(v, base)
+	}
+	return v
 }
 
 func asyncParams(p Params) asyncmodel.Params {

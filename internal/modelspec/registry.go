@@ -231,8 +231,10 @@ func (in *Instance) EmptyFor(input topology.Simplex) bool {
 // facet insertions of an R-round build, or 0 when the model defines
 // none. It costs nothing to compute, so admission can refuse an absurd
 // spec before even the one-representative-per-branch estimate walk —
-// which for a graphs adversary is itself as large as the answer, and
-// which for IIS enumerates every ordered partition of the participants.
+// which for a graphs adversary is itself as large as the answer, for
+// IIS enumerates every ordered partition of the participants, and for
+// the crash-failure models builds every failure set's option tables at
+// every node of the branch tree.
 func (in *Instance) InsertionFloor() int64 { return in.floor }
 
 // Estimate prices an R-round build over input via roundop.EstimateFacets

@@ -24,7 +24,6 @@ type Report struct {
 	GoOS        string            `json:"goos"`
 	GoArch      string            `json:"goarch"`
 	NumCPU      int               `json:"numcpu"`
-	Workers     int               `json:"workers,omitempty"`
 	Deep        bool              `json:"deep,omitempty"`
 	Interrupted bool              `json:"interrupted,omitempty"`
 	WallMillis  float64           `json:"wall_millis"`

@@ -13,7 +13,7 @@ import (
 // n1 processes within maxRound rounds.
 func allSchedules(tb testing.TB, n1, f, maxRound int) []sim.CrashSchedule {
 	tb.Helper()
-	out, err := sim.EnumerateCrashSchedules(context.Background(), n1, f, maxRound, 1)
+	out, err := sim.EnumerateCrashSchedules(context.Background(), n1, f, maxRound)
 	if err != nil {
 		tb.Fatal(err)
 	}

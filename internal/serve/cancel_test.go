@@ -17,7 +17,7 @@ import (
 // mid-run cancellation test: cancel once the facet counter shows real
 // progress, then require a fast unwind and a clean goroutine count.
 func TestClientDisconnectCancelsCompute(t *testing.T) {
-	s := newTestServer(t, "", func(c *Config) { c.Workers = 4 })
+	s := newTestServer(t, "", nil)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	tracker := s.Tracker()
@@ -83,7 +83,7 @@ func TestClientDisconnectCancelsCompute(t *testing.T) {
 // still running — and cache hits keep being served.
 func TestSaturationReturns429(t *testing.T) {
 	dir := t.TempDir()
-	s := newTestServer(t, dir, func(c *Config) { c.Pool = 1; c.Queue = -1; c.Workers = 2 })
+	s := newTestServer(t, dir, func(c *Config) { c.Pool = 1; c.Queue = -1 })
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	tracker := s.Tracker()

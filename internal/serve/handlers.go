@@ -252,8 +252,9 @@ func (s *Server) buildPseudosphere(q url.Values) (endpointQuery, error) {
 
 // priceConstruction prices inst over input: the arithmetic insertion
 // floor first — for a graphs adversary the EstimateFacets walk is itself
-// as large as the answer, so an absurd spec must be refused without
-// walking it — then the exact estimate.
+// as large as the answer, and for IIS and the crash-failure models it
+// builds a branch tree exponential in the process count, so an absurd
+// request must be refused without walking it — then the exact estimate.
 func (s *Server) priceConstruction(inst *modelspec.Instance, input topology.Simplex) (int64, error) {
 	if floor := inst.InsertionFloor(); floor > s.cfg.MaxFacets {
 		return floor, overBudget("%s has at least %d facet insertions, budget %d", inst.Key, floor, s.cfg.MaxFacets)
@@ -433,8 +434,7 @@ func (s *Server) buildConnectivity(q url.Values, spec *modelspec.Spec) (endpoint
 // over the model's round complex built from every input assignment. The
 // search itself is not checkpointed — its state is a backtracking
 // frontier, not a partition of independent shards — so a resumed
-// decision job recomputes (the per-complex Betti ranks it needs still
-// restore from the engine's persistent cache).
+// decision job rebuilds the complex and searches again from the start.
 func (s *Server) buildDecision(q url.Values, spec *modelspec.Spec) (endpointQuery, error) {
 	inst, err := resolveModel(q, spec)
 	if err != nil {
@@ -513,7 +513,7 @@ func (s *Server) buildDecision(q url.Values, spec *modelspec.Spec) (endpointQuer
 			if bits > s.cfg.MaxSearchBits {
 				return nil, overBudget("decision search space is 2^%.0f candidates, budget 2^%.0f", bits, s.cfg.MaxSearchBits)
 			}
-			dm, found, err := task.FindDecisionParallelCtx(ctx, ann, agree, limit, s.cfg.Workers)
+			dm, found, err := task.FindDecisionParallelCtx(ctx, ann, agree, limit, 1)
 			if err != nil {
 				return nil, err
 			}

@@ -60,10 +60,10 @@ type ClusterConfig struct {
 type Config struct {
 	// StoreDir roots the disk store; empty disables cross-restart caching.
 	StoreDir string
-	// Workers is the goroutine budget of each homology reduction and
-	// decision search, and the number of claim loops each side of a
-	// distributed build runs (0 = NumCPU). An in-process construction
-	// runs on one goroutine whatever its value.
+	// Workers is the number of claim loops each side of a distributed
+	// build runs (0 = NumCPU). Every in-process computation (construction,
+	// reduction, decision search) runs on one goroutine whatever its
+	// value.
 	Workers int
 	// Pool bounds concurrent computes (0 = NumCPU); Queue bounds how many
 	// more may wait for a slot (0 = 4*Pool, negative = none).
@@ -215,7 +215,7 @@ func New(cfg Config) (*Server, error) {
 		}
 		s.betti.SetBacking(bettiBacking{st: s.store})
 	}
-	s.engine = homology.NewEngine(cfg.Workers, s.betti)
+	s.engine = homology.NewEngine(1, s.betti)
 
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)

@@ -358,6 +358,45 @@ func TestIISPricedByArithmetic(t *testing.T) {
 	}
 }
 
+// TestCrashModelsPricedByArithmetic: a sync, custom, semisync or crash
+// spec request over the budget is refused by its arithmetic floor before
+// the estimate walk builds a single branch. The walk alone took seconds
+// and gigabytes on each of these, or ran out of memory.
+func TestCrashModelsPricedByArithmetic(t *testing.T) {
+	s := newTestServer(t, "", nil)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	for _, tc := range []struct{ name, query string }{
+		{"sync_n12_k12_r1", "model=sync&n=12&k=12&r=1"},
+		{"sync_n12_k12_r2", "model=sync&n=12&k=12&r=2"},
+		{"sync_n12_k1_r4", "model=sync&n=12&k=1&r=4"},
+		{"custom_n10_k10_r2", "model=custom&n=10&k=10&r=2"},
+		{"semisync_n8_k8_r1", "model=semisync&n=8&k=8&r=1"},
+		{"semisync_n10_k10_r1", "model=semisync&n=10&k=10&r=1"},
+		{"semisync_n12_k1_r3", "model=semisync&n=12&k=1&r=3"},
+		{"crash_spec_13_per_round_12", ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			start := time.Now()
+			var code int
+			var body map[string]any
+			if tc.query != "" {
+				code, _, body = get(t, ts, "/v1/rounds?"+tc.query)
+			} else {
+				code, _, body = post(t, ts, "/v1/rounds",
+					`{"model": {"processes": 13, "adversary": {"kind": "crash", "per_round": 12}}}`)
+			}
+			if code != http.StatusRequestEntityTooLarge {
+				t.Errorf("status %d (want 413): %v", code, body)
+			}
+			if elapsed := time.Since(start); elapsed > time.Second {
+				t.Errorf("refusal took %v; it must not walk the branch tree", elapsed)
+			}
+		})
+	}
+}
+
 // TestDecisionInputBudget pins the REVIEW fix: a /v1/decision request
 // whose |values|^(n+1) input facets exceed the budget must be refused by
 // arithmetic (413, fast) — never by enumerating the inputs first, which

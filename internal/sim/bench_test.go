@@ -50,7 +50,7 @@ func BenchmarkRunTimedLockstep(b *testing.B) {
 
 func BenchmarkEnumerateCrashSchedules(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := EnumerateCrashSchedules(context.Background(), 4, 2, 3, 1); err != nil {
+		if _, err := EnumerateCrashSchedules(context.Background(), 4, 2, 3); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"pseudosphere/internal/task"
 )
@@ -17,9 +16,9 @@ import (
 type DeliveryPlan func(round int, alive []int) map[int]map[int]int
 
 // Engine drives one execution of a round-based protocol over a set of
-// process goroutines connected by channels, with crash injection. It
-// implements both the synchronous and the round-based asynchronous model,
-// differing only in the DeliveryPlan.
+// processes, with crash injection, calling each process in turn on the
+// caller's goroutine. It implements both the synchronous and the
+// round-based asynchronous model, differing only in the DeliveryPlan.
 type Engine struct {
 	n1        int // number of processes
 	factory   ProtocolFactory
@@ -50,60 +49,17 @@ func NewEngine(inputs []string, factory ProtocolFactory, crashes CrashSchedule, 
 	}, nil
 }
 
-// procCmd is a request from the engine to a process goroutine.
-type procCmd struct {
-	round      int
-	deliveries []delivery // applied before EndRound
-	stop       bool
-}
-
-type delivery struct {
-	from    int
-	payload string
-}
-
-// procReply is a process goroutine's end-of-round response.
-type procReply struct {
-	decided  bool
-	decision string
-}
-
-// proc is the engine-side handle of a process goroutine.
-type proc struct {
-	id    int
-	cmds  chan procCmd
-	sends chan string    // round message, one per round
-	ends  chan procReply // end-of-round status
-}
-
 // Run executes the protocol to completion: until every non-crashed process
 // has decided or maxRounds have elapsed. It returns the observable outcome.
+// Each round has three phases: every process still sending produces its
+// round message, the plan's deliveries reach every survivor, and each
+// survivor ends the round.
 func (e *Engine) Run() (*task.RunOutcome, error) {
-	procs := make([]*proc, e.n1)
-	var wg sync.WaitGroup
-	for i := 0; i < e.n1; i++ {
-		p := &proc{
-			id:    i,
-			cmds:  make(chan procCmd),
-			sends: make(chan string),
-			ends:  make(chan procReply),
-		}
-		procs[i] = p
-		inst := e.factory()
-		inst.Init(i, e.n1, e.inputs[i])
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			runProc(p, inst)
-		}()
+	procs := make([]RoundProtocol, e.n1)
+	for i := range procs {
+		procs[i] = e.factory()
+		procs[i].Init(i, e.n1, e.inputs[i])
 	}
-	defer func() {
-		for _, p := range procs {
-			close(p.cmds)
-		}
-		wg.Wait()
-	}()
-
 	outcome := &task.RunOutcome{
 		Inputs:    make(map[int]string, e.n1),
 		Decisions: make(map[int]string, e.n1),
@@ -121,22 +77,13 @@ func (e *Engine) Run() (*task.RunOutcome, error) {
 	crashed := make(map[int]bool)
 
 	for round := 1; round <= e.maxRounds; round++ {
-		alive := e.aliveAtStart(crashed, round)
+		alive := e.aliveAtStart(crashed)
 
 		// Phase 1: collect this round's messages from everyone still
 		// sending (alive processes and those crashing THIS round, which
 		// send a partial broadcast).
-		for _, p := range procs {
-			if crashed[p.id] {
-				continue
-			}
-			p.cmds <- procCmd{round: round}
-		}
-		for _, p := range procs {
-			if crashed[p.id] {
-				continue
-			}
-			history[p.id] = append(history[p.id], <-p.sends)
+		for _, p := range alive {
+			history[p] = append(history[p], procs[p].Message(round))
 		}
 
 		// Phase 2: compute deliveries.
@@ -147,12 +94,12 @@ func (e *Engine) Run() (*task.RunOutcome, error) {
 				outcome.Crashed[p] = true
 			}
 		}
-		for _, recv := range procs {
-			if crashed[recv.id] {
+		allDecided := true
+		for recv, proc := range procs {
+			if crashed[recv] {
 				continue
 			}
-			var ds []delivery
-			upTos := planned[recv.id]
+			upTos := planned[recv]
 			senders := make([]int, 0, len(upTos))
 			for s := range upTos {
 				senders = append(senders, s)
@@ -169,29 +116,21 @@ func (e *Engine) Run() (*task.RunOutcome, error) {
 				// Crash semantics: the crash-round message of s reaches
 				// only DeliveredTo; later messages do not exist.
 				if c, ok := e.crashes[s]; ok {
-					if upTo >= c.Round && !c.DeliveredTo[recv.id] {
+					if upTo >= c.Round && !c.DeliveredTo[recv] {
 						upTo = c.Round - 1
 					}
 				}
-				for r := lastDelivered[recv.id][s] + 1; r <= upTo; r++ {
-					ds = append(ds, delivery{from: s, payload: history[s][r-1]})
+				for r := lastDelivered[recv][s] + 1; r <= upTo; r++ {
+					proc.Deliver(round, s, history[s][r-1])
 				}
-				if upTo > lastDelivered[recv.id][s] {
-					lastDelivered[recv.id][s] = upTo
+				if upTo > lastDelivered[recv][s] {
+					lastDelivered[recv][s] = upTo
 				}
 			}
-			recv.cmds <- procCmd{round: round, deliveries: ds, stop: true}
-		}
 
-		// Phase 3: end of round; gather decisions.
-		allDecided := true
-		for _, p := range procs {
-			if crashed[p.id] {
-				continue
-			}
-			reply := <-p.ends
-			if reply.decided {
-				outcome.Decisions[p.id] = reply.decision
+			// Phase 3: end of round; gather decisions.
+			if decided, decision := proc.EndRound(round); decided {
+				outcome.Decisions[recv] = decision
 			} else {
 				allDecided = false
 			}
@@ -205,30 +144,12 @@ func (e *Engine) Run() (*task.RunOutcome, error) {
 
 // aliveAtStart lists processes that have not crashed before this round
 // (processes crashing this round still send).
-func (e *Engine) aliveAtStart(crashed map[int]bool, round int) []int {
+func (e *Engine) aliveAtStart(crashed map[int]bool) []int {
 	var alive []int
 	for i := 0; i < e.n1; i++ {
 		if !crashed[i] {
 			alive = append(alive, i)
 		}
 	}
-	_ = round
 	return alive
-}
-
-// runProc is the process goroutine: it answers the engine's per-round
-// requests until its command channel closes.
-func runProc(p *proc, inst RoundProtocol) {
-	for cmd := range p.cmds {
-		if !cmd.stop {
-			// First request of the round: produce the broadcast message.
-			p.sends <- inst.Message(cmd.round)
-			continue
-		}
-		for _, d := range cmd.deliveries {
-			inst.Deliver(cmd.round, d.from, d.payload)
-		}
-		decided, decision := inst.EndRound(cmd.round)
-		p.ends <- procReply{decided: decided, decision: decision}
-	}
 }

@@ -2,6 +2,11 @@ package sim
 
 import (
 	"context"
+	"crypto/sha256"
+	"fmt"
+	"sort"
+	"strconv"
+	"strings"
 	"testing"
 
 	"pseudosphere/internal/obs"
@@ -9,10 +14,10 @@ import (
 
 // enumerate runs EnumerateCrashSchedules to completion under a fresh
 // tracker and returns the schedules with the tracker's "schedules" count.
-func enumerate(tb testing.TB, n1, f, maxRound, workers int) ([]CrashSchedule, uint64) {
+func enumerate(tb testing.TB, n1, f, maxRound int) ([]CrashSchedule, uint64) {
 	tb.Helper()
 	tr := obs.NewTracker()
-	out, err := EnumerateCrashSchedules(obs.WithTracker(context.Background(), tr), n1, f, maxRound, workers)
+	out, err := EnumerateCrashSchedules(obs.WithTracker(context.Background(), tr), n1, f, maxRound)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -26,63 +31,80 @@ func enumerate(tb testing.TB, n1, f, maxRound, workers int) ([]CrashSchedule, ui
 // slice-aliasing fix in the subset recursion — an aliased `chosen` backing
 // array corrupts sibling branches and changes these counts. The
 // "schedules" counter of a complete run counts every schedule returned,
-// the crash-free one included, at one worker and at four.
+// the crash-free one included, and no schedule comes twice. order is a
+// digest of the schedules' keys in the order returned, as the
+// enumeration returned them when it merged per-branch lists: the
+// crash-free schedule, then every set whose smallest member is 0, then 1,
+// and so on.
 func TestEnumerateCrashSchedulesCounts(t *testing.T) {
 	cases := []struct {
 		n1, f, maxRound, want int
+		order                 string
 	}{
-		{3, 2, 2, 217},
-		{3, 1, 1, 13},
-		{4, 2, 3, 3553},
-		{3, 0, 2, 1},
+		{3, 2, 2, 217, "b0caea2b05456cc8"},
+		{3, 1, 1, 13, "9f767d2373653f1a"},
+		{4, 2, 3, 3553, "2f4104fcb35af3b6"},
+		{3, 0, 2, 1, "01ba4719c80b6fe9"},
 	}
 	for _, tc := range cases {
-		for _, workers := range []int{1, 4} {
-			got, counted := enumerate(t, tc.n1, tc.f, tc.maxRound, workers)
-			if len(got) != tc.want {
-				t.Errorf("EnumerateCrashSchedules(%d,%d,%d) at %d workers = %d schedules, want %d",
-					tc.n1, tc.f, tc.maxRound, workers, len(got), tc.want)
+		got, counted := enumerate(t, tc.n1, tc.f, tc.maxRound)
+		if len(got) != tc.want {
+			t.Errorf("EnumerateCrashSchedules(%d,%d,%d) = %d schedules, want %d",
+				tc.n1, tc.f, tc.maxRound, len(got), tc.want)
+		}
+		if counted != uint64(len(got)) {
+			t.Errorf("EnumerateCrashSchedules(%d,%d,%d) counted %d schedules, returned %d",
+				tc.n1, tc.f, tc.maxRound, counted, len(got))
+		}
+		keys := make(map[string]bool, len(got))
+		order := sha256.New()
+		for _, cs := range got {
+			k := scheduleKey(cs)
+			if keys[k] {
+				t.Fatalf("duplicate schedule %v", cs)
 			}
-			if counted != uint64(len(got)) {
-				t.Errorf("EnumerateCrashSchedules(%d,%d,%d) at %d workers counted %d schedules, returned %d",
-					tc.n1, tc.f, tc.maxRound, workers, counted, len(got))
+			keys[k] = true
+			fmt.Fprintln(order, k)
+			if err := cs.Validate(tc.n1, tc.maxRound); err != nil {
+				t.Fatal(err)
 			}
-			keys := make(map[string]bool, len(got))
-			for _, cs := range got {
-				k := scheduleKey(cs)
-				if keys[k] {
-					t.Fatalf("duplicate schedule %v", cs)
-				}
-				keys[k] = true
-				if err := cs.Validate(tc.n1, tc.maxRound); err != nil {
-					t.Fatal(err)
-				}
-			}
+		}
+		if d := fmt.Sprintf("%x", order.Sum(nil)[:8]); d != tc.order {
+			t.Errorf("EnumerateCrashSchedules(%d,%d,%d) order digest %s, want %s",
+				tc.n1, tc.f, tc.maxRound, d, tc.order)
 		}
 	}
 }
 
-// The enumeration must produce the same schedule sequence at every worker
-// count as at one.
-func TestEnumerateCrashSchedulesParallelMatchesSerial(t *testing.T) {
-	want, _ := enumerate(t, 4, 2, 3, 1)
-	for _, workers := range []int{0, 2, 4, 16} {
-		got, _ := enumerate(t, 4, 2, 3, workers)
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: %d schedules, want %d", workers, len(got), len(want))
-		}
-		for i := range got {
-			if scheduleKey(got[i]) != scheduleKey(want[i]) {
-				t.Fatalf("workers=%d: schedule %d differs from the one-worker order", workers, i)
+// scheduleKey canonically encodes a schedule: crashing processes in
+// ascending order, each with its round and sorted delivery set.
+func scheduleKey(cs CrashSchedule) string {
+	ps := make([]int, 0, len(cs))
+	for p := range cs {
+		ps = append(ps, p)
+	}
+	sort.Ints(ps)
+	var b strings.Builder
+	for _, p := range ps {
+		c := cs[p]
+		b.WriteString(strconv.Itoa(p))
+		b.WriteByte('@')
+		b.WriteString(strconv.Itoa(c.Round))
+		b.WriteByte(':')
+		qs := make([]int, 0, len(c.DeliveredTo))
+		for q, ok := range c.DeliveredTo {
+			if ok {
+				qs = append(qs, q)
 			}
 		}
-	}
-}
-
-func BenchmarkEnumerateCrashSchedulesParallel(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := EnumerateCrashSchedules(context.Background(), 4, 2, 3, 4); err != nil {
-			b.Fatal(err)
+		sort.Ints(qs)
+		for i, q := range qs {
+			if i > 0 {
+				b.WriteByte(',')
+			}
+			b.WriteString(strconv.Itoa(q))
 		}
+		b.WriteByte(';')
 	}
+	return b.String()
 }

@@ -1,10 +1,11 @@
 // Package sim is the executable message-passing substrate: it runs real
 // protocols (internal/protocols) under the three timing models the paper
-// unifies. Processes run as goroutines communicating over reliable FIFO
-// channels with crash injection; schedulers realize the synchronous
-// (lockstep rounds), round-based asynchronous (at least n-f+1 deliveries
-// per round, FIFO catch-up), and semi-synchronous (virtual time, steps in
-// [c1,c2], delivery within d) models. All runs are deterministic given
+// unifies. Processes are protocol instances the runners call in turn on
+// the caller's goroutine, over reliable FIFO links with crash injection;
+// schedulers realize the synchronous (lockstep rounds), round-based
+// asynchronous (at least n-f+1 deliveries per round, FIFO catch-up), and
+// semi-synchronous (virtual time, steps in [c1,c2], delivery within d)
+// models. All runs are deterministic given
 // their schedules, so tests can enumerate adversarial behaviours
 // exhaustively at small scale.
 package sim

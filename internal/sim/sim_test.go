@@ -2,7 +2,9 @@ package sim
 
 import (
 	"fmt"
+	"strings"
 	"testing"
+	"time"
 )
 
 // echoProto is a minimal protocol for engine testing: it records what it
@@ -147,7 +149,7 @@ func TestRandomAsyncScheduleRespectsThreshold(t *testing.T) {
 }
 
 func TestEnumerateCrashSchedules(t *testing.T) {
-	got, _ := enumerate(t, 3, 1, 1, 1)
+	got, _ := enumerate(t, 3, 1, 1)
 	// No crash, or one of 3 processes crashing in round 1 with one of 4
 	// delivery subsets: 1 + 12 = 13.
 	if len(got) != 13 {
@@ -158,7 +160,7 @@ func TestEnumerateCrashSchedules(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	two, _ := enumerate(t, 3, 2, 2, 1)
+	two, _ := enumerate(t, 3, 2, 2)
 	for _, cs := range two {
 		if len(cs) > 2 {
 			t.Fatalf("schedule %v exceeds failure bound", cs)
@@ -179,6 +181,35 @@ func TestEngineValidation(t *testing.T) {
 	}
 	if err := (CrashSchedule{0: {Round: 0}}).Validate(2, 1); err == nil {
 		t.Fatal("expected error for round-0 crash")
+	}
+}
+
+// TestEngineRejectsFutureDelivery hands receiver 1 a round-2 message in
+// round 1. Run must return the plan error, having already served
+// receiver 0 that round; it runs under a timeout so that a Run which
+// never returns fails the test instead of hanging it.
+func TestEngineRejectsFutureDelivery(t *testing.T) {
+	plan := func(round int, alive []int) map[int]map[int]int {
+		out := SyncPlan(round, alive)
+		out[1][0] = round + 1
+		return out
+	}
+	e, err := NewEngine([]string{"a", "b", "c"}, echoFactory(2), nil, plan, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := e.Run()
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "plan delivers round-2 message in round 1") {
+			t.Fatalf("Run() error = %v, want the plan error", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Run did not return within 5 s")
 	}
 }
 

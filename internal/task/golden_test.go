@@ -151,3 +151,36 @@ func TestSearchGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestSearchNodeCounts pins, for every golden instance the search
+// resolves within the largest golden limit, the exact number of nodes it
+// takes to find its map or prove that none exists, as the search counted
+// them when testdata/search.json was written: the search resolves at that
+// limit and hits ErrSearchLimit one node below it. The golden limits are
+// too sparse to see an off-by-one in the node count or a change of visit
+// order that leaves the first map unchanged; these counts see both.
+func TestSearchNodeCounts(t *testing.T) {
+	nodes := map[string]int64{
+		"A^1 n=1 f=1": 24,
+		"C^1 n=2 k=1": 48,
+		"S^2 n=2 k=1": 756,
+		"A^1 n=2 f=2": 87, // proves no map exists
+		"A^1 n=2 f=1": 135,
+		"S^1 n=2 k=2": 144,
+		"S^1 n=3 k=1": 648,
+		"S^1 n=3 k=2": 756,
+	}
+	for _, inst := range goldenInstances {
+		n, ok := nodes[inst.name]
+		if !ok {
+			continue
+		}
+		a := goldenAnnotated(t, inst.query, inst.values)
+		if _, _, err := decide(a, 2, n); err != nil {
+			t.Errorf("%s: limit %d: %v, want the search resolved", inst.name, n, err)
+		}
+		if _, _, err := decide(a, 2, n-1); !errors.Is(err, ErrSearchLimit) {
+			t.Errorf("%s: limit %d: %v, want ErrSearchLimit", inst.name, n-1, err)
+		}
+	}
+}

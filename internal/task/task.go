@@ -11,8 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"pseudosphere/internal/topology"
 )
@@ -82,22 +80,19 @@ var ErrSearchLimit = errors.New("task: decision-map search exceeded its node lim
 // a. It returns (map, true, nil) if one exists, (nil, false, nil) if
 // provably none exists, and (nil, false, ErrSearchLimit) if the
 // backtracking search hit nodeLimit without resolving. A nodeLimit <= 0
-// means unlimited.
+// means unlimited. The int argument is unused; it keeps the signature
+// the bench module calls.
 //
 // For k = 1 (consensus) an exact polynomial-time procedure is used: every
 // simplex must be monochromatic, so the decision value is constant on each
 // connected component of the 1-skeleton and a map exists iff every
-// component's allowed sets have a common value. It ignores ctx, workers
-// and nodeLimit and always runs to completion.
+// component's allowed sets have a common value. It ignores ctx and
+// nodeLimit and always runs to completion.
 //
-// For k >= 2 an exact backtracking search decides, on up to workers
-// goroutines (at least one) sharing the node budget. The map it returns
-// is the same at every worker count. A success wins even if the budget
-// ran out elsewhere, since the map is a valid certificate; ErrSearchLimit
-// means no map was found within the budget. The search checks ctx at
-// every node, and after ctx fires the call returns ctx.Err(), unless a map
-// had already been found, which is returned.
-func FindDecisionParallelCtx(ctx context.Context, a *Annotated, k int, nodeLimit int64, workers int) (DecisionMap, bool, error) {
+// For k >= 2 an exact backtracking search decides on the caller's
+// goroutine. It checks ctx at every node; once ctx fires, the call
+// returns ctx.Err() unless it has already found a map.
+func FindDecisionParallelCtx(ctx context.Context, a *Annotated, k int, nodeLimit int64, _ int) (DecisionMap, bool, error) {
 	if err := a.Validate(); err != nil {
 		return nil, false, err
 	}
@@ -111,7 +106,7 @@ func FindDecisionParallelCtx(ctx context.Context, a *Annotated, k int, nodeLimit
 		dm, ok := findConsensus(a)
 		return dm, ok, nil
 	}
-	return newSearch(a, k).run(ctx, nodeLimit, workers)
+	return newSearch(a, k).run(ctx, nodeLimit)
 }
 
 // findConsensus implements the exact k=1 procedure.
@@ -174,9 +169,9 @@ func findConsensus(a *Annotated) (DecisionMap, bool) {
 	return dm, true
 }
 
-// search is the immutable setup of the backtracking search: the vertex and
-// facet index structures, per-vertex domains, and the variable order. It is
-// built once and shared read-only by every search branch.
+// search is the state of the backtracking search: the vertex and facet
+// index structures, per-vertex domains and the variable order, built
+// once, plus the assignment and the node count.
 type search struct {
 	verts      []topology.Vertex
 	facetOf    [][]int // vertex -> facet indices
@@ -184,6 +179,11 @@ type search struct {
 	domains    [][]string
 	order      []int
 	k          int
+
+	nodes    int64
+	limit    int64 // <= 0: unlimited
+	assign   []string
+	assigned []bool
 }
 
 func newSearch(a *Annotated, k int) *search {
@@ -215,165 +215,82 @@ func newSearch(a *Annotated, k int) *search {
 		domains:    domains,
 		order:      searchOrder(facetVerts, len(verts)),
 		k:          k,
+		assign:     make([]string, len(verts)),
+		assigned:   make([]bool, len(verts)),
 	}
 }
 
 // run is the backtracking search with forward checking: when a facet
 // reaches k distinct assigned values, the domains of its unassigned
-// vertices shrink to those values. Each value of the first variable's
-// domain is a branch. Up to workers claim loops, one of them on the
-// caller's goroutine, take the branches in index order, each with private
-// assignment state. A branch aborts at its next node once ctx fires or a
-// lower branch has succeeded, so the lowest successful branch supplies the
-// map whatever the scheduling, and one loop visits the nodes in the
-// serial order.
-func (s *search) run(ctx context.Context, nodeLimit int64, workers int) (DecisionMap, bool, error) {
-	var cancelled atomic.Bool
-	stop := context.AfterFunc(ctx, func() { cancelled.Store(true) })
-	defer stop()
-	var budget *atomic.Int64
-	if nodeLimit > 0 {
-		budget = new(atomic.Int64)
-		budget.Store(nodeLimit)
-	}
-	dom := s.domains[s.order[0]]
-	dms := make([]DecisionMap, len(dom)) // the map of each branch that succeeded
-	var limited atomic.Bool
-	var best, next atomic.Int64 // best: the lowest branch that succeeded
-	best.Store(int64(len(dom)))
-	claim := func() {
-		for ctx.Err() == nil {
-			bi := next.Add(1) - 1
-			if bi >= int64(len(dom)) || best.Load() < bi {
-				return
-			}
-			b := &branchRun{
-				s:        s,
-				assign:   make([]string, len(s.verts)),
-				assigned: make([]bool, len(s.verts)),
-				budget:   budget,
-				abort:    func() bool { return cancelled.Load() || best.Load() < bi },
-			}
-			ok, err := b.try(0, dom[bi])
-			if err == ErrSearchLimit {
-				limited.Store(true)
-			}
-			if !ok {
-				continue
-			}
-			dms[bi] = b.decisionMap()
-			for { // lower best to bi unless a lower branch has won
-				cur := best.Load()
-				if cur < bi || best.CompareAndSwap(cur, bi) {
-					break
-				}
-			}
+// vertices shrink to those values. Variables take their values in
+// domain order, so the first map found is the one returned. A found map
+// wins over a fired ctx, and a fired ctx over ErrSearchLimit.
+func (s *search) run(ctx context.Context, nodeLimit int64) (DecisionMap, bool, error) {
+	s.limit = nodeLimit
+	ok, err := s.rec(ctx, 0)
+	if ok {
+		dm := make(DecisionMap, len(s.verts))
+		for i, v := range s.verts {
+			dm[v] = s.assign[i]
 		}
+		return dm, true, nil
 	}
-	var wg sync.WaitGroup
-	for w := 1; w < min(max(workers, 1), len(dom)); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			claim()
-		}()
+	if cerr := ctx.Err(); cerr != nil {
+		return nil, false, cerr
 	}
-	claim()
-	wg.Wait()
-	for _, dm := range dms {
-		if dm != nil {
-			return dm, true, nil
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, false, err
-	}
-	if limited.Load() {
-		return nil, false, ErrSearchLimit
-	}
-	return nil, false, nil
+	return nil, false, err
 }
 
-// errAborted signals a branch cut off because ctx fired or a lower branch
-// already succeeded; run never returns it.
-var errAborted = errors.New("task: search branch aborted")
-
-// branchRun is one search branch's mutable state: its own assignment
-// vectors, the shared node budget (nil = unlimited), and the abort probe
-// checked at every node.
-type branchRun struct {
-	s        *search
-	assign   []string
-	assigned []bool
-	budget   *atomic.Int64
-	abort    func() bool
-}
-
-// rec tries each value of the pos-th variable in turn.
-func (b *branchRun) rec(pos int) (bool, error) {
-	if pos == len(b.s.order) {
+// rec tries each value of the pos-th variable in turn, and, for each that
+// stays consistent, searches the variables after it. Every value tried is
+// one node: the node past the limit returns ErrSearchLimit, and a node
+// after ctx fires returns ctx.Err().
+func (s *search) rec(ctx context.Context, pos int) (bool, error) {
+	if pos == len(s.order) {
 		return true, nil
 	}
-	for _, val := range b.s.domains[b.s.order[pos]] {
-		if ok, err := b.try(pos, val); ok || err != nil {
-			return ok, err
+	vi := s.order[pos]
+	for _, val := range s.domains[vi] {
+		if s.nodes++; s.limit > 0 && s.nodes > s.limit {
+			return false, ErrSearchLimit
 		}
+		if err := ctx.Err(); err != nil {
+			return false, err
+		}
+		s.assign[vi] = val
+		s.assigned[vi] = true
+		if s.consistent(vi) {
+			if ok, err := s.rec(ctx, pos+1); ok || err != nil {
+				return ok, err
+			}
+		}
+		s.assigned[vi] = false
 	}
 	return false, nil
-}
-
-// try is one node of the search: it assigns val to the pos-th variable
-// and, if that stays consistent, searches the variables after it.
-func (b *branchRun) try(pos int, val string) (bool, error) {
-	if b.budget != nil && b.budget.Add(-1) < 0 {
-		return false, ErrSearchLimit
-	}
-	if b.abort() {
-		return false, errAborted
-	}
-	vi := b.s.order[pos]
-	b.assign[vi] = val
-	b.assigned[vi] = true
-	if consistent(vi, b.s.facetOf, b.s.facetVerts, b.assign, b.assigned, b.s.domains, b.s.k) {
-		if ok, err := b.rec(pos + 1); ok || err != nil {
-			return ok, err
-		}
-	}
-	b.assigned[vi] = false
-	return false, nil
-}
-
-// decisionMap materializes the branch's assignment.
-func (b *branchRun) decisionMap() DecisionMap {
-	dm := make(DecisionMap, len(b.s.verts))
-	for i, v := range b.s.verts {
-		dm[v] = b.assign[i]
-	}
-	return dm
 }
 
 // consistent checks that every facet touching vertex vi can still be
 // completed: assigned values do not exceed k distinct, and if exactly k are
 // assigned, every unassigned vertex in the facet has one of them in its
 // domain.
-func consistent(vi int, facetOf [][]int, facetVerts [][]int, assign []string, assigned []bool, domains [][]string, k int) bool {
-	for _, fi := range facetOf[vi] {
-		seen := make(map[string]bool, k+1)
-		for _, wj := range facetVerts[fi] {
-			if assigned[wj] {
-				seen[assign[wj]] = true
+func (s *search) consistent(vi int) bool {
+	for _, fi := range s.facetOf[vi] {
+		seen := make(map[string]bool, s.k+1)
+		for _, wj := range s.facetVerts[fi] {
+			if s.assigned[wj] {
+				seen[s.assign[wj]] = true
 			}
 		}
-		if len(seen) > k {
+		if len(seen) > s.k {
 			return false
 		}
-		if len(seen) == k {
-			for _, wj := range facetVerts[fi] {
-				if assigned[wj] {
+		if len(seen) == s.k {
+			for _, wj := range s.facetVerts[fi] {
+				if s.assigned[wj] {
 					continue
 				}
 				ok := false
-				for _, val := range domains[wj] {
+				for _, val := range s.domains[wj] {
 					if seen[val] {
 						ok = true
 						break

@@ -14,7 +14,7 @@ func annotated(c *topology.Complex, allowed map[topology.Vertex][]string) *Annot
 	return &Annotated{Complex: c, Allowed: allowed}
 }
 
-// decide runs the decision search at one worker, without a deadline.
+// decide runs the decision search without a deadline.
 func decide(a *Annotated, k int, nodeLimit int64) (DecisionMap, bool, error) {
 	return FindDecisionParallelCtx(context.Background(), a, k, nodeLimit, 1)
 }
