@@ -43,8 +43,8 @@ func (p Params) Validate() error {
 // complex over an m-dimensional input face is empty: with fewer than
 // n-f+1 participants, no process can collect the n-f+1 messages
 // (including its own) it must wait for, so P(S^m) is empty for m < n-f.
-// The operator applies it, and the model registry (internal/modelspec)
-// exposes it so no serving layer needs a per-model check.
+// The operator applies it, and the model registry's count is 0 there
+// (internal/modelspec), so no serving layer needs a per-model check.
 func (p Params) DegenerateInput(m int) bool { return m < p.N-p.F }
 
 // oneRoundOptions precomputes, for every participant, the next-round view

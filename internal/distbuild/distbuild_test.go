@@ -707,12 +707,12 @@ func TestDecodeSortedEncoderFrame(t *testing.T) {
 
 // TestDistributedFacetsCounter: a distributed build's "facets" counter
 // counts final-round facet insertions, as a local Build's does, so both
-// end at EstimateFacets, also for r > 1, where a shard is a whole
+// end at the instance's count, also for r > 1, where a shard is a whole
 // first-round subtree and its first-round option count undercounts it.
 func TestDistributedFacetsCounter(t *testing.T) {
 	for _, q := range []string{"model=iis&n=2&r=2", "model=sync&n=2&k=1&r=2", "model=async&n=3&f=3&r=1"} {
 		inst, input, plan := testModel(t, q)
-		want, err := roundop.EstimateFacets(inst.Operator(), input, inst.R)
+		want, err := inst.Estimate(input)
 		if err != nil {
 			t.Fatal(err)
 		}

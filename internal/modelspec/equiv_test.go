@@ -11,6 +11,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"testing"
 
 	"pseudosphere/internal/iis"
@@ -203,9 +204,9 @@ func TestAsyncPresetEqualsGraphsSpec(t *testing.T) {
 	}
 }
 
-// countInsertions is the unsampled reference for EstimateFacets: walk
-// every facet of every branch recursively, counting the insertions the
-// real construction performs.
+// countInsertions is the unsampled reference for the models' counts:
+// walk every facet of every branch recursively, counting the insertions
+// the real construction performs.
 func countInsertions(t *testing.T, op roundop.Operator, cur []*views.View, r int) int64 {
 	t.Helper()
 	if r == 0 {
@@ -235,75 +236,172 @@ func countInsertions(t *testing.T, op roundop.Operator, cur []*views.View, r int
 	return total
 }
 
-// TestEstimateExactForCompiledSpecs checks the admission seam on every
-// spec-compiled operator shape, and on the IIS preset, the other model
-// with an arithmetic floor: EstimateFacets must equal the unsampled
-// reference, and the arithmetic InsertionFloor must never exceed it (for
-// graphs adversaries and IIS it is exact, which is what makes it a safe
-// pre-walk budget gate).
+// walkInsertions is the representative walk admission used to price
+// with: the branch tree walked as the construction walks it, expanding
+// one representative facet per branch, saturating. It is exact for the
+// in-tree operators, whose continuation cost is constant across the
+// facets of a branch, and cheap enough to run where countInsertions is
+// not.
+func walkInsertions(t *testing.T, op roundop.Operator, cur []*views.View, r int) int64 {
+	t.Helper()
+	if r == 0 {
+		return 1
+	}
+	branches, err := op.Branches(cur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := int64(0)
+	for _, b := range branches {
+		size := pc.ProductSize(b.Opts)
+		if len(b.Opts) == 0 || size == 0 {
+			continue
+		}
+		facet := make([]*views.View, len(b.Opts))
+		for i, o := range b.Opts {
+			facet[i] = o[0].View
+		}
+		term := pc.SatMul(size, walkInsertions(t, b.Next, facet, r-1))
+		total = min(total, math.MaxInt64-term) + term
+	}
+	return total
+}
+
+// checkCount compares inst's arithmetic count over a dim-face with the
+// representative walk, and with the unsampled count wherever that is at
+// most 20,000; it checks that EmptyFor holds exactly where the count is
+// 0, and that InsertionFloor is the count over the m-face. An input
+// empty by convention builds nothing at any r, while a 0-round walk
+// counts the input simplex itself, so the walks are compared at r = 0
+// only where the count is nonzero. It returns the count.
+func checkCount(t *testing.T, inst *modelspec.Instance, dim int) int64 {
+	t.Helper()
+	in := input(dim)
+	got, err := inst.Estimate(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if inst.EmptyFor(in) != (got == 0) {
+		t.Fatalf("%s at dim %d: EmptyFor = %v with a count of %d", inst.Key, dim, inst.EmptyFor(in), got)
+	}
+	if dim == inst.M && inst.InsertionFloor() != got {
+		t.Fatalf("%s: InsertionFloor = %d, Estimate = %d", inst.Key, inst.InsertionFloor(), got)
+	}
+	if got == 0 && inst.R == 0 {
+		return got
+	}
+	cur := pc.InputViews(in)
+	if want := walkInsertions(t, inst.Operator(), cur, inst.R); got != want {
+		t.Fatalf("%s at dim %d: Estimate = %d, representative walk = %d", inst.Key, dim, got, want)
+	}
+	if got <= 20000 {
+		if want := countInsertions(t, inst.Operator(), cur, inst.R); got != want {
+			t.Fatalf("%s at dim %d: Estimate = %d, reference insertion count = %d", inst.Key, dim, got, want)
+		}
+	}
+	return got
+}
+
+// TestEstimateExactForCompiledSpecs checks every model's arithmetic
+// count, the one price admission reads, against the branch walks:
+//
+//   - the crash-failure grid: every sync, custom and semisync preset with
+//     n <= 4, m <= n, k <= n+2, r <= 3 (semisync with c1=1, c2=2 and d in
+//     {2, 3}), and every crash spec over the same n, m and r with
+//     per_round <= n+1 and total absent or in 0..4, over the m-face;
+//   - every async preset with n <= 4, m <= n, f <= n+1, r <= 3, and IIS
+//     with n <= 3, r <= 3, at every input dimension up to n;
+//   - the compiled graphs specs, at every input dimension;
+//   - saturation: A^1 n=8 f=8 has one branch of 2^72 facets, a product
+//     that wraps to exactly 0 in int64 arithmetic, and must price as
+//     math.MaxInt64 rather than as empty.
 func TestEstimateExactForCompiledSpecs(t *testing.T) {
+	t.Run("crash", func(t *testing.T) { crashSpecGrid(t, false) })
+	t.Run("crash-total", func(t *testing.T) { crashSpecGrid(t, true) })
+	for name, queries := range map[string][]string{
+		"sync":     {"model=sync"},
+		"custom":   {"model=custom"},
+		"semisync": {"model=semisync&d=2", "model=semisync&d=3"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			for n := 0; n <= 4; n++ {
+				for m := 0; m <= n; m++ {
+					for r := 0; r <= 3; r++ {
+						for k := 0; k <= n+2; k++ {
+							for _, q := range queries {
+								checkCount(t, mustQuery(t, fmt.Sprintf("%s&n=%d&m=%d&k=%d&r=%d", q, n, m, k, r)), m)
+							}
+						}
+					}
+				}
+			}
+		})
+	}
+	t.Run("async", func(t *testing.T) {
+		for n := 0; n <= 4; n++ {
+			for m := 0; m <= n; m++ {
+				for f := 0; f <= n+1; f++ {
+					for r := 0; r <= 3; r++ {
+						inst := mustQuery(t, fmt.Sprintf("model=async&n=%d&m=%d&f=%d&r=%d", n, m, f, r))
+						for dim := 0; dim <= n; dim++ {
+							if empty := checkCount(t, inst, dim) == 0; empty != (dim < n-f) {
+								t.Fatalf("%s at dim %d: empty = %v, want it exactly below n-f", inst.Key, dim, empty)
+							}
+						}
+					}
+				}
+			}
+		}
+	})
+	t.Run("iis", func(t *testing.T) {
+		for n := 0; n <= 3; n++ {
+			for r := 0; r <= 3; r++ {
+				inst := mustQuery(t, fmt.Sprintf("model=iis&n=%d&r=%d", n, r))
+				for dim := 0; dim <= n; dim++ {
+					checkCount(t, inst, dim)
+				}
+			}
+		}
+	})
 	for name, doc := range map[string]string{
-		"crash-total": `{"processes": 3, "rounds": 2, "adversary": {"kind": "crash", "per_round": 1, "total": 2}}`,
-		"crash":       `{"processes": 3, "rounds": 2, "adversary": {"kind": "crash", "per_round": 1}}`,
 		"graphs": `{"processes": 3, "rounds": 2, "adversary": {"kind": "graphs",
 			"graphs": [{"edges": [[0,1],[1,2],[2,0]]}, {"edges": [[1,0],[2,1],[0,2]]}, {"edges": [[0,1],[1,0]]}]}}`,
 		"graphs-scheduled": `{"processes": 3, "rounds": 2, "adversary": {"kind": "graphs",
 			"graphs": [{"edges": [[0,1],[1,2],[2,0]]}, {"edges": [[1,0],[2,1],[0,2]]}], "schedule": [[0,1],[1]]}}`,
-		"iis": `{"name": "iis", "params": {"n": 2, "r": 2}}`,
 	} {
 		t.Run(name, func(t *testing.T) {
 			inst := mustCompile(t, doc)
-			in := input(inst.M)
-			want := countInsertions(t, inst.Operator(), pc.InputViews(in), inst.R)
-			got, err := inst.Estimate(in)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != want {
-				t.Fatalf("Estimate = %d, reference insertion count = %d", got, want)
-			}
-			if floor := inst.InsertionFloor(); floor > got {
-				t.Fatalf("InsertionFloor %d exceeds exact estimate %d", floor, got)
-			} else if inst.InsertionFloor() > 0 && floor != got {
-				t.Fatalf("floor %d should be exact, estimate %d", floor, got)
+			for dim := 0; dim <= inst.N; dim++ {
+				checkCount(t, inst, dim)
 			}
 		})
 	}
+	t.Run("saturates", func(t *testing.T) {
+		if got := checkCount(t, mustQuery(t, "model=async&n=8&f=8&r=1"), 8); got != math.MaxInt64 {
+			t.Fatalf("A^1 n=8 f=8 prices at %d, want %d", got, int64(math.MaxInt64))
+		}
+	})
 }
 
-// TestCrashFloorEqualsEstimate: the arithmetic floor of the crash-failure
-// models is not just a lower bound but the estimate walk's exact count,
-// on every sync, custom and semisync preset with n <= 4, m <= n,
-// k <= n+2, r <= 3 (semisync with c1=1, c2=2 and d in {2, 3}), and on
-// every crash spec over the same n, m and r with per_round <= n+1 and
-// total absent or in 0..4.
-func TestCrashFloorEqualsEstimate(t *testing.T) {
-	check := func(inst *modelspec.Instance) {
-		t.Helper()
-		want, err := inst.Estimate(input(inst.M))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := inst.InsertionFloor(); got != want {
-			t.Fatalf("%s: InsertionFloor = %d, Estimate = %d", inst.Key, got, want)
+// crashSpecGrid checks the count of every crash spec with n <= 4,
+// m <= n, r <= 3 and per_round <= n+1, with total in 0..4 when withTotal
+// and absent otherwise.
+func crashSpecGrid(t *testing.T, withTotal bool) {
+	t.Helper()
+	totals := []string{""}
+	if withTotal {
+		totals = nil
+		for f := 0; f <= 4; f++ {
+			totals = append(totals, fmt.Sprintf(`, "total": %d`, f))
 		}
 	}
 	for n := 0; n <= 4; n++ {
 		for m := 0; m <= n; m++ {
 			for r := 0; r <= 3; r++ {
-				for k := 0; k <= n+2; k++ {
-					for _, q := range []string{"model=sync", "model=custom", "model=semisync&d=2", "model=semisync&d=3"} {
-						check(mustQuery(t, fmt.Sprintf("%s&n=%d&m=%d&k=%d&r=%d", q, n, m, k, r)))
-					}
-				}
 				for k := 0; k <= n+1; k++ {
-					total := ""
-					for f := -1; f <= 4; f++ {
-						if f >= 0 {
-							total = fmt.Sprintf(`, "total": %d`, f)
-						}
-						check(mustCompile(t, fmt.Sprintf(`{"processes": %d, "input_dim": %d, "rounds": %d,
-							"adversary": {"kind": "crash", "per_round": %d%s}}`, n+1, m, r, k, total)))
+					for _, total := range totals {
+						checkCount(t, mustCompile(t, fmt.Sprintf(`{"processes": %d, "input_dim": %d, "rounds": %d,
+							"adversary": {"kind": "crash", "per_round": %d%s}}`, n+1, m, r, k, total)), m)
 					}
 				}
 			}

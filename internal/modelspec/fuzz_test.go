@@ -68,23 +68,14 @@ func FuzzParseSpec(f *testing.F) {
 		if inst2.Key != inst.Key {
 			t.Fatalf("nondeterministic key: %q vs %q", inst.Key, inst2.Key)
 		}
-		if floor := inst.InsertionFloor(); floor < 0 {
-			t.Fatalf("negative insertion floor %d", floor)
+		// The count is exact: price cheap instances against the unsampled
+		// walk. An input empty by convention builds nothing, at any r.
+		in := input(inst.M)
+		est, err := inst.Estimate(in)
+		if err != nil || est < 0 || est != inst.InsertionFloor() {
+			t.Fatalf("Estimate = %d, %v; InsertionFloor = %d", est, err, inst.InsertionFloor())
 		}
-		// Price cheap instances against the unsampled walk; the floor must
-		// never exceed the exact estimate (it gates the walk in serve).
-		if fl := inst.InsertionFloor(); fl <= 1<<10 && inst.R <= 2 && inst.N <= 3 {
-			in := input(inst.M)
-			est, err := inst.Estimate(in)
-			if err != nil {
-				t.Fatalf("Estimate on accepted spec: %v", err)
-			}
-			if est < 0 {
-				t.Fatalf("negative estimate %d", est)
-			}
-			if fl > est {
-				t.Fatalf("floor %d exceeds estimate %d", fl, est)
-			}
+		if est > 0 && est <= 1<<10 && inst.R <= 2 && inst.N <= 3 {
 			want := countInsertions(t, inst.Operator(), pc.InputViews(in), inst.R)
 			if est != want {
 				t.Fatalf("Estimate %d != reference %d for %s", est, want, data)

@@ -43,7 +43,7 @@ type graphsModel struct {
 // allowed communication graph. The adversary's entire move is the graph
 // choice — given the graph, each participant's next view is determined —
 // so every branch carries singleton option tables (exactly one facet),
-// and roundop's one-representative-per-branch estimate is exact. No
+// and the build's count is the product of the round menus. No
 // participant ever drops out: a message adversary delays messages, it
 // does not crash senders.
 type graphsOperator struct {

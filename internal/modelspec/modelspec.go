@@ -305,11 +305,12 @@ func (a *Adversary) instance(n, m, r int) (*Instance, error) {
 			return nil, &Error{msg: err.Error()}
 		}
 		in.op = p.Operator()
-		in.floor = crashFloor(m, r, p.PerRound, p.Total, 1)
+		in.count = func(_ Params, dim int) int64 { return crashCount(dim, r, p.PerRound, p.Total, 1) }
 	case "graphs":
 		in.op = a.operator(n)
 		in.Key = fmt.Sprintf("model=spec|n=%d|m=%d|adv=graphs:%d:%s|r=%d", n, m, len(a.Graphs), a.graphsHash(), r)
-		in.floor = a.insertionFloor(r)
+		total := a.insertions(r)
+		in.count = func(Params, int) int64 { return total }
 	default:
 		return nil, errf("unknown adversary kind %q (want crash or graphs)", a.Kind)
 	}
@@ -333,14 +334,11 @@ func (a *Adversary) graphsHash() string {
 	return fmt.Sprintf("%x", sum[:8])
 }
 
-// insertionFloor is the exact facet-insertion count of a graphs build
+// insertions is the facet-insertion count of an r-round graphs build
 // over any input: one branch per allowed graph per round, one facet per
 // branch (every option table is singleton), independent of how many
-// processes participate. Admission checks it against the budget before
-// the EstimateFacets walk, whose node count for this operator is the
-// same product — without the floor, pricing an absurd spec would itself
-// be the denial of service.
-func (a *Adversary) insertionFloor(r int) int64 {
+// processes participate.
+func (a *Adversary) insertions(r int) int64 {
 	total := int64(1)
 	for ri := 0; ri < r; ri++ {
 		per := int64(len(a.Graphs))

@@ -3,6 +3,7 @@ package modelspec_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/url"
 	"strings"
 	"testing"
@@ -142,6 +143,49 @@ func TestNamesListsPresets(t *testing.T) {
 	}
 	if _, ok := modelspec.Lookup("quantum"); ok {
 		t.Fatal("Lookup(quantum) hit")
+	}
+}
+
+// TestRegisterNeedsCount: admission prices every request with the
+// model's count, so a model without one cannot register.
+func TestRegisterNeedsCount(t *testing.T) {
+	m, _ := modelspec.Lookup("sync")
+	m.Name, m.Count = "sync-without-count", nil
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Register accepted a model without Count")
+		}
+	}()
+	modelspec.Register(m)
+}
+
+// TestEstimateAllocatesLittle: pricing is a few arithmetic steps, so it
+// allocates a bounded number of objects whatever the instance: at most
+// 16 over the m-face of every preset with n <= MaxN (IIS n <= 6), k or
+// f <= n+1 and r <= MaxRounds. The branch walk it replaced allocated
+// 788,158 objects to parse and price async n=12 f=12 r=6.
+func TestEstimateAllocatesLittle(t *testing.T) {
+	for n := 0; n <= modelspec.MaxN; n++ {
+		for r := 0; r <= modelspec.MaxRounds; r++ {
+			var queries []string
+			if n <= 6 {
+				queries = append(queries, fmt.Sprintf("model=iis&n=%d&r=%d", n, r))
+			}
+			for b := 0; b <= n+1; b++ {
+				queries = append(queries,
+					fmt.Sprintf("model=async&n=%d&f=%d&r=%d", n, b, r),
+					fmt.Sprintf("model=sync&n=%d&k=%d&r=%d", n, b, r),
+					fmt.Sprintf("model=custom&n=%d&k=%d&r=%d", n, b, r),
+					fmt.Sprintf("model=semisync&n=%d&k=%d&r=%d", n, b, r))
+			}
+			for _, q := range queries {
+				inst := mustQuery(t, q)
+				in := input(inst.M)
+				if allocs := testing.AllocsPerRun(1, func() { inst.Estimate(in) }); allocs > 16 {
+					t.Errorf("%s: Estimate allocates %.0f objects, want at most 16", q, allocs)
+				}
+			}
+		}
 	}
 }
 

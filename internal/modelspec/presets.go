@@ -14,7 +14,7 @@ import (
 
 // The paper's models register here as presets: each entry is its model
 // package's Params plus the bookkeeping the serving tier needs (key
-// fields, validation, degenerate conventions). Adding a model to the
+// fields, validation, the facet count). Adding a model to the
 // service is adding one Register call — no serving-tier changes.
 func init() {
 	Register(Model{
@@ -26,12 +26,7 @@ func init() {
 		Operator: func(p Params) roundop.Operator {
 			return asyncParams(p).Operator()
 		},
-		// Section 6's convention: A^r(S^m) is empty when m < n-f. This used
-		// to be a model-name check in serve's build path; now it is part of
-		// the model's registration.
-		Degenerate: func(p Params, inputDim int) bool {
-			return asyncParams(p).DegenerateInput(inputDim)
-		},
+		Count: asyncCount,
 	})
 	Register(Model{
 		Name:   "sync",
@@ -42,7 +37,7 @@ func init() {
 		Operator: func(p Params) roundop.Operator {
 			return syncParams(p).Operator()
 		},
-		Floor: syncFloor,
+		Count: syncCount,
 	})
 	Register(Model{
 		Name:   "semisync",
@@ -53,9 +48,9 @@ func init() {
 		Operator: func(p Params) roundop.Operator {
 			return semisyncParams(p).Operator()
 		},
-		Floor: func(p Params) int64 {
+		Count: func(p Params, dim int) int64 {
 			sp := semisyncParams(p)
-			return crashFloor(p.M, p.R, sp.PerRound, sp.Total, sp.Micro())
+			return crashCount(dim, p.R, sp.PerRound, sp.Total, sp.Micro())
 		},
 	})
 	Register(Model{
@@ -67,7 +62,7 @@ func init() {
 			return nil
 		},
 		Operator: func(Params) roundop.Operator { return iis.Operator() },
-		Floor:    iisFloor,
+		Count:    iisCount,
 	})
 	// The per-round-only crash budget: at most k crashes in any round,
 	// with no cumulative cap. Over r rounds at most r*k processes can
@@ -82,46 +77,63 @@ func init() {
 		Operator: func(p Params) roundop.Operator {
 			return syncParams(p).Operator()
 		},
-		Floor: syncFloor,
+		Count: syncCount,
 	})
 }
 
-// maxIISN bounds the IIS preset's n. Pricing an IIS build calls Branches,
-// which enumerates every ordered partition of the participants, each a
-// branch with views of its own: 47,293 of them at n = 6 and 545,835 at
-// n = 7, too many to build just to price a request.
+// maxIISN bounds the IIS preset's n. Pricing IIS is arithmetic at any n,
+// but building it is not: the first round's Branches call enumerates
+// every ordered partition of the participants, each a branch with views
+// of its own, 47,293 of them at n = 6 and 545,835 at n = 7.
 const maxIISN = 6
 
-// iisFloor is the exact facet-insertion count of an R-round IIS build over
-// the m-face: one round over m+1 participants has one facet per ordered
-// partition, Fubini(m+1) of them (Kozlov, 1404.5813), and each facet's
-// next round has all m+1 participants again. It lets admission refuse a
-// deep IIS build before the estimate walk enumerates a single partition.
-func iisFloor(p Params) int64 {
-	return satPow(int64(iis.FubiniNumber(p.M+1)), p.R)
+// asyncCount is the facet-insertion count of A^r over a dim-face, from
+// Lemma 11: each of the dim+1 participants independently hears itself
+// and any n-f or more of the other dim, so a round has V^(dim+1) facets,
+//
+//	V = sum_{j = max(0, n-f)}^{dim} C(dim, j),
+//
+// and each facet keeps all dim+1 participants for the next round. Below
+// n-f+1 participants the complex is empty (Section 6): the count is 0.
+func asyncCount(p Params, dim int) int64 {
+	if asyncParams(p).DegenerateInput(dim) {
+		return 0
+	}
+	v, choose := int64(0), int64(1) // choose = C(dim, j), exact for dim <= MaxN
+	for j := dim; j >= max(0, p.N-p.F); j-- {
+		v += choose
+		choose = choose * int64(j) / int64(dim-j+1)
+	}
+	return pc.SatPow(v, (dim+1)*p.R)
 }
 
-// syncFloor prices the sync and custom presets, which compile to the
+// iisCount is the facet-insertion count of an R-round IIS build over a
+// dim-face: one round over dim+1 participants has one facet per ordered
+// partition, Fubini(dim+1) of them (Kozlov, 1404.5813), and each facet's
+// next round has all dim+1 participants again.
+func iisCount(p Params, dim int) int64 {
+	return pc.SatPow(int64(iis.FubiniNumber(dim+1)), p.R)
+}
+
+// syncCount prices the sync and custom presets, which compile to the
 // same crash budget.
-func syncFloor(p Params) int64 {
+func syncCount(p Params, dim int) int64 {
 	sp := syncParams(p)
-	return crashFloor(p.M, p.R, sp.PerRound, sp.Total, 1)
+	return crashCount(dim, p.R, sp.PerRound, sp.Total, 1)
 }
 
-// crashFloor is the exact facet-insertion count of an r-round build over
-// the m-face under crash failures, at most k per round and b in total,
-// from the branch sizes of Lemmas 14 and 19. A round over P processes
-// has a branch per failure set of j <= min(k, b, P-1) processes and per
-// failure pattern, mu^j of them (mu = 1 in the synchronous model,
-// ceil(d/c1) microrounds in the semi-synchronous one), and each of the
-// P-j survivors hears an arbitrary subset of the j crashed processes:
+// crashCount is the facet-insertion count of an r-round build over a
+// dim-face under crash failures, at most k per round and b in total, from
+// the branch sizes of Lemmas 14 and 19. A round over P processes has a
+// branch per failure set of j <= min(k, b, P-1) processes and per failure
+// pattern, mu^j of them (mu = 1 in the synchronous model, ceil(d/c1)
+// microrounds in the semi-synchronous one), and each of the P-j survivors
+// hears an arbitrary subset of the j crashed processes:
 //
 //	E(P, r, b) = sum_j C(P, j) * mu^j * 2^(j(P-j)) * E(P-j, r-1, b-j)
 //
-// with E(P, 0, b) = 1, saturating. It lets admission refuse an
-// exponential build before the estimate walk calls Branches at every
-// node of its branch tree.
-func crashFloor(m, r, k, b, mu int) int64 {
+// with E(P, 0, b) = 1, saturating.
+func crashCount(dim, r, k, b, mu int) int64 {
 	memo := make(map[[3]int]int64)
 	var e func(p, r, b int) int64
 	e = func(p, r, b int) int64 {
@@ -138,23 +150,14 @@ func crashFloor(m, r, k, b, mu int) int64 {
 			if j > 0 {
 				choose = choose * int64(p-j+1) / int64(j)
 			}
-			term := pc.SatMul(choose, pc.SatMul(satPow(int64(mu), j), satPow(2, j*(p-j))))
+			term := pc.SatMul(choose, pc.SatMul(pc.SatPow(int64(mu), j), pc.SatPow(2, j*(p-j))))
 			term = pc.SatMul(term, e(p-j, r-1, b-j))
 			total = min(total, math.MaxInt64-term) + term
 		}
 		memo[key] = total
 		return total
 	}
-	return e(m+1, r, b)
-}
-
-// satPow returns base^exp for nonnegative base, saturating.
-func satPow(base int64, exp int) int64 {
-	v := int64(1)
-	for range exp {
-		v = pc.SatMul(v, base)
-	}
-	return v
+	return e(dim+1, r, b)
 }
 
 func asyncParams(p Params) asyncmodel.Params {

@@ -126,8 +126,7 @@ type ParamsJSON struct {
 // Model is one registry entry: a named model family the service can
 // build. Everything the serving tier used to switch on a model-name
 // string for lives here as a closure — validation, the canonical key
-// fields, the round operator, and (optionally) a degenerate-input
-// convention.
+// fields, the round operator, and the price.
 type Model struct {
 	// Name is the registry key, the query's model= value, and a
 	// preset-form spec's "name".
@@ -140,18 +139,15 @@ type Model struct {
 	// bounds on n, m, and r are enforced by the registry before it runs.
 	Validate func(p Params) error
 	// Operator compiles the tuple to the round operator the shared engine
-	// enumerates, shards, prices, and checkpoints.
+	// enumerates, shards, and checkpoints.
 	Operator func(p Params) roundop.Operator
-	// Degenerate, when set, reports input dimensions for which the model's
-	// round complex is empty by convention rather than by enumeration
-	// (asyncmodel's m < n-f). The serving tier has no per-model checks;
-	// this hook is the seam they moved into.
-	Degenerate func(p Params, inputDim int) bool
-	// Floor, when set, returns a saturating arithmetic lower bound on the
-	// facet insertions of the tuple's R-round build over its m-face (see
-	// Instance.InsertionFloor), for a model whose Branches call is itself
-	// too costly to make before admission can refuse.
-	Floor func(p Params) int64
+	// Count returns the exact facet insertions of the tuple's R-round
+	// build over an input face of dimension dim, saturating at
+	// math.MaxInt64, for 0 <= dim <= MaxN: what a fresh build's "facets"
+	// counter ends at, and the one price admission reads. A count of 0
+	// means the round complex is empty by the model's convention
+	// (asyncmodel's dim < n-f), so nothing is built.
+	Count func(p Params, dim int) int64
 }
 
 var registry = map[string]Model{}
@@ -160,8 +156,8 @@ var registry = map[string]Model{}
 // incomplete entry: registration happens at init time from code, so a
 // bad entry is a programming error, not an input.
 func Register(m Model) {
-	if m.Name == "" || m.Validate == nil || m.Operator == nil {
-		panic("modelspec: Register needs Name, Validate, and Operator")
+	if m.Name == "" || m.Validate == nil || m.Operator == nil || m.Count == nil {
+		panic("modelspec: Register needs Name, Validate, Operator, and Count")
 	}
 	if _, dup := registry[m.Name]; dup {
 		panic("modelspec: duplicate model " + m.Name)
@@ -187,8 +183,8 @@ func Names() []string {
 
 // Instance is a validated, compiled model: the canonical cache key that
 // feeds the content-addressed store, job dedup, and ring placement; the
-// response echo; and the operator plus the conventions needed to price
-// and build it. It is what every serving layer works with — the model
+// response echo; and the operator plus the model's count, the one price
+// of a build. It is what every serving layer works with — the model
 // switches that used to live there resolve here, once.
 type Instance struct {
 	// Model is the registry name, or SpecModel for adversary-form specs.
@@ -202,10 +198,10 @@ type Instance struct {
 	// Params echoes the effective parameters in responses.
 	Params ParamsJSON
 
-	op         roundop.Operator
-	degenerate func(inputDim int) bool
-	floor      int64  // arithmetic lower bound on facet insertions; 0 = none
-	doc        []byte // spec document that recompiles to this instance
+	op    roundop.Operator
+	count func(p Params, dim int) int64 // the model's Count, read over p
+	p     Params
+	doc   []byte // spec document that recompiles to this instance
 }
 
 // SpecDoc returns a spec document (the inline-JSON dialect Parse accepts)
@@ -221,30 +217,22 @@ func (in *Instance) SpecDoc() []byte { return in.doc }
 func (in *Instance) Operator() roundop.Operator { return in.op }
 
 // EmptyFor reports whether the model's round complex over input is empty
-// by convention (async with fewer than n-f+1 participants), letting
-// callers skip pricing and enumeration.
+// by convention (its count is 0: async with fewer than n-f+1
+// participants), letting callers skip enumeration.
 func (in *Instance) EmptyFor(input topology.Simplex) bool {
-	return in.degenerate != nil && in.degenerate(len(input)-1)
+	return in.count(in.p, len(input)-1) == 0
 }
 
-// InsertionFloor returns a saturating arithmetic lower bound on the
-// facet insertions of an R-round build, or 0 when the model defines
-// none. It costs nothing to compute, so admission can refuse an absurd
-// spec before even the one-representative-per-branch estimate walk —
-// which for a graphs adversary is itself as large as the answer, for
-// IIS enumerates every ordered partition of the participants, and for
-// the crash-failure models builds every failure set's option tables at
-// every node of the branch tree.
-func (in *Instance) InsertionFloor() int64 { return in.floor }
+// InsertionFloor returns the model's count over the m-face: the facet
+// insertions of the instance's R-round build, exact and saturating.
+func (in *Instance) InsertionFloor() int64 { return in.count(in.p, in.M) }
 
-// Estimate prices an R-round build over input via roundop.EstimateFacets
-// (exact for every compiled operator: their per-branch continuation cost
-// is constant).
+// Estimate returns the model's count over input: the facet insertions of
+// an R-round build over it, exact and saturating, in a few arithmetic
+// steps. The error is always nil; the signature is the one the bench
+// module calls.
 func (in *Instance) Estimate(input topology.Simplex) (int64, error) {
-	if in.EmptyFor(input) {
-		return 0, nil
-	}
-	return roundop.EstimateFacets(in.op, input, in.R)
+	return in.count(in.p, len(input)-1), nil
 }
 
 // Build constructs the R-round complex over input on the caller's
@@ -317,13 +305,9 @@ func (m Model) instance(p Params) (*Instance, error) {
 		R:      p.R,
 		Params: m.echo(p),
 		op:     m.Operator(p),
+		count:  m.Count,
+		p:      p,
 		doc:    m.specDoc(p),
-	}
-	if deg := m.Degenerate; deg != nil {
-		in.degenerate = func(dim int) bool { return deg(p, dim) }
-	}
-	if m.Floor != nil {
-		in.floor = m.Floor(p)
 	}
 	return in, nil
 }

@@ -56,6 +56,16 @@ func SatMul(a, b int64) int64 {
 	return a * b
 }
 
+// SatPow returns base^exp for nonnegative base and exp, saturating at
+// math.MaxInt64 as SatMul does.
+func SatPow(base int64, exp int) int64 {
+	v := int64(1)
+	for range exp {
+		v = SatMul(v, base)
+	}
+	return v
+}
+
 // DecodeIndex writes the mixed-radix digits of li into idx, last digit
 // fastest — the same enumeration order the constructors' odometers use.
 func DecodeIndex(idx []int, opts [][]Option, li int64) {

@@ -1,6 +1,7 @@
 package pc
 
 import (
+	"math"
 	"testing"
 
 	"pseudosphere/internal/topology"
@@ -35,6 +36,23 @@ func TestMergeDeduplicates(t *testing.T) {
 	}
 	if len(r1.Views) != 3 {
 		t.Fatalf("views = %d, want 3", len(r1.Views))
+	}
+}
+
+// TestSatPow: powers are exact below math.MaxInt64 and saturate above
+// it, and the empty power is 1 even of 0.
+func TestSatPow(t *testing.T) {
+	for _, tc := range []struct {
+		base int64
+		exp  int
+		want int64
+	}{
+		{0, 0, 1}, {0, 3, 0}, {7, 0, 1}, {11, 5, 161051}, {2, 62, 1 << 62},
+		{2, 63, math.MaxInt64}, {256, 9, math.MaxInt64},
+	} {
+		if got := SatPow(tc.base, tc.exp); got != tc.want {
+			t.Errorf("SatPow(%d, %d) = %d, want %d", tc.base, tc.exp, got, tc.want)
+		}
 	}
 }
 

@@ -41,7 +41,8 @@ type Options struct {
 // returns ctx.Err() once the shard in hand finishes. An obs.Tracker
 // carried by ctx (obs.FromContext) has its "facets" counter bumped by
 // each shard's final-round facet insertions, so a fresh build of an
-// in-tree operator ends with the counter at EstimateFacets.
+// in-tree operator ends with the counter at the instance's count
+// (modelspec's Instance.Estimate).
 //
 // With a Checkpoint, shards a previous run persisted are skipped, and the
 // partial result Restore returns becomes the build's result. Build hands

@@ -193,8 +193,5 @@ func TestBuildRejectsInvalidParams(t *testing.T) {
 		if _, err := roundop.Build(context.Background(), tc.op, input(2), 1, roundop.Options{}); err == nil {
 			t.Errorf("%s: Build accepted invalid parameters", tc.name)
 		}
-		if _, err := roundop.EstimateFacets(tc.op, input(2), 1); err == nil {
-			t.Errorf("%s: EstimateFacets accepted invalid parameters", tc.name)
-		}
 	}
 }

@@ -1,37 +1,19 @@
 package roundop
 
 import (
-	"fmt"
 	"math"
 
 	"pseudosphere/internal/pc"
-	"pseudosphere/internal/topology"
 	"pseudosphere/internal/views"
 )
 
-// EstimateFacets predicts the facet enumeration cost of an r-round Build
-// of op over input without building the complex: the number of facet
-// insertions the construction will perform, which a fresh Build reports
-// in its "facets" counter. It exists for budgeted admission — a query
-// service can refuse an oversized request in microseconds instead of
-// discovering the size the expensive way.
-//
-// The estimate walks the branch tree the same way the construction does
-// but expands only one representative facet per branch: for the in-tree
-// operators a branch's continuation cost depends on the surviving
-// participant set and the remaining failure budget — both constant across
-// the facets of one branch — so the per-branch product size times the
-// representative's continuation cost is exact for them (up to facet
-// dedup: facets shared between branches are inserted once per branch, and
-// insertions, not distinct facets, are what admission must bound). The
-// result saturates at math.MaxInt64 instead of overflowing.
-func EstimateFacets(op Operator, input topology.Simplex, r int) (int64, error) {
-	if r < 0 {
-		return 0, fmt.Errorf("roundop: negative round count %d", r)
-	}
-	return estimateRounds(op, pc.InputViews(input), r)
-}
-
+// estimateRounds returns the facet insertions of an r-round build from
+// cur, walking the branch tree as the construction does but expanding one
+// representative facet per branch, saturating. It is exact for the
+// in-tree operators, whose continuation cost depends only on the
+// surviving participants and the remaining budget, both constant across
+// a branch. ShardPlan.Facets, through continuation, is its only user; a
+// whole build is priced by the model's arithmetic count (modelspec).
 func estimateRounds(op Operator, cur []*views.View, r int) (int64, error) {
 	if r == 0 {
 		return 1, nil

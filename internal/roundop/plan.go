@@ -239,11 +239,10 @@ func (p *ShardPlan) RunShard(into *pc.Result, i int) error {
 
 // Facets returns the number of final-round facet insertions shard i
 // performs, which is what a Build's "facets" counter adds when it runs
-// the shard: its first-round facet count times the continuation cost
-// EstimateFacets assigns the shard's branch, exact for the in-tree
-// operators. It returns 0 for
-// an index out of range, or when the continuation's Branches fails, as
-// RunShard would then too.
+// the shard: its first-round facet count times the continuation cost of
+// one representative facet (estimateRounds), exact for the in-tree
+// operators. It returns 0 for an index out of range, or when the
+// continuation's Branches fails, as RunShard would then too.
 func (p *ShardPlan) Facets(i int) int64 {
 	if i < 0 || i >= len(p.jobs) {
 		return 0

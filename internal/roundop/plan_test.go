@@ -54,8 +54,8 @@ func TestPlanShardsMatchesParallelBuild(t *testing.T) {
 					total += n
 				}
 			}
-			if est, err := roundop.EstimateFacets(tc.op, in, tc.r); err != nil || total != est {
-				t.Fatalf("sum of Facets = %d, EstimateFacets = %d, %v", total, est, err)
+			if want := countInsertions(t, tc.op, pc.InputViews(in), tc.r); total != want {
+				t.Fatalf("sum of Facets = %d, reference insertion count = %d", total, want)
 			}
 			// Merge the shards in reverse order into per-shard results: order
 			// independence is part of the contract.
@@ -78,12 +78,18 @@ func TestPlanShardsMatchesParallelBuild(t *testing.T) {
 }
 
 // TestPlanShardsRejectsBadInput: r < 1 has no facet product to shard,
-// and out-of-range shard indices must error, not panic or silently
-// no-op.
+// a branch whose product overflows int64 cannot be indexed, and
+// out-of-range shard indices must error, not panic or silently no-op.
+// A^1 n=8 f=8 has one branch of 2^72 facets, a product that wraps to
+// exactly 0 in int64 arithmetic: Build must refuse it rather than skip
+// the branch and return an empty complex.
 func TestPlanShardsRejectsBadInput(t *testing.T) {
 	op := asyncmodel.Params{N: 2, F: 1}.Operator()
 	if _, err := roundop.PlanShards(op, input(2), 0); err == nil || !strings.Contains(err.Error(), "r >= 1") {
 		t.Fatalf("PlanShards(r=0) err = %v, want r >= 1 complaint", err)
+	}
+	if _, err := roundop.Build(context.Background(), asyncmodel.Params{N: 8, F: 8}.Operator(), input(8), 1, roundop.Options{}); err == nil {
+		t.Fatal("Build of a 2^72-facet branch returned no error")
 	}
 	plan, err := roundop.PlanShards(op, input(2), 1)
 	if err != nil {

@@ -19,6 +19,7 @@ import (
 	"pseudosphere/internal/pc"
 	"pseudosphere/internal/roundop"
 	"pseudosphere/internal/topology"
+	"pseudosphere/internal/views"
 )
 
 // distState is the replica's distributed-construction side: the
@@ -83,10 +84,11 @@ func (s *Server) closeDist() {
 }
 
 // distCompile is the worker side of an offer: re-parse the model
-// document with the same modelspec path every endpoint uses, re-price it
-// against this replica's own facet budget (a worker never trusts the
-// coordinator's arithmetic), and re-derive the deterministic shard plan
-// the coordinator's leases index into.
+// document with the same modelspec path every endpoint uses, check that
+// the input is a face of the model's process simplex with labels a view
+// can carry, re-price it against this replica's own facet budget (a
+// worker never trusts the coordinator's arithmetic), and re-derive the
+// deterministic shard plan the coordinator's leases index into.
 func (s *Server) distCompile(offer *distbuild.BuildOffer) (*roundop.ShardPlan, error) {
 	spec, err := modelspec.Parse(offer.Model)
 	if err != nil {
@@ -100,15 +102,18 @@ func (s *Server) distCompile(offer *distbuild.BuildOffer) (*roundop.ShardPlan, e
 	if err != nil {
 		return nil, err
 	}
-	if inst.EmptyFor(input) {
-		return nil, badRequest("offered build is empty by model convention; nothing to shard")
+	// InputSimplex sorts by process id and refuses negative ones, so the
+	// last vertex bounds them all.
+	if len(input) == 0 || input[len(input)-1].P > inst.N || inst.EmptyFor(input) {
+		return nil, badRequest("offered input is not a face over processes 0..%d the model builds on", inst.N)
 	}
-	est, err := s.priceConstruction(inst, input)
-	if err != nil {
+	for _, v := range input {
+		if err := views.CheckValue(v.Label); err != nil {
+			return nil, badRequest("offered input: %v", err)
+		}
+	}
+	if err := s.admitConstruction(inst, input, 1); err != nil {
 		return nil, err
-	}
-	if est > s.cfg.MaxFacets {
-		return nil, overBudget("offered build estimates %d facet insertions, budget %d", est, s.cfg.MaxFacets)
 	}
 	return roundop.PlanShards(inst.Operator(), input, inst.R)
 }
@@ -125,15 +130,15 @@ func (s *Server) distCompile(offer *distbuild.BuildOffer) (*roundop.ShardPlan, e
 // caching, and every downstream verdict are unaffected by which path
 // ran.
 func (s *Server) distBuild(ctx context.Context, inst *modelspec.Instance, input topology.Simplex, ck *jobs.CheckpointLog) (*pc.Result, bool, error) {
-	if s.dist == nil || s.cfg.DistThreshold <= 0 || inst.R < 1 || inst.EmptyFor(input) {
+	if s.dist == nil || s.cfg.DistThreshold <= 0 || inst.R < 1 {
 		return nil, false, nil
 	}
 	doc := inst.SpecDoc()
 	if doc == nil {
 		return nil, false, nil
 	}
-	est, err := inst.Estimate(input)
-	if err != nil || est < s.cfg.DistThreshold {
+	// An empty-by-convention build counts 0, below any threshold.
+	if est, _ := inst.Estimate(input); est < s.cfg.DistThreshold {
 		return nil, false, nil
 	}
 	live := false

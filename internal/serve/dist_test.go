@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
@@ -8,6 +9,9 @@ import (
 	"net/http/httptest"
 	"testing"
 	"time"
+
+	"pseudosphere/internal/distbuild"
+	"pseudosphere/internal/obs"
 )
 
 // Pinned single-process canonical hashes (computed by the local engine;
@@ -254,5 +258,43 @@ func TestHopGuardDeadOwner(t *testing.T) {
 	}
 	if got := servers[0].Tracker().Counters()["cluster_delegated"]; got != 0 {
 		t.Fatalf("survivor delegated %d hop-pinned requests toward a dead owner", got)
+	}
+}
+
+// TestOfferRefusesForeignInput: a worker answers 400 to an offered input
+// that is not a face of the offered model's process simplex, or whose
+// label no view can carry. The model's count covers only its own
+// processes, and views.HeardSets at most 64 of them; before the check,
+// a sync n=2 offer over processes 0..5 was accepted and planned into 7
+// shards.
+func TestOfferRefusesForeignInput(t *testing.T) {
+	s := newTestServer(t, "", nil)
+	pool := &distbuild.WorkerPool{Self: "worker", Compile: s.distCompile, Workers: 1, Tracker: obs.NewTracker()}
+	defer pool.Close()
+	gone := httptest.NewServer(http.NotFoundHandler())
+	gone.Close() // an accepted offer's claim loop finds no coordinator and stops
+
+	wide := make([]distbuild.WireVert, 6)
+	for i := range wide {
+		wide[i] = distbuild.WireVert{P: i, L: string(rune('a' + i))}
+	}
+	for name, input := range map[string][]distbuild.WireVert{
+		"processes 0-5":  wide,
+		"label with ':'": {{P: 0, L: "a:b"}, {P: 1, L: "b"}, {P: 2, L: "c"}},
+	} {
+		body, err := json.Marshal(distbuild.BuildOffer{
+			Build:       "offer-" + name,
+			Coordinator: gone.URL,
+			Model:       json.RawMessage(`{"name": "sync", "params": {"n": 2, "k": 1, "r": 1}}`),
+			Input:       input,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		pool.OfferHandler()(rec, httptest.NewRequest(http.MethodPost, distbuild.OfferPath, bytes.NewReader(body)))
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("%s: offer answered %d, want 400", name, rec.Code)
+		}
 	}
 }

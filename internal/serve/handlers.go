@@ -45,14 +45,23 @@ func statsOf(c *topology.Complex) complexStats {
 
 // endpointQuery is one computation the service can run two ways: behind
 // the synchronous GET spine or inside an async job. It carries the
-// request's canonical cache key, an upfront price check (used by job
-// submission to refuse oversized work before queueing it), and the
-// compute closure. compute's ck is non-nil only for job runs, where it
-// threads the construction-shard and homology-rank checkpoint seams.
+// request's canonical cache key, its price check (arithmetic, so job
+// submission also runs it to refuse oversized work before queueing it),
+// and the compute closure. compute's ck is non-nil only for job runs,
+// where it threads the construction-shard and homology-rank checkpoint
+// seams.
 type endpointQuery struct {
 	key     string
 	price   func() error
 	compute func(ctx context.Context, ck *jobs.CheckpointLog) (any, error)
+}
+
+// run prices the query against this server's budgets, then computes it.
+func (bq endpointQuery) run(ctx context.Context, ck *jobs.CheckpointLog) (any, error) {
+	if err := bq.price(); err != nil {
+		return nil, err
+	}
+	return bq.compute(ctx, ck)
 }
 
 // buildQuery validates q (plus an optional inline model spec) for the
@@ -89,7 +98,7 @@ func (s *Server) handleEndpoint(endpoint string) http.HandlerFunc {
 			return
 		}
 		s.serveQuery(w, r, endpoint, bq.key, q, func(ctx context.Context) (any, error) {
-			return bq.compute(ctx, nil)
+			return bq.run(ctx, nil)
 		})
 	}
 }
@@ -172,7 +181,7 @@ func (s *Server) handleEndpointPost(endpoint string) http.HandlerFunc {
 		r.Body = io.NopCloser(bytes.NewReader(body))
 		r.ContentLength = int64(len(body))
 		s.serveQuery(w, r, endpoint, bq.key, r.URL.Query(), func(ctx context.Context) (any, error) {
-			return bq.compute(ctx, nil)
+			return bq.run(ctx, nil)
 		})
 	}
 }
@@ -208,23 +217,15 @@ func (s *Server) buildPseudosphere(q url.Values) (endpointQuery, error) {
 		return endpointQuery{}, err
 	}
 	withBetti := q.Get("betti") != "false"
-	price := func() error {
-		facets := int64(1)
-		for i := 0; i <= n; i++ {
-			facets = pc.SatMul(facets, int64(len(values)))
-		}
-		if facets > s.cfg.MaxFacets {
-			return overBudget("psi(S^%d; %d values) has %d facets, budget %d", n, len(values), facets, s.cfg.MaxFacets)
-		}
-		return nil
-	}
 	return endpointQuery{
-		key:   fmt.Sprintf("n=%d|values=%s|betti=%v", n, canonicalValues(values), withBetti),
-		price: price,
-		compute: func(ctx context.Context, ck *jobs.CheckpointLog) (any, error) {
-			if err := price(); err != nil {
-				return nil, err
+		key: fmt.Sprintf("n=%d|values=%s|betti=%v", n, canonicalValues(values), withBetti),
+		price: func() error {
+			if facets := pc.SatPow(int64(len(values)), n+1); facets > s.cfg.MaxFacets {
+				return overBudget("psi(S^%d; %d values) has %d facets, budget %d", n, len(values), facets, s.cfg.MaxFacets)
 			}
+			return nil
+		},
+		compute: func(ctx context.Context, ck *jobs.CheckpointLog) (any, error) {
 			ps, err := core.Uniform(core.ProcessSimplex(n), values)
 			if err != nil {
 				return nil, badRequestError{msg: err.Error()}
@@ -250,29 +251,16 @@ func (s *Server) buildPseudosphere(q url.Values) (endpointQuery, error) {
 	}, nil
 }
 
-// priceConstruction prices inst over input: the arithmetic insertion
-// floor first — for a graphs adversary the EstimateFacets walk is itself
-// as large as the answer, and for IIS and the crash-failure models it
-// builds a branch tree exponential in the process count, so an absurd
-// request must be refused without walking it — then the exact estimate.
-func (s *Server) priceConstruction(inst *modelspec.Instance, input topology.Simplex) (int64, error) {
-	if floor := inst.InsertionFloor(); floor > s.cfg.MaxFacets {
-		return floor, overBudget("%s has at least %d facet insertions, budget %d", inst.Key, floor, s.cfg.MaxFacets)
+// admitConstruction is the one facet-budget check of a construction:
+// copies builds of inst over input's dimension, priced by the model's
+// exact arithmetic count, so an absurd request is refused without
+// enumerating anything.
+func (s *Server) admitConstruction(inst *modelspec.Instance, input topology.Simplex, copies int64) error {
+	est, _ := inst.Estimate(input)
+	if total := pc.SatMul(est, copies); total > s.cfg.MaxFacets {
+		return overBudget("%s prices at %d facet insertions, budget %d", inst.Key, total, s.cfg.MaxFacets)
 	}
-	return inst.Estimate(input)
-}
-
-// admitConstruction prices the construction with the roundop seam and
-// rejects it if it exceeds the facet budget.
-func (s *Server) admitConstruction(inst *modelspec.Instance) (int64, error) {
-	est, err := s.priceConstruction(inst, inputSimplex(inst.M))
-	if err != nil {
-		return 0, err
-	}
-	if est > s.cfg.MaxFacets {
-		return est, overBudget("%s estimates %d facet insertions, budget %d", inst.Key, est, s.cfg.MaxFacets)
-	}
-	return est, nil
+	return nil
 }
 
 // buildRounds serves the r-round complex R^r(S^m) of a model.
@@ -283,12 +271,8 @@ func (s *Server) buildRounds(q url.Values, spec *modelspec.Spec) (endpointQuery,
 	}
 	return endpointQuery{
 		key:   inst.Key,
-		price: func() error { _, err := s.admitConstruction(inst); return err },
+		price: func() error { return s.admitConstruction(inst, inputSimplex(inst.M), 1) },
 		compute: func(ctx context.Context, ck *jobs.CheckpointLog) (any, error) {
-			est, err := s.admitConstruction(inst)
-			if err != nil {
-				return nil, err
-			}
 			res, err := s.buildModel(ctx, inst, inputSimplex(inst.M), ck)
 			if err != nil {
 				return nil, err
@@ -299,7 +283,7 @@ func (s *Server) buildRounds(q url.Values, spec *modelspec.Spec) (endpointQuery,
 				EstimatedFacets int64                `json:"estimated_facet_insertions"`
 				Complex         complexStats         `json:"complex"`
 				Views           int                  `json:"views"`
-			}{inst.Model, inst.Params, est, statsOf(res.Complex), len(res.Views)}, nil
+			}{inst.Model, inst.Params, inst.InsertionFloor(), statsOf(res.Complex), len(res.Views)}, nil
 		},
 	}, nil
 }
@@ -377,11 +361,8 @@ func (s *Server) buildConnectivity(q url.Values, spec *modelspec.Spec) (endpoint
 	}
 	return endpointQuery{
 		key:   key,
-		price: func() error { _, err := s.admitConstruction(inst); return err },
+		price: func() error { return s.admitConstruction(inst, inputSimplex(inst.M), 1) },
 		compute: func(ctx context.Context, ck *jobs.CheckpointLog) (any, error) {
-			if _, err := s.admitConstruction(inst); err != nil {
-				return nil, err
-			}
 			res, err := s.buildModel(ctx, inst, inputSimplex(inst.M), ck)
 			if err != nil {
 				return nil, err
@@ -469,36 +450,15 @@ func (s *Server) buildDecision(q url.Values, spec *modelspec.Spec) (endpointQuer
 		}
 	}
 	includeMap := q.Get("include_map") == "true"
-	price := func() error {
-		// There are |values|^(n+1) input facets, so the enumeration itself
-		// is the memory hazard: price the count arithmetically (saturating)
-		// and refuse before materializing a single simplex.
-		numInputs := int64(1)
-		for i := 0; i <= inst.N; i++ {
-			numInputs = pc.SatMul(numInputs, int64(len(values)))
-		}
-		if numInputs > s.cfg.MaxFacets {
-			return overBudget("%d^%d = %d input facets exceeds budget %d", len(values), inst.N+1, numInputs, s.cfg.MaxFacets)
-		}
-		// The protocol complex unions R^r over every input facet; facets
-		// differ only in labels, so one uniform representative prices them
-		// all without enumerating the rest.
-		perInput, err := s.priceConstruction(inst, uniformInputFacet(inst.N, values[0]))
-		if err != nil {
-			return err
-		}
-		if total := pc.SatMul(perInput, numInputs); total > s.cfg.MaxFacets {
-			return overBudget("%d inputs x %d facet insertions exceeds budget %d", numInputs, perInput, s.cfg.MaxFacets)
-		}
-		return nil
-	}
 	return endpointQuery{
-		key:   fmt.Sprintf("%s|agree=%d|values=%s|limit=%d|map=%v", inst.Key, agree, canonicalValues(values), limit, includeMap),
-		price: price,
+		key: fmt.Sprintf("%s|agree=%d|values=%s|limit=%d|map=%v", inst.Key, agree, canonicalValues(values), limit, includeMap),
+		// The protocol complex unions R^r over the |values|^(n+1) input
+		// facets, each an n-face, and the count prices them all without
+		// materializing a single one.
+		price: func() error {
+			return s.admitConstruction(inst, inputSimplex(inst.N), pc.SatPow(int64(len(values)), inst.N+1))
+		},
 		compute: func(ctx context.Context, _ *jobs.CheckpointLog) (any, error) {
-			if err := price(); err != nil {
-				return nil, err
-			}
 			inputs := core.InputFacets(inst.N, values)
 			res := pc.NewResult()
 			for _, input := range inputs {

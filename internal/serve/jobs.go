@@ -32,10 +32,8 @@ func (s *Server) jobPrepare(spec jobs.Spec) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if bq.price != nil {
-		if err := bq.price(); err != nil {
-			return "", err
-		}
+	if err := bq.price(); err != nil {
+		return "", err
 	}
 	return "resp|" + spec.Endpoint + "|" + bq.key, nil
 }
@@ -43,7 +41,8 @@ func (s *Server) jobPrepare(spec jobs.Spec) (string, error) {
 // jobRun is the manager's Run hook: one job attempt. It reuses the
 // synchronous spine's pieces — response-store fast path, the shared
 // admission pool (jobs never bypass the compute budget the service
-// enforces on requests), the endpoint's compute — plus the checkpoint log
+// enforces on requests), the endpoint's price and compute, so a job
+// resumed under a smaller budget is refused — plus the checkpoint log
 // the manager opened for this job. The result is persisted synchronously
 // before the job is marked done: a "done" job always has a readable
 // result.
@@ -61,7 +60,7 @@ func (s *Server) jobRun(ctx context.Context, t *jobs.Task) error {
 	}
 	defer s.adm.release()
 	s.tracker.Counter("computes").Add(1)
-	v, err := bq.compute(ctx, t.Ckpt)
+	v, err := bq.run(ctx, t.Ckpt)
 	if err != nil {
 		return err
 	}

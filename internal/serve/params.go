@@ -82,17 +82,6 @@ func resolveModel(q url.Values, spec *modelspec.Spec) (*modelspec.Instance, erro
 	return spec.Compile()
 }
 
-// uniformInputFacet is the input facet where every process holds the same
-// value — a representative for admission pricing, since facet estimates
-// depend only on the input's dimension, not its labels.
-func uniformInputFacet(n int, label string) topology.Simplex {
-	vs := make(topology.Simplex, n+1)
-	for i := range vs {
-		vs[i] = topology.Vertex{P: i, Label: label}
-	}
-	return vs
-}
-
 // isPrime reports primality by trial division; callers cap the argument
 // (maxGFpP) so this is microseconds.
 func isPrime(p int) bool {

@@ -11,8 +11,9 @@
 //	→ the engines, under a bounded admission-control pool
 //
 // Cache hits are served before admission, so a saturated pool still
-// answers warm traffic; misses pay one pool slot and are priced upfront
-// by roundop.EstimateFacets / task.SearchSpaceLog2 so oversized requests
+// answers warm traffic; misses pay one pool slot and are priced upfront,
+// a construction by its model's exact arithmetic facet count (modelspec)
+// and a decision search by task.SearchSpaceLog2, so oversized requests
 // are refused in microseconds. A miss's compute runs under a context that
 // is cancelled (flowing into the ...Ctx enumeration variants) when the
 // last request waiting on it disconnects or times out — so coalesced

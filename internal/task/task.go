@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"pseudosphere/internal/topology"
@@ -174,16 +175,19 @@ func findConsensus(a *Annotated) (DecisionMap, bool) {
 // once, plus the assignment and the node count.
 type search struct {
 	verts      []topology.Vertex
-	facetOf    [][]int // vertex -> facet indices
-	facetVerts [][]int // facet -> vertex indices
-	domains    [][]string
+	facetOf    [][]int   // vertex -> facet indices
+	facetVerts [][]int   // facet -> vertex indices
+	names      []string  // value id -> value
+	domains    [][]int32 // vertex -> allowed value ids, ascending
 	order      []int
 	k          int
 
-	nodes    int64
-	limit    int64 // <= 0: unlimited
-	assign   []string
-	assigned []bool
+	nodes  int64
+	limit  int64   // <= 0: unlimited
+	assign []int32 // vertex -> value id, -1 while unassigned
+	// mark[id] == gen: consistent saw value id in the facet in hand.
+	mark []uint64
+	gen  uint64
 }
 
 func newSearch(a *Annotated, k int) *search {
@@ -199,24 +203,51 @@ func newSearch(a *Annotated, k int) *search {
 		fv := make([]int, len(f))
 		for j, v := range f {
 			fv[j] = vIdx[v]
-			facetOf[vIdx[v]] = append(facetOf[vIdx[v]], fi)
+			facetOf[fv[j]] = append(facetOf[fv[j]], fi)
 		}
 		facetVerts[fi] = fv
 	}
-	domains := make([][]string, len(verts))
+	// Values get ids in sorted string order, so a domain in ascending id
+	// order tries its values in string order.
+	allowed := make([][]string, len(verts))
+	ids := make(map[string]int32)
+	var names []string
+	size := 0
 	for i, v := range verts {
-		domains[i] = append([]string(nil), a.Allowed[v]...)
-		sort.Strings(domains[i])
+		allowed[i] = a.Allowed[v]
+		size += len(allowed[i])
+		for _, val := range allowed[i] {
+			if _, ok := ids[val]; !ok {
+				ids[val] = 0
+				names = append(names, val)
+			}
+		}
+	}
+	slices.Sort(names)
+	for id, val := range names {
+		ids[val] = int32(id)
+	}
+	flat := make([]int32, 0, size) // every domain, back to back
+	domains := make([][]int32, len(verts))
+	assign := make([]int32, len(verts))
+	for i, vals := range allowed {
+		for _, val := range vals {
+			flat = append(flat, ids[val])
+		}
+		domains[i] = flat[len(flat)-len(vals):]
+		slices.Sort(domains[i])
+		assign[i] = -1
 	}
 	return &search{
 		verts:      verts,
 		facetOf:    facetOf,
 		facetVerts: facetVerts,
+		names:      names,
 		domains:    domains,
 		order:      searchOrder(facetVerts, len(verts)),
 		k:          k,
-		assign:     make([]string, len(verts)),
-		assigned:   make([]bool, len(verts)),
+		assign:     assign,
+		mark:       make([]uint64, len(names)),
 	}
 }
 
@@ -231,7 +262,7 @@ func (s *search) run(ctx context.Context, nodeLimit int64) (DecisionMap, bool, e
 	if ok {
 		dm := make(DecisionMap, len(s.verts))
 		for i, v := range s.verts {
-			dm[v] = s.assign[i]
+			dm[v] = s.names[s.assign[i]]
 		}
 		return dm, true, nil
 	}
@@ -258,13 +289,12 @@ func (s *search) rec(ctx context.Context, pos int) (bool, error) {
 			return false, err
 		}
 		s.assign[vi] = val
-		s.assigned[vi] = true
 		if s.consistent(vi) {
 			if ok, err := s.rec(ctx, pos+1); ok || err != nil {
 				return ok, err
 			}
 		}
-		s.assigned[vi] = false
+		s.assign[vi] = -1
 	}
 	return false, nil
 }
@@ -275,23 +305,25 @@ func (s *search) rec(ctx context.Context, pos int) (bool, error) {
 // domain.
 func (s *search) consistent(vi int) bool {
 	for _, fi := range s.facetOf[vi] {
-		seen := make(map[string]bool, s.k+1)
+		s.gen++
+		distinct := 0
 		for _, wj := range s.facetVerts[fi] {
-			if s.assigned[wj] {
-				seen[s.assign[wj]] = true
+			if val := s.assign[wj]; val >= 0 && s.mark[val] != s.gen {
+				s.mark[val] = s.gen
+				distinct++
 			}
 		}
-		if len(seen) > s.k {
+		if distinct > s.k {
 			return false
 		}
-		if len(seen) == s.k {
+		if distinct == s.k {
 			for _, wj := range s.facetVerts[fi] {
-				if s.assigned[wj] {
+				if s.assign[wj] >= 0 {
 					continue
 				}
 				ok := false
 				for _, val := range s.domains[wj] {
-					if seen[val] {
+					if s.mark[val] == s.gen {
 						ok = true
 						break
 					}
