@@ -46,13 +46,13 @@ import (
 // these are typically an order of magnitude smaller than the full
 // boundary matrices, and in low dimensions usually empty.
 type coreduced struct {
-	dim        int       // dimension of the original complex
-	components int       // connected components (b0 of the original)
-	alive      []bool    // per entry: survived the pass
-	faces      [][]int32 // per entry: codim-1 face entries, vertex-drop order
-	aliveByDim [][]int32 // per dimension: surviving entries, ascending entry index
-	col        []int32   // per entry: column index within its dimension's alive list (-1 if dead)
-	removed    []int     // per dimension: cells eliminated (pairs + seed vertices)
+	c          *topology.Complex // the original complex, whose face table the pass reads
+	dim        int               // dimension of the original complex
+	components int               // connected components (b0 of the original)
+	alive      []bool            // per entry: survived the pass
+	aliveByDim [][]int32         // per dimension: surviving entries, ascending entry index
+	col        []int32           // per entry: column index within its dimension's alive list (-1 if dead)
+	removed    []int             // per dimension: cells eliminated (pairs + seed vertices)
 }
 
 // coreduceProbe is how many queue pops (or setup entries) are processed
@@ -62,14 +62,16 @@ const coreduceProbe = 4096
 // coreduce runs the pass over c. It is deterministic: entries are seeded
 // and paired in a fixed order, so critical-cell counts are stable across
 // runs. A non-nil cancelled flag aborts the pass; ok is then false and
-// the returned value must be discarded.
+// the returned value must be discarded. It reads c's face table in place
+// (topology.Complex.EntryFaces), filling it first if no earlier read did;
+// the fill runs to completion.
 func coreduce(c *topology.Complex, cancelled *atomic.Bool) (cr *coreduced, ok bool) {
 	dim := c.Dim()
 	n := c.EntryCount()
 	cr = &coreduced{
+		c:          c,
 		dim:        dim,
 		alive:      make([]bool, n),
-		faces:      make([][]int32, n),
 		col:        make([]int32, n),
 		aliveByDim: make([][]int32, dim+1),
 		removed:    make([]int, dim+1),
@@ -79,29 +81,23 @@ func coreduce(c *topology.Complex, cancelled *atomic.Bool) (cr *coreduced, ok bo
 	}
 	fv := c.FVector()
 	entryDim := make([]int8, n)
-
-	// Face lists, carved out of one exactly-sized backing array.
-	total := 0
-	for d := 1; d <= dim; d++ {
-		total += fv[d] * (d + 1)
-	}
-	flat := make([]int32, 0, total)
 	for ei := 0; ei < n; ei++ {
 		if cancelled != nil && ei%coreduceProbe == 0 && cancelled.Load() {
 			return nil, false
 		}
 		entryDim[ei] = int8(c.EntryDim(int32(ei)))
-		start := len(flat)
-		flat = c.EntryFaces(int32(ei), flat)
-		cr.faces[ei] = flat[start:len(flat):len(flat)]
 		cr.alive[ei] = true
 	}
 
-	// Coboundary lists (CSR over the same incidence), and per-entry count
-	// of still-alive faces.
+	// Coboundary lists (CSR over the face table's incidence), and
+	// per-entry count of still-alive faces.
+	total := 0
+	for d := 1; d <= dim; d++ {
+		total += fv[d] * (d + 1)
+	}
 	cofCnt := make([]int32, n)
-	for _, fs := range cr.faces {
-		for _, f := range fs {
+	for ei := 0; ei < n; ei++ {
+		for _, f := range c.EntryFaces(int32(ei)) {
 			cofCnt[f]++
 		}
 	}
@@ -112,17 +108,16 @@ func coreduce(c *topology.Complex, cancelled *atomic.Bool) (cr *coreduced, ok bo
 	cofFlat := make([]int32, total)
 	fill := make([]int32, n)
 	copy(fill, cofOff[:n])
-	for ei, fs := range cr.faces {
+	bdCnt := make([]int32, n)
+	for ei := 0; ei < n; ei++ {
+		fs := c.EntryFaces(int32(ei))
 		for _, f := range fs {
 			cofFlat[fill[f]] = int32(ei)
 			fill[f]++
 		}
+		bdCnt[ei] = int32(len(fs))
 	}
 	cofaces := func(ei int32) []int32 { return cofFlat[cofOff[ei]:cofOff[ei+1]] }
-	bdCnt := make([]int32, n)
-	for ei := range bdCnt {
-		bdCnt[ei] = int32(len(cr.faces[ei]))
-	}
 
 	// Components via union-find over vertex entries joined by edges.
 	parent := make([]int32, n)
@@ -139,7 +134,7 @@ func coreduce(c *topology.Complex, cancelled *atomic.Bool) (cr *coreduced, ok bo
 	}
 	for ei := 0; ei < n; ei++ {
 		if entryDim[ei] == 1 {
-			fs := cr.faces[ei]
+			fs := c.EntryFaces(int32(ei))
 			a, b := find(fs[0]), find(fs[1])
 			if a != b {
 				parent[a] = b
@@ -192,7 +187,7 @@ func coreduce(c *topology.Complex, cancelled *atomic.Bool) (cr *coreduced, ok bo
 			continue // stale queue record
 		}
 		var x int32 = -1
-		for _, f := range cr.faces[y] {
+		for _, f := range c.EntryFaces(y) {
 			if cr.alive[f] {
 				x = f
 				break
@@ -257,8 +252,9 @@ func (cr *coreduced) rank(d int, p int64, cancelled *atomic.Bool) int {
 	if p == 2 {
 		m := &sparseZ2Matrix{rows: cr.criticalCount(d - 1), cols: make([][]int, len(cols))}
 		for j, ei := range cols {
-			col := make([]int, 0, len(cr.faces[ei]))
-			for _, f := range cr.faces[ei] {
+			faces := cr.c.EntryFaces(ei)
+			col := make([]int, 0, len(faces))
+			for _, f := range faces {
 				if cr.alive[f] {
 					col = append(col, int(cr.col[f]))
 				}
@@ -272,10 +268,10 @@ func (cr *coreduced) rank(d int, p int64, cancelled *atomic.Bool) int {
 	// coreduction invariant that makes the restriction exact.
 	m := &coefMatrix{p: p, cols: make([]coefColumn, len(cols))}
 	for j, ei := range cols {
-		n := len(cr.faces[ei])
-		col := coefColumn{rows: make([]int, 0, n), vals: make([]int64, 0, n)}
+		faces := cr.c.EntryFaces(ei)
+		col := coefColumn{rows: make([]int, 0, len(faces)), vals: make([]int64, 0, len(faces))}
 		sign := int64(1)
-		for _, f := range cr.faces[ei] {
+		for _, f := range faces {
 			if cr.alive[f] {
 				row, v := int(cr.col[f]), sign
 				if v < 0 && p > 0 {
@@ -308,7 +304,7 @@ func (cr *coreduced) signedBoundary(d int) [][]int64 {
 	}
 	for j, ei := range cols {
 		sign := int64(1)
-		for _, f := range cr.faces[ei] {
+		for _, f := range cr.c.EntryFaces(ei) {
 			if cr.alive[f] {
 				a[cr.col[f]][j] = sign
 			}

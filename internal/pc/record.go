@@ -173,10 +173,8 @@ func (r *Result) applyRows(d *recordReader, base Mark, verts []topology.Vertex) 
 	if len(d.b) > 0 {
 		return fmt.Errorf("pc: %d bytes follow the record", len(d.b))
 	}
-	var faces []int32
 	for ei := base.Entries; ei < c.EntryCount(); ei++ {
-		faces = c.EntryFaces(int32(ei), faces[:0])
-		if slices.Contains(faces, -1) {
+		if slices.Contains(c.EntryFaces(int32(ei)), -1) {
 			return fmt.Errorf("pc: record is not face-closed: a face of %v is missing", c.EntrySimplex(int32(ei)))
 		}
 	}

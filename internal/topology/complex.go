@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 )
 
@@ -33,6 +34,16 @@ type Complex struct {
 
 	// Memoized CanonicalHash; insert, the single mutation point, clears it.
 	hash atomic.Pointer[string]
+
+	// The face table (see incidence.go): faces[off+i] is the entry index
+	// of the face omitting ids[off+i], or -1 where no such entry exists.
+	// faceMu serializes the fill; faceUpTo is the entry count at the last
+	// fill, so a reader that finds it equal to EntryCount takes no lock.
+	// Every entry below faceFrom has every face present and exact slots.
+	faceMu   sync.Mutex
+	faces    []int32
+	faceUpTo atomic.Int32
+	faceFrom int
 
 	// Reusable scratch (single-goroutine; a Complex has never been safe
 	// for concurrent mutation).
@@ -182,23 +193,14 @@ func (c *Complex) FacetCount() int {
 }
 
 // nonMaximal marks, by entry index, the simplexes that are a proper face
-// of another. Because the complex is closed under faces, a simplex is
-// maximal exactly when it is not a codimension-1 face of another simplex.
+// of another: every entry the face table names. Because the complex is
+// closed under faces, a simplex is maximal exactly when it is not a
+// codimension-1 face of another simplex.
 func (c *Complex) nonMaximal() []bool {
 	nonMax := make([]bool, len(c.ends))
-	face := make([]int32, c.dim+1) // local: this is a read and may run concurrently
-	for ei := range c.ends {
-		ids := c.entryIDs(int32(ei))
-		if len(ids) < 2 {
-			continue
-		}
-		f := face[:len(ids)-1]
-		for i := range ids {
-			copy(f, ids[:i])
-			copy(f[i:], ids[i+1:])
-			if fi := c.find(f, hashIDs(f)); fi >= 0 {
-				nonMax[fi] = true
-			}
+	for _, fi := range c.faceTable() {
+		if fi >= 0 {
+			nonMax[fi] = true
 		}
 	}
 	return nonMax
@@ -250,7 +252,7 @@ func (c *Complex) EulerCharacteristic() int {
 }
 
 // Clone returns an independent copy of the complex: inserting into one
-// leaves the other unchanged.
+// leaves the other unchanged. The copy starts without a face table.
 func (c *Complex) Clone() *Complex {
 	out := &Complex{
 		verts:  make(map[Vertex]int32, len(c.verts)),

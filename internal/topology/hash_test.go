@@ -236,7 +236,7 @@ func TestKeyOrderManyVertices(t *testing.T) {
 			c.Add(s)
 			ref.Add(s)
 		}
-		ranks, ok := c.keyRanks()
+		ranks, ok := c.keyRanks(c.keyTokens())
 		if !ok || c.sortPacked([]int32{0}, ranks, true) {
 			t.Fatalf("trial %d: %d vertices, want the rank comparator, not the packed sort", trial, c.VertexCount())
 		}

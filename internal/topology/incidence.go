@@ -1,11 +1,16 @@
 package topology
 
+import "slices"
+
 // Incidence access to the interned entry table. The homology engine's
 // coreduction pass walks face/coface incidences of every stored simplex,
 // and pc's record codec dumps the entries past a mark as vertex-id rows;
 // these accessors expose the entry table directly (dense int32 entry
 // indices, no Simplex materialization, no string keys) so both run at
-// intern-table speed. Entry indices are stable: entries are append-only
+// intern-table speed. Face incidences come from one face table per
+// complex, probed once per face on the first read that needs it and
+// shared by FacetCount, Facets, the coreduction and pc's closure check.
+// Entry indices are stable: entries are append-only
 // (only Truncate removes any), so an index obtained here stays valid as
 // long as the complex is not truncated below it.
 
@@ -36,39 +41,78 @@ func (c *Complex) AppendEntryIDs(buf []int32, ei int32) []int32 {
 	return append(buf, c.entryIDs(ei)...)
 }
 
-// EntryFaces appends the entry indices of the codimension-1 faces of
-// entry ei to buf and returns the extended slice. Faces are produced in
-// vertex-drop order: the i-th appended index is the face omitting the
-// i-th vertex of the entry's ascending-process-id sequence, so position i
+// EntryFaces returns the entry indices of the codimension-1 faces of
+// entry ei, a view into the face table that callers must not modify.
+// Faces come in vertex-drop order: index i is the face omitting the i-th
+// vertex of the entry's ascending-process-id sequence, so position i
 // carries the orientation sign (-1)^i — the same convention the signed
-// boundary builders use. A vertex entry appends nothing. Every face of a
-// stored simplex is itself stored (the complex is closed under
-// containment), so the appended indices are valid; only a load through
-// AddClosedIDs of a set that was not face-closed leaves a face missing,
-// and its index is then -1.
+// boundary builders use. A vertex entry has none. Every face of a stored
+// simplex is itself stored (the complex is closed under containment), so
+// the indices are valid; only a load through AddClosedIDs of a set that
+// was not face-closed leaves a face missing, and its index is then -1.
 //
-// The lookup is read-only (index probe, never insert) and uses no complex
-// scratch state, so concurrent EntryFaces calls — and concurrent readers
-// generally — are safe, matching the homology engine's access pattern.
-func (c *Complex) EntryFaces(ei int32, buf []int32) []int32 {
-	ids := c.entryIDs(ei)
-	n := len(ids)
-	if n <= 1 {
-		return buf
+// The first read after an insertion fills the table for the entries
+// inserted since (see faceTable), under a lock; a read that finds the
+// table filled takes no lock. Concurrent EntryFaces calls — and
+// concurrent readers generally — are safe, matching the homology
+// engine's access pattern.
+func (c *Complex) EntryFaces(ei int32) []int32 {
+	faces := c.faceTable()
+	lo, hi := c.entryStart(int(ei)), int(c.ends[ei])
+	if hi-lo <= 1 {
+		return nil
 	}
-	var faceArr [maskWalkLimit]int32
-	var face []int32
-	if n-1 <= len(faceArr) {
-		face = faceArr[:n-1]
-	} else {
-		face = make([]int32, n-1)
+	return faces[lo:hi:hi]
+}
+
+// faceTable returns the face table, parallel to the id arena, filling it
+// first if an entry was inserted since the last fill.
+func (c *Complex) faceTable() []int32 {
+	if int(c.faceUpTo.Load()) != len(c.ends) {
+		c.fillFaces()
 	}
-	for i := 0; i < n; i++ {
-		copy(face, ids[:i])
-		copy(face[i:], ids[i+1:])
-		buf = append(buf, c.find(face, hashIDs(face)))
+	return c.faces
+}
+
+// fillFaces probes the faces of every entry from faceFrom on, so an
+// entry is probed once unless a face of it was missing: faceFrom stops at
+// the first such entry, and the next fill, after an insertion, probes
+// again from there, so a -1 never outlives the face's insertion.
+func (c *Complex) fillFaces() {
+	c.faceMu.Lock()
+	defer c.faceMu.Unlock()
+	n := len(c.ends)
+	if int(c.faceUpTo.Load()) == n {
+		return // another reader filled it
 	}
-	return buf
+	keep := c.entryStart(c.faceFrom)
+	c.faces = slices.Grow(c.faces[:keep], len(c.ids)-keep)[:len(c.ids)]
+	face := make([]int32, max(c.dim, 0))
+	from := n
+	for ei := c.faceFrom; ei < n; ei++ {
+		lo := c.entryStart(ei)
+		ids := c.entryIDs(int32(ei))
+		if len(ids) == 1 {
+			c.faces[lo] = -1
+			continue
+		}
+		// The face omitting ids[i] is the one omitting ids[i-1] with
+		// ids[i-1] written back at position i-1.
+		f := face[:len(ids)-1]
+		copy(f, ids[1:])
+		for i := range ids {
+			if i > 0 {
+				f[i-1] = ids[i-1]
+			}
+			fi := c.find(f, hashIDs(f))
+			c.faces[lo+i] = fi
+			if fi < 0 && from == n {
+				from = ei
+			}
+		}
+	}
+	c.faceFrom = from
+	c.faceUpTo.Store(int32(n))
 }
 
 // Id-level insertion. A builder that meets the same vertices many times
@@ -128,6 +172,18 @@ func (c *Complex) Truncate(verts, entries int) {
 		c.ids = c.ids[:c.ends[entries-1]]
 	}
 	c.ends = c.ends[:entries]
+	// Keep the table below the first entry that needs a probe again: one
+	// with a missing face, or one whose face was among the dropped.
+	from := min(c.faceFrom, entries)
+	for ei := 0; ei < from; ei++ {
+		lo, hi := c.entryStart(ei), c.ends[ei]
+		if slices.ContainsFunc(c.faces[lo:hi], func(fi int32) bool { return int(fi) >= entries }) {
+			from = ei
+		}
+	}
+	c.faces = c.faces[:c.entryStart(from)]
+	c.faceFrom = from
+	c.faceUpTo.Store(int32(from))
 	c.dim = -1
 	for d, n := range c.counts {
 		if n > 0 {

@@ -1,25 +1,26 @@
 package topology
 
 import (
+	"fmt"
+	"slices"
 	"sync"
 	"testing"
 )
 
 // TestEntryFacesDropOrder pins the contract the homology engine's signed
-// boundary builders rely on: the i-th appended face index is the face
-// omitting the i-th vertex, i.e. EntrySimplex(faces[i]) == s.Face(i).
+// boundary builders rely on: the i-th face index is the face omitting
+// the i-th vertex, i.e. EntrySimplex(faces[i]) == s.Face(i).
 func TestEntryFacesDropOrder(t *testing.T) {
 	c := ComplexOf(
 		mustSimplex(v(0, "a"), v(1, "b"), v(2, "c"), v(3, "d")),
 		mustSimplex(v(2, "x"), v(4, "y")),
 	)
-	var buf []int32
 	for ei := int32(0); ei < int32(c.EntryCount()); ei++ {
 		s := c.EntrySimplex(ei)
 		if got, want := c.EntryDim(ei), len(s)-1; got != want {
 			t.Fatalf("entry %d: EntryDim = %d, want %d", ei, got, want)
 		}
-		buf = c.EntryFaces(ei, buf[:0])
+		buf := c.EntryFaces(ei)
 		if len(s) == 1 {
 			if len(buf) != 0 {
 				t.Fatalf("vertex entry %d: EntryFaces = %v, want none", ei, buf)
@@ -52,10 +53,9 @@ func TestEntryFacesCoversBoundary(t *testing.T) {
 	fv := c.FVector()
 	byDim := make([]int, c.Dim()+1)
 	seen := make(map[int32]bool)
-	var buf []int32
 	for ei := int32(0); ei < int32(c.EntryCount()); ei++ {
 		byDim[c.EntryDim(ei)]++
-		for _, fi := range c.EntryFaces(ei, buf[:0]) {
+		for _, fi := range c.EntryFaces(ei) {
 			seen[fi] = true
 		}
 	}
@@ -71,26 +71,61 @@ func TestEntryFacesCoversBoundary(t *testing.T) {
 	}
 }
 
-// TestEntryFacesConcurrent exercises the documented read-only guarantee
-// under the race detector: many goroutines walking faces of a shared
-// complex concurrently.
+// TestEntryFacesConcurrent exercises the documented reader guarantee
+// under the race detector: goroutines reading a shared complex that no
+// one has read before, so they race to fill its face table and its hash
+// memo, each starting from a different reader. Every one must see what a
+// clone answers alone.
 func TestEntryFacesConcurrent(t *testing.T) {
-	c := ComplexOf(mustSimplex(v(0, "a"), v(1, "b"), v(2, "c"), v(3, "d"), v(4, "e")))
+	c := ComplexOf(
+		mustSimplex(v(0, "a"), v(1, "b"), v(2, "c"), v(3, "d"), v(4, "e")),
+		mustSimplex(v(0, "x"), v(1, "b"), v(2, "y")),
+	)
+	ref := c.Clone()
+	wantFaces := make([][]int32, ref.EntryCount())
+	for ei := range wantFaces {
+		wantFaces[ei] = slices.Clone(ref.EntryFaces(int32(ei)))
+	}
+	wantFacets, wantHash := ref.Facets(), ref.CanonicalHash()
+	readers := []func() error{
+		func() error {
+			for ei, want := range wantFaces {
+				if got := c.EntryFaces(int32(ei)); !slices.Equal(got, want) {
+					return fmt.Errorf("EntryFaces(%d) = %v, want %v", ei, got, want)
+				}
+			}
+			return nil
+		},
+		func() error {
+			if got := c.FacetCount(); got != len(wantFacets) {
+				return fmt.Errorf("FacetCount = %d, want %d", got, len(wantFacets))
+			}
+			return nil
+		},
+		func() error {
+			if got := c.Facets(); fmt.Sprint(got) != fmt.Sprint(wantFacets) {
+				return fmt.Errorf("Facets = %v, want %v", got, wantFacets)
+			}
+			return nil
+		},
+		func() error {
+			if got := c.CanonicalHash(); got != wantHash {
+				return fmt.Errorf("CanonicalHash = %s, want %s", got, wantHash)
+			}
+			return nil
+		},
+	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
-		go func() {
+		go func(g int) {
 			defer wg.Done()
-			var buf []int32
-			total := 0
-			for ei := int32(0); ei < int32(c.EntryCount()); ei++ {
-				buf = c.EntryFaces(ei, buf[:0])
-				total += len(buf)
+			for i := range readers {
+				if err := readers[(g+i)%len(readers)](); err != nil {
+					t.Errorf("reader %d: %v", g, err)
+				}
 			}
-			if total == 0 {
-				t.Error("no faces walked")
-			}
-		}()
+		}(g)
 	}
 	wg.Wait()
 }

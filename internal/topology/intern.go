@@ -64,6 +64,15 @@ func (c *Complex) entryIDs(ei int32) []int32 {
 	return c.ids[lo:hi:hi]
 }
 
+// entryStart returns the arena offset of entry ei's first id; at ei ==
+// EntryCount it is the arena's length.
+func (c *Complex) entryStart(ei int) int {
+	if ei == 0 {
+		return 0
+	}
+	return int(c.ends[ei-1])
+}
+
 // find returns the entry index storing exactly ids (hashed to h), or -1.
 // It only reads, so concurrent finds on a complex nobody mutates are safe.
 func (c *Complex) find(ids []int32, h uint64) int32 {
