@@ -29,8 +29,11 @@ type Annotated struct {
 
 // Validate checks internal consistency: every vertex of the complex has a
 // nonempty allowed set.
-func (a *Annotated) Validate() error {
-	for _, v := range a.Complex.Vertices() {
+func (a *Annotated) Validate() error { return a.validate(a.Complex.Vertices()) }
+
+// validate is Validate over verts, the complex's sorted vertex list.
+func (a *Annotated) validate(verts []topology.Vertex) error {
+	for _, v := range verts {
 		vals, ok := a.Allowed[v]
 		if !ok || len(vals) == 0 {
 			return fmt.Errorf("task: vertex %v has no allowed decision values", v)
@@ -94,7 +97,8 @@ var ErrSearchLimit = errors.New("task: decision-map search exceeded its node lim
 // goroutine. It checks ctx at every node; once ctx fires, the call
 // returns ctx.Err() unless it has already found a map.
 func FindDecisionParallelCtx(ctx context.Context, a *Annotated, k int, nodeLimit int64, _ int) (DecisionMap, bool, error) {
-	if err := a.Validate(); err != nil {
+	verts := a.Complex.Vertices() // sorted once, for the check and the search
+	if err := a.validate(verts); err != nil {
 		return nil, false, err
 	}
 	if a.Complex.IsEmpty() {
@@ -104,15 +108,15 @@ func FindDecisionParallelCtx(ctx context.Context, a *Annotated, k int, nodeLimit
 		return nil, false, fmt.Errorf("task: k must be positive, got %d", k)
 	}
 	if k == 1 {
-		dm, ok := findConsensus(a)
+		dm, ok := findConsensus(a, verts)
 		return dm, ok, nil
 	}
-	return newSearch(a, k).run(ctx, nodeLimit)
+	return newSearch(a, verts, k).run(ctx, nodeLimit)
 }
 
-// findConsensus implements the exact k=1 procedure.
-func findConsensus(a *Annotated) (DecisionMap, bool) {
-	verts := a.Complex.Vertices()
+// findConsensus implements the exact k=1 procedure over verts, the
+// complex's sorted vertex list.
+func findConsensus(a *Annotated, verts []topology.Vertex) (DecisionMap, bool) {
 	idx := make(map[topology.Vertex]int, len(verts))
 	for i, v := range verts {
 		idx[v] = i
@@ -190,8 +194,9 @@ type search struct {
 	gen  uint64
 }
 
-func newSearch(a *Annotated, k int) *search {
-	verts := a.Complex.Vertices()
+// newSearch builds the search over verts, the complex's sorted vertex
+// list.
+func newSearch(a *Annotated, verts []topology.Vertex, k int) *search {
 	vIdx := make(map[topology.Vertex]int, len(verts))
 	for i, v := range verts {
 		vIdx[v] = i
