@@ -15,15 +15,17 @@
 // pre-interning string-keyed builder could not construct in reasonable
 // time.
 //
-// -reduce (default true) follows every constructed complex with a GF(2)
-// reduction stage, "<case> reduce morse" (coreduction, then the column
-// reduction of the critical cells), so the report carries the reduce
-// cost alongside the construction envelope; the collapse counters
-// (morse_removed, morse_critical) land in the report's counter section.
+// Each construction case runs as obs stages of its own: "<case>" (the
+// build alone), "<case> hash" (CanonicalHash), "<case> facets"
+// (FacetCount, which fills the complex's face table) and, with -reduce
+// (default true), "<case> reduce morse" (a GF(2) reduction: coreduction
+// over that face table, then the column reduction of the critical cells).
+// So the report carries every part of the post-build pass beside the
+// construction envelope; the collapse counters (morse_removed,
+// morse_critical) land in the report's counter section.
 //
-// Each case runs as one obs stage; -report serializes the stages (name,
-// wall millis, size/facet/count metadata) and the facet/schedule counters
-// as an obs.Report. SIGINT abandons the remaining cases at the next shard
+// -report serializes the stages (name, wall millis, size/facet/count
+// metadata) and the facet/schedule counters as an obs.Report. SIGINT abandons the remaining cases at the next shard
 // boundary; -report still records the cases completed so far with
 // "interrupted" set, so a partial -deep run leaves a well-formed record.
 package main
@@ -114,53 +116,22 @@ func realMain() int {
 
 func run(ctx context.Context, w io.Writer, deep bool, reduce bool) error {
 	tracker := obs.FromContext(ctx)
-	// record times one case as an obs stage, attaching the measured sizes
-	// as stage metadata — the -report serialization is the report plumbing,
-	// not a bespoke row type.
-	record := func(name string, f func() (size, facets, count int, err error)) error {
+	// record times f as one obs stage. f attaches what it measured as
+	// stage metadata (the -report serialization is the report plumbing,
+	// not a bespoke row type) and returns it as the printed line's tail.
+	record := func(name string, f func(stage *obs.Stage) (string, error)) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		stage := tracker.Stage(name)
 		start := time.Now()
-		size, facets, count, err := f()
+		summary, err := f(stage)
 		elapsed := time.Since(start)
+		stage.End()
 		if err != nil {
-			stage.End()
 			return fmt.Errorf("%s: %w", name, err)
 		}
-		if count > 0 {
-			stage.Meta("count", int64(count))
-			fmt.Fprintf(w, "%-40s %12v  count=%d\n", name, elapsed, count)
-		} else {
-			stage.Meta("size", int64(size)).Meta("facets", int64(facets))
-			fmt.Fprintf(w, "%-40s %12v  size=%d facets=%d\n", name, elapsed, size, facets)
-		}
-		stage.End()
-		return nil
-	}
-	// built carries the most recently constructed complex from a case's
-	// closure to the reduction stages that follow it.
-	var built *topology.Complex
-	// reduceCase times the GF(2) Betti computation over the just-built
-	// complex as a stage riding the same case name; a fresh uncached
-	// engine, so the run really reduces.
-	reduceCase := func(name string) error {
-		c := built
-		built = nil
-		if !reduce || c == nil {
-			return nil
-		}
-		sname := name + " reduce morse"
-		stage := tracker.Stage(sname)
-		start := time.Now()
-		betti, err := homology.NewEngine(1, nil).BettiZ2Ctx(ctx, c)
-		elapsed := time.Since(start)
-		stage.End()
-		if err != nil {
-			return fmt.Errorf("%s: %w", sname, err)
-		}
-		fmt.Fprintf(w, "%-40s %12v  betti=%v\n", sname, elapsed, betti)
+		fmt.Fprintf(w, "%-40s %12v  %s\n", name, elapsed, summary)
 		return nil
 	}
 
@@ -193,27 +164,50 @@ func run(ctx context.Context, w io.Writer, deep bool, reduce bool) error {
 	if deep {
 		builds = append(builds, buildCase{"IIS^1 n=4", iis.Operator(), 4, 1})
 	}
+	type step struct {
+		name string
+		f    func(stage *obs.Stage) (string, error)
+	}
 	for _, c := range builds {
-		err := record(c.name, func() (int, int, int, error) {
-			res, err := roundop.Build(ctx, c.op, labeled(c.n), c.r, roundop.Options{})
-			if err != nil {
-				return 0, 0, 0, err
-			}
-			built = res.Complex
-			return res.Complex.Size(), res.Complex.FacetCount(), 0, nil
-		})
-		if err != nil {
-			return err
+		var built *topology.Complex
+		steps := []step{
+			{c.name, func(stage *obs.Stage) (string, error) {
+				res, err := roundop.Build(ctx, c.op, labeled(c.n), c.r, roundop.Options{})
+				if err != nil {
+					return "", err
+				}
+				built = res.Complex
+				stage.Meta("size", int64(built.Size()))
+				return fmt.Sprintf("size=%d", built.Size()), nil
+			}},
+			{c.name + " hash", func(*obs.Stage) (string, error) {
+				return "hash=" + built.CanonicalHash(), nil
+			}},
+			{c.name + " facets", func(stage *obs.Stage) (string, error) {
+				n := built.FacetCount()
+				stage.Meta("facets", int64(n))
+				return fmt.Sprintf("facets=%d", n), nil
+			}},
 		}
-		if err := reduceCase(c.name); err != nil {
-			return err
+		if reduce {
+			// A fresh uncached engine, so the run really reduces.
+			steps = append(steps, step{c.name + " reduce morse", func(*obs.Stage) (string, error) {
+				betti, err := homology.NewEngine(1, nil).BettiZ2Ctx(ctx, built)
+				return fmt.Sprintf("betti=%v", betti), err
+			}})
+		}
+		for _, st := range steps {
+			if err := record(st.name, st.f); err != nil {
+				return err
+			}
 		}
 	}
 	for _, c := range []struct{ n1, f, maxRound int }{{4, 2, 3}, {3, 2, 2}} {
 		name := fmt.Sprintf("EnumerateCrashSchedules(%d,%d,%d)", c.n1, c.f, c.maxRound)
-		err := record(name, func() (int, int, int, error) {
+		err := record(name, func(stage *obs.Stage) (string, error) {
 			out, err := sim.EnumerateCrashSchedules(ctx, c.n1, c.f, c.maxRound)
-			return 0, 0, len(out), err
+			stage.Meta("count", int64(len(out)))
+			return fmt.Sprintf("count=%d", len(out)), err
 		})
 		if err != nil {
 			return err
