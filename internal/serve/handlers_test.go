@@ -42,6 +42,55 @@ func BenchmarkStatsOf(b *testing.B) {
 	}
 }
 
+// BenchmarkWarmHits times the hit path of the warm-hits workload in
+// process. One operation is one request of each of that workload's seven
+// query templates (bench/queries.go's cheapTemplates: two pseudosphere
+// GETs, graphs specs POSTed to connectivity and rounds, a GF(p) GET, its
+// preset-form POST and a small decision), each answered from a filled
+// store through Server.Handler(), with no socket or client in between.
+func BenchmarkWarmHits(b *testing.B) {
+	s, err := New(Config{StoreDir: b.TempDir(), Workers: 1, Pool: 1, RequestTimeout: 30 * time.Second})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { s.Close() })
+	h := s.Handler()
+	reqs := []struct{ path, body string }{ // a POST when body is set
+		{"/v1/pseudosphere?n=2&values=3,17,42", ""},
+		{"/v1/pseudosphere?betti=false&n=1&values=5,9", ""},
+		{"/v1/connectivity", `{"model":{"processes":3,"rounds":2,"adversary":{"kind":"graphs","graphs":[` +
+			`{"edges":[[0,1],[1,2]]},{"edges":[[1,0]]},{"edges":[[0,2],[2,1],[1,0]]},{"edges":[]}]}}}`},
+		{"/v1/rounds", `{"model":{"processes":3,"rounds":1,"adversary":{"kind":"graphs","graphs":[` +
+			`{"edges":[[0,1]]},{"edges":[[2,0],[1,2]]},{"edges":[[0,1],[0,2],[1,0],[1,2],[2,0],[2,1]]}]}}}`},
+		{"/v1/connectivity?field=gfp&k=1&model=sync&n=2&p=7919&r=1", ""},
+		{"/v1/connectivity", `{"model":{"name":"custom","params":{"k":1,"n":2,"r":1}},"params":{"field":"gfp","p":"104729"}}`},
+		{"/v1/decision?agree=2&f=1&limit=5000000&model=async&n=1&r=1&values=1,2,3", ""},
+	}
+	serve := func(path, body, cache string) {
+		req := httptest.NewRequest(http.MethodGet, path, nil)
+		if body != "" {
+			req = httptest.NewRequest(http.MethodPost, path, strings.NewReader(body))
+			req.Header.Set("Content-Type", "application/json")
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK || rec.Header().Get("X-Cache") != cache {
+			b.Fatalf("%s %s: status %d, X-Cache %q (want 200 %q): %s",
+				req.Method, path, rec.Code, rec.Header().Get("X-Cache"), cache, rec.Body)
+		}
+	}
+	for _, r := range reqs {
+		serve(r.path, r.body, "miss")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, r := range reqs {
+			serve(r.path, r.body, "hit")
+		}
+	}
+}
+
 // BenchmarkSmallJob prices the job API's indirection on small work. Each
 // iteration asks one server, with a store and a job directory, for a key
 // no earlier iteration asked for: psi(S^2) over a fresh pair of values
