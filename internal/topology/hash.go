@@ -20,7 +20,14 @@ type keyTokens struct {
 
 // keyTokens renders the key token of every interned vertex.
 func (c *Complex) keyTokens() keyTokens {
-	t := keyTokens{off: make([]int, len(c.byID)+1)}
+	var digits [20]byte
+	size := 0
+	for _, v := range c.byID {
+		size += len(strconv.AppendInt(digits[:0], int64(v.P), 10)) + 1 + len(v.Label)
+	}
+	// Sized up front: labels can be long views, and growing the buffer
+	// by appending would allocate several times its final size.
+	t := keyTokens{buf: make([]byte, 0, size), off: make([]int, len(c.byID)+1)}
 	for id, v := range c.byID {
 		t.buf = strconv.AppendInt(t.buf, int64(v.P), 10)
 		t.buf = append(t.buf, ':')
@@ -56,13 +63,13 @@ func (t keyTokens) keyLen(ids []int32) int {
 }
 
 // keyRanks returns each interned vertex's rank in the string order of its
-// key token, and reports whether the tokens are prefix-free (no token is
-// a proper prefix of another). When they are, comparing two entries' id
-// sequences rank by rank, a sequence that is a prefix of the other first,
-// orders them exactly as their keys compare: the first differing tokens
-// then differ at a byte inside both, and that byte decides both
-// comparisons. Tokens are distinct because the first ':' ends the
-// process id.
+// key token "p:label", and reports whether the tokens are prefix-free (no
+// token is a proper prefix of another). When they are, comparing two
+// entries' id sequences rank by rank, a sequence that is a prefix of the
+// other first, orders them exactly as their keys compare: the first
+// differing tokens then differ at a byte inside both, and that byte
+// decides both comparisons. Tokens are distinct because the first ':'
+// ends the process id.
 func (c *Complex) keyRanks(toks keyTokens) ([]int32, bool) {
 	order := make([]int32, len(c.byID))
 	for id := range order {
