@@ -184,16 +184,15 @@ func TestFaceTableMatchesProbes(t *testing.T) {
 func TestRadixOrderMatchesComparator(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	cases := []struct {
-		name        string
+		path        string // the sort path the complex must take
 		procs, opts int
 		facets      int
-		labels      []string
-		path        string // "packed", "pairs", "wide" or "rendered"
+		labels      []string // nil: two-digit labels below opts
 	}{
-		{"packed", 5, 3, 20, []string{"a", "b", "c"}, "packed"},
-		{"pairs", 8, 14, 60, nil, "pairs"},
-		{"wide", 9, 40, 30, nil, "wide"},
-		{"rendered", 6, 3, 20, []string{"a", "ab", "b"}, "rendered"},
+		{"packed", 5, 3, 20, []string{"a", "b", "c"}},
+		{"pairs", 8, 14, 60, nil},
+		{"wide", 9, 40, 30, nil},
+		{"rendered", 6, 3, 20, []string{"a", "ab", "b"}},
 	}
 	for _, tc := range cases {
 		c := NewComplex()
@@ -233,12 +232,12 @@ func TestRadixOrderMatchesComparator(t *testing.T) {
 					path = "packed"
 				}
 				if packed := c.sortPacked(make([]int32, 1), ranks, byDim); packed != (path != "wide") {
-					t.Fatalf("%s byDim=%v: sortPacked = %v on the %s path", tc.name, byDim, packed, path)
+					t.Fatalf("%s byDim=%v: sortPacked = %v on the %s path", tc.path, byDim, packed, path)
 				}
 			}
 			if path != tc.path {
-				t.Fatalf("%s byDim=%v: %d vertices, %d entries, dim %d take the %s path, want %s",
-					tc.name, byDim, c.VertexCount(), c.EntryCount(), c.Dim(), path, tc.path)
+				t.Fatalf("byDim=%v: %d vertices, %d entries, dim %d take the %s path, want %s",
+					byDim, c.VertexCount(), c.EntryCount(), c.Dim(), path, tc.path)
 			}
 			eis := make([]int32, c.EntryCount())
 			for i := range eis {
@@ -255,7 +254,7 @@ func TestRadixOrderMatchesComparator(t *testing.T) {
 			})
 			c.sortByKey(eis, byDim)
 			if !slices.Equal(eis, want) {
-				t.Fatalf("%s byDim=%v: order differs from the string keys'", tc.name, byDim)
+				t.Fatalf("%s byDim=%v: order differs from the string keys'", tc.path, byDim)
 			}
 		}
 	}
