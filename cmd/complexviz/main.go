@@ -67,7 +67,7 @@ func run(w io.Writer, what string, n int, values string, f, k, c1, c2, d int, fo
 		return fmt.Errorf("unknown complex kind %q", what)
 	}
 	if op != nil {
-		res, err := roundop.Build(context.Background(), op, inputSimplex(n), 1, roundop.Options{})
+		res, err := roundop.Build(context.Background(), op, core.LabeledSimplex(n), 1, roundop.Options{})
 		if err != nil {
 			return err
 		}
@@ -90,15 +90,4 @@ func run(w io.Writer, what string, n int, values string, f, k, c1, c2, d int, fo
 		return fmt.Errorf("unknown format %q", format)
 	}
 	return nil
-}
-
-// inputSimplex builds the n-dimensional input simplex; the vertices are
-// generated in ascending process order, which is the Simplex invariant,
-// so no validating constructor is needed.
-func inputSimplex(n int) topology.Simplex {
-	vs := make(topology.Simplex, n+1)
-	for i := range vs {
-		vs[i] = topology.Vertex{P: i, Label: string(rune('a' + i))}
-	}
-	return vs
 }

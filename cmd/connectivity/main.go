@@ -47,11 +47,11 @@ import (
 	"strconv"
 	"time"
 
+	"pseudosphere/internal/core"
 	"pseudosphere/internal/homology"
 	"pseudosphere/internal/modelspec"
 	"pseudosphere/internal/obs"
 	"pseudosphere/internal/semisync"
-	"pseudosphere/internal/topology"
 )
 
 type config struct {
@@ -268,7 +268,7 @@ func runReport(ctx context.Context, w io.Writer, cfg config, inst *modelspec.Ins
 	}
 
 	buildStage := tracker.Stage("construct")
-	res, err := inst.Build(ctx, inputSimplex(inst.M), 1)
+	res, err := inst.Build(ctx, core.LabeledSimplex(inst.M), 1)
 	if err != nil {
 		return err
 	}
@@ -353,7 +353,7 @@ func runTable(ctx context.Context, w io.Writer, cfg config, header string, top i
 		if err != nil {
 			return err
 		}
-		res, err := inst.Build(ctx, inputSimplex(m), 1)
+		res, err := inst.Build(ctx, core.LabeledSimplex(m), 1)
 		if err != nil {
 			return err
 		}
@@ -373,15 +373,4 @@ func runTable(ctx context.Context, w io.Writer, cfg config, header string, top i
 		fmt.Fprintf(w, "engine:        cache hits=%d misses=%d\n", hits, misses)
 	}
 	return nil
-}
-
-// inputSimplex builds the m-dimensional input simplex; the vertices are
-// generated in ascending process order, which is the Simplex invariant,
-// so no validating constructor is needed.
-func inputSimplex(m int) topology.Simplex {
-	vs := make(topology.Simplex, m+1)
-	for i := range vs {
-		vs[i] = topology.Vertex{P: i, Label: string(rune('a' + i))}
-	}
-	return vs
 }

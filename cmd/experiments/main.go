@@ -1,5 +1,5 @@
 // Command experiments regenerates every figure and quantitative result in
-// the paper (see DESIGN.md's experiment index E1-E12) and prints
+// the paper (see DESIGN.md's experiment index, E1-E15 and E32) and prints
 // paper-expected versus measured values.
 //
 // Usage:

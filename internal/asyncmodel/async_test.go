@@ -247,21 +247,30 @@ func TestCorollary13Obstruction(t *testing.T) {
 }
 
 // TestCorollary10AppliesAsync drives Corollary 10 end to end on the
-// asynchronous model: connectivity of A^1(S^m) for all n-f <= m <= n
-// obstructs k-set agreement for k <= f.
+// asynchronous model: its hypothesis on A^1(S^m), 0 <= m <= n, holds
+// exactly when k <= f, which is Corollary 13's boundary. For k > f the
+// faces with n-k <= m < n-f have empty complexes, so it must fail there.
 func TestCorollary10AppliesAsync(t *testing.T) {
-	p := Params{N: 2, F: 2}
-	labels := []string{"a", "b", "c"}
-	conn := func(m int) *topology.Complex {
-		res, err := build(inputSimplex(labels...)[:m+1], p, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Complex
-	}
-	for k := 1; k <= p.F; k++ {
-		if !task.Corollary10Obstructed(conn, p.N, p.F, k) {
-			t.Fatalf("Corollary 10 hypothesis fails for k=%d", k)
+	labels := []string{"a", "b", "c", "d"}
+	for n := 1; n <= 3; n++ {
+		for f := 1; f <= n; f++ {
+			p := Params{N: n, F: f}
+			built := map[int]*topology.Complex{}
+			conn := func(m int) *topology.Complex {
+				if built[m] == nil {
+					res, err := build(inputSimplex(labels[:m+1]...), p, 1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					built[m] = res.Complex
+				}
+				return built[m]
+			}
+			for k := 1; k <= n; k++ {
+				if got := task.Corollary10Obstructed(conn, n, k); got != (k <= f) {
+					t.Errorf("n=%d f=%d k=%d: obstructed = %v, want %v", n, f, k, got, k <= f)
+				}
+			}
 		}
 	}
 }

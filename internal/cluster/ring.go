@@ -80,24 +80,6 @@ func (r *Ring) Add(nodes ...string) {
 	sort.Slice(r.points, func(i, j int) bool { return r.points[i].hash < r.points[j].hash })
 }
 
-// Remove deletes a node's vnodes; keys it owned fall to their next
-// clockwise owner, everyone else's keys are untouched.
-func (r *Ring) Remove(node string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.nodes[node] {
-		return
-	}
-	delete(r.nodes, node)
-	kept := r.points[:0]
-	for _, p := range r.points {
-		if p.node != node {
-			kept = append(kept, p)
-		}
-	}
-	r.points = kept
-}
-
 // Nodes returns the members in sorted order.
 func (r *Ring) Nodes() []string {
 	r.mu.RLock()

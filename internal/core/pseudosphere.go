@@ -105,6 +105,17 @@ func ProcessSimplex(n int) topology.Simplex {
 	return vs
 }
 
+// LabeledSimplex returns the m-simplex in which process i holds the input
+// label 'a'+i: the one input labeling every command, experiment and
+// service endpoint builds over, so their hashes and cache keys agree.
+func LabeledSimplex(m int) topology.Simplex {
+	vs := make(topology.Simplex, m+1)
+	for i := range vs {
+		vs[i] = topology.Vertex{P: i, Label: string(rune('a' + i))}
+	}
+	return vs
+}
+
 // InputComplex returns the input complex of k-set agreement with n+1
 // processes and value set values: the pseudosphere psi(P^n; V) (Section 5).
 func InputComplex(n int, values []string) (*topology.Complex, error) {
@@ -224,25 +235,6 @@ func EncodeIDSet(ids []int) string {
 		parts[i] = fmt.Sprintf("%d", p)
 	}
 	return "{" + strings.Join(parts, ",") + "}"
-}
-
-// DecodeIDSet inverts EncodeIDSet.
-func DecodeIDSet(s string) ([]int, error) {
-	if len(s) < 2 || s[0] != '{' || s[len(s)-1] != '}' {
-		return nil, fmt.Errorf("core: %q is not an encoded id set", s)
-	}
-	body := s[1 : len(s)-1]
-	if body == "" {
-		return nil, nil
-	}
-	parts := strings.Split(body, ",")
-	ids := make([]int, len(parts))
-	for i, p := range parts {
-		if _, err := fmt.Sscanf(p, "%d", &ids[i]); err != nil {
-			return nil, fmt.Errorf("core: bad id %q in %q", p, s)
-		}
-	}
-	return ids, nil
 }
 
 func dedupSorted(xs []string) []string {

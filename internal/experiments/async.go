@@ -6,23 +6,12 @@ import (
 
 	"pseudosphere/internal/asyncmodel"
 	"pseudosphere/internal/bounds"
+	"pseudosphere/internal/core"
 	"pseudosphere/internal/protocols"
 	"pseudosphere/internal/sim"
 	"pseudosphere/internal/task"
 	"pseudosphere/internal/topology"
 )
-
-// labeledInput builds the canonical (m+1)-process input simplex; the
-// vertices are constructed in ascending process order, which is exactly
-// the Simplex invariant, so no validating constructor is needed.
-func labeledInput(m int) topology.Simplex {
-	labels := []string{"a", "b", "c", "d", "e"}
-	vs := make(topology.Simplex, m+1)
-	for i := 0; i <= m; i++ {
-		vs[i] = topology.Vertex{P: i, Label: labels[i]}
-	}
-	return vs
-}
 
 // E3AsyncOneRound verifies Lemma 11 across parameters: the one-round
 // asynchronous complex equals the stated pseudosphere via the explicit
@@ -33,7 +22,7 @@ func E3AsyncOneRound(ctx context.Context) (*Table, error) {
 	for _, p := range []asyncmodel.Params{
 		{N: 2, F: 1}, {N: 2, F: 2}, {N: 3, F: 1}, {N: 3, F: 2}, {N: 3, F: 3},
 	} {
-		input := labeledInput(p.N)
+		input := core.LabeledSimplex(p.N)
 		oneRound, err := build(ctx, p.Operator(), input, 1)
 		if err != nil {
 			return nil, err
@@ -76,7 +65,7 @@ func E4AsyncConnectivity(ctx context.Context) (*Table, error) {
 		{asyncmodel.Params{N: 3, F: 2}, 3, 1},
 		{asyncmodel.Params{N: 3, F: 3}, 3, 1},
 	} {
-		res, err := build(ctx, c.p.Operator(), labeledInput(c.p.N)[:c.m+1], c.r)
+		res, err := build(ctx, c.p.Operator(), core.LabeledSimplex(c.m), c.r)
 		if err != nil {
 			return nil, err
 		}

@@ -49,7 +49,7 @@ func buildOverInputs(ctx context.Context, op roundop.Operator, n int, values []s
 }
 
 // deepScaling gates the large-envelope E15 rows (millions of simplexes,
-// minutes of construction). Off by default so RunAll stays fast enough for
+// minutes of construction). Off by default so a full run stays fast enough for
 // the test suite; the experiments CLI enables it with -deep.
 var deepScaling = false
 

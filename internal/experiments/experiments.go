@@ -1,15 +1,14 @@
 // Package experiments regenerates every figure and quantitative result in
 // the paper, as machine-checkable tables (see DESIGN.md's per-experiment
-// index, E1-E12). Each experiment reports paper-expected versus measured
-// values; cmd/experiments renders them and EXPERIMENTS.md records them.
+// index, E1-E15 and E32). Each experiment reports paper-expected versus
+// measured values; cmd/experiments renders them and EXPERIMENTS.md records
+// them.
 package experiments
 
 import (
 	"context"
 	"fmt"
 	"strings"
-
-	"pseudosphere/internal/obs"
 )
 
 // Table is one experiment's output.
@@ -73,30 +72,8 @@ func All() []Experiment {
 		{"E13", "future work: f-resilient semi-sync bound ingredients", E13FResilientSemiSync},
 		{"E14", "comparison: message-passing round vs iterated immediate snapshot", E14IISComparison},
 		{"E15", "construction scaling across the parameter envelope", E15Scaling},
+		{"E32", "Theorems 2, 5 and 7: connectivity transfer and Mayer-Vietoris unions", E32Transfer},
 	}
-}
-
-// RunAll executes every experiment, returning the tables and the first
-// error encountered (tables already produced are still returned). The
-// context is checked between experiments and threaded into each one, so a
-// cancelled run stops at the next boundary; an obs.Tracker carried by the
-// context gets one timed stage per experiment.
-func RunAll(ctx context.Context) ([]*Table, error) {
-	tr := obs.FromContext(ctx)
-	var out []*Table
-	for _, e := range All() {
-		if err := ctx.Err(); err != nil {
-			return out, err
-		}
-		stage := tr.Stage(e.ID)
-		t, err := e.Run(ctx)
-		stage.End()
-		if err != nil {
-			return out, fmt.Errorf("%s: %w", e.ID, err)
-		}
-		out = append(out, t)
-	}
-	return out, nil
 }
 
 // Render formats a table as aligned text.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"pseudosphere/internal/bounds"
+	"pseudosphere/internal/core"
 	"pseudosphere/internal/semisync"
 	"pseudosphere/internal/task"
 )
@@ -44,7 +45,7 @@ func E13FResilientSemiSync(ctx context.Context) (*Table, error) {
 			lo = 0
 		}
 		for m := lo; m <= c.n; m++ {
-			res, err := build(ctx, p.Operator(), labeledInput(c.n)[:m+1], r)
+			res, err := build(ctx, p.Operator(), core.LabeledSimplex(m), r)
 			if err != nil {
 				return nil, err
 			}

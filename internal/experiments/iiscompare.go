@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"pseudosphere/internal/asyncmodel"
+	"pseudosphere/internal/core"
 	"pseudosphere/internal/iis"
 	"pseudosphere/internal/similarity"
 	"pseudosphere/internal/task"
@@ -24,7 +25,7 @@ func E14IISComparison(ctx context.Context) (*Table, error) {
 		"Section 6 (comparison with [BG97]); Section 1 (similarity)",
 		"quantity", "expected", "measured")
 
-	input := labeledInput(2)
+	input := core.LabeledSimplex(2)
 
 	// Facet counts: pseudosphere product vs Fubini number.
 	mp, err := build(ctx, asyncmodel.Params{N: 2, F: 2}.Operator(), input, 1)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"pseudosphere/internal/asyncmodel"
+	"pseudosphere/internal/core"
 	"pseudosphere/internal/iis"
 	"pseudosphere/internal/semisync"
 	"pseudosphere/internal/syncmodel"
@@ -42,7 +43,7 @@ func E15Scaling(ctx context.Context) (*Table, error) {
 		params = append(params, asyncmodel.Params{N: 4, F: 3}, asyncmodel.Params{N: 4, F: 4})
 	}
 	for _, p := range params {
-		res, err := build(ctx, p.Operator(), labeledInput(p.N), 1)
+		res, err := build(ctx, p.Operator(), core.LabeledSimplex(p.N), 1)
 		if err != nil {
 			return nil, err
 		}
@@ -63,7 +64,7 @@ func E15Scaling(ctx context.Context) (*Table, error) {
 	}{
 		{2, []int{0}}, {3, []int{1}}, {3, []int{0, 2}}, {4, []int{1, 3}},
 	} {
-		res, err := syncmodel.OneRoundExactly(labeledInput(c.n), c.fail)
+		res, err := syncmodel.OneRoundExactly(core.LabeledSimplex(c.n), c.fail)
 		if err != nil {
 			return nil, err
 		}
@@ -85,7 +86,7 @@ func E15Scaling(ctx context.Context) (*Table, error) {
 		for _, q := range c.fail {
 			f[q] = 1
 		}
-		res, err := semisync.OneRoundPattern(labeledInput(c.n), c.fail, f, p, -1)
+		res, err := semisync.OneRoundPattern(core.LabeledSimplex(c.n), c.fail, f, p, -1)
 		if err != nil {
 			return nil, err
 		}
@@ -97,7 +98,7 @@ func E15Scaling(ctx context.Context) (*Table, error) {
 
 	// IIS Fubini counts.
 	for n := 1; n <= 4; n++ {
-		res, err := build(ctx, iis.Operator(), labeledInput(n), 1)
+		res, err := build(ctx, iis.Operator(), core.LabeledSimplex(n), 1)
 		if err != nil {
 			return nil, err
 		}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"pseudosphere/internal/bounds"
+	"pseudosphere/internal/core"
 	"pseudosphere/internal/protocols"
 	"pseudosphere/internal/semisync"
 	"pseudosphere/internal/sim"
@@ -16,7 +17,7 @@ import (
 func E9SemiSyncOneRound(ctx context.Context) (*Table, error) {
 	t := newTable("E9", "semi-sync pseudospheres and intersections", "Lemmas 19 and 20",
 		"check", "instance", "holds")
-	input := labeledInput(2)
+	input := core.LabeledSimplex(2)
 	p := semisync.Params{C1: 1, C2: 2, D: 2, PerRound: 2, Total: 2}
 	micro := p.Micro()
 
@@ -88,7 +89,7 @@ func E10SemiSyncBound(ctx context.Context) (*Table, error) {
 	}{
 		{2, 1, 1, 2}, {3, 1, 2, 3},
 	} {
-		input := labeledInput(c.n)[:c.m+1]
+		input := core.LabeledSimplex(c.m)
 		p := semisync.Params{C1: 1, C2: 2, D: 2, PerRound: c.k, Total: c.r * c.k}
 		res, err := build(ctx, p.Operator(), input, c.r)
 		if err != nil {

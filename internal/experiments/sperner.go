@@ -5,14 +5,15 @@ import (
 	"fmt"
 
 	"pseudosphere/internal/asyncmodel"
+	"pseudosphere/internal/core"
 	"pseudosphere/internal/sperner"
 	"pseudosphere/internal/task"
 	"pseudosphere/internal/topology"
 )
 
 // E12Sperner exercises the engine behind Theorem 9: Sperner's Lemma on
-// barycentric subdivisions, and agreement between the Corollary 10
-// connectivity obstruction and the exact decision-map search.
+// barycentric subdivisions, and agreement between the Theorem 9 and
+// Corollary 10 connectivity obstructions and the exact decision-map search.
 func E12Sperner(ctx context.Context) (*Table, error) {
 	t := newTable("E12", "Sperner engine and obstruction-vs-search agreement",
 		"Theorem 9, Corollary 10",
@@ -22,7 +23,7 @@ func E12Sperner(ctx context.Context) (*Table, error) {
 	for _, c := range []struct{ dim, depth int }{
 		{1, 1}, {1, 3}, {2, 1}, {2, 2}, {3, 1},
 	} {
-		base := labeledInput(c.dim)
+		base := core.LabeledSimplex(c.dim)
 		sd, carrier, err := sperner.Subdivide(base, c.depth)
 		if err != nil {
 			return nil, err
@@ -38,14 +39,14 @@ func E12Sperner(ctx context.Context) (*Table, error) {
 	// hypothesis holds for k=1 <= f and the search finds no map; for the
 	// f=0 model (no failures) the hypothesis fails and a map exists.
 	p := asyncmodel.Params{N: 2, F: 1}
-	build := func(u []string) *topology.Complex {
+	overValues := func(u []string) *topology.Complex {
 		res, err := buildOverInputs(ctx, p.Operator(), p.N, u, 1)
 		if err != nil {
 			return topology.NewComplex()
 		}
 		return res.Complex
 	}
-	obstructed, err := task.Theorem9Obstructed(build, binary, 1)
+	obstructed, err := task.Theorem9Obstructed(overValues, binary, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -59,6 +60,33 @@ func E12Sperner(ctx context.Context) (*Table, error) {
 	}
 	t.addRow(obstructed && !found, "obstructed => no decision map",
 		"async n=2 f=1 k=1", boolStr(obstructed && !found))
+
+	// Corollary 10 on A^1(S^m), 0 <= m <= n: it obstructs k=1 <= f, where
+	// the search above found no map, and is silent at k=2, where the
+	// search finds one over three input values.
+	var faceErr error
+	onFace := func(m int) *topology.Complex {
+		res, err := build(ctx, p.Operator(), core.LabeledSimplex(m), 1)
+		if err != nil {
+			faceErr = err
+			return topology.NewComplex()
+		}
+		return res.Complex
+	}
+	cor1, cor2 := task.Corollary10Obstructed(onFace, p.N, 1), task.Corollary10Obstructed(onFace, p.N, 2)
+	if faceErr != nil {
+		return nil, faceErr
+	}
+	res2, err := buildOverInputs(ctx, p.Operator(), p.N, []string{"0", "1", "2"}, 1)
+	if err != nil {
+		return nil, err
+	}
+	_, found2, err := task.FindDecisionParallelCtx(ctx, task.AnnotateViews(res2.Complex, res2.Views), 2, 0, 1)
+	if err != nil {
+		return nil, err
+	}
+	t.addRow(cor1 && !found, "Cor. 10 obstructed, no map", "async n=2 f=1 k=1", boolStr(cor1 && !found))
+	t.addRow(!cor2 && found2, "Cor. 10 silent, map found", "async n=2 f=1 k=2", boolStr(!cor2 && found2))
 
 	p0 := asyncmodel.Params{N: 2, F: 0}
 	build0 := func(u []string) *topology.Complex {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"pseudosphere/internal/bounds"
+	"pseudosphere/internal/core"
 	"pseudosphere/internal/protocols"
 	"pseudosphere/internal/sim"
 	"pseudosphere/internal/syncmodel"
@@ -17,7 +18,7 @@ import (
 func E5SyncOneRound(ctx context.Context) (*Table, error) {
 	t := newTable("E5", "sync one-round union of pseudospheres", "Figure 3, Lemma 14",
 		"quantity", "paper", "measured")
-	input := labeledInput(2)
+	input := core.LabeledSimplex(2)
 	res, err := build(ctx, syncmodel.Params{PerRound: 1, Total: 1}.Operator(), input, 1)
 	if err != nil {
 		return nil, err
@@ -64,7 +65,7 @@ func E6SyncIntersections(ctx context.Context) (*Table, error) {
 	for _, c := range []struct {
 		n, k int
 	}{{2, 1}, {3, 1}, {3, 2}} {
-		input := labeledInput(c.n)
+		input := core.LabeledSimplex(c.n)
 		sets := syncmodel.FailureSets(input.IDs(), c.k)
 		prefix := topology.NewComplex()
 		checked := 0
@@ -105,7 +106,7 @@ func E7SyncConnectivity(ctx context.Context) (*Table, error) {
 		{4, 2, 1, 4},
 		{4, 1, 3, 4},
 	} {
-		input := labeledInput(c.n)[:c.m+1]
+		input := core.LabeledSimplex(c.m)
 		res, err := build(ctx, syncmodel.Params{PerRound: c.k, Total: c.r * c.k}.Operator(), input, c.r)
 		if err != nil {
 			return nil, err
@@ -168,17 +169,22 @@ func E8SyncBoundTable(ctx context.Context) (*Table, error) {
 	}
 	t.addRow(found2, "2", "1", "1", "2", "2-round decision map exists: "+boolStr(found2))
 
-	// Upper bound: FloodSet survives every crash schedule in f+1 rounds,
+	// Upper bound: FloodSet survives every crash schedule in the
+	// floor(f/k)+1 = f+1 rounds SyncRoundUpperBound gives for consensus,
 	// and some schedule breaks an f-round variant.
 	inputs := []string{"0", "1", "2"}
 	f := 1
+	ub, err := bounds.SyncRoundUpperBound(f, 1)
+	if err != nil {
+		return nil, err
+	}
 	okAll := true
-	schedules, err := sim.EnumerateCrashSchedules(ctx, len(inputs), f, f+1)
+	schedules, err := sim.EnumerateCrashSchedules(ctx, len(inputs), f, ub)
 	if err != nil {
 		return nil, err
 	}
 	for _, cs := range schedules {
-		out, err := sim.RunSync(inputs, protocols.NewFloodSet(f), cs, f+2)
+		out, err := sim.RunSync(inputs, protocols.NewFloodSet(f), cs, ub+1)
 		if err != nil {
 			return nil, err
 		}
@@ -195,7 +201,7 @@ func E8SyncBoundTable(ctx context.Context) (*Table, error) {
 		return nil, err
 	}
 	for _, cs := range shortSchedules {
-		out, err := sim.RunSync(inputs, short, cs, f+1)
+		out, err := sim.RunSync(inputs, short, cs, ub)
 		if err != nil {
 			return nil, err
 		}

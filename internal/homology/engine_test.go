@@ -137,7 +137,7 @@ func TestEngineCacheConcurrentHammer(t *testing.T) {
 // GF(2) ranks.
 func TestRankOfAgreesAcrossFields(t *testing.T) {
 	cc := NewChainComplex(benchSphereProduct(7))
-	for d := 1; d <= cc.Dim(); d++ {
+	for d := 1; d <= cc.dim; d++ {
 		want := cc.boundaryZ2(d).rank()
 		if got := rankOf(cc.boundaryZ2(d), nil); got != want {
 			t.Fatalf("GF(2) d=%d: rank %d, want %d", d, got, want)

@@ -1,10 +1,6 @@
 package homology
 
-import (
-	"fmt"
-
-	"pseudosphere/internal/topology"
-)
+import "pseudosphere/internal/topology"
 
 // ChainComplex indexes the simplexes of a topology.Complex by dimension,
 // giving each simplex an integer index so boundary matrices can be built.
@@ -41,9 +37,6 @@ func (cc *ChainComplex) Count(d int) int {
 	}
 	return len(cc.simplex[d])
 }
-
-// Dim returns the dimension of the underlying complex (-1 if empty).
-func (cc *ChainComplex) Dim() int { return cc.dim }
 
 // boundaryZ2 builds the GF(2) boundary matrix ∂_d : C_d -> C_{d-1}.
 func (cc *ChainComplex) boundaryZ2(d int) *sparseZ2Matrix {
@@ -116,13 +109,4 @@ func ReducedBettiZ2(c *topology.Complex) []int {
 	}
 	betti[0]--
 	return betti
-}
-
-// String renders a chain complex summary for diagnostics.
-func (cc *ChainComplex) String() string {
-	counts := make([]int, cc.dim+1)
-	for d := range counts {
-		counts[d] = cc.Count(d)
-	}
-	return fmt.Sprintf("ChainComplex(dim=%d, counts=%v)", cc.dim, counts)
 }

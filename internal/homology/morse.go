@@ -147,8 +147,10 @@ func coreduce(c *topology.Complex, cancelled *atomic.Bool) (cr *coreduced, ok bo
 	// is FIFO: breadth-first pairing spreads the cascade evenly across the
 	// complex, which on product-like complexes (pseudospheres are joins of
 	// discrete sets) realizes the optimal matching — a depth-first order
-	// provably strands whole dimensions mid-cascade on ψ(S^4;·).
-	stack := make([]int32, 0, 1024)
+	// provably strands whole dimensions mid-cascade on ψ(S^4;·). A cell
+	// is queued when its count reaches exactly one, and counts only fall,
+	// so each entry is queued at most once and n slots never grow.
+	stack := make([]int32, 0, n)
 	removeCell := func(x int32) {
 		cr.alive[x] = false
 		cr.removed[entryDim[x]]++

@@ -252,7 +252,7 @@ func TestBettiResumeCrossMorse(t *testing.T) {
 		want := BettiZ2(c)
 		cc := NewChainComplex(c)
 		oracle := map[int]int{}
-		for d := 1; d <= cc.Dim(); d++ {
+		for d := 1; d <= cc.dim; d++ {
 			oracle[d] = cc.boundaryZ2(d).rank()
 		}
 

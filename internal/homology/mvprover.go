@@ -1,11 +1,6 @@
 package homology
 
-import (
-	"fmt"
-	"strings"
-
-	"pseudosphere/internal/topology"
-)
+import "pseudosphere/internal/topology"
 
 // MVStep records one application of Theorem 2 in a union-connectivity
 // proof: the prefix so far, the next piece, and the connectivity facts
@@ -24,22 +19,6 @@ type MVProof struct {
 	Conn  int
 	Steps []MVStep
 	OK    bool
-}
-
-// String renders the proof trace.
-func (p *MVProof) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Mayer-Vietoris proof of %d-connectivity over %d pieces:\n", p.Conn, len(p.Steps)+1)
-	for _, s := range p.Steps {
-		status := "ok"
-		if !s.ResultingConnOK {
-			status = "FAILED"
-		}
-		fmt.Fprintf(&b, "  ∪ piece %d: prefix %v, piece %v, intersection %v -> %s\n",
-			s.Piece, s.PrefixConnected, s.PieceConnected, s.IntersectionOK, status)
-	}
-	fmt.Fprintf(&b, "verdict: %v\n", p.OK)
-	return b.String()
 }
 
 // ProveUnionConnectivity establishes that the union of the given pieces is

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"pseudosphere/internal/modelspec"
+	"pseudosphere/internal/roundop"
 	"pseudosphere/internal/topology"
 )
 
@@ -138,19 +139,16 @@ func TestNamesListsPresets(t *testing.T) {
 	if got != "async,custom,iis,semisync,sync" {
 		t.Fatalf("Names() = %q", got)
 	}
-	if _, ok := modelspec.Lookup("sync"); !ok {
-		t.Fatal("Lookup(sync) missed")
-	}
-	if _, ok := modelspec.Lookup("quantum"); ok {
-		t.Fatal("Lookup(quantum) hit")
-	}
 }
 
 // TestRegisterNeedsCount: admission prices every request with the
 // model's count, so a model without one cannot register.
 func TestRegisterNeedsCount(t *testing.T) {
-	m, _ := modelspec.Lookup("sync")
-	m.Name, m.Count = "sync-without-count", nil
+	m := modelspec.Model{
+		Name:     "sync-without-count",
+		Validate: func(modelspec.Params) error { return nil },
+		Operator: func(modelspec.Params) roundop.Operator { return nil },
+	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Register accepted a model without Count")

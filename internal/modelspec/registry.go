@@ -165,12 +165,6 @@ func Register(m Model) {
 	registry[m.Name] = m
 }
 
-// Lookup returns the named registry entry.
-func Lookup(name string) (Model, bool) {
-	m, ok := registry[name]
-	return m, ok
-}
-
 // Names returns the registered model names, sorted.
 func Names() []string {
 	out := make([]string, 0, len(registry))

@@ -3,6 +3,7 @@ package pc_test
 import (
 	"context"
 	"encoding/binary"
+	"slices"
 	"testing"
 
 	"pseudosphere/internal/asyncmodel"
@@ -80,7 +81,7 @@ func TestDeltaRoundTrip(t *testing.T) {
 			}
 		}
 		for ei := int32(0); ei < int32(res.Complex.EntryCount()); ei++ {
-			if g, w := got.Complex.EntrySimplex(ei), res.Complex.EntrySimplex(ei); !g.Equal(w) {
+			if g, w := got.Complex.EntrySimplex(ei), res.Complex.EntrySimplex(ei); !slices.Equal(g, w) {
 				t.Fatalf("%s: entry %d = %v, encoded %v", name, ei, g, w)
 			}
 		}

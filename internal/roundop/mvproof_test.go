@@ -38,7 +38,7 @@ func proveViaBranches(t *testing.T, name string, op roundop.Operator, in topolog
 	}
 	proof := homology.ProveUnionConnectivity(pieces, target)
 	if !proof.OK {
-		t.Fatalf("%s: MV proof of %d-connectivity failed:\n%s", name, target, proof)
+		t.Fatalf("%s: MV proof of %d-connectivity failed: %+v", name, target, proof)
 	}
 	if len(proof.Steps) != len(pieces)-1 {
 		t.Fatalf("%s: proof has %d steps for %d pieces", name, len(proof.Steps), len(pieces))

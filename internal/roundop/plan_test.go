@@ -2,6 +2,7 @@ package roundop_test
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
@@ -167,7 +168,7 @@ func TestOptionIDsKeepInterningOrder(t *testing.T) {
 			}
 		}
 		for ei := int32(0); ei < int32(want.Complex.EntryCount()); ei++ {
-			if g, w := got.Complex.EntrySimplex(ei), want.Complex.EntrySimplex(ei); !g.Equal(w) {
+			if g, w := got.Complex.EntrySimplex(ei), want.Complex.EntrySimplex(ei); !slices.Equal(g, w) {
 				t.Fatalf("%s: entry %d is %v, facet by facet %v", tc.name, ei, g, w)
 			}
 		}

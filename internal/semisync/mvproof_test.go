@@ -32,7 +32,7 @@ func TestLemma21ViaMayerVietoris(t *testing.T) {
 		target := c.k - 1
 		proof := homology.ProveUnionConnectivity(pieces, target)
 		if !proof.OK {
-			t.Fatalf("n=%d k=%d: MV proof failed:\n%s", c.n, c.k, proof)
+			t.Fatalf("n=%d k=%d: MV proof failed: %+v", c.n, c.k, proof)
 		}
 	}
 }

@@ -57,12 +57,6 @@ func (p Params) Micro() int {
 	return (p.D + p.C1 - 1) / p.C1
 }
 
-// Ratio returns C = c2/c1 as a rational pair (num, den) in lowest terms.
-func (p Params) Ratio() (num, den int) {
-	g := gcd(p.C2, p.C1)
-	return p.C2 / g, p.C1 / g
-}
-
 // FailurePattern maps each failing process id to the microround (in 1..p)
 // in which it fails.
 type FailurePattern map[int]int
@@ -248,11 +242,4 @@ func cartesianInts(opts [][]int) [][]int {
 		out = next
 	}
 	return out
-}
-
-func gcd(a, b int) int {
-	for b != 0 {
-		a, b = b, a%b
-	}
-	return a
 }

@@ -28,10 +28,6 @@ func TestMicroAndRatio(t *testing.T) {
 	if got := p.Micro(); got != 3 { // ceil(5/2)
 		t.Fatalf("micro = %d, want 3", got)
 	}
-	num, den := p.Ratio()
-	if num != 3 || den != 1 {
-		t.Fatalf("ratio = %d/%d, want 3/1", num, den)
-	}
 }
 
 func TestPatternsOrder(t *testing.T) {
@@ -187,9 +183,8 @@ func TestStretch(t *testing.T) {
 		t.Fatal("distinguishable at C*d")
 	}
 	// C*d = (c2/c1)*d = 6 here (c1 | d), matching TimeoutAfter.
-	num, den := p.Ratio()
-	if s.TimeoutAfter*den != num*p.D {
-		t.Fatalf("timeout %d != C*d = %d/%d * %d", s.TimeoutAfter, num, den, p.D)
+	if s.TimeoutAfter*p.C1 != p.C2*p.D {
+		t.Fatalf("timeout %d != C*d = %d/%d * %d", s.TimeoutAfter, p.C2, p.C1, p.D)
 	}
 }
 

@@ -20,7 +20,7 @@ func TestClientDisconnectCancelsCompute(t *testing.T) {
 	s := newTestServer(t, "", nil)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	tracker := s.Tracker()
+	tracker := s.tracker
 
 	// Baseline after the server (and its put loop) is up.
 	before := runtime.NumGoroutine()
@@ -86,14 +86,14 @@ func TestSaturationReturns429(t *testing.T) {
 	s := newTestServer(t, dir, func(c *Config) { c.Pool = 1; c.Queue = -1 })
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	tracker := s.Tracker()
+	tracker := s.tracker
 
 	// Warm one small entry so we can prove hits bypass admission.
 	if code, _, body := get(t, ts, "/v1/rounds?model=iis&n=2&r=1"); code != 200 {
 		t.Fatalf("warmup: status %d: %v", code, body)
 	}
 	// The put is synchronous inside the flight: the entry is on disk.
-	if _, _, puts, _ := s.Store().Stats(); puts == 0 {
+	if _, _, puts, _ := s.store.Stats(); puts == 0 {
 		t.Fatal("warmup entry not persisted")
 	}
 

@@ -63,7 +63,7 @@ func newFleet(t *testing.T, n int, mutate func(i int, cfg *Config)) (urls []stri
 	return urls, servers, tss
 }
 
-func computesOf(s *Server) uint64 { return s.Tracker().Counters()["computes"] }
+func computesOf(s *Server) uint64 { return s.tracker.Counters()["computes"] }
 
 // TestClusterCrossReplicaHit is the fleet contract in one exchange: a
 // cold build triggered through replica A is served as a cache hit by
@@ -230,8 +230,8 @@ func TestRouterJobRouting(t *testing.T) {
 	}
 	// Exactly one replica ever saw the job: routing by id is consistent
 	// with routing the submit by spec.
-	sub0 := servers[0].Tracker().Counters()["jobs_submitted"]
-	sub1 := servers[1].Tracker().Counters()["jobs_submitted"]
+	sub0 := servers[0].tracker.Counters()["jobs_submitted"]
+	sub1 := servers[1].tracker.Counters()["jobs_submitted"]
 	if sub0+sub1 != 1 {
 		t.Fatalf("job submitted on %d replicas (replica0=%d replica1=%d), want 1", sub0+sub1, sub0, sub1)
 	}
@@ -272,7 +272,7 @@ func TestDelegationHopHeader(t *testing.T) {
 	// the second either read-through-filled or computed — but neither may
 	// have delegated.
 	for i, s := range servers {
-		if got := s.Tracker().Counters()["cluster_delegated"]; got != 0 {
+		if got := s.tracker.Counters()["cluster_delegated"]; got != 0 {
 			t.Fatalf("replica %d delegated %d requests despite the hop header", i, got)
 		}
 	}

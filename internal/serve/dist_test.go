@@ -78,12 +78,12 @@ func TestFleetDistributedBuild(t *testing.T) {
 	if facets != 4096 {
 		t.Fatalf("facets = %v, want 4096", facets)
 	}
-	if got := servers[0].Tracker().Counters()["dist_builds_coordinated"]; got != 1 {
+	if got := servers[0].tracker.Counters()["dist_builds_coordinated"]; got != 1 {
 		t.Fatalf("dist_builds_coordinated on the landing replica = %d, want 1", got)
 	}
 	// The other replicas never coordinated anything.
 	for i := 1; i < 3; i++ {
-		if got := servers[i].Tracker().Counters()["dist_builds_coordinated"]; got != 0 {
+		if got := servers[i].tracker.Counters()["dist_builds_coordinated"]; got != 0 {
 			t.Fatalf("replica %d coordinated %d builds for a request it never saw", i, got)
 		}
 	}
@@ -115,7 +115,7 @@ func TestFleetDistributedBuildA1(t *testing.T) {
 	if facets != 1048576 {
 		t.Fatalf("facets = %v, want 1048576", facets)
 	}
-	cs := servers[0].Tracker().Counters()
+	cs := servers[0].tracker.Counters()
 	if cs["dist_builds_coordinated"] != 1 {
 		t.Fatalf("dist_builds_coordinated = %d, want 1", cs["dist_builds_coordinated"])
 	}
@@ -127,7 +127,7 @@ func TestFleetDistributedBuildA1(t *testing.T) {
 	}
 	workers := 0
 	for i := 1; i < 3; i++ {
-		if servers[i].Tracker().Counters()["dist_worker_shards"] > 0 {
+		if servers[i].tracker.Counters()["dist_worker_shards"] > 0 {
 			workers++
 		}
 	}
@@ -150,7 +150,7 @@ func TestDistBelowThresholdStaysLocal(t *testing.T) {
 		t.Fatalf("local-path hash %s != pinned %s", hash, hashAsyncN3F3R1)
 	}
 	for i, s := range servers {
-		if got := s.Tracker().Counters()["dist_builds_coordinated"]; got != 0 {
+		if got := s.tracker.Counters()["dist_builds_coordinated"]; got != 0 {
 			t.Fatalf("replica %d coordinated %d builds below the threshold", i, got)
 		}
 	}
@@ -170,7 +170,7 @@ func TestDistWithoutPeersFallsThrough(t *testing.T) {
 	if hash, _ := hashOf(t, body); hash != hashAsyncN3F3R1 {
 		t.Fatalf("fallback hash %s != pinned %s", hash, hashAsyncN3F3R1)
 	}
-	cs := servers[0].Tracker().Counters()
+	cs := servers[0].tracker.Counters()
 	if cs["dist_builds_coordinated"] != 0 {
 		t.Fatalf("dist_builds_coordinated = %d with no peers", cs["dist_builds_coordinated"])
 	}
@@ -198,7 +198,7 @@ func TestRouterRelays429RetryAfter(t *testing.T) {
 	// Occupy the single pool slot with a long build, sent straight to the
 	// replica. Wait for the facet counter to move: the blocker holds the
 	// slot.
-	tracker := servers[0].Tracker()
+	tracker := servers[0].tracker
 	facets0 := tracker.Counters()["facets"]
 	blockCtx, stopBlocker := context.WithCancel(context.Background())
 	defer stopBlocker() // the serve spine cancels the compute with the client
@@ -256,7 +256,7 @@ func TestHopGuardDeadOwner(t *testing.T) {
 			t.Fatalf("hop-pinned %s with dead peer: status %d: %v", path, code, body)
 		}
 	}
-	if got := servers[0].Tracker().Counters()["cluster_delegated"]; got != 0 {
+	if got := servers[0].tracker.Counters()["cluster_delegated"]; got != 0 {
 		t.Fatalf("survivor delegated %d hop-pinned requests toward a dead owner", got)
 	}
 }

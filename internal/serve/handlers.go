@@ -271,9 +271,9 @@ func (s *Server) buildRounds(q url.Values, spec *modelspec.Spec) (endpointQuery,
 	}
 	return endpointQuery{
 		key:   inst.Key,
-		price: func() error { return s.admitConstruction(inst, inputSimplex(inst.M), 1) },
+		price: func() error { return s.admitConstruction(inst, core.LabeledSimplex(inst.M), 1) },
 		compute: func(ctx context.Context, ck *jobs.CheckpointLog) (any, error) {
-			res, err := s.buildModel(ctx, inst, inputSimplex(inst.M), ck)
+			res, err := s.buildModel(ctx, inst, core.LabeledSimplex(inst.M), ck)
 			if err != nil {
 				return nil, err
 			}
@@ -361,9 +361,9 @@ func (s *Server) buildConnectivity(q url.Values, spec *modelspec.Spec) (endpoint
 	}
 	return endpointQuery{
 		key:   key,
-		price: func() error { return s.admitConstruction(inst, inputSimplex(inst.M), 1) },
+		price: func() error { return s.admitConstruction(inst, core.LabeledSimplex(inst.M), 1) },
 		compute: func(ctx context.Context, ck *jobs.CheckpointLog) (any, error) {
-			res, err := s.buildModel(ctx, inst, inputSimplex(inst.M), ck)
+			res, err := s.buildModel(ctx, inst, core.LabeledSimplex(inst.M), ck)
 			if err != nil {
 				return nil, err
 			}
@@ -456,7 +456,7 @@ func (s *Server) buildDecision(q url.Values, spec *modelspec.Spec) (endpointQuer
 		// facets, each an n-face, and the count prices them all without
 		// materializing a single one.
 		price: func() error {
-			return s.admitConstruction(inst, inputSimplex(inst.N), pc.SatPow(int64(len(values)), inst.N+1))
+			return s.admitConstruction(inst, core.LabeledSimplex(inst.N), pc.SatPow(int64(len(values)), inst.N+1))
 		},
 		compute: func(ctx context.Context, _ *jobs.CheckpointLog) (any, error) {
 			inputs := core.InputFacets(inst.N, values)

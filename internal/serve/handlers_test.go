@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"pseudosphere/internal/core"
 	"pseudosphere/internal/jobs"
 	"pseudosphere/internal/modelspec"
 )
@@ -27,7 +28,7 @@ func BenchmarkStatsOf(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, err := inst.Build(context.Background(), inputSimplex(inst.M), 1)
+	res, err := inst.Build(context.Background(), core.LabeledSimplex(inst.M), 1)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"pseudosphere/internal/modelspec"
-	"pseudosphere/internal/topology"
 )
 
 // Hard parameter ceilings, enforced before any validation that would
@@ -94,15 +93,4 @@ func isPrime(p int) bool {
 		}
 	}
 	return true
-}
-
-// inputSimplex builds the m-dimensional input simplex with the same
-// labeling convention as cmd/connectivity, so service results are
-// comparable with the CLI's.
-func inputSimplex(m int) topology.Simplex {
-	vs := make(topology.Simplex, m+1)
-	for i := range vs {
-		vs[i] = topology.Vertex{P: i, Label: string(rune('a' + i))}
-	}
-	return vs
 }

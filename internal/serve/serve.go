@@ -276,13 +276,6 @@ func (s *Server) shutdownOnError() {
 // Handler returns the service's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Tracker returns the metrics tracker (for expvar publication and tests).
-func (s *Server) Tracker() *obs.Tracker { return s.tracker }
-
-// Store returns the response-store backend — the local disk store, or
-// its cluster read-through wrapper on a fleet replica; nil when disabled.
-func (s *Server) Store() store.Backend { return s.store }
-
 // Abort cancels every in-flight compute; call it only when a graceful
 // drain has exceeded its deadline.
 func (s *Server) Abort() { s.abort() }

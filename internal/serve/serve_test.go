@@ -442,7 +442,7 @@ func TestGFpValidatedAtParse(t *testing.T) {
 			t.Errorf("p=%s: status %d (want 400): %v", bad, code, body)
 		}
 	}
-	if got := s.Tracker().Counters()["facets"]; got != 0 {
+	if got := s.tracker.Counters()["facets"]; got != 0 {
 		t.Fatalf("invalid p still built a complex (%d facet insertions)", got)
 	}
 }

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"math/rand"
 	"sort"
 
@@ -123,18 +122,4 @@ func RunAsync(inputs []string, factory ProtocolFactory, crashes CrashSchedule, s
 		return nil, err
 	}
 	return e.Run()
-}
-
-// ValidateAsyncThreshold checks that a schedule's choice respects the
-// model: at least n-f+1 messages per receiver per round, self included.
-func ValidateAsyncThreshold(heard []int, recv, n1, f int) error {
-	if len(heard) < n1-f {
-		return fmt.Errorf("sim: receiver %d heard %d senders, need at least n-f+1 = %d", recv, len(heard), n1-f)
-	}
-	for _, h := range heard {
-		if h == recv {
-			return nil
-		}
-	}
-	return fmt.Errorf("sim: receiver %d did not hear itself", recv)
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -141,8 +142,8 @@ func TestRandomAsyncScheduleRespectsThreshold(t *testing.T) {
 	for round := 1; round <= 10; round++ {
 		for _, recv := range alive {
 			heard := s.Heard(round, recv, alive)
-			if err := ValidateAsyncThreshold(heard, recv, n1, f); err != nil {
-				t.Fatal(err)
+			if len(heard) < n1-f || !slices.Contains(heard, recv) {
+				t.Fatalf("round %d: receiver %d heard %v, want at least n-f+1 = %d senders including itself", round, recv, heard, n1-f)
 			}
 		}
 	}

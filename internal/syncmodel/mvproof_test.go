@@ -33,7 +33,7 @@ func TestLemma16ViaMayerVietoris(t *testing.T) {
 		target := c.n - (c.n - c.k) - 1 // = k-1
 		proof := homology.ProveUnionConnectivity(pieces, target)
 		if !proof.OK {
-			t.Fatalf("n=%d k=%d: MV proof failed:\n%s", c.n, c.k, proof)
+			t.Fatalf("n=%d k=%d: MV proof failed: %+v", c.n, c.k, proof)
 		}
 		if len(proof.Steps) != len(pieces)-1 {
 			t.Fatalf("proof has %d steps for %d pieces", len(proof.Steps), len(pieces))

@@ -29,17 +29,15 @@ func Theorem9Obstructed(build func(inputValues []string) *topology.Complex, valu
 	return true, nil
 }
 
-// Corollary10Obstructed evaluates the hypothesis of Corollary 10: if
-// P(S^m) is (m-(n-k)-1)-connected for all m with n-f <= m <= n, then the
-// protocol cannot solve k-set agreement in the presence of f failures.
+// Corollary10Obstructed evaluates the hypothesis of Corollary 10, which
+// instantiates Theorem 5 with c = n-k: if P(S^m) is (m-(n-k)-1)-connected
+// for every m with 0 <= m <= n, then the protocol cannot solve k-set
+// agreement. Below m = n-k the demanded connectivity is at most -2, which
+// every complex has; from m = n-k up, P(S^m) must at least be nonempty.
 // conn must return the protocol complex for an input simplex with m+1
 // participating processes.
-func Corollary10Obstructed(conn func(m int) *topology.Complex, n, f, k int) bool {
-	lo := n - f
-	if lo < 0 {
-		lo = 0
-	}
-	for m := lo; m <= n; m++ {
+func Corollary10Obstructed(conn func(m int) *topology.Complex, n, k int) bool {
+	for m := 0; m <= n; m++ {
 		if !homology.IsKConnected(conn(m), m-(n-k)-1) {
 			return false
 		}

@@ -27,11 +27,8 @@ type Annotated struct {
 	Allowed map[topology.Vertex][]string
 }
 
-// Validate checks internal consistency: every vertex of the complex has a
-// nonempty allowed set.
-func (a *Annotated) Validate() error { return a.validate(a.Complex.Vertices()) }
-
-// validate is Validate over verts, the complex's sorted vertex list.
+// validate checks that every vertex in verts, the complex's sorted vertex
+// list, has a nonempty allowed set.
 func (a *Annotated) validate(verts []topology.Vertex) error {
 	for _, v := range verts {
 		vals, ok := a.Allowed[v]

@@ -147,7 +147,7 @@ func TestCheckDecisionViolations(t *testing.T) {
 
 func TestAnnotatedValidate(t *testing.T) {
 	c := topology.ComplexOf(mustSimplex(v(0, "a")))
-	if err := annotated(c, map[topology.Vertex][]string{}).Validate(); err == nil {
+	if err := annotated(c, map[topology.Vertex][]string{}).validate(c.Vertices()); err == nil {
 		t.Fatal("missing allowed set not caught")
 	}
 }

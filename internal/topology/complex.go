@@ -373,25 +373,6 @@ func (c *Complex) Restriction(keep func(Vertex) bool) *Complex {
 	return out
 }
 
-// Star returns the subcomplex generated by all simplexes containing v
-// (the closed star of v).
-func (c *Complex) Star(v Vertex) *Complex {
-	out := NewComplex()
-	id, ok := c.verts[v]
-	if !ok {
-		return out
-	}
-	for ei := range c.ends {
-		for _, eid := range c.entryIDs(int32(ei)) {
-			if eid == id {
-				out.Add(c.simplexAt(int32(ei)))
-				break
-			}
-		}
-	}
-	return out
-}
-
 // Link returns the link of v: the simplexes t such that t does not contain
 // v but t joined with v is in the complex.
 func (c *Complex) Link(v Vertex) *Complex {

@@ -76,10 +76,6 @@ func TestComplexSkeletonAndRestriction(t *testing.T) {
 
 func TestStarAndLink(t *testing.T) {
 	c := ComplexOf(triangle())
-	star := c.Star(v(0, "a"))
-	if star.Dim() != 2 {
-		t.Fatalf("star dim = %d", star.Dim())
-	}
 	link := c.Link(v(0, "a"))
 	// Link of a vertex of a solid triangle is the opposite edge.
 	if link.Dim() != 1 || link.Size() != 3 {
@@ -124,34 +120,6 @@ func TestVerifyIsomorphismRelabel(t *testing.T) {
 	bad := VertexMap{v(0, "x"): v(0, "u"), v(1, "y"): v(0, "u")}
 	if err := VerifyIsomorphism(a, b, bad); err == nil {
 		t.Fatal("non-injective map accepted")
-	}
-}
-
-func TestChromaticIsomorphic(t *testing.T) {
-	// Two 4-cycles with different labels are chromatically isomorphic.
-	a := ComplexOf(
-		mustSimplex(v(0, "0"), v(1, "0")),
-		mustSimplex(v(1, "0"), v(0, "1")),
-		mustSimplex(v(0, "1"), v(1, "1")),
-		mustSimplex(v(1, "1"), v(0, "0")),
-	)
-	b := ComplexOf(
-		mustSimplex(v(0, "p"), v(1, "q")),
-		mustSimplex(v(1, "q"), v(0, "r")),
-		mustSimplex(v(0, "r"), v(1, "s")),
-		mustSimplex(v(1, "s"), v(0, "p")),
-	)
-	if !ChromaticIsomorphic(a, b) {
-		t.Fatal("isomorphic complexes not recognized")
-	}
-	// A path of three edges is not isomorphic to the 4-cycle.
-	c := ComplexOf(
-		mustSimplex(v(0, "0"), v(1, "0")),
-		mustSimplex(v(1, "0"), v(0, "1")),
-		mustSimplex(v(0, "1"), v(1, "1")),
-	)
-	if ChromaticIsomorphic(a, c) {
-		t.Fatal("non-isomorphic complexes reported isomorphic")
 	}
 }
 

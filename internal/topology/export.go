@@ -59,27 +59,6 @@ func (c *Complex) ToJSON() ([]byte, error) {
 	return json.MarshalIndent(out, "", "  ")
 }
 
-// FromJSON rebuilds a complex from a ToJSON dump.
-func FromJSON(data []byte) (*Complex, error) {
-	var in exportedComplex
-	if err := json.Unmarshal(data, &in); err != nil {
-		return nil, fmt.Errorf("topology: decode complex: %w", err)
-	}
-	c := NewComplex()
-	for _, row := range in.Facets {
-		vs := make([]Vertex, len(row))
-		for i, jv := range row {
-			vs[i] = Vertex{P: jv.P, Label: jv.Label}
-		}
-		s, err := NewSimplex(vs...)
-		if err != nil {
-			return nil, fmt.Errorf("topology: decode facet: %w", err)
-		}
-		c.Add(s)
-	}
-	return c, nil
-}
-
 // DescribeSummary returns a one-line statistics summary useful in CLIs.
 func (c *Complex) DescribeSummary() string {
 	ids := c.IDs()

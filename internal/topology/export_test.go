@@ -1,6 +1,8 @@
 package topology
 
 import (
+	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -25,21 +27,20 @@ func TestJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := FromJSON(data)
-	if err != nil {
+	var in exportedComplex
+	if err := json.Unmarshal(data, &in); err != nil {
 		t.Fatal(err)
 	}
-	if !c.Equal(back) {
+	back := NewComplex()
+	for _, row := range in.Facets {
+		vs := make([]Vertex, len(row))
+		for i, jv := range row {
+			vs[i] = Vertex{P: jv.P, Label: jv.Label}
+		}
+		back.Add(mustSimplex(vs...))
+	}
+	if !c.Equal(back) || in.Dim != c.Dim() || !slices.Equal(in.FVector, c.FVector()) {
 		t.Fatalf("round trip changed the complex:\n%v\nvs\n%v", c, back)
-	}
-}
-
-func TestFromJSONRejectsGarbage(t *testing.T) {
-	if _, err := FromJSON([]byte("not json")); err == nil {
-		t.Fatal("garbage accepted")
-	}
-	if _, err := FromJSON([]byte(`{"facets":[[{"p":0,"label":"a"},{"p":0,"label":"b"}]]}`)); err == nil {
-		t.Fatal("non-chromatic facet accepted")
 	}
 }
 

@@ -99,7 +99,7 @@ func TestFaceTableMatchesProbes(t *testing.T) {
 			c, marks = d, nil
 		}
 		for step := 0; step < 30; step++ {
-			op := rng.Intn(13)
+			op := rng.Intn(12)
 			switch op {
 			case 0:
 				c.Add(randomSimplex(rng, 5, labels))
@@ -145,17 +145,12 @@ func TestFaceTableMatchesProbes(t *testing.T) {
 			case 8:
 				drop := labels[rng.Intn(len(labels))]
 				replace(c.Restriction(func(v Vertex) bool { return v.Label != drop }))
-			case 9, 10:
+			case 9:
 				if c.VertexCount() == 0 {
 					continue
 				}
-				v := c.VertexAt(int32(rng.Intn(c.VertexCount())))
-				if op == 9 {
-					replace(c.Link(v))
-				} else {
-					replace(c.Star(v))
-				}
-			case 11:
+				replace(c.Link(c.VertexAt(int32(rng.Intn(c.VertexCount())))))
+			case 10:
 				if slices.ContainsFunc(c.IDs(), func(p int) bool { return p >= 5 }) {
 					continue
 				}
@@ -164,7 +159,7 @@ func TestFaceTableMatchesProbes(t *testing.T) {
 					t.Fatal(err)
 				}
 				replace(j)
-			case 12:
+			case 11:
 				marks = append(marks, [2]int{c.VertexCount(), c.EntryCount()})
 			}
 			if rng.Intn(2) == 0 {

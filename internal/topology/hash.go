@@ -231,24 +231,6 @@ func radixSort(keys []uint64, vals []int32, lo, hi int) {
 	}
 }
 
-// FacetEncoding returns a canonical textual encoding of the complex: the
-// keys of its facets in sorted (dimension, key) order, each prefixed by
-// its byte length so that arbitrary label strings cannot collide. Because
-// a complex is determined by its facets, two complexes are Equal if and
-// only if their facet encodings are equal; the encoding is therefore a
-// sound memoization key for any function of the complex.
-func (c *Complex) FacetEncoding() string {
-	var b strings.Builder
-	for _, s := range c.Facets() {
-		key := s.Key()
-		b.WriteString(strconv.Itoa(len(key)))
-		b.WriteByte(':')
-		b.WriteString(key)
-		b.WriteByte(';')
-	}
-	return b.String()
-}
-
 // CanonicalHash returns a hex SHA-256 digest canonically identifying the
 // complex. It is the cache key used by the homology package's memoized
 // engine: equal complexes always hash equal, and distinct complexes

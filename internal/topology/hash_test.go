@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -48,28 +47,6 @@ func TestCanonicalHashDistinguishes(t *testing.T) {
 	}
 	if NewComplex().CanonicalHash() == tri.CanonicalHash() {
 		t.Fatal("empty complex collides with a triangle")
-	}
-}
-
-// TestFacetEncodingLengthPrefixed guards the anti-collision property: a
-// label containing the separator characters cannot make two different
-// complexes encode identically.
-func TestFacetEncodingLengthPrefixed(t *testing.T) {
-	a := ComplexOf(mustSimplex(hv(0, "x;1:y")))
-	b := ComplexOf(mustSimplex(hv(0, "x")), mustSimplex(hv(1, "y")))
-	if a.FacetEncoding() == b.FacetEncoding() {
-		t.Fatal("separator injection collided two encodings")
-	}
-	if !strings.Contains(a.FacetEncoding(), ":") {
-		t.Fatal("encoding missing length prefix")
-	}
-}
-
-func TestFacetEncodingMatchesEqual(t *testing.T) {
-	a := ComplexOf(mustSimplex(hv(0, "a"), hv(1, "b")), mustSimplex(hv(1, "b"), hv(2, "c")))
-	b := a.Union(NewComplex())
-	if !a.Equal(b) || a.FacetEncoding() != b.FacetEncoding() {
-		t.Fatal("Equal complexes must share a facet encoding")
 	}
 }
 

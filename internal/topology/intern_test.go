@@ -2,6 +2,7 @@ package topology
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -179,7 +180,7 @@ func TestAddIDsMatchesAdd(t *testing.T) {
 		t.Fatalf("got %v, want %v", got, want)
 	}
 	for ei := int32(0); ei < int32(want.EntryCount()); ei++ {
-		if !got.EntrySimplex(ei).Equal(want.EntrySimplex(ei)) {
+		if !slices.Equal(got.EntrySimplex(ei), want.EntrySimplex(ei)) {
 			t.Fatalf("entry %d = %v, Add built %v", ei, got.EntrySimplex(ei), want.EntrySimplex(ei))
 		}
 	}

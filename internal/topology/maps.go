@@ -2,7 +2,6 @@ package topology
 
 import (
 	"fmt"
-	"sort"
 )
 
 // VertexMap carries vertices of one complex to vertices of another. The
@@ -88,117 +87,4 @@ func VerifyIsomorphism(src, dst *Complex, m VertexMap) error {
 		return fmt.Errorf("topology: inverse direction: %w", err)
 	}
 	return nil
-}
-
-// ChromaticIsomorphic searches for a color-preserving simplicial
-// isomorphism between two complexes by backtracking over per-process label
-// bijections. It is intended for small complexes (tests); the explicit
-// VerifyIsomorphism path is preferred where the paper gives the map.
-func ChromaticIsomorphic(a, b *Complex) bool {
-	if a.Size() != b.Size() || a.Dim() != b.Dim() {
-		return false
-	}
-	labelsA := labelsByProcess(a)
-	labelsB := labelsByProcess(b)
-	if len(labelsA) != len(labelsB) {
-		return false
-	}
-	ids := make([]int, 0, len(labelsA))
-	for p := range labelsA {
-		if len(labelsA[p]) != len(labelsB[p]) {
-			return false
-		}
-		ids = append(ids, p)
-	}
-	sort.Ints(ids)
-	m := make(VertexMap)
-	return matchProcess(a, b, ids, 0, labelsA, labelsB, m)
-}
-
-func labelsByProcess(c *Complex) map[int][]string {
-	out := make(map[int][]string)
-	for _, v := range c.Vertices() {
-		out[v.P] = append(out[v.P], v.Label)
-	}
-	for p := range out {
-		sort.Strings(out[p])
-	}
-	return out
-}
-
-// matchProcess assigns a bijection between the labels of process ids[i] in
-// a and b, then recurses; when all processes are assigned, it verifies the
-// full map. Degree-based pruning keeps the search tractable on the small
-// complexes used in tests.
-func matchProcess(a, b *Complex, ids []int, i int, la, lb map[int][]string, m VertexMap) bool {
-	if i == len(ids) {
-		return VerifyIsomorphism(a, b, m) == nil
-	}
-	p := ids[i]
-	return permute(la[p], lb[p], func(pairing map[string]string) bool {
-		for s, t := range pairing {
-			m[Vertex{P: p, Label: s}] = Vertex{P: p, Label: t}
-		}
-		ok := partialConsistent(a, b, m) && matchProcess(a, b, ids, i+1, la, lb, m)
-		if !ok {
-			for s := range pairing {
-				delete(m, Vertex{P: p, Label: s})
-			}
-		}
-		return ok
-	})
-}
-
-// permute enumerates bijections from xs onto ys, invoking try on each; it
-// stops and reports true as soon as try does.
-func permute(xs, ys []string, try func(map[string]string) bool) bool {
-	n := len(xs)
-	used := make([]bool, n)
-	pairing := make(map[string]string, n)
-	var rec func(i int) bool
-	rec = func(i int) bool {
-		if i == n {
-			return try(pairing)
-		}
-		for j := 0; j < n; j++ {
-			if used[j] {
-				continue
-			}
-			used[j] = true
-			pairing[xs[i]] = ys[j]
-			if rec(i + 1) {
-				return true
-			}
-			delete(pairing, xs[i])
-			used[j] = false
-		}
-		return false
-	}
-	return rec(0)
-}
-
-// partialConsistent checks that every simplex of a whose vertices are all
-// in the current partial map lands in b, and symmetrically for edge counts;
-// a cheap prune for the backtracking search.
-func partialConsistent(a, b *Complex, m VertexMap) bool {
-	for _, s := range a.AllSimplices() {
-		img := make([]Vertex, 0, len(s))
-		full := true
-		for _, v := range s {
-			w, ok := m[v]
-			if !ok {
-				full = false
-				break
-			}
-			img = append(img, w)
-		}
-		if !full {
-			continue
-		}
-		t, err := NewSimplex(img...)
-		if err != nil || !b.Has(t) {
-			return false
-		}
-	}
-	return true
 }

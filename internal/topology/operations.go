@@ -96,25 +96,3 @@ func (c *Complex) ConnectedComponents() []*Complex {
 	})
 	return out
 }
-
-// EdgeGraph returns the 1-skeleton as an adjacency list keyed by vertex.
-func (c *Complex) EdgeGraph() map[Vertex][]Vertex {
-	g := make(map[Vertex][]Vertex)
-	for _, v := range c.Vertices() {
-		g[v] = nil
-	}
-	for _, e := range c.Simplices(1) {
-		g[e[0]] = append(g[e[0]], e[1])
-		g[e[1]] = append(g[e[1]], e[0])
-	}
-	for v := range g {
-		vs := g[v]
-		sort.Slice(vs, func(i, j int) bool {
-			if vs[i].P != vs[j].P {
-				return vs[i].P < vs[j].P
-			}
-			return vs[i].Label < vs[j].Label
-		})
-	}
-	return g
-}

@@ -69,18 +69,6 @@ func TestConnectedComponents(t *testing.T) {
 	}
 }
 
-func TestEdgeGraph(t *testing.T) {
-	g := circle3().EdgeGraph()
-	if len(g) != 3 {
-		t.Fatalf("graph has %d vertices", len(g))
-	}
-	for vert, nbrs := range g {
-		if len(nbrs) != 2 {
-			t.Fatalf("vertex %v has %d neighbors, want 2", vert, len(nbrs))
-		}
-	}
-}
-
 // TestConeSizeQuick property-checks |Cone(c)| = 2|c| + 1.
 func TestConeSizeQuick(t *testing.T) {
 	for labels := 1; labels <= 3; labels++ {

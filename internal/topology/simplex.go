@@ -99,16 +99,6 @@ func (s Simplex) HasID(p int) bool {
 	return ok
 }
 
-// HasVertex reports whether v is a vertex of s.
-func (s Simplex) HasVertex(v Vertex) bool {
-	for _, w := range s {
-		if w == v {
-			return true
-		}
-	}
-	return false
-}
-
 // Key returns a canonical string key identifying the simplex. Two simplexes
 // are equal if and only if their keys are equal. Key is on the hot path of
 // every chain-complex and hash computation, so it avoids fmt.
@@ -128,19 +118,6 @@ func (s Simplex) Key() string {
 		b.WriteString(v.Label)
 	}
 	return b.String()
-}
-
-// Equal reports whether s and t are the same simplex.
-func (s Simplex) Equal(t Simplex) bool {
-	if len(s) != len(t) {
-		return false
-	}
-	for i := range s {
-		if s[i] != t[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Face returns the codimension-1 face obtained by omitting the i-th vertex
@@ -169,18 +146,6 @@ func (s Simplex) WithoutIDs(ids map[int]bool) Simplex {
 	f := make(Simplex, 0, len(s))
 	for _, v := range s {
 		if !ids[v.P] {
-			f = append(f, v)
-		}
-	}
-	return f
-}
-
-// Restrict returns the face of s spanned by the vertices whose ids are in
-// keep.
-func (s Simplex) Restrict(keep map[int]bool) Simplex {
-	f := make(Simplex, 0, len(s))
-	for _, v := range s {
-		if keep[v.P] {
 			f = append(f, v)
 		}
 	}

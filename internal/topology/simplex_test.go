@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -64,16 +65,13 @@ func TestSimplexWithoutAndRestrict(t *testing.T) {
 	if got := s.WithoutIDs(map[int]bool{0: true, 2: true}); got.Dim() != 0 || !got.HasID(1) {
 		t.Fatalf("WithoutIDs = %v", got)
 	}
-	if got := s.Restrict(map[int]bool{0: true, 2: true}); got.Dim() != 1 || got.HasID(1) {
-		t.Fatalf("Restrict = %v", got)
-	}
 }
 
 func TestSimplexIntersect(t *testing.T) {
 	s := mustSimplex(v(0, "a"), v(1, "b"), v(2, "c"))
 	u := mustSimplex(v(0, "a"), v(1, "x"), v(3, "d"))
 	got := s.Intersect(u)
-	if got.Dim() != 0 || !got.HasVertex(v(0, "a")) {
+	if got.Dim() != 0 || !slices.Contains(got, v(0, "a")) {
 		t.Fatalf("Intersect = %v", got)
 	}
 }
@@ -96,7 +94,7 @@ func TestSimplexKeyInjective(t *testing.T) {
 	if a.Key() == b.Key() {
 		t.Fatal("distinct simplexes share a key")
 	}
-	if !a.Equal(mustSimplex(v(1, "b"), v(0, "a"))) {
+	if !slices.Equal(a, mustSimplex(v(1, "b"), v(0, "a"))) {
 		t.Fatal("order-insensitive equality failed")
 	}
 }
@@ -116,7 +114,7 @@ func TestFacePropertyQuick(t *testing.T) {
 		if !f.IsFaceOf(s) {
 			return false
 		}
-		if !f.Intersect(s).Equal(f) {
+		if !slices.Equal(f.Intersect(s), f) {
 			return false
 		}
 		return f.Key() != s.Key()

@@ -180,29 +180,6 @@ func (v *View) collectValues(into map[string]bool) {
 	}
 }
 
-// ProcessesSeen returns the sorted set of process ids whose states (at any
-// round) appear in the view, including v.P.
-func (v *View) ProcessesSeen() []int {
-	set := make(map[int]bool)
-	v.collectProcs(set)
-	out := make([]int, 0, len(set))
-	for p := range set {
-		out = append(out, p)
-	}
-	sort.Ints(out)
-	return out
-}
-
-func (v *View) collectProcs(into map[int]bool) {
-	into[v.P] = true
-	if v.heard == nil {
-		return
-	}
-	for _, h := range v.heard.from {
-		h.collectProcs(into)
-	}
-}
-
 // HeardIDs returns the sorted sender set of the final round of the view.
 func (v *View) HeardIDs() []int {
 	if v.heard == nil {
