@@ -210,7 +210,7 @@ func TestPseudosphereSizeQuick(t *testing.T) {
 	}
 }
 
-func TestEncodeDecodeIDSet(t *testing.T) {
+func TestEncodeIDSet(t *testing.T) {
 	ids := []int{3, 0, 2}
 	enc := EncodeIDSet(ids)
 	if enc != "{0,2,3}" {

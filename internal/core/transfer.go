@@ -113,16 +113,18 @@ func IdentityProtocol(s topology.Simplex) *topology.Complex {
 // its processes participate — models whose absent processes consume
 // failure budget return a face-dependent operator (or nil for an empty
 // subcomplex); models with global parameters ignore the argument.
-// Enumeration errors (none are expected from the in-tree operators) are
-// recorded once in *errOut when non-nil, and the offending input
-// contributes an empty complex so the ProtocolMap shape is preserved.
-func OperatorProtocol(opFor func(topology.Simplex) roundop.Operator, r int, errOut *error) ProtocolMap {
+// Every build runs under ctx, so a cancelled ctx stops the next one.
+// Enumeration errors, ctx's among them (none other is expected from the
+// in-tree operators), are recorded once in *errOut when non-nil, and the
+// offending input contributes an empty complex so the ProtocolMap shape
+// is preserved.
+func OperatorProtocol(ctx context.Context, opFor func(topology.Simplex) roundop.Operator, r int, errOut *error) ProtocolMap {
 	return func(s topology.Simplex) *topology.Complex {
 		op := opFor(s)
 		if op == nil {
 			return topology.NewComplex()
 		}
-		res, err := roundop.Build(context.Background(), op, s, r, roundop.Options{})
+		res, err := roundop.Build(ctx, op, s, r, roundop.Options{})
 		if err != nil {
 			if errOut != nil && *errOut == nil {
 				*errOut = err

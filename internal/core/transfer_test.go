@@ -1,6 +1,8 @@
 package core_test
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"pseudosphere/internal/asyncmodel"
@@ -18,7 +20,7 @@ import (
 func asyncOneRoundMap(t *testing.T, n, f int) core.ProtocolMap {
 	t.Helper()
 	var err error
-	p := core.OperatorProtocol(func(topology.Simplex) roundop.Operator {
+	p := core.OperatorProtocol(context.Background(), func(topology.Simplex) roundop.Operator {
 		return asyncmodel.Params{N: n, F: f}.Operator()
 	}, 1, &err)
 	t.Cleanup(func() {
@@ -38,7 +40,7 @@ func asyncOneRoundMap(t *testing.T, n, f int) core.ProtocolMap {
 func syncOneRoundMap(t *testing.T, n, k int) core.ProtocolMap {
 	t.Helper()
 	var err error
-	p := core.OperatorProtocol(func(s topology.Simplex) roundop.Operator {
+	p := core.OperatorProtocol(context.Background(), func(s topology.Simplex) roundop.Operator {
 		remaining := k - (n - s.Dim())
 		if remaining < 0 {
 			return nil
@@ -172,5 +174,20 @@ func TestApplyUnionsOverSimplices(t *testing.T) {
 	}
 	if !homology.IsKConnected(applied, 0) {
 		t.Fatal("psi(S^1;{0,1}) is connected")
+	}
+}
+
+// TestOperatorProtocolCancelled: a protocol map built under a cancelled
+// ctx records context.Canceled and contributes an empty complex, so a
+// theorem check over it stops at its first build.
+func TestOperatorProtocolCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var err error
+	p := core.OperatorProtocol(ctx, func(topology.Simplex) roundop.Operator {
+		return asyncmodel.Params{N: 2, F: 1}.Operator()
+	}, 1, &err)
+	if c := p(core.ProcessSimplex(2)); !c.IsEmpty() || !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled build gave %d simplexes and error %v", c.Size(), err)
 	}
 }

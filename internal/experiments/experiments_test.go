@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -45,5 +46,18 @@ func TestExperimentIDsUnique(t *testing.T) {
 			t.Fatalf("duplicate experiment id %s", e.ID)
 		}
 		seen[e.ID] = true
+	}
+}
+
+// TestBuildsStopWhenCancelled: E12's obstruction checks and E32's
+// protocol maps build under the run's ctx and return its error, not an
+// answer from the empty complexes a cancelled build leaves.
+func TestBuildsStopWhenCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, run := range []func(context.Context) (*Table, error){E12Sperner, E32Transfer} {
+		if tb, err := run(ctx); !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled run returned %v and %v", tb, err)
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"pseudosphere/internal/asyncmodel"
 	"pseudosphere/internal/core"
+	"pseudosphere/internal/pc"
 	"pseudosphere/internal/sperner"
 	"pseudosphere/internal/task"
 	"pseudosphere/internal/topology"
@@ -37,16 +38,28 @@ func E12Sperner(ctx context.Context) (*Table, error) {
 
 	// Obstruction vs search: for the async model at n=2, the Theorem 9
 	// hypothesis holds for k=1 <= f and the search finds no map; for the
-	// f=0 model (no failures) the hypothesis fails and a map exists.
-	p := asyncmodel.Params{N: 2, F: 1}
-	overValues := func(u []string) *topology.Complex {
-		res, err := buildOverInputs(ctx, p.Operator(), p.N, u, 1)
+	// f=0 model (no failures) the hypothesis fails and a map exists. The
+	// obstruction checks take closures that return a complex, so a build
+	// error is kept in buildErr, the first one only, and returned after
+	// the check that met it.
+	var buildErr error
+	built := func(res *pc.Result, err error) *topology.Complex {
 		if err != nil {
+			if buildErr == nil {
+				buildErr = err
+			}
 			return topology.NewComplex()
 		}
 		return res.Complex
 	}
+	p := asyncmodel.Params{N: 2, F: 1}
+	overValues := func(u []string) *topology.Complex {
+		return built(buildOverInputs(ctx, p.Operator(), p.N, u, 1))
+	}
 	obstructed, err := task.Theorem9Obstructed(overValues, binary, 1)
+	if err == nil {
+		err = buildErr
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -64,18 +77,12 @@ func E12Sperner(ctx context.Context) (*Table, error) {
 	// Corollary 10 on A^1(S^m), 0 <= m <= n: it obstructs k=1 <= f, where
 	// the search above found no map, and is silent at k=2, where the
 	// search finds one over three input values.
-	var faceErr error
 	onFace := func(m int) *topology.Complex {
-		res, err := build(ctx, p.Operator(), core.LabeledSimplex(m), 1)
-		if err != nil {
-			faceErr = err
-			return topology.NewComplex()
-		}
-		return res.Complex
+		return built(build(ctx, p.Operator(), core.LabeledSimplex(m), 1))
 	}
 	cor1, cor2 := task.Corollary10Obstructed(onFace, p.N, 1), task.Corollary10Obstructed(onFace, p.N, 2)
-	if faceErr != nil {
-		return nil, faceErr
+	if buildErr != nil {
+		return nil, buildErr
 	}
 	res2, err := buildOverInputs(ctx, p.Operator(), p.N, []string{"0", "1", "2"}, 1)
 	if err != nil {
@@ -90,13 +97,12 @@ func E12Sperner(ctx context.Context) (*Table, error) {
 
 	p0 := asyncmodel.Params{N: 2, F: 0}
 	build0 := func(u []string) *topology.Complex {
-		res, err := buildOverInputs(ctx, p0.Operator(), p0.N, u, 1)
-		if err != nil {
-			return topology.NewComplex()
-		}
-		return res.Complex
+		return built(buildOverInputs(ctx, p0.Operator(), p0.N, u, 1))
 	}
 	obstructed0, err := task.Theorem9Obstructed(build0, binary, 1)
+	if err == nil {
+		err = buildErr
+	}
 	if err != nil {
 		return nil, err
 	}

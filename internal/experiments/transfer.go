@@ -23,13 +23,13 @@ func E32Transfer(ctx context.Context) (*Table, error) {
 		"check", "instance", "hypothesis", "conclusion")
 
 	var opErr error
-	asyncMap := core.OperatorProtocol(func(topology.Simplex) roundop.Operator {
+	asyncMap := core.OperatorProtocol(ctx, func(topology.Simplex) roundop.Operator {
 		return asyncmodel.Params{N: 2, F: 1}.Operator()
 	}, 1, &opErr)
 	// Sync n=2 k=1: P(S^l) has the n-l absent processes fail before
 	// sending, which leaves k-(n-l) crashes to the participants; below
 	// l = n-k the complex is empty.
-	syncMap := core.OperatorProtocol(func(s topology.Simplex) roundop.Operator {
+	syncMap := core.OperatorProtocol(ctx, func(s topology.Simplex) roundop.Operator {
 		left := 1 - (2 - s.Dim())
 		if left < 0 {
 			return nil

@@ -314,3 +314,102 @@ func TestCkptCancelFlushesCompleted(t *testing.T) {
 		t.Fatalf("completed shards hold %d facets, flushed ones %d", c["facets"], facets)
 	}
 }
+
+// shardsCkpt restores the given shards of a plan, built with RunShard
+// into one result, together with the facets of extra shards it does not
+// report done, as a Checkpointer may (Restore's partial result need only
+// lie inside the complex). Flush records nothing.
+type shardsCkpt struct {
+	plan        *roundop.ShardPlan
+	done, extra []int
+}
+
+func (c shardsCkpt) Restore(totalShards int) ([]bool, *pc.Result, error) {
+	done := make([]bool, totalShards)
+	res := pc.NewResult()
+	for _, s := range append(slices.Clone(c.done), c.extra...) {
+		if err := c.plan.RunShard(res, s); err != nil {
+			return nil, nil, err
+		}
+	}
+	for _, s := range c.done {
+		done[s] = true
+	}
+	return done, res, nil
+}
+
+func (shardsCkpt) Flush([]int, *pc.Result) error { return nil }
+
+// TestCkptResumeAnyRestoredSet: a one-round async build resumed from any
+// restored set equals the fresh build, by Equal and CanonicalHash, with a
+// view per vertex. A set that is not a prefix of the plan, as a
+// distributed build's checkpoint log completes shards in lease order, and
+// a prefix whose partial result holds a later shard's facets too, both
+// keep the probing walk; a plain prefix inserts only new faces.
+func TestCkptResumeAnyRestoredSet(t *testing.T) {
+	op := asyncmodel.Params{N: 3, F: 3}.Operator()
+	in := input(3)
+	want, err := roundop.Build(context.Background(), op, in, 1, roundop.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := roundop.PlanShards(op, in, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ck := range []shardsCkpt{
+		{plan: plan, done: []int{1, 3}},
+		{plan: plan, done: []int{0, 1}, extra: []int{3}},
+		{plan: plan, done: []int{0, 1, 2}},
+	} {
+		got, err := roundop.Build(context.Background(), op, in, 1, roundop.Options{Checkpoint: ck})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Complex.Equal(want.Complex) || got.Complex.CanonicalHash() != want.Complex.CanonicalHash() {
+			t.Fatalf("resumed from %v (and the facets of %v): %d simplexes, the fresh build %d",
+				ck.done, ck.extra, got.Complex.Size(), want.Complex.Size())
+		}
+		if got.Complex.VertexCount() != len(got.Views) {
+			t.Fatalf("resumed from %v: %d vertices, %d views", ck.done, got.Complex.VertexCount(), len(got.Views))
+		}
+	}
+}
+
+// TestCkptCancelRecordsReplay: a one-round async build, whose shards
+// insert only new faces, cancelled after its third Flush, leaves records
+// that ApplyRecord replays in order, face closure checked, into the
+// closure of exactly the flushed shards.
+func TestCkptCancelRecordsReplay(t *testing.T) {
+	op := asyncmodel.Params{N: 3, F: 3}.Operator()
+	in := input(3)
+	plan, err := roundop.PlanShards(op, in, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ck := &memCkpt{onFlush: func(flushes int) {
+		if flushes == 3 {
+			cancel()
+		}
+	}}
+	if _, err := roundop.Build(ctx, op, in, 1, roundop.Options{Checkpoint: ck, FlushEvery: 2}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled run returned %v", err)
+	}
+	replayed, shards := pc.NewResult(), pc.NewResult()
+	for i, rec := range ck.records {
+		if _, err := replayed.ApplyRecord(rec, plan.NumShards()); err != nil {
+			t.Fatalf("record %d does not replay: %v", i, err)
+		}
+		for _, s := range ck.batches[i] {
+			if err := plan.RunShard(shards, s); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if len(ck.records) != 3 || !replayed.Complex.Equal(shards.Complex) {
+		t.Fatalf("%d records replay to %d simplexes; the flushed shards %v hold %d",
+			len(ck.records), replayed.Complex.Size(), ck.batches, shards.Complex.Size())
+	}
+}

@@ -79,6 +79,73 @@ type enum struct {
 	start []int
 	idx   []int
 	ids   []int32
+	// newFaces is set (by sphere) when the shards run next are the rest
+	// of one pseudosphere's facets, in order, into a result holding
+	// exactly the faces of the facets before them. Each facet then adds
+	// only the faces no earlier facet has (topology's AddNewFaces).
+	newFaces bool
+}
+
+// sphere sets e.newFaces for running the facets of the pseudosphere with
+// option table opts from index li on into res, and sizes res's complex
+// for the whole pseudosphere, if res holds exactly the faces of the
+// facets below li. Build and Product call it only where res holds at
+// least those: a fresh result at li = 0, or a Checkpointer's partial
+// result for exactly the shards below li, which by Restore's contract
+// holds every facet of them. So a simplex count equal to theirs
+// (facesBelow) shows that res holds no more, and a partial result that
+// also holds later facets keeps the probing walk. So does a pseudosphere
+// whose counts do not fit the complex's int32 entry indices and offsets.
+func (e *enum) sphere(res *pc.Result, opts [][]pc.Option, li int64) {
+	entries, ids := int64(1), int64(0) // the empty choice included
+	for _, o := range opts {
+		v := int64(len(o))
+		ids = min(pc.SatMul(ids, v+1), math.MaxInt32) + min(pc.SatMul(entries, v), math.MaxInt32)
+		entries = pc.SatMul(entries, v+1)
+		if entries > math.MaxInt32 || ids > math.MaxInt32 {
+			return
+		}
+	}
+	if int64(res.Complex.EntryCount()) != facesBelow(opts, li) {
+		return
+	}
+	res.Complex.Reserve(int(entries-1), int(ids))
+	e.newFaces = true
+}
+
+// facesBelow returns the number of simplexes in the closure of the facets
+// below li, in mixed-radix order, of a pseudosphere with option table
+// opts, for li < ProductSize(opts) and ∏(|Vᵢ|+1) within int64. A face
+// lies first in the facet that takes option 0 wherever the face has no
+// vertex, so facet f is the first of 2^z faces, z its positions at option
+// 0, and facet 0 of one fewer, the empty face not being a simplex. A
+// facet below li agrees with li's digits up to some position, where it
+// is lower; summing 2^z over the facets that leave li at position i, the
+// positions before it give a factor 2 per option-0 digit, position i
+// gives idx[i]+1 (option 0 counts 2), and each later position j gives
+// |Vⱼ|+1.
+func facesBelow(opts [][]pc.Option, li int64) int64 {
+	if li == 0 {
+		return 0
+	}
+	idx := make([]int, len(opts))
+	pc.DecodeIndex(idx, opts, li)
+	zeros := 0 // option-0 digits of li before the position in hand
+	for _, d := range idx {
+		if d == 0 {
+			zeros++
+		}
+	}
+	total, later := int64(0), int64(1)
+	for i := len(idx) - 1; i >= 0; i-- {
+		if idx[i] == 0 {
+			zeros--
+		} else {
+			total += int64(1) << zeros * int64(idx[i]+1) * later
+		}
+		later *= int64(len(opts[i]) + 1)
+	}
+	return total - 1
 }
 
 // run enumerates one shard's facet range into res (for r > 1, each
@@ -151,11 +218,19 @@ func (e *enum) final(res *pc.Result, job shardJob) {
 	e.idx = slices.Grow(e.idx[:0], n)[:n]
 	e.ids = slices.Grow(e.ids[:0], n)[:n]
 	pc.DecodeIndex(e.idx, job.opts, job.lo)
+	var need uint32 // bit i: position i is not at option 0
 	for i := range n {
 		e.ids[i] = e.resolve(res, job.opts, i)
+		if e.idx[i] != 0 {
+			need |= 1 << i
+		}
 	}
 	for li := job.lo; ; {
-		res.Complex.AddIDs(e.ids)
+		if e.newFaces {
+			res.Complex.AddNewFaces(e.ids, need)
+		} else {
+			res.Complex.AddIDs(e.ids)
+		}
 		if li++; li == job.hi {
 			return
 		}
@@ -164,6 +239,7 @@ func (e *enum) final(res *pc.Result, job shardJob) {
 			e.idx[i] = 0
 		}
 		e.idx[i]++
+		need = need&(1<<i-1) | 1<<i
 		for ; i < n; i++ {
 			e.ids[i] = e.resolve(res, job.opts, i)
 		}
@@ -199,6 +275,10 @@ func (e *enum) resolve(res *pc.Result, opts [][]pc.Option, i int) int32 {
 type ShardPlan struct {
 	jobs []shardJob
 	r    int
+	// sphere is the option table of the plan's one branch with facets
+	// when r is 1, so that the complex is that one pseudosphere (Lemma 11
+	// for async), and nil otherwise.
+	sphere [][]pc.Option
 }
 
 // PlanShards builds the shard plan for an r-round construction over
@@ -216,7 +296,12 @@ func PlanShards(op Operator, input topology.Simplex, r int) (*ShardPlan, error) 
 	if err != nil {
 		return nil, err
 	}
-	return &ShardPlan{jobs: jobs, r: r}, nil
+	p := &ShardPlan{jobs: jobs, r: r}
+	// Each branch with facets starts a run of jobs at index 0.
+	if r == 1 && len(jobs) > 0 && !slices.ContainsFunc(jobs[1:], func(j shardJob) bool { return j.lo == 0 }) {
+		p.sphere = jobs[0].opts
+	}
+	return p, nil
 }
 
 // NumShards returns the number of shards in the plan. Checkpoint records

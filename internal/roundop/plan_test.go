@@ -2,15 +2,18 @@ package roundop_test
 
 import (
 	"context"
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
 
 	"pseudosphere/internal/asyncmodel"
 	"pseudosphere/internal/iis"
+	"pseudosphere/internal/modelspec"
 	"pseudosphere/internal/pc"
 	"pseudosphere/internal/roundop"
 	"pseudosphere/internal/semisync"
+	"pseudosphere/internal/syncmodel"
 	"pseudosphere/internal/views"
 )
 
@@ -136,41 +139,91 @@ func internFacetByFacet(t *testing.T, res *pc.Result, op roundop.Operator, cur [
 
 // TestOptionIDsKeepInterningOrder: resolving each option to its vertex id
 // once per shard assigns the ids, and inserts the entries, in exactly the
-// order interning facet by facet does, one and two rounds deep.
+// order interning facet by facet does, one and two rounds deep. That holds
+// for the plan's shards run one by one into one result, which probes for
+// every face, and for Build. Build inserts only each facet's new faces
+// where the plan is one pseudosphere: async at every f (f = 0 gives one
+// option per position, n = 0 one position) and a one-graph menu. It probes
+// for the rest: sync k = 1, IIS and semisync. Product over a one-round
+// build's single branch must give the same result too.
 func TestOptionIDsKeepInterningOrder(t *testing.T) {
-	for _, tc := range []struct {
+	type idCase struct {
 		name string
 		op   roundop.Operator
 		n, r int
-	}{
-		{"async/n=3/f=3/r=1", asyncmodel.Params{N: 3, F: 3}.Operator(), 3, 1},
-		{"iis/n=2/r=2", iis.Operator(), 2, 2},
-		{"semisync/n=3/r=2", semisync.Params{C1: 1, C2: 2, D: 2, PerRound: 1, Total: 2}.Operator(), 3, 2},
-	} {
+	}
+	var cases []idCase
+	for n := 0; n <= 4; n++ {
+		for f := 0; f <= n; f++ {
+			if testing.Short() && n == 4 && f > 2 {
+				continue // a million facets or more each
+			}
+			cases = append(cases, idCase{fmt.Sprintf("async/n=%d/f=%d/r=1", n, f), asyncmodel.Params{N: n, F: f}.Operator(), n, 1})
+		}
+	}
+	spec, err := modelspec.Parse([]byte(`{"processes": 4, "rounds": 1,
+		"adversary": {"kind": "graphs", "graphs": [{"edges": [[0, 1], [1, 2], [3, 0]]}]}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	graph, err := spec.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases = append(cases,
+		idCase{"graphs/one graph/r=1", graph.Operator(), 3, 1},
+		idCase{"sync/n=3/k=1/r=1", syncmodel.Params{PerRound: 1, Total: 1}.Operator(), 3, 1},
+		idCase{"iis/n=2/r=1", iis.Operator(), 2, 1},
+		idCase{"iis/n=2/r=2", iis.Operator(), 2, 2},
+		idCase{"semisync/n=3/r=2", semisync.Params{C1: 1, C2: 2, D: 2, PerRound: 1, Total: 2}.Operator(), 3, 2},
+	)
+	for _, tc := range cases {
+		want := pc.NewResult()
+		internFacetByFacet(t, want, tc.op, pc.InputViews(input(tc.n)), tc.r)
 		plan, err := roundop.PlanShards(tc.op, input(tc.n), tc.r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := pc.NewResult()
+		shards := pc.NewResult()
 		for i := 0; i < plan.NumShards(); i++ {
-			if err := plan.RunShard(got, i); err != nil {
+			if err := plan.RunShard(shards, i); err != nil {
 				t.Fatal(err)
 			}
 		}
-		want := pc.NewResult()
-		internFacetByFacet(t, want, tc.op, pc.InputViews(input(tc.n)), tc.r)
-		if got.Mark() != want.Mark() || len(got.Views) != len(want.Views) {
-			t.Fatalf("%s: %+v and %d views, facet by facet %+v and %d", tc.name, got.Mark(), len(got.Views), want.Mark(), len(want.Views))
+		sameInterning(t, tc.name+" shards", shards, want)
+		build, err := roundop.Build(context.Background(), tc.op, input(tc.n), tc.r, roundop.Options{})
+		if err != nil {
+			t.Fatal(err)
 		}
-		for id := int32(0); id < int32(want.Complex.VertexCount()); id++ {
-			if g, w := got.Complex.VertexAt(id), want.Complex.VertexAt(id); g != w {
-				t.Fatalf("%s: vertex %d is %v, facet by facet %v", tc.name, id, g, w)
-			}
+		sameInterning(t, tc.name+" Build", build, want)
+		branches, err := tc.op.Branches(pc.InputViews(input(tc.n)))
+		if err != nil {
+			t.Fatal(err)
 		}
-		for ei := int32(0); ei < int32(want.Complex.EntryCount()); ei++ {
-			if g, w := got.Complex.EntrySimplex(ei), want.Complex.EntrySimplex(ei); !slices.Equal(g, w) {
-				t.Fatalf("%s: entry %d is %v, facet by facet %v", tc.name, ei, g, w)
-			}
+		if tc.r == 1 && len(branches) == 1 {
+			sameInterning(t, tc.name+" Product", roundop.Product(branches[0].Opts), want)
+		}
+	}
+}
+
+// sameInterning fails unless got interned the same vertices and inserted
+// the same entries as want, id for id and entry for entry, with a view
+// for each vertex.
+func sameInterning(t *testing.T, name string, got, want *pc.Result) {
+	t.Helper()
+	if got.Mark() != want.Mark() || len(got.Views) != len(want.Views) {
+		t.Fatalf("%s: %+v and %d views, facet by facet %+v and %d", name, got.Mark(), len(got.Views), want.Mark(), len(want.Views))
+	}
+	for id := int32(0); id < int32(want.Complex.VertexCount()); id++ {
+		if g, w := got.Complex.VertexAt(id), want.Complex.VertexAt(id); g != w {
+			t.Fatalf("%s: vertex %d is %v, facet by facet %v", name, id, g, w)
+		}
+	}
+	var g, w []int32
+	for ei := int32(0); ei < int32(want.Complex.EntryCount()); ei++ {
+		g, w = got.Complex.AppendEntryIDs(g[:0], ei), want.Complex.AppendEntryIDs(w[:0], ei)
+		if !slices.Equal(g, w) {
+			t.Fatalf("%s: entry %d is %v, facet by facet %v", name, ei, got.Complex.EntrySimplex(ei), want.Complex.EntrySimplex(ei))
 		}
 	}
 }

@@ -31,6 +31,10 @@ import (
 // decremented failure budget). The branch's one-round executions are the
 // cartesian product of the option lists. A branch with an empty option
 // table contributes nothing (e.g. every process failed).
+//
+// A position's options are distinct vertices: every in-tree operator
+// offers each admissible heard set once. Build and Product rely on it
+// when they insert a one-round branch's facets without probing for them.
 type Branch struct {
 	Opts [][]pc.Option
 	Next Operator
@@ -69,13 +73,16 @@ func BranchResults(op Operator, input topology.Simplex) ([]*pc.Result, error) {
 
 // Product returns the complex of one option table's facet product: every
 // choice of one option per position is a facet. The facets enter the
-// result through the vertex-id enumerator Build's shards use, so there is
-// one way to insert a facet product. An empty table, or one with an
-// empty position, gives an empty result.
+// result as they do in a one-branch, one-round Build, each adding only
+// its new faces to a result sized once, so there is one way to insert a
+// facet product. An empty table, or one with an empty position, gives an
+// empty result.
 func Product(opts [][]pc.Option) *pc.Result {
 	res := pc.NewResult()
 	if job, ok := branchJob(Branch{Opts: opts}); ok {
-		new(enum).final(res, job)
+		var e enum
+		e.sphere(res, opts, 0)
+		e.final(res, job)
 	}
 	return res
 }

@@ -23,7 +23,7 @@ func timing(k, f int) Params {
 	return Params{C1: 1, C2: 2, D: 2, PerRound: k, Total: f}
 }
 
-func TestMicroAndRatio(t *testing.T) {
+func TestMicro(t *testing.T) {
 	p := Params{C1: 2, C2: 6, D: 5, PerRound: 1, Total: 1}
 	if got := p.Micro(); got != 3 { // ceil(5/2)
 		t.Fatalf("micro = %d, want 3", got)

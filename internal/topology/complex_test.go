@@ -74,7 +74,7 @@ func TestComplexSkeletonAndRestriction(t *testing.T) {
 	}
 }
 
-func TestStarAndLink(t *testing.T) {
+func TestLink(t *testing.T) {
 	c := ComplexOf(triangle())
 	link := c.Link(v(0, "a"))
 	// Link of a vertex of a solid triangle is the opposite edge.

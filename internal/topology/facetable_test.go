@@ -76,8 +76,58 @@ func checkFaceTable(t *testing.T, ctx string, c *Complex) {
 	}
 }
 
+// newFacesSphere builds a random pseudosphere of up to four positions
+// and three options each through AddNewFaces, facets in mixed-radix
+// order, last position fastest, reserving its size first on odd draws.
+// It fails unless AddIDs, facet by facet, inserts the same entries.
+func newFacesSphere(t *testing.T, rng *rand.Rand) *Complex {
+	t.Helper()
+	c, probed := NewComplex(), NewComplex()
+	opts := make([][]int32, 1+rng.Intn(4))
+	for p := range opts {
+		for o := 0; o < 1+rng.Intn(3); o++ {
+			v := hv(2*p, fmt.Sprint(o))
+			id, _ := c.Intern(v)
+			probed.Intern(v)
+			opts[p] = append(opts[p], id)
+		}
+	}
+	if rng.Intn(2) == 1 {
+		c.Reserve(8, 20)
+	}
+	idx, ids := make([]int, len(opts)), make([]int32, len(opts))
+	for {
+		var need uint32
+		for i, d := range idx {
+			ids[i] = opts[i][d]
+			if d != 0 {
+				need |= 1 << i
+			}
+		}
+		c.AddNewFaces(ids, need)
+		probed.AddIDs(ids)
+		i := len(idx) - 1
+		for ; i >= 0 && idx[i]+1 == len(opts[i]); i-- {
+			idx[i] = 0
+		}
+		if i < 0 {
+			break
+		}
+		idx[i]++
+	}
+	if c.EntryCount() != probed.EntryCount() {
+		t.Fatalf("AddNewFaces inserted %d entries, AddIDs %d", c.EntryCount(), probed.EntryCount())
+	}
+	for ei := range int32(c.EntryCount()) {
+		if g, w := c.entryIDs(ei), probed.entryIDs(ei); !slices.Equal(g, w) {
+			t.Fatalf("AddNewFaces entry %d is %v, AddIDs %v", ei, g, w)
+		}
+	}
+	return c
+}
+
 // TestFaceTableMatchesProbes drives complexes through every mutation path
-// in random order, reading the face table after some steps and not others,
+// in random order, pseudospheres built through AddNewFaces among them, reading the face table after some steps and not others,
 // so fills extend tables that lag by several insertions. Bulk loads insert
 // a face-closed set row by row in random order, cofaces often before their
 // faces, with reads between rows, and truncations go back to earlier marks,
@@ -99,7 +149,7 @@ func TestFaceTableMatchesProbes(t *testing.T) {
 			c, marks = d, nil
 		}
 		for step := 0; step < 30; step++ {
-			op := rng.Intn(12)
+			op := rng.Intn(13)
 			switch op {
 			case 0:
 				c.Add(randomSimplex(rng, 5, labels))
@@ -161,6 +211,8 @@ func TestFaceTableMatchesProbes(t *testing.T) {
 				replace(j)
 			case 11:
 				marks = append(marks, [2]int{c.VertexCount(), c.EntryCount()})
+			case 12:
+				replace(newFacesSphere(t, rng))
 			}
 			if rng.Intn(2) == 0 {
 				checkFaceTable(t, fmt.Sprintf("seed %d step %d (op %d)", seed, step, op), c)

@@ -137,6 +137,49 @@ func (c *Complex) Intern(v Vertex) (id int32, added bool) {
 // not check either.
 func (c *Complex) AddIDs(ids []int32) { c.addClosure(ids) }
 
+// AddNewFaces inserts, in the order AddIDs would, the faces of the
+// simplex with the given vertex ids that hold every position in need
+// (bit i stands for ids[i]), the simplex itself first, without looking
+// any face up; with need 0, where every face is new, it inserts them as
+// AddIDs does. The precondition, which AddNewFaces does not check, is
+// that these faces are exactly the ones absent from c. The ids must be
+// interned in c and ordered by ascending process id, one per process.
+//
+// A pseudosphere's facets meet the precondition when they are inserted in
+// mixed-radix order into the complex of the facets before them: a face
+// lies first in the facet that takes option 0 wherever the face has no
+// vertex, so the faces facet d adds are those holding every position
+// whose option is not option 0. A simplex with more ids than the bitmask
+// walk takes goes through AddIDs, which gives the same entries.
+func (c *Complex) AddNewFaces(ids []int32, need uint32) {
+	if n := len(ids); n == 0 || n > maskWalkLimit {
+		c.addClosure(ids)
+		return
+	}
+	c.walkFaces(ids, need)
+}
+
+// Reserve sizes the complex once for a build that ends holding entries
+// simplexes of ids vertex ids in all: the id arena and the end offsets
+// get room for them, and the index the size insertion would have doubled
+// it to, so inserting up to that many allocates nothing. It changes no
+// entry, id or observable order.
+func (c *Complex) Reserve(entries, ids int) {
+	if n := ids - len(c.ids); n > 0 {
+		c.ids = slices.Grow(c.ids, n)
+	}
+	if n := entries - len(c.ends); n > 0 {
+		c.ends = slices.Grow(c.ends, n)
+	}
+	slots := minIndexSlots
+	for slots < 2*entries {
+		slots *= 2
+	}
+	if slots > len(c.index) {
+		c.resizeIndex(slots)
+	}
+}
+
 // AddClosedIDs inserts the id sequence alone, without its faces, and
 // reports whether it was absent: the bulk-load path for a face-closed set.
 // The caller must load every face too, with ids interned in c and ordered

@@ -18,9 +18,10 @@ import (
 // 64-bit hash of the id sequence: a power-of-two []uint64 whose nonzero
 // slots hold the hash's high 32 bits over entry+1, probed linearly from
 // the slot the hash's low bits name. The index doubles before it is half
-// full, re-hashing the stored ids. Membership tests and face closure
-// therefore never build string keys, and a probe reads only flat slices:
-// the index, and the arena when a slot's hash half matches.
+// full, re-hashing the stored ids, unless Reserve sized it for the whole
+// build up front. Membership tests and face closure therefore never
+// build string keys, and a probe reads only flat slices: the index, and
+// the arena when a slot's hash half matches.
 
 // maskWalkLimit bounds the bitmask closure walk: simplexes with more
 // vertices fall back to a recursive face closure. Chromatic simplexes have
@@ -104,11 +105,15 @@ func (c *Complex) place(h uint64, ei int32) {
 	c.index[i] = h>>32<<32 | uint64(ei+1)
 }
 
-// growIndex doubles the index (allocating the first one) and re-places
-// every entry. A slot keeps only the high half of its hash, so each
-// entry's home slot is recomputed from its stored ids.
-func (c *Complex) growIndex() {
-	c.index = make([]uint64, max(2*len(c.index), minIndexSlots))
+// growIndex doubles the index, allocating the first one.
+func (c *Complex) growIndex() { c.resizeIndex(max(2*len(c.index), minIndexSlots)) }
+
+// resizeIndex replaces the index with one of slots slots, a power of two,
+// and re-places every entry in entry order. A slot keeps only the high
+// half of its hash, so each entry's home slot is recomputed from its
+// stored ids.
+func (c *Complex) resizeIndex(slots int) {
+	c.index = make([]uint64, slots)
 	for ei := range c.ends {
 		c.place(hashIDs(c.entryIDs(int32(ei))), int32(ei))
 	}
@@ -184,11 +189,8 @@ func (c *Complex) addDirect(s Simplex) {
 	c.insertIfAbsent(c.internSimplex(s))
 }
 
-// addClosure inserts ids and every nonempty face, walking the subset
-// lattice iteratively by bitmask. A face found present is skipped together
-// with its whole subtree — the complex is closed under containment, so
-// every subset of a present face is already present. This is the hot inner
-// loop of every model constructor.
+// addClosure inserts ids and every nonempty face absent from c, finding
+// each face the walk reaches by an index probe.
 func (c *Complex) addClosure(ids []int32) {
 	n := len(ids)
 	if n == 0 {
@@ -202,6 +204,28 @@ func (c *Complex) addClosure(ids []int32) {
 		c.addClosureRecursive(ids)
 		return
 	}
+	c.walkFaces(ids, 0)
+}
+
+// walkFaces inserts the nonempty faces of ids (1 to maskWalkLimit ids)
+// that are absent from c, ids itself first, walking the subset lattice
+// iteratively by bitmask: bit i of a face's mask stands for ids[i]. A
+// face found present is skipped together with its whole subtree — the
+// complex is closed under containment, so every subset of a present face
+// is already present. The presence test is the walk's one variable, need:
+// a face whose mask misses a bit of need is present (AddNewFaces's
+// precondition), so no face is looked up. With need 0 no mask misses one,
+// and the walk probes the index for each face it reaches instead, as Add
+// and AddIDs need. By AddNewFaces's precondition, need 0 there means
+// every face is absent (a pseudosphere's first facet), so the probes all
+// miss and the walk inserts the same entries.
+//
+// This is the hot inner loop of every model constructor. A one-round
+// build with a single branch (roundop's pseudosphere path: async, sync
+// with k = 0, one-graph menus) and roundop.Product insert through need;
+// unions of branches, r > 1 rounds, a shard run alone and Add probe.
+func (c *Complex) walkFaces(ids []int32, need uint32) {
+	n := len(ids)
 	full := uint32(1)<<uint(n) - 1
 	words := (int(full) >> 6) + 1
 	if cap(c.visited) < words {
@@ -225,13 +249,16 @@ func (c *Complex) addClosure(ids []int32) {
 			continue
 		}
 		c.visited[mask>>6] |= 1 << (mask & 63)
+		if mask&need != need {
+			continue // whole subtree already present
+		}
 		k := 0
 		for m := mask; m != 0; m &= m - 1 {
 			sub[k] = ids[bits.TrailingZeros32(m)]
 			k++
 		}
 		sh := hashIDs(sub[:k])
-		if c.find(sub[:k], sh) >= 0 {
+		if need == 0 && c.find(sub[:k], sh) >= 0 {
 			continue // whole subtree already present
 		}
 		c.insert(sub[:k], sh)

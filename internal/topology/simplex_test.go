@@ -57,7 +57,7 @@ func TestSimplexFaces(t *testing.T) {
 	}
 }
 
-func TestSimplexWithoutAndRestrict(t *testing.T) {
+func TestSimplexWithout(t *testing.T) {
 	s := mustSimplex(v(0, "a"), v(1, "b"), v(2, "c"))
 	if got := s.WithoutID(1); got.Dim() != 1 || got.HasID(1) {
 		t.Fatalf("WithoutID = %v", got)
