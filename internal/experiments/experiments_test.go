@@ -5,6 +5,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"pseudosphere/internal/asyncmodel"
 )
 
 // TestAllExperimentsMatchPaper runs the entire harness and requires every
@@ -51,13 +53,22 @@ func TestExperimentIDsUnique(t *testing.T) {
 
 // TestBuildsStopWhenCancelled: E12's obstruction checks and E32's
 // protocol maps build under the run's ctx and return its error, not an
-// answer from the empty complexes a cancelled build leaves.
+// answer from the empty complexes a cancelled build leaves. E12 would
+// still return the error from a later build if its Theorem 9 and
+// Corollary 10 checks read a failed build as an empty complex, so those
+// checks run alone too.
 func TestBuildsStopWhenCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, run := range []func(context.Context) (*Table, error){E12Sperner, E32Transfer} {
-		if tb, err := run(ctx); !errors.Is(err, context.Canceled) {
-			t.Fatalf("cancelled run returned %v and %v", tb, err)
+	op := asyncmodel.Params{N: 2, F: 1}.Operator()
+	for name, run := range map[string]func() (any, error){
+		"E12":          func() (any, error) { return E12Sperner(ctx) },
+		"E32":          func() (any, error) { return E32Transfer(ctx) },
+		"Theorem 9":    func() (any, error) { return theorem9Over(ctx, op, 2, binary, 1) },
+		"Corollary 10": func() (any, error) { return corollary10On(ctx, op, 2, 1) },
+	} {
+		if got, err := run(); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s, cancelled, returned %v and %v", name, got, err)
 		}
 	}
 }

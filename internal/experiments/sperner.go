@@ -1,12 +1,13 @@
 package experiments
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 
 	"pseudosphere/internal/asyncmodel"
 	"pseudosphere/internal/core"
-	"pseudosphere/internal/pc"
+	"pseudosphere/internal/roundop"
 	"pseudosphere/internal/sperner"
 	"pseudosphere/internal/task"
 	"pseudosphere/internal/topology"
@@ -38,28 +39,9 @@ func E12Sperner(ctx context.Context) (*Table, error) {
 
 	// Obstruction vs search: for the async model at n=2, the Theorem 9
 	// hypothesis holds for k=1 <= f and the search finds no map; for the
-	// f=0 model (no failures) the hypothesis fails and a map exists. The
-	// obstruction checks take closures that return a complex, so a build
-	// error is kept in buildErr, the first one only, and returned after
-	// the check that met it.
-	var buildErr error
-	built := func(res *pc.Result, err error) *topology.Complex {
-		if err != nil {
-			if buildErr == nil {
-				buildErr = err
-			}
-			return topology.NewComplex()
-		}
-		return res.Complex
-	}
+	// f=0 model (no failures) the hypothesis fails and a map exists.
 	p := asyncmodel.Params{N: 2, F: 1}
-	overValues := func(u []string) *topology.Complex {
-		return built(buildOverInputs(ctx, p.Operator(), p.N, u, 1))
-	}
-	obstructed, err := task.Theorem9Obstructed(overValues, binary, 1)
-	if err == nil {
-		err = buildErr
-	}
+	obstructed, err := theorem9Over(ctx, p.Operator(), p.N, binary, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -77,12 +59,13 @@ func E12Sperner(ctx context.Context) (*Table, error) {
 	// Corollary 10 on A^1(S^m), 0 <= m <= n: it obstructs k=1 <= f, where
 	// the search above found no map, and is silent at k=2, where the
 	// search finds one over three input values.
-	onFace := func(m int) *topology.Complex {
-		return built(build(ctx, p.Operator(), core.LabeledSimplex(m), 1))
+	cor1, err := corollary10On(ctx, p.Operator(), p.N, 1)
+	if err != nil {
+		return nil, err
 	}
-	cor1, cor2 := task.Corollary10Obstructed(onFace, p.N, 1), task.Corollary10Obstructed(onFace, p.N, 2)
-	if buildErr != nil {
-		return nil, buildErr
+	cor2, err := corollary10On(ctx, p.Operator(), p.N, 2)
+	if err != nil {
+		return nil, err
 	}
 	res2, err := buildOverInputs(ctx, p.Operator(), p.N, []string{"0", "1", "2"}, 1)
 	if err != nil {
@@ -96,13 +79,7 @@ func E12Sperner(ctx context.Context) (*Table, error) {
 	t.addRow(!cor2 && found2, "Cor. 10 silent, map found", "async n=2 f=1 k=2", boolStr(!cor2 && found2))
 
 	p0 := asyncmodel.Params{N: 2, F: 0}
-	build0 := func(u []string) *topology.Complex {
-		return built(buildOverInputs(ctx, p0.Operator(), p0.N, u, 1))
-	}
-	obstructed0, err := task.Theorem9Obstructed(build0, binary, 1)
-	if err == nil {
-		err = buildErr
-	}
+	obstructed0, err := theorem9Over(ctx, p0.Operator(), p0.N, binary, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -117,4 +94,38 @@ func E12Sperner(ctx context.Context) (*Table, error) {
 	t.addRow(!obstructed0 && found0, "unobstructed and solvable",
 		"async n=2 f=0 k=1", boolStr(!obstructed0 && found0))
 	return t, nil
+}
+
+// theorem9Over evaluates Theorem 9's hypothesis for k-set agreement on
+// op's one-round complexes over n+1 processes and the given input values,
+// each built under ctx. The check takes a closure that returns a complex
+// alone, so the first build error is kept and returned, never read as the
+// empty complex the check was handed.
+func theorem9Over(ctx context.Context, op roundop.Operator, n int, values []string, k int) (bool, error) {
+	var buildErr error
+	obstructed, err := task.Theorem9Obstructed(func(u []string) *topology.Complex {
+		res, err := buildOverInputs(ctx, op, n, u, 1)
+		if err != nil {
+			buildErr = cmp.Or(buildErr, err)
+			return topology.NewComplex()
+		}
+		return res.Complex
+	}, values, k)
+	return obstructed, cmp.Or(err, buildErr)
+}
+
+// corollary10On evaluates Corollary 10's hypothesis for k-set agreement
+// on op's one-round complexes over the faces of an n-simplex, each built
+// under ctx, and returns the first build error as theorem9Over does.
+func corollary10On(ctx context.Context, op roundop.Operator, n, k int) (bool, error) {
+	var buildErr error
+	obstructed := task.Corollary10Obstructed(func(m int) *topology.Complex {
+		res, err := build(ctx, op, core.LabeledSimplex(m), 1)
+		if err != nil {
+			buildErr = cmp.Or(buildErr, err)
+			return topology.NewComplex()
+		}
+		return res.Complex
+	}, n, k)
+	return obstructed, buildErr
 }

@@ -38,12 +38,12 @@ type Options struct {
 // CanonicalHash bit for bit.
 //
 // When the plan is one pseudosphere (one branch with facets at r = 1:
-// async, sync with k = 0, a one-graph menu) and the result holds exactly
-// the shards before the first one to run (a fresh build, or a resume of
-// a prefix of the plan), the result is sized once for the whole complex,
-// and each facet inserts only the faces it is the first to hold, with no
-// index probe. The entries are the ones the probing closure walk, which
-// every other build runs, would insert, in the same order.
+// async, sync with k = 0, a one-graph menu) and the build is fresh (no
+// shard restored, the result empty), the result is sized once for the
+// whole complex, and each facet inserts only the faces it is the first to
+// hold, with no index probe. The entries are the ones the probing closure
+// walk, which every other build runs (a resumed one included), would
+// insert, in the same order.
 //
 // The loop checks ctx before every shard: after cancellation Build
 // returns ctx.Err() once the shard in hand finishes. An obs.Tracker
@@ -96,8 +96,8 @@ func Build(ctx context.Context, op Operator, input topology.Simplex, r int, o Op
 		return nil
 	}
 	var e enum
-	if first := len(plan.jobs) - len(todo); plan.sphere != nil && len(todo) > 0 && todo[0] == first {
-		e.sphere(res, plan.sphere, plan.jobs[first].lo)
+	if plan.sphere != nil && len(todo) == len(plan.jobs) && res.Complex.EntryCount() == 0 {
+		e.sphere(res, plan.sphere)
 	}
 	for _, i := range todo {
 		if err := ctx.Err(); err != nil {

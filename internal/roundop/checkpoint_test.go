@@ -343,9 +343,11 @@ func (shardsCkpt) Flush([]int, *pc.Result) error { return nil }
 // TestCkptResumeAnyRestoredSet: a one-round async build resumed from any
 // restored set equals the fresh build, by Equal and CanonicalHash, with a
 // view per vertex. A set that is not a prefix of the plan, as a
-// distributed build's checkpoint log completes shards in lease order, and
-// a prefix whose partial result holds a later shard's facets too, both
-// keep the probing walk; a plain prefix inserts only new faces.
+// distributed build's checkpoint log completes shards in lease order, a
+// prefix, a prefix whose partial result holds a later shard's facets too,
+// and no shard restored over a result that holds some all keep the
+// probing walk; a Checkpointer that restores nothing gives a fresh build,
+// which inserts only new faces.
 func TestCkptResumeAnyRestoredSet(t *testing.T) {
 	op := asyncmodel.Params{N: 3, F: 3}.Operator()
 	in := input(3)
@@ -361,6 +363,8 @@ func TestCkptResumeAnyRestoredSet(t *testing.T) {
 		{plan: plan, done: []int{1, 3}},
 		{plan: plan, done: []int{0, 1}, extra: []int{3}},
 		{plan: plan, done: []int{0, 1, 2}},
+		{plan: plan, extra: []int{2}},
+		{plan: plan},
 	} {
 		got, err := roundop.Build(context.Background(), op, in, 1, roundop.Options{Checkpoint: ck})
 		if err != nil {

@@ -79,24 +79,19 @@ type enum struct {
 	start []int
 	idx   []int
 	ids   []int32
-	// newFaces is set (by sphere) when the shards run next are the rest
-	// of one pseudosphere's facets, in order, into a result holding
-	// exactly the faces of the facets before them. Each facet then adds
-	// only the faces no earlier facet has (topology's AddNewFaces).
+	// newFaces is set (by sphere) when the shards run next are all of one
+	// pseudosphere's facets, in order, into a result that starts empty.
+	// Each facet then adds only the faces no earlier facet has (topology's
+	// AddNewFaces).
 	newFaces bool
 }
 
-// sphere sets e.newFaces for running the facets of the pseudosphere with
-// option table opts from index li on into res, and sizes res's complex
-// for the whole pseudosphere, if res holds exactly the faces of the
-// facets below li. Build and Product call it only where res holds at
-// least those: a fresh result at li = 0, or a Checkpointer's partial
-// result for exactly the shards below li, which by Restore's contract
-// holds every facet of them. So a simplex count equal to theirs
-// (facesBelow) shows that res holds no more, and a partial result that
-// also holds later facets keeps the probing walk. So does a pseudosphere
-// whose counts do not fit the complex's int32 entry indices and offsets.
-func (e *enum) sphere(res *pc.Result, opts [][]pc.Option, li int64) {
+// sphere sets e.newFaces for running every facet of the pseudosphere with
+// option table opts, in order, into the empty result res, and sizes res's
+// complex for the whole pseudosphere. A pseudosphere whose counts do not
+// fit the complex's int32 entry indices and offsets keeps the probing
+// walk.
+func (e *enum) sphere(res *pc.Result, opts [][]pc.Option) {
 	entries, ids := int64(1), int64(0) // the empty choice included
 	for _, o := range opts {
 		v := int64(len(o))
@@ -106,46 +101,8 @@ func (e *enum) sphere(res *pc.Result, opts [][]pc.Option, li int64) {
 			return
 		}
 	}
-	if int64(res.Complex.EntryCount()) != facesBelow(opts, li) {
-		return
-	}
 	res.Complex.Reserve(int(entries-1), int(ids))
 	e.newFaces = true
-}
-
-// facesBelow returns the number of simplexes in the closure of the facets
-// below li, in mixed-radix order, of a pseudosphere with option table
-// opts, for li < ProductSize(opts) and ∏(|Vᵢ|+1) within int64. A face
-// lies first in the facet that takes option 0 wherever the face has no
-// vertex, so facet f is the first of 2^z faces, z its positions at option
-// 0, and facet 0 of one fewer, the empty face not being a simplex. A
-// facet below li agrees with li's digits up to some position, where it
-// is lower; summing 2^z over the facets that leave li at position i, the
-// positions before it give a factor 2 per option-0 digit, position i
-// gives idx[i]+1 (option 0 counts 2), and each later position j gives
-// |Vⱼ|+1.
-func facesBelow(opts [][]pc.Option, li int64) int64 {
-	if li == 0 {
-		return 0
-	}
-	idx := make([]int, len(opts))
-	pc.DecodeIndex(idx, opts, li)
-	zeros := 0 // option-0 digits of li before the position in hand
-	for _, d := range idx {
-		if d == 0 {
-			zeros++
-		}
-	}
-	total, later := int64(0), int64(1)
-	for i := len(idx) - 1; i >= 0; i-- {
-		if idx[i] == 0 {
-			zeros--
-		} else {
-			total += int64(1) << zeros * int64(idx[i]+1) * later
-		}
-		later *= int64(len(opts[i]) + 1)
-	}
-	return total - 1
 }
 
 // run enumerates one shard's facet range into res (for r > 1, each

@@ -81,7 +81,7 @@ func Product(opts [][]pc.Option) *pc.Result {
 	res := pc.NewResult()
 	if job, ok := branchJob(Branch{Opts: opts}); ok {
 		var e enum
-		e.sphere(res, opts, 0)
+		e.sphere(res, opts)
 		e.final(res, job)
 	}
 	return res

@@ -78,9 +78,10 @@ func checkFaceTable(t *testing.T, ctx string, c *Complex) {
 
 // newFacesSphere builds a random pseudosphere of up to four positions
 // and three options each through AddNewFaces, facets in mixed-radix
-// order, last position fastest, reserving its size first on odd draws.
-// It fails unless AddIDs, facet by facet, inserts the same entries.
-func newFacesSphere(t *testing.T, rng *rand.Rand) *Complex {
+// order, last position fastest, reserving room first on odd draws and
+// reading the face table between some facets. It fails unless AddIDs,
+// facet by facet, inserts the same entries.
+func newFacesSphere(t *testing.T, name string, rng *rand.Rand) *Complex {
 	t.Helper()
 	c, probed := NewComplex(), NewComplex()
 	opts := make([][]int32, 1+rng.Intn(4))
@@ -106,6 +107,9 @@ func newFacesSphere(t *testing.T, rng *rand.Rand) *Complex {
 		}
 		c.AddNewFaces(ids, need)
 		probed.AddIDs(ids)
+		if rng.Intn(4) == 0 {
+			checkFaceTable(t, fmt.Sprintf("%s: facet %v", name, idx), c)
+		}
 		i := len(idx) - 1
 		for ; i >= 0 && idx[i]+1 == len(opts[i]); i-- {
 			idx[i] = 0
@@ -127,16 +131,24 @@ func newFacesSphere(t *testing.T, rng *rand.Rand) *Complex {
 }
 
 // TestFaceTableMatchesProbes drives complexes through every mutation path
-// in random order, pseudospheres built through AddNewFaces among them, reading the face table after some steps and not others,
+// in random order, reading the face table after some steps and not others,
 // so fills extend tables that lag by several insertions. Bulk loads insert
 // a face-closed set row by row in random order, cofaces often before their
 // faces, with reads between rows, and truncations go back to earlier marks,
-// some taken in the middle of such a load.
+// some taken in the middle of such a load. Each seed's operations run
+// twice: from an empty complex, and from a pseudosphere built through
+// AddNewFaces, which draws from a random source of its own.
 func TestFaceTableMatchesProbes(t *testing.T) {
 	labels := []string{"a", "b", "c"}
-	for seed := int64(0); seed < 60; seed++ {
+	spheres := rand.New(rand.NewSource(-1))
+	for run := int64(0); run < 120; run++ {
+		seed := run % 60
 		rng := rand.New(rand.NewSource(seed))
-		c := NewComplex()
+		c, name := NewComplex(), fmt.Sprintf("seed %d", seed)
+		if run >= 60 {
+			name += " from a pseudosphere"
+			c = newFacesSphere(t, name, spheres)
+		}
 		var marks [][2]int // (vertices, entries) c has only grown since
 		other := func() *Complex {
 			d := NewComplex()
@@ -149,7 +161,7 @@ func TestFaceTableMatchesProbes(t *testing.T) {
 			c, marks = d, nil
 		}
 		for step := 0; step < 30; step++ {
-			op := rng.Intn(13)
+			op := rng.Intn(12)
 			switch op {
 			case 0:
 				c.Add(randomSimplex(rng, 5, labels))
@@ -172,7 +184,7 @@ func TestFaceTableMatchesProbes(t *testing.T) {
 					}
 					c.AddClosedIDs(ids)
 					if rng.Intn(2) == 0 {
-						checkFaceTable(t, fmt.Sprintf("seed %d step %d: row %v", seed, step, s), c)
+						checkFaceTable(t, fmt.Sprintf("%s step %d: row %v", name, step, s), c)
 					}
 					if rng.Intn(4) == 0 {
 						marks = append(marks, [2]int{c.VertexCount(), c.EntryCount()})
@@ -211,14 +223,12 @@ func TestFaceTableMatchesProbes(t *testing.T) {
 				replace(j)
 			case 11:
 				marks = append(marks, [2]int{c.VertexCount(), c.EntryCount()})
-			case 12:
-				replace(newFacesSphere(t, rng))
 			}
 			if rng.Intn(2) == 0 {
-				checkFaceTable(t, fmt.Sprintf("seed %d step %d (op %d)", seed, step, op), c)
+				checkFaceTable(t, fmt.Sprintf("%s step %d (op %d)", name, step, op), c)
 			}
 		}
-		checkFaceTable(t, fmt.Sprintf("seed %d end", seed), c)
+		checkFaceTable(t, fmt.Sprintf("%s end", name), c)
 	}
 }
 

@@ -220,10 +220,11 @@ func (c *Complex) addClosure(ids []int32) {
 // every face is absent (a pseudosphere's first facet), so the probes all
 // miss and the walk inserts the same entries.
 //
-// This is the hot inner loop of every model constructor. A one-round
-// build with a single branch (roundop's pseudosphere path: async, sync
-// with k = 0, one-graph menus) and roundop.Product insert through need;
-// unions of branches, r > 1 rounds, a shard run alone and Add probe.
+// This is the hot inner loop of every model constructor. A fresh
+// one-round build with a single branch (roundop's pseudosphere path:
+// async, sync with k = 0, one-graph menus) and roundop.Product insert
+// through need; unions of branches, r > 1 rounds, a resumed build, a
+// shard run alone and Add probe.
 func (c *Complex) walkFaces(ids []int32, need uint32) {
 	n := len(ids)
 	full := uint32(1)<<uint(n) - 1
