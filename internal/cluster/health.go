@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"io"
 	"net/http"
 	"sync"
 	"time"
@@ -59,7 +60,9 @@ func NewHealth(nodes []string, interval time.Duration) *Health {
 	return h
 }
 
-// probe reports whether node's /healthz answers 200.
+// probe reports whether node's /healthz answers 200. It reads the body
+// to the end before closing it, so the client reuses the connection on
+// the next probe instead of dialing again.
 func probe(ctx context.Context, client *http.Client, node string) bool {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, node+"/healthz", nil)
 	if err != nil {
@@ -69,6 +72,7 @@ func probe(ctx context.Context, client *http.Client, node string) bool {
 	if err != nil {
 		return false
 	}
+	io.Copy(io.Discard, resp.Body) //nolint:errcheck
 	resp.Body.Close()
 	return resp.StatusCode == http.StatusOK
 }

@@ -39,11 +39,13 @@ type Options struct {
 //
 // When the plan is one pseudosphere (one branch with facets at r = 1:
 // async, sync with k = 0, a one-graph menu) and the build is fresh (no
-// shard restored, the result empty), the result is sized once for the
-// whole complex, and each facet inserts only the faces it is the first to
-// hold, with no index probe. The entries are the ones the probing closure
-// walk, which every other build runs (a resumed one included), would
-// insert, in the same order.
+// shard restored, the result empty), the arena is sized once for the
+// whole complex, and each facet appends only the faces it is the first to
+// hold, with no hash and no index slot. The entries are the ones the
+// probing closure walk, which every other build runs (a resumed one
+// included), would insert, in the same order. A completed build then
+// computes its face table from the option table instead of probing, and
+// its index is built only if something looks a simplex up.
 //
 // The loop checks ctx before every shard: after cancellation Build
 // returns ctx.Err() once the shard in hand finishes. An obs.Tracker
@@ -120,6 +122,7 @@ func Build(ctx context.Context, op Operator, input topology.Simplex, r int, o Op
 			}
 		}
 	}
+	e.markSphere(res, plan.sphere)
 	if err := flush(); err != nil {
 		return nil, err
 	}

@@ -81,14 +81,15 @@ type enum struct {
 	ids   []int32
 	// newFaces is set (by sphere) when the shards run next are all of one
 	// pseudosphere's facets, in order, into a result that starts empty.
-	// Each facet then adds only the faces no earlier facet has (topology's
-	// AddNewFaces).
+	// Each facet then appends only the faces no earlier facet has
+	// (topology's AddNewFaces), and markSphere hands the complex the
+	// option table once they are all in.
 	newFaces bool
 }
 
 // sphere sets e.newFaces for running every facet of the pseudosphere with
 // option table opts, in order, into the empty result res, and sizes res's
-// complex for the whole pseudosphere. A pseudosphere whose counts do not
+// arena for the whole pseudosphere. A pseudosphere whose counts do not
 // fit the complex's int32 entry indices and offsets keeps the probing
 // walk.
 func (e *enum) sphere(res *pc.Result, opts [][]pc.Option) {
@@ -103,6 +104,23 @@ func (e *enum) sphere(res *pc.Result, opts [][]pc.Option) {
 	}
 	res.Complex.Reserve(int(entries-1), int(ids))
 	e.newFaces = true
+}
+
+// markSphere hands res's complex the option table of the pseudosphere
+// sphere set up, as vertex ids, once every facet is in, so that its face
+// table is computed rather than probed (topology's MarkPseudosphere).
+func (e *enum) markSphere(res *pc.Result, opts [][]pc.Option) {
+	if !e.newFaces {
+		return
+	}
+	ids := make([][]int32, len(opts))
+	for i, o := range opts {
+		ids[i] = make([]int32, len(o))
+		for d, op := range o {
+			ids[i][d], _ = res.Complex.Intern(op.Vert)
+		}
+	}
+	res.Complex.MarkPseudosphere(ids)
 }
 
 // run enumerates one shard's facet range into res (for r > 1, each

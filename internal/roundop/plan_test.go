@@ -145,7 +145,9 @@ func internFacetByFacet(t *testing.T, res *pc.Result, op roundop.Operator, cur [
 // where the plan is one pseudosphere: async at every f (f = 0 gives one
 // option per position, n = 0 one position) and a one-graph menu. It probes
 // for the rest: sync k = 1, IIS and semisync. Product over a one-round
-// build's single branch must give the same result too.
+// build's single branch must give the same result too. Each face table,
+// computed for a pseudosphere, must equal the one facet-by-facet
+// interning fills by probes, slot for slot.
 func TestOptionIDsKeepInterningOrder(t *testing.T) {
 	type idCase struct {
 		name string
@@ -208,7 +210,7 @@ func TestOptionIDsKeepInterningOrder(t *testing.T) {
 
 // sameInterning fails unless got interned the same vertices and inserted
 // the same entries as want, id for id and entry for entry, with a view
-// for each vertex.
+// for each vertex, and has the same face table.
 func sameInterning(t *testing.T, name string, got, want *pc.Result) {
 	t.Helper()
 	if got.Mark() != want.Mark() || len(got.Views) != len(want.Views) {
@@ -224,6 +226,9 @@ func sameInterning(t *testing.T, name string, got, want *pc.Result) {
 		g, w = got.Complex.AppendEntryIDs(g[:0], ei), want.Complex.AppendEntryIDs(w[:0], ei)
 		if !slices.Equal(g, w) {
 			t.Fatalf("%s: entry %d is %v, facet by facet %v", name, ei, got.Complex.EntrySimplex(ei), want.Complex.EntrySimplex(ei))
+		}
+		if g, w := got.Complex.EntryFaces(ei), want.Complex.EntryFaces(ei); !slices.Equal(g, w) {
+			t.Fatalf("%s: entry %d's faces are %v, facet by facet %v", name, ei, g, w)
 		}
 	}
 }

@@ -73,16 +73,17 @@ func BranchResults(op Operator, input topology.Simplex) ([]*pc.Result, error) {
 
 // Product returns the complex of one option table's facet product: every
 // choice of one option per position is a facet. The facets enter the
-// result as they do in a one-branch, one-round Build, each adding only
-// its new faces to a result sized once, so there is one way to insert a
-// facet product. An empty table, or one with an empty position, gives an
-// empty result.
+// result as they do in a one-branch, one-round Build, each appending only
+// its new faces to a result sized once, and the face table is computed
+// as there, so there is one way to insert a facet product. An empty
+// table, or one with an empty position, gives an empty result.
 func Product(opts [][]pc.Option) *pc.Result {
 	res := pc.NewResult()
 	if job, ok := branchJob(Branch{Opts: opts}); ok {
 		var e enum
 		e.sphere(res, opts)
 		e.final(res, job)
+		e.markSphere(res, opts)
 	}
 	return res
 }

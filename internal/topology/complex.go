@@ -20,9 +20,11 @@ import (
 // Internally the complex interns vertices into dense int32 ids and stores
 // each simplex as its id sequence in one flat arena, found through an
 // open-addressing index over a 64-bit hash (see intern.go), so membership
-// and face closure run without building string keys. The representation
-// is invisible through this API: the tests check every observable against
-// the set of Key strings of the added simplexes' faces.
+// and face closure run without building string keys. The index is built
+// on the first lookup, so a pseudosphere that only reads its face table
+// never builds one. The representation is invisible through this API:
+// the tests check every observable against the set of Key strings of the
+// added simplexes' faces.
 type Complex struct {
 	verts  map[Vertex]int32 // intern table
 	byID   []Vertex         // id -> vertex
@@ -32,7 +34,14 @@ type Complex struct {
 	counts []int            // f-vector, maintained incrementally
 	dim    int              // highest dimension seen; -1 when empty
 
-	// Memoized CanonicalHash; insert, the single mutation point, clears it.
+	// unplaced is the first entry the index lacks, and every later one
+	// too, or -1 when it holds them all; placeAll places the rest under
+	// indexMu (see intern.go).
+	unplaced atomic.Int32
+	indexMu  sync.Mutex
+
+	// Memoized CanonicalHash; appendEntry, the single mutation point,
+	// clears it.
 	hash atomic.Pointer[string]
 
 	// The face table (see incidence.go): faces[off+i] is the entry index
@@ -40,10 +49,13 @@ type Complex struct {
 	// faceMu serializes the fill; faceUpTo is the entry count at the last
 	// fill, so a reader that finds it equal to EntryCount takes no lock.
 	// Every entry below faceFrom has every face present and exact slots.
+	// sphere, when set, computes the faces of the entries below its end
+	// instead of probing (MarkPseudosphere).
 	faceMu   sync.Mutex
 	faces    []int32
 	faceUpTo atomic.Int32
 	faceFrom int
+	sphere   *sphereFaces
 
 	// Reusable scratch (single-goroutine; a Complex has never been safe
 	// for concurrent mutation).
@@ -90,6 +102,7 @@ func (c *Complex) Has(s Simplex) bool {
 	if !ok {
 		return false
 	}
+	c.placeAll()
 	return c.find(ids, hashIDs(ids)) >= 0
 }
 
@@ -252,7 +265,8 @@ func (c *Complex) EulerCharacteristic() int {
 }
 
 // Clone returns an independent copy of the complex: inserting into one
-// leaves the other unchanged. The copy starts without a face table.
+// leaves the other unchanged. The copy starts without a face table, and
+// computes the faces of a pseudosphere's entries as c does.
 func (c *Complex) Clone() *Complex {
 	out := &Complex{
 		verts:  make(map[Vertex]int32, len(c.verts)),
@@ -262,7 +276,9 @@ func (c *Complex) Clone() *Complex {
 		ends:   append([]int32(nil), c.ends...),
 		counts: append([]int(nil), c.counts...),
 		dim:    c.dim,
+		sphere: c.sphere,
 	}
+	out.unplaced.Store(c.unplaced.Load())
 	for v, id := range c.verts {
 		out.verts[v] = id
 	}
@@ -283,6 +299,7 @@ func (c *Complex) UnionWith(d *Complex) {
 	if d.IsEmpty() {
 		return
 	}
+	c.placeAll()
 	trans := c.translationTo(d)
 	buf := make([]int32, d.dim+1)
 	for ei := range d.ends {
@@ -303,6 +320,7 @@ func (c *Complex) Intersection(d *Complex) *Complex {
 	if small.IsEmpty() {
 		return out
 	}
+	large.placeAll()
 	trans := large.lookupTranslation(small)
 	buf := make([]int32, small.dim+1)
 	for ei := range small.ends {
@@ -331,6 +349,7 @@ func (c *Complex) IsSubcomplexOf(d *Complex) bool {
 	if c.IsEmpty() {
 		return true
 	}
+	d.placeAll()
 	trans := d.lookupTranslation(c)
 	buf := make([]int32, c.dim+1)
 	for ei := range c.ends {

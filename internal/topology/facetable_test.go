@@ -79,28 +79,30 @@ func checkFaceTable(t *testing.T, ctx string, c *Complex) {
 // newFacesSphere builds a random pseudosphere of up to four positions
 // and three options each through AddNewFaces, facets in mixed-radix
 // order, last position fastest, reserving room first on odd draws and
-// reading the face table between some facets. It fails unless AddIDs,
-// facet by facet, inserts the same entries.
-func newFacesSphere(t *testing.T, name string, rng *rand.Rand) *Complex {
+// reading the face table between some facets, then hands it the option
+// table. It fails unless AddIDs, facet by facet, inserts the same
+// entries, and unless Has, IsSubcomplexOf and Intersection, each run
+// first on a copy whose index lacks the appended entries, find them all.
+// It returns the complex and the marks taken between some facets.
+func newFacesSphere(t *testing.T, name string, rng *rand.Rand) (*Complex, [][2]int) {
 	t.Helper()
 	c, probed := NewComplex(), NewComplex()
-	opts := make([][]int32, 1+rng.Intn(4))
+	opts := make([][]Vertex, 1+rng.Intn(4))
 	for p := range opts {
 		for o := 0; o < 1+rng.Intn(3); o++ {
-			v := hv(2*p, fmt.Sprint(o))
-			id, _ := c.Intern(v)
-			probed.Intern(v)
-			opts[p] = append(opts[p], id)
+			opts[p] = append(opts[p], hv(2*p, fmt.Sprint(o)))
 		}
 	}
 	if rng.Intn(2) == 1 {
 		c.Reserve(8, 20)
 	}
+	var marks [][2]int
 	idx, ids := make([]int, len(opts)), make([]int32, len(opts))
 	for {
 		var need uint32
 		for i, d := range idx {
-			ids[i] = opts[i][d]
+			ids[i], _ = c.Intern(opts[i][d])
+			probed.Intern(opts[i][d])
 			if d != 0 {
 				need |= 1 << i
 			}
@@ -109,6 +111,9 @@ func newFacesSphere(t *testing.T, name string, rng *rand.Rand) *Complex {
 		probed.AddIDs(ids)
 		if rng.Intn(4) == 0 {
 			checkFaceTable(t, fmt.Sprintf("%s: facet %v", name, idx), c)
+		}
+		if rng.Intn(4) == 0 {
+			marks = append(marks, [2]int{c.VertexCount(), c.EntryCount()})
 		}
 		i := len(idx) - 1
 		for ; i >= 0 && idx[i]+1 == len(opts[i]); i-- {
@@ -119,6 +124,14 @@ func newFacesSphere(t *testing.T, name string, rng *rand.Rand) *Complex {
 		}
 		idx[i]++
 	}
+	table := make([][]int32, len(opts))
+	for p, o := range opts {
+		for _, v := range o {
+			id, _ := c.Intern(v)
+			table[p] = append(table[p], id)
+		}
+	}
+	c.MarkPseudosphere(table)
 	if c.EntryCount() != probed.EntryCount() {
 		t.Fatalf("AddNewFaces inserted %d entries, AddIDs %d", c.EntryCount(), probed.EntryCount())
 	}
@@ -127,7 +140,16 @@ func newFacesSphere(t *testing.T, name string, rng *rand.Rand) *Complex {
 			t.Fatalf("AddNewFaces entry %d is %v, AddIDs %v", ei, g, w)
 		}
 	}
-	return c
+	has := c.Clone()
+	for ei := range int32(c.EntryCount()) {
+		if !has.Has(c.EntrySimplex(ei)) {
+			t.Fatalf("%s: Has misses entry %d, %v", name, ei, c.EntrySimplex(ei))
+		}
+	}
+	if !probed.IsSubcomplexOf(c.Clone()) || !probed.Intersection(c.Clone()).Equal(probed) {
+		t.Fatalf("%s: IsSubcomplexOf or Intersection misses an entry", name)
+	}
+	return c, marks
 }
 
 // TestFaceTableMatchesProbes drives complexes through every mutation path
@@ -137,7 +159,10 @@ func newFacesSphere(t *testing.T, name string, rng *rand.Rand) *Complex {
 // faces, with reads between rows, and truncations go back to earlier marks,
 // some taken in the middle of such a load. Each seed's operations run
 // twice: from an empty complex, and from a pseudosphere built through
-// AddNewFaces, which draws from a random source of its own.
+// AddNewFaces, which draws from a random source of its own. That one
+// starts with an index that lacks its entries and a face table computed
+// from its option table, and with marks taken while it was built, so
+// truncations go below its entries as well as above.
 func TestFaceTableMatchesProbes(t *testing.T) {
 	labels := []string{"a", "b", "c"}
 	spheres := rand.New(rand.NewSource(-1))
@@ -145,11 +170,11 @@ func TestFaceTableMatchesProbes(t *testing.T) {
 		seed := run % 60
 		rng := rand.New(rand.NewSource(seed))
 		c, name := NewComplex(), fmt.Sprintf("seed %d", seed)
+		var marks [][2]int // (vertices, entries) c has only grown since
 		if run >= 60 {
 			name += " from a pseudosphere"
-			c = newFacesSphere(t, name, spheres)
+			c, marks = newFacesSphere(t, name, spheres)
 		}
-		var marks [][2]int // (vertices, entries) c has only grown since
 		other := func() *Complex {
 			d := NewComplex()
 			for k := 0; k < 1+rng.Intn(4); k++ {

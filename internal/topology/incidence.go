@@ -1,6 +1,9 @@
 package topology
 
-import "slices"
+import (
+	"math/bits"
+	"slices"
+)
 
 // Incidence access to the interned entry table. The homology engine's
 // coreduction pass walks face/coface incidences of every stored simplex,
@@ -8,9 +11,12 @@ import "slices"
 // these accessors expose the entry table directly (dense int32 entry
 // indices, no Simplex materialization, no string keys) so both run at
 // intern-table speed. Face incidences come from one face table per
-// complex, probed once per face on the first read that needs it and
+// complex, filled once per face on the first read that needs it and
 // shared by FacetCount, Facets, the coreduction and pc's closure check.
-// Entry indices are stable: entries are append-only
+// The entries of a fresh one-round pseudosphere build (roundop's
+// pseudosphere path and roundop.Product) have their faces computed from
+// positions and option digits (sphereFaces); every other entry's are
+// probed in the index. Entry indices are stable: entries are append-only
 // (only Truncate removes any), so an index obtained here stays valid as
 // long as the complex is not truncated below it.
 
@@ -74,16 +80,25 @@ func (c *Complex) faceTable() []int32 {
 	return c.faces
 }
 
-// fillFaces probes the faces of every entry from faceFrom on, so an
-// entry is probed once unless a face of it was missing: faceFrom stops at
-// the first such entry, and the next fill, after an insertion, probes
-// again from there, so a -1 never outlives the face's insertion.
+// fillFaces fills the face slots of every entry from faceFrom on,
+// computing those of a pseudosphere's entries (sphereFaces) and probing
+// the rest, so an entry is filled once unless a face of it was missing:
+// faceFrom stops at the first such entry, and the next fill, after an
+// insertion, probes again from there, so a -1 never outlives the face's
+// insertion.
 func (c *Complex) fillFaces() {
 	c.faceMu.Lock()
 	defer c.faceMu.Unlock()
 	n := len(c.ends)
 	if int(c.faceUpTo.Load()) == n {
 		return // another reader filled it
+	}
+	computed := 0 // the entries below are a pseudosphere's
+	if c.sphere != nil {
+		computed = c.sphere.end
+	}
+	if max(c.faceFrom, computed) < n {
+		c.placeAll()
 	}
 	keep := c.entryStart(c.faceFrom)
 	c.faces = slices.Grow(c.faces[:keep], len(c.ids)-keep)[:len(c.ids)]
@@ -94,6 +109,10 @@ func (c *Complex) fillFaces() {
 		ids := c.entryIDs(int32(ei))
 		if len(ids) == 1 {
 			c.faces[lo] = -1
+			continue
+		}
+		if ei < computed {
+			c.sphere.faces(c.faces[lo:lo+len(ids)], ids)
 			continue
 		}
 		// The face omitting ids[i] is the one omitting ids[i-1] with
@@ -113,6 +132,88 @@ func (c *Complex) fillFaces() {
 	}
 	c.faceFrom = from
 	c.faceUpTo.Store(int32(n))
+}
+
+// sphereFaces locates the faces of a pseudosphere ψ(V₀..Vₖ₋₁) whose
+// simplexes a complex holds as its first end entries, inserted through
+// AddNewFaces in the order stated there. A simplex of it is a partial
+// choice: positions μ with option digits g. Its first facet d takes g on
+// μ and option 0 elsewhere, and it is ids(d) without the removed set R,
+// the complement of μ, which lies in d's zero digits Φ. Its entry index
+// is first(d) + rank(R):
+//
+//   - first(d) = Σ over positions i with dᵢ > 0 of (dᵢ+1)·2^{zᵢ}·Wᵢ,
+//     minus 1 unless d = 0 (the empty choice), where zᵢ counts the zero
+//     digits before i and Wᵢ = ∏_{j>i}(|Vⱼ|+1). It counts the partial
+//     choices whose first facet precedes d: at the first position i where
+//     that facet's digit is below dᵢ the choice takes no option or one of
+//     0..dᵢ−1, before i it matches d (two ways at a zero digit), and after
+//     i it is free.
+//   - rank(R) is R's place in d's run: Σⱼ (1 + 2^{cⱼ₋₁} − 2^{cⱼ+1}), where
+//     c₀ = |Φ| and c₁ > c₂ > … are the indices within Φ of R's members,
+//     since AddNewFaces adds each removal from Φ's highest member down and
+//     a member at index c heads a subtree of 2^c faces. The sum telescopes
+//     to |R| + 2^{|Φ|} − R − lowbit(R), reading R as a bitmask over Φ's
+//     indices, and is 0 for R = ∅. For d = 0 the empty face, rank |Φ|, is
+//     skipped, so later ranks drop by one.
+type sphereFaces struct {
+	end    int
+	at     []optionAt // by vertex id: the vertex's position and digit
+	weight []int      // Wᵢ by position
+}
+
+// optionAt is a vertex's position and option digit in a pseudosphere.
+type optionAt struct{ pos, digit int32 }
+
+// faces writes into out the entry index of each codimension-1 face of
+// ids, in vertex-drop order. It reads ids' own first facet once: a face
+// that drops a vertex at option 0 keeps that facet and removes one more
+// member of Φ, and one that drops a vertex at option g > 0 has the facet
+// with option 0 there instead, which doubles every later term of first()
+// and shifts R's later indices within Φ up by one.
+func (s *sphereFaces) faces(out []int32, ids []int32) {
+	var pre, term [32]int // by vertex: first()'s sum before its term, and the term
+	var at [32]uint       // by vertex: zero digits before its position
+	first, zeros, removed := 0, uint(0), uint(0)
+	j := 0
+	for i, w := range s.weight {
+		if j < len(ids) && int(s.at[ids[j]].pos) == i {
+			at[j] = zeros
+			if d := int(s.at[ids[j]].digit); d > 0 {
+				pre[j], term[j] = first, (d+1)<<zeros*w
+				first += term[j]
+			} else {
+				zeros++
+			}
+			j++
+			continue
+		}
+		removed |= 1 << zeros
+		zeros++
+	}
+	for j := range ids {
+		bit := uint(1) << at[j]
+		if term[j] == 0 {
+			out[j] = sphereIndex(first, zeros, removed|bit)
+			continue
+		}
+		later := removed &^ (bit - 1)
+		out[j] = sphereIndex(pre[j]+2*(first-pre[j]-term[j]), zeros+1, removed^later|later<<1|bit)
+	}
+}
+
+// sphereIndex returns the entry index of a pseudosphere's simplex from
+// the sum of first(d)'s terms, |Φ| and R as a bitmask over Φ's indices
+// (see sphereFaces).
+func sphereIndex(first int, zeros, removed uint) int32 {
+	rank := 0
+	if removed != 0 {
+		rank = bits.OnesCount(removed) + 1<<zeros - int(removed) - int(removed&-removed)
+	}
+	if first > 0 || rank > int(zeros) {
+		rank-- // the empty choice before d, or the empty face in d = 0's run
+	}
+	return int32(first + rank)
 }
 
 // Id-level insertion. A builder that meets the same vertices many times
@@ -137,46 +238,91 @@ func (c *Complex) Intern(v Vertex) (id int32, added bool) {
 // not check either.
 func (c *Complex) AddIDs(ids []int32) { c.addClosure(ids) }
 
-// AddNewFaces inserts, in the order AddIDs would, the faces of the
-// simplex with the given vertex ids that hold every position in need
-// (bit i stands for ids[i]), the simplex itself first, without looking
-// any face up; with need 0, where every face is new, it inserts them as
-// AddIDs does. The precondition, which AddNewFaces does not check, is
-// that these faces are exactly the ones absent from c. The ids must be
-// interned in c and ordered by ascending process id, one per process.
+// AddNewFaces appends the faces of the simplex with the given vertex ids
+// that hold every position in need (bit i stands for ids[i]), the
+// simplex itself first, without looking any face up or placing it in the
+// index. The precondition, which AddNewFaces does not check, is that
+// these faces are exactly the ones absent from c. The ids, at most 32,
+// must be interned in c and ordered by ascending process id, one per
+// process.
 //
-// A pseudosphere's facets meet the precondition when they are inserted in
-// mixed-radix order into the complex of the facets before them: a face
-// lies first in the facet that takes option 0 wherever the face has no
-// vertex, so the faces facet d adds are those holding every position
-// whose option is not option 0. A simplex with more ids than the bitmask
-// walk takes goes through AddIDs, which gives the same entries.
+// The faces are ids without a removed set R of positions outside need
+// (the zero set Φ), in preorder: R, then for each p ∈ Φ below R's lowest
+// member, highest first, the faces of R ∪ {p}. With need 0 the empty
+// face, R = Φ, is skipped. This is the order in which AddIDs' walk, which
+// visits the face dropping the highest position first, reaches the same
+// faces, so both insert the same entries.
+//
+// A pseudosphere's facets meet the precondition when they are inserted
+// in mixed-radix order, last position fastest, into the complex of the
+// facets before them: a face lies first in the facet that takes option 0
+// wherever the face has no vertex, so the faces facet d adds are those
+// holding every position whose option is not option 0. Once every facet
+// is in, MarkPseudosphere lets the face table be computed for them.
 func (c *Complex) AddNewFaces(ids []int32, need uint32) {
-	if n := len(ids); n == 0 || n > maskWalkLimit {
-		c.addClosure(ids)
-		return
+	if c.unplaced.Load() < 0 {
+		c.unplaced.Store(int32(len(c.ends)))
 	}
-	c.walkFaces(ids, need)
+	if cap(c.subBuf) < len(ids) {
+		c.subBuf = make([]int32, len(ids))
+	}
+	zero := (uint32(1)<<len(ids) - 1) &^ need
+	c.newFaces(ids, zero, 0, len(ids))
 }
 
-// Reserve sizes the complex once for a build that ends holding entries
-// simplexes of ids vertex ids in all: the id arena and the end offsets
-// get room for them, and the index the size insertion would have doubled
-// it to, so inserting up to that many allocates nothing. It changes no
-// entry, id or observable order.
+// newFaces appends ids without the positions in removed, unless that is
+// the empty face, then the faces that also remove each position p in
+// zero below below, highest first.
+func (c *Complex) newFaces(ids []int32, zero, removed uint32, below int) {
+	sub := c.subBuf[:0]
+	for i, id := range ids {
+		if removed>>i&1 == 0 {
+			sub = append(sub, id)
+		}
+	}
+	if len(sub) > 0 {
+		c.appendEntry(sub)
+	}
+	for m := zero & (uint32(1)<<below - 1); m != 0; {
+		p := bits.Len32(m) - 1
+		m &^= 1 << p
+		c.newFaces(ids, zero, removed|1<<p, p)
+	}
+}
+
+// MarkPseudosphere records that c holds exactly the pseudosphere whose
+// option table opts gives, as vertex ids position by position, inserted
+// through AddNewFaces from empty with its facets in mixed-radix order.
+// The face table of those entries is then computed from each face's
+// positions and option digits, with no index probe; entries inserted
+// later are probed, and a Truncate below them drops the computation. A
+// complex whose entry count is not the table's simplex count,
+// ∏(|Vᵢ|+1)−1, keeps probing.
+func (c *Complex) MarkPseudosphere(opts [][]int32) {
+	s := &sphereFaces{end: len(c.ends), at: make([]optionAt, len(c.byID)), weight: make([]int, len(opts))}
+	w := 1
+	for i := len(opts) - 1; i >= 0; i-- {
+		s.weight[i] = w
+		w *= len(opts[i]) + 1
+		for d, id := range opts[i] {
+			s.at[id] = optionAt{int32(i), int32(d)}
+		}
+	}
+	if w-1 == len(c.ends) {
+		c.sphere = s
+	}
+}
+
+// Reserve sizes the id arena and the end offsets once for a build that
+// ends holding entries simplexes of ids vertex ids in all, so inserting
+// up to that many allocates nothing there. It changes no entry, id or
+// observable order.
 func (c *Complex) Reserve(entries, ids int) {
 	if n := ids - len(c.ids); n > 0 {
 		c.ids = slices.Grow(c.ids, n)
 	}
 	if n := entries - len(c.ends); n > 0 {
 		c.ends = slices.Grow(c.ends, n)
-	}
-	slots := minIndexSlots
-	for slots < 2*entries {
-		slots *= 2
-	}
-	if slots > len(c.index) {
-		c.resizeIndex(slots)
 	}
 }
 
@@ -185,6 +331,7 @@ func (c *Complex) Reserve(entries, ids int) {
 // The caller must load every face too, with ids interned in c and ordered
 // by ascending process id.
 func (c *Complex) AddClosedIDs(ids []int32) bool {
+	c.placeAll()
 	h := hashIDs(ids)
 	if c.find(ids, h) >= 0 {
 		return false
@@ -227,15 +374,17 @@ func (c *Complex) Truncate(verts, entries int) {
 	c.faces = c.faces[:c.entryStart(from)]
 	c.faceFrom = from
 	c.faceUpTo.Store(int32(from))
+	if c.sphere != nil && entries < c.sphere.end {
+		c.sphere = nil
+	}
 	c.dim = -1
 	for d, n := range c.counts {
 		if n > 0 {
 			c.dim = d
 		}
 	}
+	// The next lookup places every entry again.
 	clear(c.index)
-	for ei := range c.ends {
-		c.place(hashIDs(c.entryIDs(int32(ei))), int32(ei))
-	}
+	c.unplaced.Store(0)
 	c.hash.Store(nil)
 }

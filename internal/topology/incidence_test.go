@@ -75,12 +75,33 @@ func TestEntryFacesCoversBoundary(t *testing.T) {
 // under the race detector: goroutines reading a shared complex that no
 // one has read before, so they race to fill its face table and its hash
 // memo, each starting from a different reader. Every one must see what a
-// clone answers alone.
+// clone answers alone. The second complex is a pseudosphere appended
+// through AddNewFaces, whose index lacks every entry, so the readers also
+// race to place it.
 func TestEntryFacesConcurrent(t *testing.T) {
-	c := ComplexOf(
+	sphere := NewComplex()
+	ids := make([]int32, 3)
+	for f := 0; f < 27; f++ {
+		var need uint32
+		for i, d := 0, f; i < 3; i, d = i+1, d/3 {
+			ids[2-i], _ = sphere.Intern(v(2-i, fmt.Sprint(d%3)))
+			if d%3 != 0 {
+				need |= 1 << (2 - i)
+			}
+		}
+		sphere.AddNewFaces(ids, need)
+	}
+	for _, c := range []*Complex{ComplexOf(
 		mustSimplex(v(0, "a"), v(1, "b"), v(2, "c"), v(3, "d"), v(4, "e")),
 		mustSimplex(v(0, "x"), v(1, "b"), v(2, "y")),
-	)
+	), sphere} {
+		readConcurrently(t, c)
+	}
+}
+
+// readConcurrently runs TestEntryFacesConcurrent's readers on c.
+func readConcurrently(t *testing.T, c *Complex) {
+	t.Helper()
 	ref := c.Clone()
 	wantFaces := make([][]int32, ref.EntryCount())
 	for ei := range wantFaces {
@@ -111,6 +132,14 @@ func TestEntryFacesConcurrent(t *testing.T) {
 		func() error {
 			if got := c.CanonicalHash(); got != wantHash {
 				return fmt.Errorf("CanonicalHash = %s, want %s", got, wantHash)
+			}
+			return nil
+		},
+		func() error {
+			for ei := range ref.EntryCount() {
+				if s := ref.EntrySimplex(int32(ei)); !c.Has(s) {
+					return fmt.Errorf("Has(%v) = false", s)
+				}
 			}
 			return nil
 		},

@@ -18,10 +18,17 @@ import (
 // 64-bit hash of the id sequence: a power-of-two []uint64 whose nonzero
 // slots hold the hash's high 32 bits over entry+1, probed linearly from
 // the slot the hash's low bits name. The index doubles before it is half
-// full, re-hashing the stored ids, unless Reserve sized it for the whole
-// build up front. Membership tests and face closure therefore never
-// build string keys, and a probe reads only flat slices: the index, and
-// the arena when a slot's hash half matches.
+// full, re-hashing the stored ids. Membership tests and face closure
+// therefore never build string keys, and a probe reads only flat slices:
+// the index, and the arena when a slot's hash half matches.
+//
+// The index may lag the arena. AddNewFaces appends a pseudosphere's
+// faces without placing them, and Truncate empties it, so every path
+// that looks a simplex up first places the entries it lacks (placeAll).
+// A complex from a fresh one-round pseudosphere build (roundop's
+// pseudosphere path and roundop.Product) never looks one up: it computes
+// its face table instead (see sphereFaces), so its index is built only
+// if something else asks.
 
 // maskWalkLimit bounds the bitmask closure walk: simplexes with more
 // vertices fall back to a recursive face closure. Chromatic simplexes have
@@ -75,7 +82,8 @@ func (c *Complex) entryStart(ei int) int {
 }
 
 // find returns the entry index storing exactly ids (hashed to h), or -1.
-// It only reads, so concurrent finds on a complex nobody mutates are safe.
+// The index must hold every entry (placeAll). find only reads, so
+// concurrent finds on a complex nobody mutates are safe.
 func (c *Complex) find(ids []int32, h uint64) int32 {
 	if len(c.index) == 0 {
 		return -1
@@ -109,30 +117,54 @@ func (c *Complex) place(h uint64, ei int32) {
 func (c *Complex) growIndex() { c.resizeIndex(max(2*len(c.index), minIndexSlots)) }
 
 // resizeIndex replaces the index with one of slots slots, a power of two,
-// and re-places every entry in entry order. A slot keeps only the high
-// half of its hash, so each entry's home slot is recomputed from its
-// stored ids.
+// and places every entry in entry order. A slot keeps only the high half
+// of its hash, so each entry's home slot is recomputed from its stored
+// ids.
 func (c *Complex) resizeIndex(slots int) {
 	c.index = make([]uint64, slots)
 	for ei := range c.ends {
 		c.place(hashIDs(c.entryIDs(int32(ei))), int32(ei))
 	}
+	c.unplaced.Store(-1)
 }
 
-// insert stores ids (hashed to h) as a new entry, updating the f-vector
-// and dimension and dropping the memoized canonical hash. The caller must
-// have checked absence.
-func (c *Complex) insert(ids []int32, h uint64) {
+// placeAll places every entry the index lacks, in one pass sized to the
+// entry count, before a lookup. Like the face table's fill it locks only
+// when there is work, behind the unplaced watermark, so concurrent
+// readers of a complex nobody mutates stay safe.
+func (c *Complex) placeAll() {
+	if c.unplaced.Load() < 0 {
+		return
+	}
+	c.indexMu.Lock()
+	defer c.indexMu.Unlock()
+	from := int(c.unplaced.Load())
+	if from < 0 {
+		return // another reader placed them
+	}
+	slots := minIndexSlots
+	for slots < 2*len(c.ends) {
+		slots *= 2
+	}
+	if slots > len(c.index) {
+		c.resizeIndex(slots)
+		return
+	}
+	for ei := from; ei < len(c.ends); ei++ {
+		c.place(hashIDs(c.entryIDs(int32(ei))), int32(ei))
+	}
+	c.unplaced.Store(-1)
+}
+
+// appendEntry stores ids as a new entry without placing it in the index,
+// updating the f-vector and dimension and dropping the memoized canonical
+// hash.
+func (c *Complex) appendEntry(ids []int32) {
 	if c.hash.Load() != nil {
 		c.hash.Store(nil)
 	}
-	ei := int32(len(c.ends))
-	if 2*(len(c.ends)+1) > len(c.index) {
-		c.growIndex()
-	}
 	c.ids = append(c.ids, ids...)
 	c.ends = append(c.ends, int32(len(c.ids)))
-	c.place(h, ei)
 	d := len(ids) - 1
 	for len(c.counts) <= d {
 		c.counts = append(c.counts, 0)
@@ -143,8 +175,19 @@ func (c *Complex) insert(ids []int32, h uint64) {
 	}
 }
 
+// insert stores ids (hashed to h) as a new entry and places it. The
+// caller must have checked absence, so the index holds every entry.
+func (c *Complex) insert(ids []int32, h uint64) {
+	if 2*(len(c.ends)+1) > len(c.index) {
+		c.growIndex()
+	}
+	c.place(h, int32(len(c.ends)))
+	c.appendEntry(ids)
+}
+
 // insertIfAbsent inserts ids unless present; it performs no face closure,
-// so callers must guarantee every face of ids is (or will be) inserted.
+// so callers must guarantee every face of ids is (or will be) inserted,
+// and it does not place the index (placeAll) first.
 func (c *Complex) insertIfAbsent(ids []int32) {
 	h := hashIDs(ids)
 	if c.find(ids, h) < 0 {
@@ -189,13 +232,20 @@ func (c *Complex) addDirect(s Simplex) {
 	c.insertIfAbsent(c.internSimplex(s))
 }
 
-// addClosure inserts ids and every nonempty face absent from c, finding
-// each face the walk reaches by an index probe.
+// addClosure inserts ids and every nonempty face, walking the subset
+// lattice iteratively by bitmask: bit i of a face's mask stands for
+// ids[i]. A face found present is skipped together with its whole
+// subtree — the complex is closed under containment, so every subset of
+// a present face is already present. This is the hot inner loop of every
+// model constructor that probes: unions of branches, r > 1 rounds, a
+// resumed build, a shard run alone, Add and AddIDs. A fresh one-round
+// pseudosphere build appends through AddNewFaces instead.
 func (c *Complex) addClosure(ids []int32) {
 	n := len(ids)
 	if n == 0 {
 		return
 	}
+	c.placeAll()
 	h := hashIDs(ids)
 	if c.find(ids, h) >= 0 {
 		return // fast path: facet re-added by an enumerator
@@ -204,29 +254,6 @@ func (c *Complex) addClosure(ids []int32) {
 		c.addClosureRecursive(ids)
 		return
 	}
-	c.walkFaces(ids, 0)
-}
-
-// walkFaces inserts the nonempty faces of ids (1 to maskWalkLimit ids)
-// that are absent from c, ids itself first, walking the subset lattice
-// iteratively by bitmask: bit i of a face's mask stands for ids[i]. A
-// face found present is skipped together with its whole subtree — the
-// complex is closed under containment, so every subset of a present face
-// is already present. The presence test is the walk's one variable, need:
-// a face whose mask misses a bit of need is present (AddNewFaces's
-// precondition), so no face is looked up. With need 0 no mask misses one,
-// and the walk probes the index for each face it reaches instead, as Add
-// and AddIDs need. By AddNewFaces's precondition, need 0 there means
-// every face is absent (a pseudosphere's first facet), so the probes all
-// miss and the walk inserts the same entries.
-//
-// This is the hot inner loop of every model constructor. A fresh
-// one-round build with a single branch (roundop's pseudosphere path:
-// async, sync with k = 0, one-graph menus) and roundop.Product insert
-// through need; unions of branches, r > 1 rounds, a resumed build, a
-// shard run alone and Add probe.
-func (c *Complex) walkFaces(ids []int32, need uint32) {
-	n := len(ids)
 	full := uint32(1)<<uint(n) - 1
 	words := (int(full) >> 6) + 1
 	if cap(c.visited) < words {
@@ -250,16 +277,13 @@ func (c *Complex) walkFaces(ids []int32, need uint32) {
 			continue
 		}
 		c.visited[mask>>6] |= 1 << (mask & 63)
-		if mask&need != need {
-			continue // whole subtree already present
-		}
 		k := 0
 		for m := mask; m != 0; m &= m - 1 {
 			sub[k] = ids[bits.TrailingZeros32(m)]
 			k++
 		}
 		sh := hashIDs(sub[:k])
-		if need == 0 && c.find(sub[:k], sh) >= 0 {
+		if c.find(sub[:k], sh) >= 0 {
 			continue // whole subtree already present
 		}
 		c.insert(sub[:k], sh)

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"testing"
 )
@@ -182,6 +183,70 @@ func TestAddIDsMatchesAdd(t *testing.T) {
 	for ei := int32(0); ei < int32(want.EntryCount()); ei++ {
 		if !slices.Equal(got.EntrySimplex(ei), want.EntrySimplex(ei)) {
 			t.Fatalf("entry %d = %v, Add built %v", ei, got.EntrySimplex(ei), want.EntrySimplex(ei))
+		}
+	}
+}
+
+// TestNewFacesMatchWalkOrder: for a simplex of every size up to nine
+// vertices and every need mask, AddNewFaces appends exactly the faces
+// that AddIDs' probing walk adds to a complex holding every face missing
+// a bit of need, in the same order, and sphereIndex inverts that order:
+// the face removing R from the zero set Φ sits at the rank it computes.
+func TestNewFacesMatchWalkOrder(t *testing.T) {
+	for k := 1; k <= 9; k++ {
+		full := uint32(1)<<k - 1
+		for need := uint32(0); need <= full; need++ {
+			walked, appended := NewComplex(), NewComplex()
+			ids := make([]int32, k)
+			for i := range ids {
+				ids[i], _ = walked.Intern(hv(i, "v"))
+				appended.Intern(hv(i, "v"))
+			}
+			for mask := uint32(1); mask <= full; mask++ {
+				if mask&need == need {
+					continue
+				}
+				var face []int32
+				for i, id := range ids {
+					if mask>>i&1 == 1 {
+						face = append(face, id)
+					}
+				}
+				walked.AddClosedIDs(face)
+				appended.AddClosedIDs(face)
+			}
+			before := walked.EntryCount()
+			walked.AddIDs(ids)
+			appended.AddNewFaces(ids, need)
+			if walked.EntryCount() != appended.EntryCount() {
+				t.Fatalf("k=%d need=%b: AddNewFaces appended %d faces, the walk %d", k, need, appended.EntryCount()-before, walked.EntryCount()-before)
+			}
+			zero, first := full&^need, 0
+			if need != 0 {
+				first = 1 // sphereIndex subtracts the empty choice
+			}
+			for ei := before; ei < walked.EntryCount(); ei++ {
+				g, w := appended.entryIDs(int32(ei)), walked.entryIDs(int32(ei))
+				if !slices.Equal(g, w) {
+					t.Fatalf("k=%d need=%b: face %d is %v, the walk's %v", k, need, ei-before, g, w)
+				}
+				var present uint32
+				for _, id := range w {
+					present |= 1 << id // ids[i] == i
+				}
+				removed, bit := uint(0), uint(1)
+				for i := range k {
+					if zero>>i&1 == 1 {
+						if present>>i&1 == 0 {
+							removed |= bit
+						}
+						bit <<= 1
+					}
+				}
+				if got := sphereIndex(first, uint(bits.OnesCount32(zero)), removed); int(got) != ei-before {
+					t.Fatalf("k=%d need=%b: face %v ranks %d, appended %d", k, need, w, got, ei-before)
+				}
+			}
 		}
 	}
 }
