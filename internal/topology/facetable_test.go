@@ -81,8 +81,10 @@ func checkFaceTable(t *testing.T, ctx string, c *Complex) {
 // order, last position fastest, reserving room first on odd draws and
 // reading the face table between some facets, then hands it the option
 // table. It fails unless AddIDs, facet by facet, inserts the same
-// entries, and unless Has, IsSubcomplexOf and Intersection, each run
-// first on a copy whose index lacks the appended entries, find them all.
+// entries, unless that copy, handed a table short of one position,
+// keeps probing, and unless Has, IsSubcomplexOf and Intersection, each
+// run first on a copy whose index lacks the appended entries, find them
+// all.
 // It returns the complex and the marks taken between some facets.
 func newFacesSphere(t *testing.T, name string, rng *rand.Rand) (*Complex, [][2]int) {
 	t.Helper()
@@ -132,6 +134,8 @@ func newFacesSphere(t *testing.T, name string, rng *rand.Rand) (*Complex, [][2]i
 		}
 	}
 	c.MarkPseudosphere(table)
+	probed.MarkPseudosphere(table[:len(table)-1]) // not its pseudosphere: it keeps probing
+	checkFaceTable(t, name+": probed", probed)
 	if c.EntryCount() != probed.EntryCount() {
 		t.Fatalf("AddNewFaces inserted %d entries, AddIDs %d", c.EntryCount(), probed.EntryCount())
 	}
