@@ -176,7 +176,8 @@ func (c *Complex) appendEntry(ids []int32) {
 }
 
 // insert stores ids (hashed to h) as a new entry and places it. The
-// caller must have checked absence, so the index holds every entry.
+// caller must have checked absence with find, so the index already holds
+// every other entry.
 func (c *Complex) insert(ids []int32, h uint64) {
 	if 2*(len(c.ends)+1) > len(c.index) {
 		c.growIndex()
