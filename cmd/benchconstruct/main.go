@@ -32,12 +32,10 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
 	"time"
 
 	"pseudosphere/internal/asyncmodel"
@@ -63,55 +61,13 @@ func labeled(n int) topology.Simplex {
 }
 
 func main() {
-	os.Exit(realMain())
-}
-
-func realMain() int {
+	tool := obs.NewTool("benchconstruct", false)
 	deep := flag.Bool("deep", false, "include the large n=4 asynchronous instances")
 	reduce := flag.Bool("reduce", true, "time GF(2) reduction after each construction")
-	reportPath := flag.String("report", "", "write the measurements as a JSON run report to this file")
-	progress := flag.Bool("progress", false, "print periodic progress lines to stderr")
-	debugAddr := flag.String("debug-addr", "", "serve expvar and pprof on this address (e.g. :6060)")
 	flag.Parse()
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-	tracker := obs.NewTracker()
-	ctx = obs.WithTracker(ctx, tracker)
-	if *progress {
-		rep := tracker.StartProgress(os.Stderr, 2*time.Second)
-		defer rep.Stop()
-	}
-	if *debugAddr != "" {
-		tracker.PublishExpvar("benchconstruct.counters", "benchconstruct.stages")
-		ds, err := obs.StartDebugServer(*debugAddr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchconstruct:", err)
-			return 1
-		}
-		defer ds.Close()
-		fmt.Fprintf(os.Stderr, "benchconstruct: debug server at http://%s/debug/vars\n", ds.Addr)
-	}
-
-	err := run(ctx, os.Stdout, *deep, *reduce)
-	if out := *reportPath; out != "" {
-		rep := tracker.Snapshot("benchconstruct")
-		rep.Deep = *deep
-		rep.Interrupted = ctx.Err() != nil
-		if werr := rep.WriteFile(out); werr != nil {
-			fmt.Fprintln(os.Stderr, "benchconstruct:", werr)
-			return 1
-		}
-	}
-	if err != nil {
-		if errors.Is(err, context.Canceled) {
-			fmt.Fprintln(os.Stderr, "benchconstruct: interrupted")
-			return 130
-		}
-		fmt.Fprintln(os.Stderr, "benchconstruct:", err)
-		return 1
-	}
-	return 0
+	os.Exit(tool.Run(*deep, func(ctx context.Context) error {
+		return run(ctx, os.Stdout, *deep, *reduce)
+	}))
 }
 
 func run(ctx context.Context, w io.Writer, deep bool, reduce bool) error {

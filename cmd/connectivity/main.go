@@ -35,17 +35,12 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"net/url"
 	"os"
-	"os/signal"
-	"runtime"
-	"runtime/pprof"
 	"strconv"
-	"time"
 
 	"pseudosphere/internal/core"
 	"pseudosphere/internal/homology"
@@ -64,12 +59,7 @@ type config struct {
 }
 
 func main() {
-	os.Exit(realMain())
-}
-
-// realMain carries the exit code back to main so that deferred profile
-// flushes run before the process exits.
-func realMain() int {
+	tool := obs.NewTool("connectivity", true)
 	var cfg config
 	flag.StringVar(&cfg.model, "model", "async", "registered model name (async, custom, iis, semisync, sync)")
 	flag.StringVar(&cfg.spec, "spec", "", "tabulate an inline model spec (JSON file) instead of -model")
@@ -82,83 +72,18 @@ func realMain() int {
 	flag.IntVar(&cfg.c2, "c2", 2, "semisync: max step interval")
 	flag.IntVar(&cfg.d, "d", 2, "semisync: max delivery delay")
 	flag.BoolVar(&cfg.cache, "cache", true, "memoize homology by canonical complex hash")
-	progress := flag.Bool("progress", false, "print periodic progress lines to stderr")
-	debugAddr := flag.String("debug-addr", "", "serve expvar and pprof on this address (e.g. :6060)")
-	reportPath := flag.String("report", "", "write a JSON run report to this file")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file")
 	flag.Parse()
 	if cfg.spec != "" {
 		modelSet := false
 		flag.Visit(func(f *flag.Flag) { modelSet = modelSet || f.Name == "model" })
 		if modelSet {
 			fmt.Fprintln(os.Stderr, "connectivity: -spec and -model are mutually exclusive")
-			return 1
+			os.Exit(1)
 		}
 	}
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "connectivity:", err)
-			return 1
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "connectivity:", err)
-			return 1
-		}
-		defer pprof.StopCPUProfile()
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-	tracker := obs.NewTracker()
-	ctx = obs.WithTracker(ctx, tracker)
-	if *progress {
-		rep := tracker.StartProgress(os.Stderr, 2*time.Second)
-		defer rep.Stop()
-	}
-	if *debugAddr != "" {
-		tracker.PublishExpvar("connectivity.counters", "connectivity.stages")
-		ds, err := obs.StartDebugServer(*debugAddr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "connectivity:", err)
-			return 1
-		}
-		defer ds.Close()
-		fmt.Fprintf(os.Stderr, "connectivity: debug server at http://%s/debug/vars\n", ds.Addr)
-	}
-
-	err := run(ctx, os.Stdout, cfg)
-	if *memprofile != "" {
-		f, merr := os.Create(*memprofile)
-		if merr != nil {
-			fmt.Fprintln(os.Stderr, "connectivity:", merr)
-			return 1
-		}
-		runtime.GC()
-		if werr := pprof.WriteHeapProfile(f); werr != nil {
-			fmt.Fprintln(os.Stderr, "connectivity:", werr)
-		}
-		f.Close()
-	}
-	if *reportPath != "" {
-		rep := tracker.Snapshot("connectivity")
-		rep.Interrupted = ctx.Err() != nil
-		if werr := rep.WriteFile(*reportPath); werr != nil {
-			fmt.Fprintln(os.Stderr, "connectivity:", werr)
-			return 1
-		}
-	}
-	if err != nil {
-		if errors.Is(err, context.Canceled) {
-			fmt.Fprintln(os.Stderr, "connectivity: interrupted")
-			return 130
-		}
-		fmt.Fprintln(os.Stderr, "connectivity:", err)
-		return 1
-	}
-	return 0
+	os.Exit(tool.Run(false, func(ctx context.Context) error {
+		return run(ctx, os.Stdout, cfg)
+	}))
 }
 
 // query renders the flag values in the registry's query form — the same
@@ -275,12 +200,7 @@ func runReport(ctx context.Context, w io.Writer, cfg config, inst *modelspec.Ins
 	c := res.Complex
 	buildStage.Meta("facets", int64(c.FacetCount())).Meta("simplexes", int64(c.Size())).End()
 
-	var cache *homology.Cache
-	if cfg.cache {
-		cache = homology.NewCache()
-	}
-	eng := homology.NewEngine(1, cache)
-
+	eng, cacheLine := cfg.engine(w)
 	fmt.Fprintf(w, "%s\n", complexName)
 	fmt.Fprintf(w, "f-vector:      %v\n", c.FVector())
 	fmt.Fprintf(w, "facets:        %d\n", c.FacetCount())
@@ -301,11 +221,22 @@ func runReport(ctx context.Context, w io.Writer, cfg config, inst *modelspec.Ins
 	} else {
 		fmt.Fprintf(w, "verdict:       BELOW the paper's prediction (check the side condition)\n")
 	}
-	if cache != nil {
+	cacheLine()
+	return nil
+}
+
+// engine returns the run's homology engine, memoized when cfg.cache is
+// set, and a func that prints the engine's cache line, which a run
+// without the cache omits.
+func (cfg config) engine(w io.Writer) (*homology.Engine, func()) {
+	if !cfg.cache {
+		return homology.NewEngine(1, nil), func() {}
+	}
+	eng := homology.NewEngine(1, homology.NewCache())
+	return eng, func() {
 		hits, misses, _ := eng.CacheStats()
 		fmt.Fprintf(w, "engine:        cache hits=%d misses=%d\n", hits, misses)
 	}
-	return nil
 }
 
 func tableHeader(cfg config) string {
@@ -340,11 +271,7 @@ func presetPrediction(cfg config) func(m, conn int) (string, string) {
 func runTable(ctx context.Context, w io.Writer, cfg config, header string, top int,
 	instAt func(m int) (*modelspec.Instance, error), predict func(m, conn int) (string, string)) error {
 	tracker := obs.FromContext(ctx)
-	var cache *homology.Cache
-	if cfg.cache {
-		cache = homology.NewCache()
-	}
-	eng := homology.NewEngine(1, cache)
+	eng, cacheLine := cfg.engine(w)
 	fmt.Fprintf(w, "%s\n", header)
 	fmt.Fprintf(w, "%4s  %8s  %12s  %6s  %s\n", "m'", "facets", "connectivity", "target", "verdict")
 	stage := tracker.Stage("construct")
@@ -368,9 +295,6 @@ func runTable(ctx context.Context, w io.Writer, cfg config, header string, top i
 		fmt.Fprintf(w, "%4d  %8d  %12d  %6s  %s\n", m, res.Complex.FacetCount(), conn, target, verdict)
 	}
 	stage.End()
-	if cache != nil {
-		hits, misses, _ := eng.CacheStats()
-		fmt.Fprintf(w, "engine:        cache hits=%d misses=%d\n", hits, misses)
-	}
+	cacheLine()
 	return nil
 }

@@ -92,7 +92,7 @@ func TestRunCancelled(t *testing.T) {
 	}
 }
 
-// TestPartialReportWellFormed mirrors what realMain does after an
+// TestPartialReportWellFormed mirrors what obs.Tool.Run does after an
 // interrupted run: snapshot the tracker mid-run and check the report both
 // round-trips as JSON and records the truncation.
 func TestPartialReportWellFormed(t *testing.T) {

@@ -146,16 +146,21 @@ func realMain(args []string, ready chan<- net.Addr) int {
 			fmt.Fprintln(os.Stderr, "serve: -mode router requires -replicas")
 			return 2
 		}
-		return runRouter(routerArgs{
-			addr:           *addr,
-			replicas:       splitURLs(*replicas),
-			vnodes:         *vnodes,
-			healthInterval: *healthInterval,
-			nodeLimit:      *nodeLimit,
-			drainTimeout:   *drainTimeout,
-			tracker:        tracker,
-			log:            logger,
-		}, ready)
+		replicaList := splitURLs(*replicas)
+		router, err := serve.NewRouter(serve.RouterConfig{
+			Replicas:       replicaList,
+			VNodes:         *vnodes,
+			HealthInterval: *healthInterval,
+			NodeLimit:      *nodeLimit,
+			Tracker:        tracker,
+			Log:            logger,
+		})
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "serve:", err)
+			return 1
+		}
+		return serveUntilSignal(*addr, router.Handler(), nil, router.Close, *drainTimeout, logger,
+			fmt.Sprintf("mode=router replicas=%d", len(replicaList)), ready)
 	default:
 		fmt.Fprintf(os.Stderr, "serve: unknown -mode %q (want standalone, replica, or router)\n", *mode)
 		return 2
@@ -186,29 +191,40 @@ func realMain(args []string, ready chan<- net.Addr) int {
 		return 1
 	}
 
+	return serveUntilSignal(*addr, srv.Handler(), srv.Abort, srv.Close, *drainTimeout, logger,
+		fmt.Sprintf("mode=%s store=%q jobs=%q", *mode, *storeDir, *jobDir), ready)
+}
+
+// serveUntilSignal serves h on addr until SIGINT or SIGTERM, then drains
+// it: the listener stops accepting and in-flight requests get up to
+// drain to finish. Past that deadline it calls abort (if non-nil) to
+// cancel the in-flight computes, which unwind at their next shard
+// boundary, and closes the listener hard. It then calls closeFn. detail
+// tags the "listening on" line, and ready (optional, for tests) receives
+// the bound address. The result is the exit code: 0 on a clean drain,
+// else 1.
+func serveUntilSignal(addr string, h http.Handler, abort func(), closeFn func() error,
+	drain time.Duration, logger *log.Logger, detail string, ready chan<- net.Addr) int {
 	// Install the signal handler before the listener exists: a SIGTERM
 	// arriving the instant the port is bound must start a drain, not kill
 	// the process with jobs mid-checkpoint.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "serve:", err)
-		srv.Close()
+		closeFn()
 		return 1
 	}
-	httpSrv := &http.Server{
-		Handler:           srv.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-	}
+	httpSrv := &http.Server{Handler: h, ReadHeaderTimeout: 5 * time.Second}
 	errCh := make(chan error, 1)
 	go func() {
 		if err := httpSrv.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
 			errCh <- err
 		}
 	}()
-	logger.Printf("listening on %s (mode=%s store=%q jobs=%q)", ln.Addr(), *mode, *storeDir, *jobDir)
+	logger.Printf("listening on %s (%s)", ln.Addr(), detail)
 	if ready != nil {
 		ready <- ln.Addr()
 	}
@@ -216,25 +232,27 @@ func realMain(args []string, ready chan<- net.Addr) int {
 	select {
 	case err := <-errCh:
 		fmt.Fprintln(os.Stderr, "serve:", err)
-		srv.Close()
+		closeFn()
 		return 1
 	case <-ctx.Done():
 	}
 	stop()
 
-	logger.Printf("signal received; draining in-flight requests (up to %s)", *drainTimeout)
-	drainCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
+	logger.Printf("signal received; draining in-flight requests (up to %s)", drain)
+	drainCtx, cancel := context.WithTimeout(context.Background(), drain)
 	defer cancel()
 	clean := true
 	if err := httpSrv.Shutdown(drainCtx); err != nil {
-		// Drain deadline exceeded: cancel the in-flight enumerations (they
-		// unwind at the next shard boundary) and close the listener hard.
-		logger.Printf("drain deadline exceeded (%v); cancelling in-flight computes", err)
-		srv.Abort()
+		if abort != nil {
+			logger.Printf("drain deadline exceeded (%v); cancelling in-flight computes", err)
+			abort()
+		} else {
+			logger.Printf("drain deadline exceeded (%v); closing", err)
+		}
 		httpSrv.Close()
 		clean = false
 	}
-	if err := srv.Close(); err != nil {
+	if err := closeFn(); err != nil {
 		logger.Printf("close: %v", err)
 		clean = false
 	}
@@ -242,87 +260,6 @@ func realMain(args []string, ready chan<- net.Addr) int {
 		return 1
 	}
 	logger.Printf("drained cleanly")
-	return 0
-}
-
-// routerArgs is the router-mode slice of the flag set.
-type routerArgs struct {
-	addr           string
-	replicas       []string
-	vnodes         int
-	healthInterval time.Duration
-	nodeLimit      int64
-	drainTimeout   time.Duration
-	tracker        *obs.Tracker
-	log            *log.Logger
-}
-
-// runRouter is realMain's router-mode tail: same listener, signal, and
-// drain discipline as a replica, around a Router instead of a Server.
-func runRouter(a routerArgs, ready chan<- net.Addr) int {
-	router, err := serve.NewRouter(serve.RouterConfig{
-		Replicas:       a.replicas,
-		VNodes:         a.vnodes,
-		HealthInterval: a.healthInterval,
-		NodeLimit:      a.nodeLimit,
-		Tracker:        a.tracker,
-		Log:            a.log,
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "serve:", err)
-		return 1
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	ln, err := net.Listen("tcp", a.addr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "serve:", err)
-		router.Close()
-		return 1
-	}
-	httpSrv := &http.Server{
-		Handler:           router.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-	}
-	errCh := make(chan error, 1)
-	go func() {
-		if err := httpSrv.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
-			errCh <- err
-		}
-	}()
-	a.log.Printf("listening on %s (mode=router replicas=%d)", ln.Addr(), len(a.replicas))
-	if ready != nil {
-		ready <- ln.Addr()
-	}
-
-	select {
-	case err := <-errCh:
-		fmt.Fprintln(os.Stderr, "serve:", err)
-		router.Close()
-		return 1
-	case <-ctx.Done():
-	}
-	stop()
-
-	a.log.Printf("signal received; draining in-flight requests (up to %s)", a.drainTimeout)
-	drainCtx, cancel := context.WithTimeout(context.Background(), a.drainTimeout)
-	defer cancel()
-	clean := true
-	if err := httpSrv.Shutdown(drainCtx); err != nil {
-		a.log.Printf("drain deadline exceeded (%v); closing", err)
-		httpSrv.Close()
-		clean = false
-	}
-	if err := router.Close(); err != nil {
-		a.log.Printf("close: %v", err)
-		clean = false
-	}
-	if !clean {
-		return 1
-	}
-	a.log.Printf("drained cleanly")
 	return 0
 }
 

@@ -1,7 +1,8 @@
 // Package obs is the observability substrate for long-running
 // enumerations: named atomic counters, stage timers, a periodic progress
 // reporter with rate/ETA, expvar registration, an optional
-// pprof+expvar debug server, and a JSON run report.
+// pprof+expvar debug server, and a JSON run report. Tool wires them
+// around one run for the offline commands.
 //
 // Everything is off by default and nil-safe: a nil *Tracker hands out nil
 // *Counter and *Stage values whose methods no-op, so instrumented hot

@@ -470,8 +470,8 @@ func (s *Server) buildDecision(q url.Values, spec *modelspec.Spec) (endpointQuer
 			}
 			ann := task.AnnotateViews(res.Complex, res.Views)
 			bits := task.SearchSpaceLog2(ann)
-			if bits > s.cfg.MaxSearchBits {
-				return nil, overBudget("decision search space is 2^%.0f candidates, budget 2^%.0f", bits, s.cfg.MaxSearchBits)
+			if bits > maxSearchBits {
+				return nil, overBudget("decision search space is 2^%.0f candidates, budget 2^%d", bits, maxSearchBits)
 			}
 			dm, found, err := task.FindDecisionParallelCtx(ctx, ann, agree, limit, 1)
 			if err != nil {

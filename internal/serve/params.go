@@ -20,6 +20,9 @@ const (
 	// int64), and small enough that the trial-division primality check
 	// is microseconds.
 	maxGFpP = 1 << 20
+	// maxSearchBits rejects decision searches whose candidate space
+	// exceeds 2^maxSearchBits.
+	maxSearchBits = 4096
 )
 
 // badRequestError marks client errors that map to HTTP 400.

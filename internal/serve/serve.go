@@ -76,9 +76,6 @@ type Config struct {
 	// MaxFacets rejects construction requests whose estimated facet
 	// insertions exceed it (0 = 8 million).
 	MaxFacets int64
-	// MaxSearchBits rejects decision searches whose candidate space
-	// exceeds 2^MaxSearchBits (0 = 4096).
-	MaxSearchBits float64
 	// NodeLimit is the decision search node budget (0 = 20 million).
 	NodeLimit int64
 	// JobDir enables the async job API (/v1/jobs), rooting its persistent
@@ -133,9 +130,6 @@ func (c *Config) fill() {
 	}
 	if c.MaxFacets <= 0 {
 		c.MaxFacets = 8_000_000
-	}
-	if c.MaxSearchBits <= 0 {
-		c.MaxSearchBits = 4096
 	}
 	if c.NodeLimit <= 0 {
 		c.NodeLimit = 20_000_000

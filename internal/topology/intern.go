@@ -17,10 +17,11 @@ import (
 // Simplexes are found through an open-addressing index over a cheap
 // 64-bit hash of the id sequence: a power-of-two []uint64 whose nonzero
 // slots hold the hash's high 32 bits over entry+1, probed linearly from
-// the slot the hash's low bits name. The index doubles before it is half
-// full, re-hashing the stored ids. Membership tests and face closure
-// therefore never build string keys, and a probe reads only flat slices:
-// the index, and the arena when a slot's hash half matches.
+// the slot the hash's low bits name. The index is kept at most half full
+// (indexSlots), re-hashing the stored ids when it grows. Membership tests
+// and face closure therefore never build string keys, and a probe reads
+// only flat slices: the index, and the arena when a slot's hash half
+// matches.
 //
 // The index may lag the arena. AddNewFaces appends a pseudosphere's
 // faces without placing them, and Truncate empties it, so every path
@@ -113,8 +114,17 @@ func (c *Complex) place(h uint64, ei int32) {
 	c.index[i] = h>>32<<32 | uint64(ei+1)
 }
 
-// growIndex doubles the index, allocating the first one.
-func (c *Complex) growIndex() { c.resizeIndex(max(2*len(c.index), minIndexSlots)) }
+// indexSlots is the index size for a complex of entries entries: the
+// smallest power of two, at least minIndexSlots, that is at least twice
+// the entry count. Growing one entry at a time from a half-full index,
+// it doubles the index.
+func indexSlots(entries int) int {
+	slots := minIndexSlots
+	for slots < 2*entries {
+		slots *= 2
+	}
+	return slots
+}
 
 // resizeIndex replaces the index with one of slots slots, a power of two,
 // and places every entry in entry order. A slot keeps only the high half
@@ -142,11 +152,7 @@ func (c *Complex) placeAll() {
 	if from < 0 {
 		return // another reader placed them
 	}
-	slots := minIndexSlots
-	for slots < 2*len(c.ends) {
-		slots *= 2
-	}
-	if slots > len(c.index) {
+	if slots := indexSlots(len(c.ends)); slots > len(c.index) {
 		c.resizeIndex(slots)
 		return
 	}
@@ -180,7 +186,7 @@ func (c *Complex) appendEntry(ids []int32) {
 // every other entry.
 func (c *Complex) insert(ids []int32, h uint64) {
 	if 2*(len(c.ends)+1) > len(c.index) {
-		c.growIndex()
+		c.resizeIndex(indexSlots(len(c.ends) + 1))
 	}
 	c.place(h, int32(len(c.ends)))
 	c.appendEntry(ids)

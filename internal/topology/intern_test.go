@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"slices"
 	"testing"
+	"time"
 )
 
 // homeSlot is the index slot a probe for hash h starts from.
@@ -93,6 +94,9 @@ func TestIndexGrowthKeepsEntries(t *testing.T) {
 		slots := len(c.index)
 		c.Add(mustSimplex(Vertex{P: i % 7, Label: fmt.Sprint(i)}, Vertex{P: 7 + i%5, Label: "x"}, Vertex{P: 12, Label: fmt.Sprint(i % 3)}))
 		if slots > 0 && len(c.index) > slots {
+			if len(c.index) != 2*slots {
+				t.Fatalf("index grew from %d to %d slots, not by doubling", slots, len(c.index))
+			}
 			doublings++
 		}
 		for ei := len(keys); ei < c.EntryCount(); ei++ {
@@ -113,6 +117,39 @@ func TestIndexGrowthKeepsEntries(t *testing.T) {
 		ids, _ := c.lookupIDs(s)
 		if got := c.find(ids, hashIDs(ids)); got != int32(ei) {
 			t.Fatalf("find(%v) = %d, want %d", s, got, ei)
+		}
+	}
+}
+
+// TestInsertSizesLaggingIndex: an insert into a complex whose index lacks
+// entries sizes the index from the entry count, so placing every entry
+// again finds room. Doubling an empty index would give the 63 faces
+// AddNewFaces appends for six vertices 16 slots, and placing them would
+// never return, so a watchdog fails the test rather than hang it.
+func TestInsertSizesLaggingIndex(t *testing.T) {
+	c := NewComplex()
+	ids := make([]int32, 7)
+	for i := range ids {
+		ids[i], _ = c.Intern(hv(i, "v"))
+	}
+	c.AddNewFaces(ids[:6], 0)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		c.insert(ids[6:], hashIDs(ids[6:]))
+	}()
+	select {
+	case <-done:
+	case <-time.After(3 * time.Second):
+		t.Fatal("insert into a complex whose index lags did not return")
+	}
+	if c.EntryCount() != 64 {
+		t.Fatalf("%d entries, want 64", c.EntryCount())
+	}
+	for ei := int32(0); ei < 64; ei++ {
+		e := c.entryIDs(ei)
+		if got := c.find(e, hashIDs(e)); got != ei {
+			t.Fatalf("find(%v) = %d, want %d", e, got, ei)
 		}
 	}
 }
